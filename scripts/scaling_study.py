@@ -2,18 +2,12 @@
 """Scaling studies: kicked-approximation error law and RK4 convergence order.
 
 Prints the fitted slopes and writes the raw sweep points to out/scaling so
-they can be replotted.  Both fits are the same computations the validation
-suite gates on; this script exposes the underlying data.
+they can be replotted.  Both fits are the validation suite's own
+(`kicked_error_scaling_fit`, `rk4_order_fit`), run on denser sweeps.
 """
-import math
 from pathlib import Path
 
-import numpy as np
-
-from kickedqubit.analysis import SweepSeries, error_scaling_fit
-from kickedqubit.evolve import IntegratorConfig, rk4_propagator
-from kickedqubit.pulses import gaussian, hydrogen_2s2p
-from kickedqubit.su2 import max_abs_diff, probabilities
+from kickedqubit.validation import kicked_error_scaling_fit, rk4_order_fit
 
 OUTDIR = Path(__file__).resolve().parents[1] / "out" / "scaling"
 
@@ -26,36 +20,18 @@ def write_csv(path, header, columns):
 
 
 def kicked_error_study(n_points=16):
-    params = hydrogen_2s2p()
-    alpha, tk, tf = math.pi / 2, 150.0, 300.0
-    ratios = np.geomspace(1e-3, 3e-2, n_points)
-    errs = np.empty(n_points)
-    for i, r in enumerate(ratios):
-        u = rk4_propagator([gaussian(alpha, r * params.rabi_time, tk)], params, 0.0, tf)
-        _, p2 = probabilities(u, (1.0, 0.0))
-        errs[i] = abs(p2 - math.sin(alpha) ** 2)
-    fit = error_scaling_fit(SweepSeries("tau/T", ratios, {"err": errs}), expected_slope=2.0)
+    fit, series = kicked_error_scaling_fit(n_points=n_points)
     print(f"kicked-approximation P2 error: slope {fit.slope:.4f} "
           f"(expected 2), rms log residual {fit.residual:.3f}")
-    write_csv(OUTDIR / "kicked_error_vs_width.tsv", ["tau_over_rabi", "p2_error"], [ratios, errs])
+    write_csv(OUTDIR / "kicked_error_vs_width.tsv", ["tau_over_rabi", "p2_error"],
+              [series.values, series.column("p2_error")])
 
 
 def rk4_order_study():
-    params = hydrogen_2s2p()
-    pulses = [gaussian(math.pi / 2, 10.0, 150.0)]
-    ref = rk4_propagator(pulses, params, 0.0, 300.0, IntegratorConfig(dt=0.0125))
-    dts = np.array([1.6, 0.8, 0.4, 0.2, 0.1])
-    errs = np.array([
-        max_abs_diff(
-            rk4_propagator(pulses, params, 0.0, 300.0,
-                           IntegratorConfig(dt=float(dt), unitarity_tolerance=1e-4)),
-            ref,
-        )
-        for dt in dts
-    ])
-    fit = error_scaling_fit(SweepSeries("dt", dts, {"err": errs}), expected_slope=4.0)
+    fit, series, _ = rk4_order_fit(dts=(1.6, 0.8, 0.4, 0.2, 0.1))
     print(f"RK4 global error: slope {fit.slope:.4f} (expected 4)")
-    write_csv(OUTDIR / "rk4_error_vs_dt.tsv", ["dt_ps", "max_element_error"], [dts, errs])
+    write_csv(OUTDIR / "rk4_error_vs_dt.tsv", ["dt_ps", "max_element_error"],
+              [series.values, series.column("err")])
 
 
 if __name__ == "__main__":

@@ -35,11 +35,11 @@ class SingleKickProbabilities(NamedTuple):
 
 
 class DoubleKickProbabilities(NamedTuple):
-    """P2 closed forms for a kick-antikick pair (note the frame order)."""
+    """P2 closed forms for a kick-antikick pair, in the order of SingleKickProbabilities."""
 
     exact_kick: float
-    no_ordering_interaction: float
     no_ordering_schrodinger: float
+    no_ordering_interaction: float
 
 
 def p2_closed_forms_single(
@@ -66,16 +66,16 @@ def p2_closed_forms_double(
     """Transfer probability for a kick-antikick pair in the three descriptions.
 
     exact kick limit: sin^2(gamma Ts) sin^2(2 alpha)
-    rotating frame, no ordering: sin^2(2 alpha e^{-beta^2} sin(gamma Ts))
     bare frame, no ordering: identically zero (the average coupling vanishes)
+    rotating frame, no ordering: sin^2(2 alpha e^{-beta^2} sin(gamma Ts))
     """
     return DoubleKickProbabilities(
         exact_kick=math.sin(gamma_ts) ** 2 * math.sin(2.0 * alpha) ** 2,
+        no_ordering_schrodinger=0.0,
         no_ordering_interaction=math.sin(
             2.0 * alpha * math.exp(-beta * beta) * math.sin(gamma_ts)
         )
         ** 2,
-        no_ordering_schrodinger=0.0,
     )
 
 
@@ -286,7 +286,7 @@ def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
         series = rk4_evolve(
             pulses, params, (1.0, 0.0), 0.0, float(marks[-1]), cfg, record_times=marks
         )
-        integral = interaction_integral_series(pulses, params, marks, cfg)
+        integral = interaction_integral_series(pulses, params, 0.0, marks, cfg)
         for j, tf in enumerate(marks):
             exact[tf][i] = series.p2[j]
             noto_i_num[tf][i] = math.sin(abs(integral[j])) ** 2
@@ -341,7 +341,7 @@ def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSer
     tfs = np.linspace(t_k, t_max, n)
     pulses = [gaussian(alpha, tau, t_k)]
     series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, t_max, cfg, record_times=tfs)
-    integral = interaction_integral_series(pulses, params, tfs, cfg)
+    integral = interaction_integral_series(pulses, params, 0.0, tfs, cfg)
     noto_s_run = np.empty(n)
     for i, tf in enumerate(tfs):
         a_run = integrated_strength(pulses, 0.0, float(tf))
@@ -404,12 +404,10 @@ def _separation_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -
                 pulses, params, (1.0, 0.0), 0.0, t_f, cfg, record_times=[t_f]
             )
             exact[i] = series.p2[-1]
-        closed = np.array(
-            [p2_closed_forms_double(alpha, beta, g * ts) for ts in seps]
-        )
+        closed = [p2_closed_forms_double(alpha, beta, g * ts) for ts in seps]
         cols[f"P2_{label}"] = exact
-        cols[f"P2_kick_{label}"] = closed[:, 0]
-        cols[f"P2_noTO_I_{label}"] = closed[:, 1]
+        cols[f"P2_kick_{label}"] = np.array([c.exact_kick for c in closed])
+        cols[f"P2_noTO_I_{label}"] = np.array([c.no_ordering_interaction for c in closed])
     cols["P2_noTO_S"] = np.zeros(n)
     return SweepSeries(
         "Ts_ps",

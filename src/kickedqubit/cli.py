@@ -154,6 +154,13 @@ def _warn_scales(pulses, params: SystemParams, total_time: float, preset_label: 
 def _cmd_propagate(args) -> int:
     params, preset_label = _system_from_args(args)
     pulses = list(args.pulse)
+    if args.samples < 1:
+        sys.stderr.write("error: --samples must be at least 1\n")
+        return 1
+    given = [args.t0, args.t1] + ([] if args.dt is None else [args.dt])
+    if not all(math.isfinite(x) for x in given):
+        sys.stderr.write("error: --t0, --t1 and --dt must be finite\n")
+        return 1
     if args.t0 < 0.0 or args.t1 < args.t0 or any(p.center < 0.0 for p in pulses):
         sys.stderr.write("error: times must be non-negative with t1 >= t0\n")
         return 1
@@ -162,7 +169,7 @@ def _cmd_propagate(args) -> int:
     times = np.linspace(args.t0, args.t1, args.samples)
     basis1 = rk4_evolve(pulses, params, (1.0, 0.0), args.t0, args.t1, cfg, record_times=times)
     basis2 = rk4_evolve(pulses, params, (0.0, 1.0), args.t0, args.t1, cfg, record_times=times)
-    integral = interaction_integral_series(pulses, params, times, cfg)
+    integral = interaction_integral_series(pulses, params, args.t0, times, cfg)
     g = params.gamma
     rows = []
     for i, t in enumerate(times):

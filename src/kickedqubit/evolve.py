@@ -38,13 +38,12 @@ from .su2 import SIGMA_X, SIGMA_Z, NonUnitaryError, PauliVector, norm_defect, un
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float | None = None  # fixed step in ps; None = resolve pulse and Rabi scales
-    window_sigma: float = 6.0
     unitarity_tolerance: float = 1e-8
 
     def resolve_dt(self, pulses: PulseSequence, params: SystemParams, span: float) -> float:
         if self.dt is not None:
-            if self.dt <= 0.0:
-                raise ValueError("dt must be positive")
+            if not (self.dt > 0.0 and math.isfinite(self.dt)):
+                raise ValueError("dt must be positive and finite")
             return self.dt
         candidates = [p.tau / 50.0 for p in pulses if p.shape is not PulseShape.IDEAL_KICK]
         if math.isfinite(params.rabi_time):
@@ -141,11 +140,7 @@ def rk4_evolve(
     cfg = cfg or IntegratorConfig()
     dt = cfg.resolve_dt(pulses, params, max(t1 - t0, 1e-12))
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
-    rects = [
-        (p.alpha / p.tau, p.center - 0.5 * p.tau, p.center + 0.5 * p.tau)
-        for p in pulses
-        if p.shape is PulseShape.RECTANGULAR
-    ]
+    rects = [(p.peak, *p.window()) for p in pulses if p.shape is PulseShape.RECTANGULAR]
     v = envelope(smooth) if smooth else (lambda _t: 0.0)
 
     # kicks grouped by time; rectangular edges become integration breakpoints
@@ -249,7 +244,6 @@ def interaction_integral(
     pulses: PulseSequence,
     params: SystemParams,
     t: float,
-    cfg: IntegratorConfig | None = None,
     tol: float = 1e-10,
 ) -> PauliVector:
     """int_0^t of the rotating-frame coupling, as a Pauli vector.
@@ -258,7 +252,6 @@ def interaction_integral(
     refined by Richardson extrapolation to `tol`; kicks contribute exact
     jumps alpha e^{2 i gamma t_kick}.
     """
-    cfg = cfg or IntegratorConfig()
     g = params.gamma
     total = 0.0 + 0.0j
     for p in pulses:
@@ -268,12 +261,12 @@ def interaction_integral(
                     math.cos(2.0 * g * p.center), math.sin(2.0 * g * p.center)
                 )
             continue
-        lo, hi = p.window(cfg.window_sigma)
+        lo, hi = p.window()
         lo, hi = max(lo, 0.0), min(hi, t)
         if hi <= lo:
             continue
         total += _refined_trapezoid(
-            lambda x, pp=p: envelope_array([pp], x) * np.exp(2j * g * x), lo, hi, tol
+            lambda x, pp=p: pp.value(x) * np.exp(2j * g * x), lo, hi, tol
         )
     return PauliVector(cx=total.real, cy=total.imag)
 
@@ -298,29 +291,30 @@ def no_ordering_interaction_numeric(
     pulses: PulseSequence,
     params: SystemParams,
     t: float,
-    cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """exp(-i int_0^t v_I dt'), exponentiated through the Pauli identity."""
-    return interaction_integral(pulses, params, t, cfg).exp_minus_i()
+    return interaction_integral(pulses, params, t).exp_minus_i()
 
 
 def interaction_integral_series(
     pulses: PulseSequence,
     params: SystemParams,
+    t0: float,
     times: np.ndarray,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
-    """Cumulative int_0^t v(t') e^{2 i gamma t'} dt' at each requested time.
+    """Cumulative int_{t0}^t v(t') e^{2 i gamma t'} dt' at each requested time t >= t0.
 
     Trapezoid on a fine grid that includes the requested times; meant for
-    emitting whole no-ordering columns cheaply.  Kicks enter as steps.
+    emitting whole no-ordering columns cheaply.  Kicks at or after t0 enter
+    as steps.
     """
     cfg = cfg or IntegratorConfig()
     times = np.asarray(times, dtype=float)
-    t_max = float(times[-1]) if times.size else 0.0
+    t_max = float(times[-1]) if times.size else t0
     smooth = [p for p in pulses if p.shape is not PulseShape.IDEAL_KICK]
-    dt = cfg.resolve_dt(pulses, params, max(t_max, 1e-12)) / 2.0
-    grid = np.unique(np.concatenate([np.arange(0.0, t_max, dt), times, [0.0]]))
+    dt = cfg.resolve_dt(pulses, params, max(t_max - t0, 1e-12)) / 2.0
+    grid = np.unique(np.concatenate([np.arange(t0, t_max, dt), times, [t0]]))
     if smooth:
         vals = envelope_array(smooth, grid) * np.exp(2j * params.gamma * grid)
         increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
@@ -330,7 +324,7 @@ def interaction_integral_series(
     idx = np.searchsorted(grid, times)
     out = cumulative[idx]
     for p in pulses:
-        if p.shape is PulseShape.IDEAL_KICK:
+        if p.shape is PulseShape.IDEAL_KICK and p.center >= t0:
             jump = p.alpha * np.exp(2j * params.gamma * p.center)
             out = out + np.where(times >= p.center, jump, 0.0)
     return out
@@ -349,8 +343,8 @@ def convergence_check(
     """
     cfg = cfg or IntegratorConfig()
     dt = cfg.resolve_dt(pulses, params, max(t, 1e-12))
-    u_coarse = rk4_propagator(pulses, params, 0.0, t, IntegratorConfig(
-        dt=dt, window_sigma=cfg.window_sigma, unitarity_tolerance=math.inf))
-    u_fine = rk4_propagator(pulses, params, 0.0, t, IntegratorConfig(
-        dt=dt / 2.0, window_sigma=cfg.window_sigma, unitarity_tolerance=math.inf))
+    u_coarse = rk4_propagator(
+        pulses, params, 0.0, t, IntegratorConfig(dt=dt, unitarity_tolerance=math.inf))
+    u_fine = rk4_propagator(
+        pulses, params, 0.0, t, IntegratorConfig(dt=dt / 2.0, unitarity_tolerance=math.inf))
     return float(np.max(np.abs(u_coarse - u_fine)))

@@ -32,7 +32,6 @@ from .pulses import (
     PulseShape,
     SystemParams,
     envelope,
-    integrated_strength,
     v_of_t,
 )
 from .su2 import X_AXIS, Z_AXIS, pauli_exponential
@@ -223,9 +222,7 @@ def kick_correction_expansion(
     v = envelope([pulse])
 
     def square_deficit(u: float) -> float:
-        a_run = integrated_strength([pulse], tk, u) if u >= tk else -integrated_strength(
-            [pulse], u, tk
-        )
+        a_run = pulse.integral(tk, u) if u >= tk else -pulse.integral(u, tk)
         return 0.25 * alpha * alpha - a_run * a_run
 
     i1, _ = quad(square_deficit, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
@@ -248,29 +245,9 @@ def commutator_correction(pulse: Pulse, params: SystemParams, t: float) -> np.nd
     envelopes.
     """
     gamma = params.gamma
-    s0 = integrated_strength([pulse], 0.0, t)
-    s1 = _first_moment(pulse, 0.0, t)
-    j = t * s0 - 2.0 * s1
+    j = t * pulse.integral(0.0, t) - 2.0 * pulse.first_moment(0.0, t)
     # i gamma J sigma_y = gamma J [[0, 1], [-1, 0]]
     return gamma * j * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-
-def _first_moment(pulse: Pulse, t0: float, t1: float) -> float:
-    """int_{t0}^{t1} t' v(t') dt', analytic per shape."""
-    a, c, tau = pulse.alpha, pulse.center, pulse.tau
-    if pulse.shape is PulseShape.IDEAL_KICK:
-        return a * c if t0 <= c <= t1 else 0.0
-    if pulse.shape is PulseShape.GAUSSIAN:
-        u0, u1 = (t0 - c) / tau, (t1 - c) / tau
-        center_part = 0.5 * a * c * (math.erf(u1) - math.erf(u0))
-        tail_part = (
-            a * tau / (2.0 * math.sqrt(math.pi)) * (math.exp(-u0 * u0) - math.exp(-u1 * u1))
-        )
-        return center_part + tail_part
-    lo, hi = max(t0, c - 0.5 * tau), min(t1, c + 0.5 * tau)
-    if hi <= lo:
-        return 0.0
-    return a / tau * 0.5 * (hi * hi - lo * lo)
 
 
 def instantaneous_splitting(pulses: PulseSequence, params: SystemParams, t: float) -> float:
@@ -371,9 +348,8 @@ def _adiabatic_ratio(pulses: PulseSequence, params: SystemParams, t: float) -> f
         if hi <= lo:
             continue
         x = np.linspace(lo, hi, 401)
-        u = (x - p.center) / p.tau
-        vx = p.alpha / (math.sqrt(math.pi) * p.tau) * np.exp(-u * u)
-        vdot = np.abs(vx * (-2.0 * u / p.tau))
+        vx = p.value(x)
+        vdot = np.abs(vx * 2.0 * (x - p.center) / (p.tau * p.tau))
         omega_sq = gamma * gamma + vx * vx
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = gamma * vdot / (4.0 * omega_sq**1.5)

@@ -12,6 +12,12 @@ Shapes, all with signed integrated strength alpha = int v dt:
 * rectangular:  v(t) = alpha / tau on [T_k - tau/2, T_k + tau/2]
 * ideal kick:   v(t) = alpha * delta(t - T_k), the tau -> 0 limit
 
+`Pulse` is the only place that knows the math of each shape: its peak
+rate, its window, its value over an array of times, its integral and its
+first moment over any interval.  The sequence helpers below (`envelope`,
+`envelope_array`, `integrated_strength`) and the integrator and closed
+forms elsewhere read from it.
+
 Ideal kicks cannot be evaluated pointwise; sequence evaluation raises for
 them and the closed-form kick propagators should be used instead.
 Overlapping pulses in a sequence add linearly.
@@ -24,8 +30,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .su2 import PauliVector
 
 HBAR_EV_PS = 6.582119569e-4  # hbar in eV * ps, for Delta_E conversions
 
@@ -60,13 +64,59 @@ class Pulse:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def window(self, sigma: float = GAUSSIAN_WINDOW) -> tuple[float, float]:
+    @property
+    def peak(self) -> float:
+        """Signed peak rate in rad/ps; a kick has none."""
+        if self.shape is PulseShape.GAUSSIAN:
+            return self.alpha / (math.sqrt(math.pi) * self.tau)
+        if self.shape is PulseShape.RECTANGULAR:
+            return self.alpha / self.tau
+        raise PulseEvaluationError(
+            "delta-function kicks have no pointwise value; "
+            "use the closed-form kick propagators instead"
+        )
+
+    def window(self) -> tuple[float, float]:
         """Interval outside which the pulse is negligible (empty for a kick)."""
         if self.shape is PulseShape.GAUSSIAN:
-            return (self.center - sigma * self.tau, self.center + sigma * self.tau)
+            half = GAUSSIAN_WINDOW * self.tau
+        elif self.shape is PulseShape.RECTANGULAR:
+            half = 0.5 * self.tau
+        else:
+            half = 0.0
+        return (self.center - half, self.center + half)
+
+    def value(self, t: np.ndarray) -> np.ndarray:
+        """v(t) over an array of times (kicks rejected)."""
+        if self.shape is PulseShape.GAUSSIAN:
+            u = (t - self.center) / self.tau
+            return self.peak * np.exp(-u * u)
+        lo, hi = self.window()
+        return np.where((t >= lo) & (t <= hi), self.peak, 0.0)
+
+    def integral(self, t0: float, t1: float) -> float:
+        """int_{t0}^{t1} v dt for t0 <= t1; a kick counts fully when t0 <= T_k <= t1."""
+        if self.shape is PulseShape.GAUSSIAN:
+            return 0.5 * self.alpha * (
+                math.erf((t1 - self.center) / self.tau) - math.erf((t0 - self.center) / self.tau)
+            )
         if self.shape is PulseShape.RECTANGULAR:
-            return (self.center - 0.5 * self.tau, self.center + 0.5 * self.tau)
-        return (self.center, self.center)
+            lo, hi = self.window()
+            return self.peak * max(0.0, min(t1, hi) - max(t0, lo))
+        return self.alpha if t0 <= self.center <= t1 else 0.0
+
+    def first_moment(self, t0: float, t1: float) -> float:
+        """int_{t0}^{t1} t v dt: T_k times the integral plus the moment about T_k."""
+        moment = self.center * self.integral(t0, t1)
+        if self.shape is PulseShape.GAUSSIAN:
+            u0, u1 = (t0 - self.center) / self.tau, (t1 - self.center) / self.tau
+            moment += 0.5 * self.peak * self.tau**2 * (math.exp(-u0 * u0) - math.exp(-u1 * u1))
+        elif self.shape is PulseShape.RECTANGULAR:
+            lo, hi = self.window()
+            lo, hi = max(t0, lo) - self.center, min(t1, hi) - self.center
+            if hi > lo:
+                moment += 0.5 * self.peak * (hi * hi - lo * lo)
+        return moment
 
 
 def gaussian(alpha: float, tau: float, center: float) -> Pulse:
@@ -123,30 +173,6 @@ def unit_system() -> SystemParams:
 
 
 @dataclass(frozen=True)
-class PhaseAngles:
-    """The three phase angles of a pulse problem.
-
-    alpha is the integrated pulse strength, beta = gamma * tau the
-    splitting phase accumulated over one pulse width, and gamma_t the free
-    phase accumulated up to the measurement time.
-    """
-
-    alpha: float
-    beta: float
-    gamma_t: float
-
-    @property
-    def xi(self) -> float:
-        """sqrt(alpha^2 + (gamma t)^2), the rotation angle without time ordering."""
-        return math.hypot(self.alpha, self.gamma_t)
-
-    @property
-    def alpha_prime(self) -> float:
-        """sqrt(alpha^2 + beta^2), the in-pulse rotation angle of a rectangular pulse."""
-        return math.hypot(self.alpha, self.beta)
-
-
-@dataclass(frozen=True)
 class DoubleKickParams:
     """Timing of a two-kick sequence: kicks at t1 and t2 >= t1."""
 
@@ -165,44 +191,17 @@ class DoubleKickParams:
     def midpoint(self) -> float:
         return 0.5 * (self.t1 + self.t2)
 
-    def zeta(self, gamma: float, t: float) -> float:
-        """Residual free phase gamma * (t - separation)."""
-        return gamma * (t - self.separation)
-
-
-def phase_angles(params: SystemParams, pulse: Pulse, t: float) -> PhaseAngles:
-    return PhaseAngles(
-        alpha=pulse.alpha, beta=params.gamma * pulse.tau, gamma_t=params.gamma * t
-    )
-
-
-def _require_no_kicks(pulses: PulseSequence) -> None:
-    if any(p.shape is PulseShape.IDEAL_KICK for p in pulses):
-        raise PulseEvaluationError(
-            "delta-function kicks have no pointwise value; "
-            "use the closed-form kick propagators instead"
-        )
-
 
 def v_of_t(pulses: PulseSequence, t: float) -> float:
     """Instantaneous coupling rate v(t) in rad/ps, summed over pulses."""
-    _require_no_kicks(pulses)
     return envelope(pulses)(t)
 
 
 def envelope(pulses: PulseSequence) -> Callable[[float], float]:
     """Fast scalar v(t) closure for the integrator (kicks rejected)."""
-    _require_no_kicks(pulses)
-    gauss = [
-        (p.alpha / (math.sqrt(math.pi) * p.tau), p.center, 1.0 / p.tau)
-        for p in pulses
-        if p.shape is PulseShape.GAUSSIAN
-    ]
-    rect = [
-        (p.alpha / p.tau, p.center - 0.5 * p.tau, p.center + 0.5 * p.tau)
-        for p in pulses
-        if p.shape is PulseShape.RECTANGULAR
-    ]
+    gauss = [(p.peak, p.center, 1.0 / p.tau) for p in pulses if p.shape is PulseShape.GAUSSIAN]
+    # a kick raises in Pulse.peak
+    rect = [(p.peak, *p.window()) for p in pulses if p.shape is not PulseShape.GAUSSIAN]
     exp = math.exp
 
     def v(t: float) -> float:
@@ -219,101 +218,23 @@ def envelope(pulses: PulseSequence) -> Callable[[float], float]:
 
 
 def envelope_array(pulses: PulseSequence, times: np.ndarray) -> np.ndarray:
-    """Vectorized v(t) over an array of times."""
-    _require_no_kicks(pulses)
+    """Vectorized v(t) over an array of times (kicks rejected)."""
     t = np.asarray(times, dtype=float)
     total = np.zeros_like(t)
     for p in pulses:
-        if p.shape is PulseShape.GAUSSIAN:
-            u = (t - p.center) / p.tau
-            total += p.alpha / (math.sqrt(math.pi) * p.tau) * np.exp(-u * u)
-        else:
-            lo, hi = p.center - 0.5 * p.tau, p.center + 0.5 * p.tau
-            total += np.where((t >= lo) & (t <= hi), p.alpha / p.tau, 0.0)
+        total += p.value(t)
     return total
 
 
 def integrated_strength(pulses: PulseSequence, t0: float, t1: float) -> float:
     """int_{t0}^{t1} v(t) dt in rad, analytic for every shape.
 
-    Gaussians use the error function, rectangles their overlap with
-    [t0, t1], and kicks contribute their full alpha when the kick time
-    lies inside the window (boundaries inclusive).
+    Kicks contribute their full alpha when the kick time lies inside the
+    window (boundaries inclusive).
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     total = 0.0
     for p in pulses:
-        if p.shape is PulseShape.GAUSSIAN:
-            total += (
-                0.5
-                * p.alpha
-                * (math.erf((t1 - p.center) / p.tau) - math.erf((t0 - p.center) / p.tau))
-            )
-        elif p.shape is PulseShape.RECTANGULAR:
-            lo, hi = p.center - 0.5 * p.tau, p.center + 0.5 * p.tau
-            overlap = max(0.0, min(t1, hi) - max(t0, lo))
-            total += p.alpha / p.tau * overlap
-        else:
-            if t0 <= p.center <= t1:
-                total += p.alpha
+        total += p.integral(t0, t1)
     return total
-
-
-def v_interaction_picture(
-    params: SystemParams, pulses: PulseSequence, t: float
-) -> PauliVector:
-    """Coupling rotated into the frame of the free evolution.
-
-    Conjugating v(t) sigma_x by exp(i H0 t / hbar) with H0 = -gamma hbar
-    sigma_z gives v(t) [sigma_x cos(2 gamma t) + sigma_y sin(2 gamma t)].
-    """
-    v = v_of_t(pulses, t)
-    phase = 2.0 * params.gamma * t
-    return PauliVector(cx=v * math.cos(phase), cy=v * math.sin(phase))
-
-
-def averaged_interaction_single(
-    params: SystemParams, pulse: Pulse, t: float
-) -> PauliVector:
-    """Time integral of the rotated coupling for one completed pulse.
-
-    For a gaussian of strength alpha at T_k the integral evaluates in
-    closed form to alpha exp(-beta^2) [sigma_x cos(2 gamma T_k) +
-    sigma_y sin(2 gamma T_k)] with beta = gamma tau; a kick is the beta=0
-    case.  Valid once the pulse is fully contained in [0, t].
-    """
-    if pulse.shape is PulseShape.GAUSSIAN:
-        lo, hi = pulse.window()
-        if lo < 0.0 or hi > t:
-            raise ValueError("pulse must be fully contained in [0, t]")
-        beta = params.gamma * pulse.tau
-    elif pulse.shape is PulseShape.IDEAL_KICK:
-        if not 0.0 <= pulse.center <= t:
-            raise ValueError("kick must lie inside [0, t]")
-        beta = 0.0
-    else:
-        raise ValueError("closed form available for gaussian and kick shapes only")
-    mag = pulse.alpha * math.exp(-beta * beta)
-    phase = 2.0 * params.gamma * pulse.center
-    return PauliVector(cx=mag * math.cos(phase), cy=mag * math.sin(phase))
-
-
-def averaged_interaction_double(
-    params: SystemParams, dk: DoubleKickParams, alpha: float, beta: float
-) -> PauliVector:
-    """Integrated rotated coupling for an equal-and-opposite pulse pair.
-
-    2 alpha exp(-beta^2) sin(gamma T_s) [sigma_x sin(2 gamma Tbar)
-    - sigma_y cos(2 gamma Tbar)]; independent of the measurement time once
-    both pulses are complete.
-    """
-    g = params.gamma
-    mag = 2.0 * alpha * math.exp(-beta * beta) * math.sin(g * dk.separation)
-    phase = 2.0 * g * dk.midpoint
-    return PauliVector(cx=mag * math.sin(phase), cy=-mag * math.cos(phase))
-
-
-def averaged_interaction_schrodinger(pulses: PulseSequence, t: float) -> PauliVector:
-    """Integrated bare coupling: int_0^t v dt on sigma_x alone."""
-    return PauliVector(cx=integrated_strength(pulses, 0.0, t))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -44,11 +43,6 @@ def pauli_exponential(phi: float, axis) -> np.ndarray:
             [1j * s * (nx + 1j * ny), c - 1j * s * nz],
         ]
     )
-
-
-def mat_mul(*mats: np.ndarray) -> np.ndarray:
-    """Product of matrices, leftmost applied last (standard operator order)."""
-    return reduce(np.matmul, mats)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

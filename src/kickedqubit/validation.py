@@ -15,6 +15,7 @@ import numpy as np
 
 from . import propagators as prop
 from .analysis import (
+    ScalingFit,
     SweepSeries,
     error_scaling_fit,
     p2_closed_forms_double,
@@ -360,13 +361,14 @@ def check_rect_correction_residual() -> CheckResult:
 
 def check_kicked_error_scaling() -> CheckResult:
     """RK4 transfer error of the kicked approximation grows as (tau/T)^2."""
-    fit = kicked_error_scaling_fit()
+    fit, _ = kicked_error_scaling_fit()
     return _result(
         "kicked-error-scaling", abs(fit.slope - 2.0) <= 0.1, f"slope {fit.slope:.3f} (want 2.0 +- 0.1)"
     )
 
 
-def kicked_error_scaling_fit(n_points: int = 8):
+def kicked_error_scaling_fit(n_points: int = 8) -> tuple[ScalingFit, SweepSeries]:
+    """Kicked-limit P2 error against tau / T on n_points widths; the fit and its points."""
     params = hydrogen_2s2p()
     alpha, tk, tf = math.pi / 2, 150.0, 300.0
     ratios = np.geomspace(1e-3, 3e-2, n_points)
@@ -376,14 +378,13 @@ def kicked_error_scaling_fit(n_points: int = 8):
         u = rk4_propagator([gaussian(alpha, tau, tk)], params, 0.0, tf)
         _, p2 = probabilities(u, (1.0, 0.0))
         errs[i] = abs(p2 - math.sin(alpha) ** 2)
-    return error_scaling_fit(
-        SweepSeries("tau_over_T", ratios, {"p2_error": errs}), expected_slope=2.0
-    )
+    series = SweepSeries("tau_over_T", ratios, {"p2_error": errs})
+    return error_scaling_fit(series, expected_slope=2.0), series
 
 
 def check_rk4_order() -> CheckResult:
     """Global RK4 error falls as dt^4 under halving (slope 4 +- 0.2)."""
-    fit, norm_defect_val = rk4_order_fit()
+    fit, _, norm_defect_val = rk4_order_fit()
     ok = abs(fit.slope - 4.0) <= 0.2 and norm_defect_val <= 1e-8
     return _result(
         "rk4-order",
@@ -392,12 +393,15 @@ def check_rk4_order() -> CheckResult:
     )
 
 
-def rk4_order_fit():
-    """dt ladder on the single-pulse transfer scenario, against a fine reference."""
+def rk4_order_fit(dts=(1.6, 0.8, 0.4, 0.2)) -> tuple[ScalingFit, SweepSeries, float]:
+    """dt ladder on the single-pulse transfer scenario, against a fine reference.
+
+    Returns the fit, its points, and the unitarity defect at the default step.
+    """
     params = hydrogen_2s2p()
     pulses = [gaussian(math.pi / 2, 10.0, 150.0)]
     ref = rk4_propagator(pulses, params, 0.0, 300.0, IntegratorConfig(dt=0.0125))
-    dts = np.array([1.6, 0.8, 0.4, 0.2])
+    dts = np.array(dts, dtype=float)
     errs = np.array(
         [
             max_abs_diff(
@@ -408,9 +412,9 @@ def rk4_order_fit():
             for dt in dts
         ]
     )
-    fit = error_scaling_fit(SweepSeries("dt", dts, {"err": errs}), expected_slope=4.0)
+    series = SweepSeries("dt", dts, {"err": errs})
     u_default = rk4_propagator(pulses, params, 0.0, 300.0)
-    return fit, unitarity_defect(u_default)
+    return error_scaling_fit(series, expected_slope=4.0), series, unitarity_defect(u_default)
 
 
 def check_rectangular_vs_rk4(rng: np.random.Generator, samples: int) -> CheckResult:

@@ -60,7 +60,7 @@ def test_03_kick_antikick_transfer():
 
 
 def test_04_kicked_error_scaling():
-    fit = validation.kicked_error_scaling_fit()
+    fit, _ = validation.kicked_error_scaling_fit()
     ok = abs(fit.slope - 2.0) <= 0.1
     assert verdict(4, ok, f"log-log slope {fit.slope:.3f} (want 2.0 +- 0.1)")
 
@@ -119,7 +119,7 @@ def test_11_perturbative_onset():
 
 
 def test_12_rk4_order_and_norm():
-    fit, _ = validation.rk4_order_fit()
+    fit, _, _ = validation.rk4_order_fit()
     worst_norm = 0.0
     for alpha, centers, t_f in (
         (math.pi / 2, (150.0,), 300.0),

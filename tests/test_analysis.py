@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +229,25 @@ class TestScenarios:
         assert endpoints[0] < endpoints[1] < endpoints[2]
         assert endpoints[1] / endpoints[0] == pytest.approx(16.0, rel=0.05)
         assert endpoints[2] / endpoints[1] == pytest.approx(16.0, rel=0.05)
+
+
+REFERENCE_PANELS = Path(__file__).resolve().parents[1] / "out" / "figures"
+
+
+def _read_panel(name: str) -> tuple[list[str], np.ndarray]:
+    """Header and data of a committed scenario CSV ('#' lines are metadata)."""
+    lines = (REFERENCE_PANELS / f"{name}.csv").read_text().splitlines()
+    lines = [line for line in lines if not line.startswith("#")]
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4_right"])
+def test_scenario_matches_reference_panel(name):
+    # the fast panels against the committed out/figures references
+    series = scenario(name)
+    header, expected = _read_panel(name)
+    assert header == [series.parameter, *series.columns]
+    got = np.column_stack([series.values, *series.columns.values()])
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-10

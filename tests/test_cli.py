@@ -102,6 +102,30 @@ class TestPropagate:
         assert code == 1
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("bad", [
+        ("--samples", "0"), ("--samples", "-3"), ("--t1", "nan"), ("--t0", "inf"),
+        ("--t0", "nan"), ("--dt", "nan"), ("--dt", "inf"),
+    ])
+    def test_degenerate_input_is_clean_exit_1(self, capsys, bad):
+        code, out, err = run_cli(capsys, *self.ARGS, *bad)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "arange" not in err
+
+    def test_t0_after_pulse_all_columns_agree(self, capsys):
+        # a pulse that is over before t0 must leave every P2 column at zero
+        code, out, _ = run_cli(
+            capsys, "propagate", "--preset", "unit",
+            "--pulse", "gaussian:alpha=pi/2,tau=0.1,center=1",
+            "--t0", "3", "--t1", "4", "--samples", "5",
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 5
+        for row in rows:
+            p2, p2_s, p2_i = (float(x) for x in row[2:5])
+            assert p2 < 1e-14 and p2_s < 1e-14 and p2_i < 1e-14
+
     def test_bad_pulse_spec_is_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "propagate", "--pulse", "blob:alpha=1", "--t1", "3")
         assert code == 1

@@ -181,7 +181,7 @@ class TestNoOrderingNumeric:
         params = HYDROGEN
         pulses = [gaussian(1.0, 10.0, 100.0), gaussian(-1.0, 10.0, 300.0)]
         times = np.array([50.0, 150.0, 350.0, 500.0])
-        series_vals = interaction_integral_series(pulses, params, times)
+        series_vals = interaction_integral_series(pulses, params, 0.0, times)
         for t, val in zip(times, series_vals):
             pv = interaction_integral(pulses, params, float(t))
             assert abs(complex(pv.cx, pv.cy) - val) < 1e-7

@@ -14,7 +14,6 @@ from kickedqubit.pulses import (
     DoubleKickParams,
     PulseShape,
     SystemParams,
-    averaged_interaction_double,
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
@@ -24,6 +23,7 @@ from kickedqubit.pulses import (
 )
 from kickedqubit.su2 import (
     IDENTITY,
+    PauliVector,
     SIGMA_Y,
     Z_AXIS,
     max_abs_diff,
@@ -119,8 +119,11 @@ class TestNoOrderingInteraction:
         params = SystemParams(0.9)
         dk = DoubleKickParams(0.7, 0.7 + math.pi / 3 / 0.9)
         alpha, beta = 3 * math.pi / 8, 0.0323
-        pv = averaged_interaction_double(params, dk, alpha, beta)
-        u_ref = pv.exp_minus_i()
+        # each completed gaussian contributes alpha_k e^{-beta^2} e^{2 i gamma T_k}
+        avg = alpha * math.exp(-beta * beta) * (
+            np.exp(2j * params.gamma * dk.t1) - np.exp(2j * params.gamma * dk.t2)
+        )
+        u_ref = PauliVector(cx=avg.real, cy=avg.imag).exp_minus_i()
         u = prop.no_ordering_interaction_double(alpha, beta, params.gamma, dk)
         assert max_abs_diff(u, u_ref) < 1e-10
 
@@ -192,7 +195,7 @@ class TestKickAntikick:
         dk = DoubleKickParams(t1, t1 + ts)
         t = dk.t2 + dt_after
         u = prop.kick_antikick_propagator(alpha, gamma, dk, t)
-        zeta = dk.zeta(gamma, t)
+        zeta = gamma * (t - dk.separation)
         gts, gtb = gamma * dk.separation, gamma * dk.midpoint
         u11 = np.exp(1j * zeta) * (math.cos(gts) + 1j * math.sin(gts) * math.cos(2 * alpha))
         u12 = np.exp(1j * gamma * (t - 2 * dk.midpoint)) * math.sin(gts) * math.sin(2 * alpha)

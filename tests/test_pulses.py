@@ -6,25 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kickedqubit import propagators as prop
+from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_numeric
 from kickedqubit.pulses import (
     DoubleKickParams,
-    PhaseAngles,
     PulseEvaluationError,
     SystemParams,
-    averaged_interaction_double,
-    averaged_interaction_schrodinger,
-    averaged_interaction_single,
     envelope_array,
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
     integrated_strength,
-    phase_angles,
     rectangular,
     unit_system,
-    v_interaction_picture,
     v_of_t,
 )
+from kickedqubit.su2 import IDENTITY, PauliVector, max_abs_diff, probabilities
 
 
 class TestSystemParams:
@@ -110,23 +107,45 @@ class TestIntegratedStrength:
         assert abs(got - alpha) <= abs(alpha) * 1e-9 + 1e-15
 
 
+class TestPulseKernel:
+    @pytest.mark.parametrize("pulse", [gaussian(0.8, 2.0, 7.0), rectangular(-0.6, 3.0, 9.0)])
+    def test_first_moment_against_quadrature(self, pulse):
+        for t0, t1 in ((0.0, 20.0), (6.0, 8.5), (8.0, 30.0)):
+            ref, _ = quad(lambda x: x * v_of_t([pulse], x), t0, t1,
+                          points=pulse.window(), limit=300)
+            assert pulse.first_moment(t0, t1) == pytest.approx(ref, abs=1e-12)
+
+    def test_kick_moment_and_window(self):
+        kick = ideal_kick(0.9, 4.0)
+        assert kick.window() == (4.0, 4.0)
+        assert kick.first_moment(0.0, 4.0) == pytest.approx(3.6)
+        assert kick.first_moment(4.5, 9.0) == 0.0
+
+
 class TestPhaseAngles:
+    """alpha, beta = gamma tau and gamma t as they enter the closed forms."""
+
     def test_hydrogen_beta(self):
-        angles = phase_angles(hydrogen_2s2p(), gaussian(1.0, 10.0, 0.0), 0.0)
-        assert angles.beta == pytest.approx(math.pi * 10.0 / 972.0, rel=1e-12)
+        # a completed gaussian is damped by e^{-beta^2} in the rotating frame
+        pv = interaction_integral([gaussian(1.0, 10.0, 100.0)], hydrogen_2s2p(), 300.0)
+        beta = math.pi * 10.0 / 972.0
+        assert pv.pauli_norm() == pytest.approx(math.exp(-beta * beta), rel=1e-9)
 
     def test_degenerate(self):
-        angles = phase_angles(SystemParams(0.0), gaussian(0.7, 10.0, 0.0), 5.0)
-        assert angles.beta == 0.0
-        assert angles.gamma_t == 0.0
-        assert angles.xi == pytest.approx(0.7)
+        # gamma = 0: beta = gamma t = 0 and xi = alpha, so the bare average is degenerate
+        u0 = no_ordering_schrodinger_numeric([gaussian(0.7, 10.0, 70.0)], SystemParams(0.0), 140.0)
+        assert max_abs_diff(u0, prop.degenerate_propagator(0.7)) < 1e-12
 
     def test_xi_combines_strength_and_phase(self):
-        angles = PhaseAngles(alpha=math.pi / 2, beta=0.0, gamma_t=math.sqrt(3) / 2 * math.pi)
-        assert angles.xi == pytest.approx(math.pi, rel=1e-12)
+        # alpha = pi/2 and gamma t = sqrt(3)/2 pi make xi = pi: no bare-frame transfer
+        t = math.sqrt(3) / 2 * math.pi
+        u0 = no_ordering_schrodinger_numeric([gaussian(math.pi / 2, 0.1, t / 2)], unit_system(), t)
+        assert probabilities(u0, (1.0, 0.0))[1] == pytest.approx(0.0, abs=1e-24)
 
     def test_alpha_prime(self):
-        assert PhaseAngles(3.0, 4.0, 0.0).alpha_prime == pytest.approx(5.0)
+        # a rectangle rotates by alpha' = sqrt(alpha^2 + beta^2) = 5 inside the pulse
+        u = prop.rectangular_propagator(3.0, 4.0, 0.5, 10.0, 30.0)
+        assert abs(u[0, 1]) == pytest.approx(3.0 * abs(math.sin(5.0)) / 5.0, rel=1e-14)
 
 
 def quadrature_interaction_integral(params, pulse, t):
@@ -141,82 +160,75 @@ def quadrature_interaction_integral(params, pulse, t):
 
 class TestInteractionPicture:
     def test_degenerate_frame_coincides(self):
-        pv = v_interaction_picture(SystemParams(0.0), [gaussian(1.0, 2.0, 5.0)], 4.0)
+        pulses = [gaussian(1.0, 2.0, 15.0)]
+        pv = interaction_integral(pulses, SystemParams(0.0), 40.0)
         assert pv.cy == 0.0
-        assert pv.cx == pytest.approx(v_of_t([gaussian(1.0, 2.0, 5.0)], 4.0))
+        assert pv.cx == pytest.approx(integrated_strength(pulses, 0.0, 40.0), abs=1e-12)
 
     def test_t_zero_has_no_phase(self):
-        pv = v_interaction_picture(unit_system(), [gaussian(1.0, 2.0, 1.0)], 0.0)
-        assert pv.cy == 0.0
+        pv = interaction_integral([ideal_kick(1.0, 0.0)], unit_system(), 1.0)
+        assert (pv.cx, pv.cy) == (1.0, 0.0)
 
-    @given(st.floats(0.0, 2.0), st.floats(0.2, 3.0), st.floats(0.0, 20.0))
+    @given(st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.0, 20.0))
     @settings(max_examples=100, deadline=None)
-    def test_rotation_preserves_magnitude(self, gamma, tau, t):
-        pulses = [gaussian(1.1, tau, 8.0)]
-        pv = v_interaction_picture(SystemParams(gamma), pulses, t)
-        assert pv.pauli_norm() == pytest.approx(abs(v_of_t(pulses, t)), abs=1e-12)
+    def test_rotation_preserves_magnitude(self, gamma, alpha, t):
+        pv = interaction_integral([ideal_kick(alpha, 8.0)], SystemParams(gamma), 8.0 + t)
+        assert pv.pauli_norm() == pytest.approx(abs(alpha), abs=1e-12)
 
     def test_single_pulse_closed_form_vs_quadrature(self):
         params = hydrogen_2s2p()
         pulse = gaussian(math.pi / 2, 10.0, 150.0)
         cx, cy = quadrature_interaction_integral(params, pulse, 300.0)
-        pv = averaged_interaction_single(params, pulse, 300.0)
-        assert pv.cx == pytest.approx(cx, abs=1e-10)
-        assert pv.cy == pytest.approx(cy, abs=1e-10)
+        u = prop.no_ordering_interaction_single(
+            pulse.alpha, params.gamma * pulse.tau, params.gamma * pulse.center
+        )
+        assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), u) < 1e-10
 
     def test_closed_form_at_generic_phase(self):
         # arbitrary center so both quadrature components are exercised
         params = SystemParams(0.0323)
         pulse = gaussian(1.9, 7.0, 111.0)
         cx, cy = quadrature_interaction_integral(params, pulse, 300.0)
-        pv = averaged_interaction_single(params, pulse, 300.0)
-        assert pv.cx == pytest.approx(cx, abs=1e-10)
-        assert pv.cy == pytest.approx(cy, abs=1e-10)
+        assert abs(cx) > 0.1 and abs(cy) > 0.1
+        u = prop.no_ordering_interaction_single(
+            pulse.alpha, params.gamma * pulse.tau, params.gamma * pulse.center
+        )
+        assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), u) < 1e-10
 
 
 class TestAveragedInteractionSingle:
     def test_centered_pulse_is_pure_x(self):
-        pv = averaged_interaction_single(SystemParams(0.0), ideal_kick(1.2, 0.0), 10.0)
-        assert (pv.cx, pv.cy) == (1.2, 0.0)
+        u = prop.no_ordering_interaction_single(1.2, 0.0, 0.0)
+        assert max_abs_diff(u, PauliVector(cx=1.2).exp_minus_i()) < 1e-15
 
     def test_kick_magnitude_has_no_width_damping(self):
-        pv = averaged_interaction_single(unit_system(), ideal_kick(0.8, 3.0), 10.0)
-        assert pv.pauli_norm() == pytest.approx(0.8, rel=1e-14)
-
-    def test_incomplete_pulse_rejected(self):
-        with pytest.raises(ValueError):
-            averaged_interaction_single(unit_system(), gaussian(1.0, 2.0, 5.0), 6.0)
-
-    def test_rectangular_rejected(self):
-        with pytest.raises(ValueError):
-            averaged_interaction_single(unit_system(), rectangular(1.0, 2.0, 5.0), 50.0)
+        u = prop.no_ordering_interaction_single(0.8, 0.0, 3.0)
+        assert abs(u[0, 1]) == pytest.approx(math.sin(0.8), rel=1e-14)
 
 
 class TestAveragedInteractionDouble:
     def test_full_period_separation_cancels(self):
-        params = unit_system()
         dk = DoubleKickParams(1.0, 1.0 + math.pi)  # gamma Ts = pi
-        pv = averaged_interaction_double(params, dk, 1.3, 0.2)
-        assert pv.pauli_norm() < 1e-15
+        u = prop.no_ordering_interaction_double(1.3, 0.2, 1.0, dk)
+        assert max_abs_diff(u, IDENTITY) < 1e-15
 
     def test_degenerate_system_cancels(self):
-        pv = averaged_interaction_double(SystemParams(0.0), DoubleKickParams(1.0, 4.0), 1.3, 0.0)
-        assert pv.pauli_norm() == 0.0
+        u = prop.no_ordering_interaction_double(1.3, 0.0, 0.0, DoubleKickParams(1.0, 4.0))
+        assert max_abs_diff(u, IDENTITY) == 0.0
 
     def test_direct_evaluation(self):
-        # gamma Ts = pi/2 and gamma Tbar = pi/4 make the x component maximal
-        params = unit_system()
+        # gamma Ts = pi/2 and gamma Tbar = pi/4 make the exponent pi/2 sigma_x
         dk = DoubleKickParams(0.0, math.pi / 2)
-        pv = averaged_interaction_double(params, dk, math.pi / 4, 0.0)
-        assert pv.cx == pytest.approx(math.pi / 2, rel=1e-12)
-        assert pv.cy == pytest.approx(0.0, abs=1e-12)
+        u = prop.no_ordering_interaction_double(math.pi / 4, 0.0, 1.0, dk)
+        assert max_abs_diff(u, PauliVector(cx=math.pi / 2).exp_minus_i()) < 1e-12
 
     def test_matches_narrow_pulse_quadrature_extrapolation(self):
         # tau -> 0 limit of gaussian pair quadratures, Richardson in tau^2
         params = hydrogen_2s2p()
         alpha, t1, t2 = 1.1, 120.0, 420.0
-        dk = DoubleKickParams(t1, t2)
-        target = averaged_interaction_double(params, dk, alpha, 0.0)
+        target = prop.no_ordering_interaction_double(
+            alpha, 0.0, params.gamma, DoubleKickParams(t1, t2)
+        )
 
         def components(tau):
             cx1, cy1 = quadrature_interaction_integral(params, gaussian(alpha, tau, t1), 700.0)
@@ -226,31 +238,30 @@ class TestAveragedInteractionDouble:
         tau = 0.03 / params.gamma  # beta = 0.03
         fine = components(tau / math.sqrt(2.0))
         coarse = components(tau)
-        extrapolated = 2.0 * fine - coarse
-        assert np.max(np.abs(extrapolated - np.array([target.cx, target.cy]))) < 1e-6
+        cx, cy = 2.0 * fine - coarse
+        assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), target) < 1e-6
 
 
 class TestAveragedSchrodinger:
+    """The bare-frame average exponentiates int_0^t v dt on sigma_x alone."""
+
     def test_single_full_pulse(self):
-        pv = averaged_interaction_schrodinger([gaussian(1.3, 2.0, 30.0)], 100.0)
-        assert pv.cx == pytest.approx(1.3, abs=1e-12)
-        assert pv.cy == 0.0
+        u0 = no_ordering_schrodinger_numeric([gaussian(1.3, 2.0, 30.0)], unit_system(), 60.0)
+        assert max_abs_diff(u0, prop.no_ordering_schrodinger(1.3, 60.0)) < 1e-12
 
     def test_kick_antikick_window_cancels(self):
-        pv = averaged_interaction_schrodinger(
-            [ideal_kick(2.0, 10.0), ideal_kick(-2.0, 40.0)], 100.0
-        )
-        assert pv.cx == 0.0
+        kicks = [ideal_kick(2.0, 10.0), ideal_kick(-2.0, 40.0)]
+        u0 = no_ordering_schrodinger_numeric(kicks, unit_system(), 100.0)
+        assert max_abs_diff(u0, prop.free_propagator(unit_system(), 100.0)) < 1e-12
 
     def test_before_onset(self):
-        pv = averaged_interaction_schrodinger([gaussian(1.0, 1.0, 50.0)], 10.0)
-        assert pv.cx == pytest.approx(0.0, abs=1e-15)
+        u0 = no_ordering_schrodinger_numeric([gaussian(1.0, 1.0, 50.0)], unit_system(), 10.0)
+        assert max_abs_diff(u0, prop.free_propagator(unit_system(), 10.0)) < 1e-12
 
 
 def test_double_kick_params():
     dk = DoubleKickParams(100.0, 586.0)
     assert dk.separation == 486.0
     assert dk.midpoint == 343.0
-    assert dk.zeta(0.01, 700.0) == pytest.approx(0.01 * (700.0 - 486.0))
     with pytest.raises(ValueError):
         DoubleKickParams(2.0, 1.0)

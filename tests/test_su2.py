@@ -15,7 +15,6 @@ from kickedqubit.su2 import (
     X_AXIS,
     Z_AXIS,
     dagger,
-    mat_mul,
     max_abs_diff,
     pauli_exponential,
     probabilities,
@@ -82,9 +81,9 @@ def test_bulk_random_sweep():
 
 def test_mat_mul_and_dagger():
     x = pauli_exponential(0.3, (0.6, 0.8, 0.0))
-    assert max_abs_diff(mat_mul(IDENTITY, x), x) == 0.0
+    assert max_abs_diff(IDENTITY @ x, x) == 0.0
     assert max_abs_diff(dagger(dagger(x)), x) == 0.0
-    assert max_abs_diff(mat_mul(dagger(x), x), IDENTITY) < 1e-15
+    assert max_abs_diff(dagger(x) @ x, IDENTITY) < 1e-15
     assert unitarity_defect(pauli_exponential(1.3, Z_AXIS)) < 1e-14
 
 
