@@ -17,7 +17,7 @@ import numpy as np
 from . import propagators
 from .evolve import IntegratorConfig, interaction_integral_series, rk4_evolve
 from .pulses import (
-    Pulse,
+    PulseSequence,
     SystemParams,
     gaussian,
     hydrogen_2s2p,
@@ -184,17 +184,29 @@ def _check_keys(overrides: dict, allowed: set[str], name: str) -> None:
         raise ValueError(f"scenario {name!r} does not accept overrides {sorted(unknown)}")
 
 
-def _p2_timeseries(
-    pulses: list[Pulse],
+def no_ordering_p2_columns(
+    pulses: PulseSequence,
     params: SystemParams,
+    t0: float,
     times: np.ndarray,
     cfg: IntegratorConfig | None,
-) -> np.ndarray:
-    series = rk4_evolve(
-        pulses, params, (1.0, 0.0), float(times[0]), float(times[-1]), cfg,
-        record_times=times,
-    )
-    return series.p2
+) -> tuple[np.ndarray, np.ndarray]:
+    """P2 from t0 to each time without time ordering: (bare frame, rotating frame).
+
+    Bare frame: exp(-i (H0 + vbar sigma_x)(t - t0)) with vbar the running
+    mean of the coupling over [t0, t].  Rotating frame:
+    sin^2 |int_{t0}^t v(t') e^{2 i gamma t'} dt'|.
+    """
+    g = params.gamma
+    bare = [
+        probabilities(
+            propagators.no_ordering_schrodinger(integrated_strength(pulses, t0, t), g * (t - t0)),
+            (1.0, 0.0),
+        )[1]
+        for t in np.asarray(times, dtype=float).tolist()
+    ]
+    integral = interaction_integral_series(pulses, params, t0, times, cfg)
+    return np.array(bare), np.array([math.sin(abs(z)) ** 2 for z in integral])
 
 
 def scenario(
@@ -207,6 +219,8 @@ def scenario(
     tau_min, tau_max.
     """
     overrides = dict(overrides or {})
+    if int(overrides.get("n_points", 2)) < 2:
+        raise ValueError("n_points must be at least 2")
     if name in ("fig1", "fig2", "fig3"):
         return _time_scan(name, overrides, cfg)
     if name == "fig4_left":
@@ -253,7 +267,9 @@ def _time_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> Swee
             tau: [gaussian(alpha, tau, t1), gaussian(-alpha, tau, t2)] for tau in taus
         }
     for tau, pulses in pulse_sets.items():
-        columns[f"P2_tau{tau:g}"] = _p2_timeseries(pulses, params, times, cfg)
+        columns[f"P2_tau{tau:g}"] = rk4_evolve(
+            pulses, params, (1.0, 0.0), 0.0, t_f, cfg, record_times=times
+        ).p2
     meta["max_time_ps"] = t_f
     return SweepSeries("t_ps", times, columns, meta)
 
@@ -278,35 +294,27 @@ def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     )
     g = params.gamma
     marks = np.array(sorted(obs))
-    exact = {tf: np.empty(n) for tf in obs}
-    noto_i_num = {tf: np.empty(n) for tf in obs}
-    noto_s_run = {tf: np.empty(n) for tf in obs}
+    # one row per tau, one column per sorted observation time
+    exact, noto_s_run, noto_i_num = (np.empty((n, marks.size)) for _ in range(3))
     for i, tau in enumerate(taus):
         pulses = [gaussian(alpha, tau, t_k)]
-        series = rk4_evolve(
+        exact[i] = rk4_evolve(
             pulses, params, (1.0, 0.0), 0.0, float(marks[-1]), cfg, record_times=marks
-        )
-        integral = interaction_integral_series(pulses, params, 0.0, marks, cfg)
-        for j, tf in enumerate(marks):
-            exact[tf][i] = series.p2[j]
-            noto_i_num[tf][i] = math.sin(abs(integral[j])) ** 2
-            a_run = integrated_strength(pulses, 0.0, float(tf))
-            _, p2 = probabilities(
-                propagators.no_ordering_schrodinger(a_run, g * float(tf)), (1.0, 0.0)
-            )
-            noto_s_run[tf][i] = p2
+        ).p2
+        noto_s_run[i], noto_i_num[i] = no_ordering_p2_columns(pulses, params, 0.0, marks, cfg)
     beta = g * taus
     cols: dict[str, np.ndarray] = {}
     for tf in obs:
-        cols[f"P2_Tf{tf:g}"] = exact[tf]
+        j = int(np.searchsorted(marks, tf))
+        cols[f"P2_Tf{tf:g}"] = exact[:, j]
         cols[f"P2_noTO_S_Tf{tf:g}"] = np.array(
             [
                 p2_closed_forms_single(alpha, b, g * tf).no_ordering_schrodinger
                 for b in beta
             ]
         )
-        cols[f"P2_noTO_S_running_Tf{tf:g}"] = noto_s_run[tf]
-        cols[f"P2_noTO_I_numeric_Tf{tf:g}"] = noto_i_num[tf]
+        cols[f"P2_noTO_S_running_Tf{tf:g}"] = noto_s_run[:, j]
+        cols[f"P2_noTO_I_numeric_Tf{tf:g}"] = noto_i_num[:, j]
     cols["P2_noTO_I"] = np.sin(alpha * np.exp(-beta * beta)) ** 2
     return SweepSeries(
         "tau_ps",
@@ -341,13 +349,7 @@ def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSer
     tfs = np.linspace(t_k, t_max, n)
     pulses = [gaussian(alpha, tau, t_k)]
     series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, t_max, cfg, record_times=tfs)
-    integral = interaction_integral_series(pulses, params, 0.0, tfs, cfg)
-    noto_s_run = np.empty(n)
-    for i, tf in enumerate(tfs):
-        a_run = integrated_strength(pulses, 0.0, float(tf))
-        _, noto_s_run[i] = probabilities(
-            propagators.no_ordering_schrodinger(a_run, g * float(tf)), (1.0, 0.0)
-        )
+    noto_s_run, noto_i_num = no_ordering_p2_columns(pulses, params, 0.0, tfs, cfg)
     cols = {
         "P2": series.p2,
         "P2_noTO_S": np.array(
@@ -358,7 +360,7 @@ def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSer
         ),
         "P2_noTO_S_running": noto_s_run,
         "P2_noTO_I": np.full(n, p2_closed_forms_single(alpha, beta, 0.0).no_ordering_interaction),
-        "P2_noTO_I_numeric": np.sin(np.abs(integral)) ** 2,
+        "P2_noTO_I_numeric": noto_i_num,
     }
     return SweepSeries(
         "Tf_ps",

@@ -15,12 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import propagators
-from .analysis import SCENARIO_NAMES, SweepSeries, scenario
-from .evolve import (
-    IntegratorConfig,
-    interaction_integral_series,
-    rk4_evolve,
-)
+from .analysis import SCENARIO_NAMES, SweepSeries, no_ordering_p2_columns, scenario
+from .evolve import IntegratorConfig, rk4_evolve
 from .pulses import (
     Pulse,
     PulseShape,
@@ -28,11 +24,10 @@ from .pulses import (
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
-    integrated_strength,
     rectangular,
     unit_system,
 )
-from .su2 import NonUnitaryError, probabilities
+from .su2 import NonUnitaryError
 from .validation import run_validation
 
 LIFETIME_WARNING_PS = 1600.0  # 2p lifetime scale; dissipation matters beyond this
@@ -167,21 +162,14 @@ def _cmd_propagate(args) -> int:
     _warn_scales(pulses, params, args.t1 - args.t0, preset_label)
     cfg = IntegratorConfig(dt=args.dt)
     times = np.linspace(args.t0, args.t1, args.samples)
-    basis1 = rk4_evolve(pulses, params, (1.0, 0.0), args.t0, args.t1, cfg, record_times=times)
-    basis2 = rk4_evolve(pulses, params, (0.0, 1.0), args.t0, args.t1, cfg, record_times=times)
-    integral = interaction_integral_series(pulses, params, args.t0, times, cfg)
-    g = params.gamma
+    series = rk4_evolve(pulses, params, (1.0, 0.0), args.t0, args.t1, cfg, record_times=times)
+    noto_s, noto_i = no_ordering_p2_columns(pulses, params, args.t0, times, cfg)
     rows = []
-    for i, t in enumerate(times):
-        u11, u21 = basis1.states[i]
-        u12, _ = basis2.states[i]
-        p1, p2 = abs(u11) ** 2, abs(u21) ** 2
-        a_run = integrated_strength(pulses, args.t0, float(t))
-        u0 = propagators.no_ordering_schrodinger(a_run, g * (float(t) - args.t0))
-        _, p2_noto_s = probabilities(u0, (1.0, 0.0))
-        p2_noto_i = math.sin(abs(integral[i])) ** 2
+    for t, (u11, u21), p2_noto_s, p2_noto_i in zip(times, series.states, noto_s, noto_i):
+        u12 = 0.0 - np.conj(u21)  # SU(2) completion; 0.0 - keeps a zero at +0
         rows.append(
-            (t, p1, p2, p2_noto_s, p2_noto_i, u11.real, u11.imag, u12.real, u12.imag)
+            (t, abs(u11) ** 2, abs(u21) ** 2, p2_noto_s, p2_noto_i,
+             u11.real, u11.imag, u12.real, u12.imag)
         )
     meta = [
         f"system {preset_label} gamma_rad_per_ps={_fmt(params.gamma)}",

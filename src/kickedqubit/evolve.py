@@ -10,7 +10,10 @@ resolves both the pulse width and the free oscillation.  Integration is
 split at rectangular pulse edges so the stepper never crosses a
 discontinuity, and ideal kicks inside a sequence are applied as exact
 matrix factors exp(-i alpha sigma_x) between segments rather than being
-discretized.
+discretized.  `rk4_evolve` records the state only at the times it is
+given, one row per requested time.  `rk4_propagator` integrates one basis
+state per call: the Hamiltonian is traceless and Hermitian, so the second
+column of the propagator is the SU(2) completion of the first.
 
 This module also provides numerically constructed "no time ordering"
 evolutions in both frames; they serve as independent cross-checks of the
@@ -127,13 +130,16 @@ def rk4_evolve(
     t0: float,
     t1: float,
     cfg: IntegratorConfig | None = None,
-    record_times=None,
+    *,
+    record_times,
 ) -> TimeSeries:
-    """Integrate from t0 to t1, recording the state at the requested times.
+    """Integrate from t0 to t1, recording the state at each requested time.
 
-    record_times defaults to every internal grid point.  The final norm is
-    checked against the configured tolerance; exceeding it raises with
-    advice to lower dt.
+    record_times must be non-decreasing and inside [t0, t1]; the series
+    has one row per requested time, repeats included, and a kick at a
+    requested time is applied before that row.  The final norm is checked
+    against the configured tolerance; exceeding it raises with advice to
+    lower dt.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -150,49 +156,31 @@ def rk4_evolve(
             kicks[p.center] = kicks.get(p.center, 0.0) + p.alpha
     edges = {e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1}
 
-    if record_times is None:
-        marks = None
-    else:
-        marks = np.asarray(record_times, dtype=float)
-        if marks.size and (marks[0] < t0 - 1e-12 or marks[-1] > t1 + 1e-12):
-            raise ValueError("record times must lie inside [t0, t1]")
-        if np.any(np.diff(marks) < 0.0):
-            raise ValueError("record times must be non-decreasing")
+    times = np.asarray(record_times, dtype=float)
+    if times.size and (times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12):
+        raise ValueError("record times must lie inside [t0, t1]")
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("record times must be non-decreasing")
+    marks = np.clip(times, t0, t1).tolist()
 
-    stops = sorted(set(kicks) | edges | {t0, t1} | (set() if marks is None else set(marks.tolist())))
+    stops = sorted(set(kicks) | edges | {t0, t1} | set(marks))
     a1, a2 = complex(initial[0]), complex(initial[1])
-    out_t: list[float] = []
-    out_s: list[tuple[complex, complex]] = []
-
-    def record(time: float) -> None:
-        out_t.append(time)
-        out_s.append((a1, a2))
-
-    if t0 in kicks:
-        a1, a2 = _apply_kick(kicks[t0], a1, a2)
-    if marks is None or (marks.size and marks[0] == t0):
-        record(t0)
-    for lo, hi in zip(stops[:-1], stops[1:]):
+    states: list[tuple[complex, complex]] = []
+    j = 0
+    # the leading (t0, t0) pair applies a kick at t0 and records t0 without stepping
+    for lo, hi in zip([t0] + stops[:-1], stops):
         if hi > lo:
             mid = 0.5 * (lo + hi)
             v_const = sum(amp for amp, rlo, rhi in rects if rlo < mid < rhi)
             n = max(1, math.ceil((hi - lo) / dt))
-            if marks is None:
-                h = (hi - lo) / n
-                for k in range(n):
-                    a1, a2 = _rk4_span(
-                        v, v_const, params.gamma, a1, a2, lo + k * h, lo + (k + 1) * h, 1
-                    )
-                    if k < n - 1:
-                        record(lo + (k + 1) * h)
-            else:
-                a1, a2 = _rk4_span(v, v_const, params.gamma, a1, a2, lo, hi, n)
-        if hi in kicks and hi > t0:
+            a1, a2 = _rk4_span(v, v_const, params.gamma, a1, a2, lo, hi, n)
+        if hi in kicks:
             a1, a2 = _apply_kick(kicks[hi], a1, a2)
-        if marks is None or bool(np.any(marks == hi)):
-            record(hi)
+        while j < len(marks) and marks[j] == hi:
+            states.append((a1, a2))
+            j += 1
 
-    series = TimeSeries(times=np.array(out_t), states=np.array(out_s, dtype=complex))
+    series = TimeSeries(times=times, states=np.array(states, dtype=complex).reshape(-1, 2))
     if norm_defect(np.asarray(initial, dtype=complex)) < 1e-12:
         final_defect = norm_defect(np.array([a1, a2]))
         if final_defect > cfg.unitarity_tolerance:
@@ -209,13 +197,16 @@ def rk4_propagator(
     t1: float,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
-    """Propagator over [t0, t1] from evolving both basis states."""
+    """Propagator over [t0, t1] from evolving the first basis state.
+
+    H is traceless and Hermitian, so U = [[a, -b*], [b, a*]]: the second
+    column is the SU(2) completion of the first.  Each RK4 step keeps
+    that form, so the completion equals integrating (0, 1) exactly.
+    """
     cfg = cfg or IntegratorConfig()
-    cols = []
-    for basis in ((1.0, 0.0), (0.0, 1.0)):
-        series = rk4_evolve(pulses, params, basis, t0, t1, cfg, record_times=[t1])
-        cols.append(series.final_state())
-    u = np.column_stack(cols)
+    a, b = rk4_evolve(pulses, params, (1.0, 0.0), t0, t1, cfg, record_times=[t1]).final_state()
+    # 0.0 - conj(b), not -conj(b): a zero b completes to +0, as integrating (0, 1) gives
+    u = np.array([[a, 0.0 - np.conj(b)], [b, np.conj(a)]])
     defect = unitarity_defect(u)
     if defect > cfg.unitarity_tolerance:
         raise NonUnitaryError(

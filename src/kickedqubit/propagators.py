@@ -32,6 +32,7 @@ from .pulses import (
     PulseShape,
     SystemParams,
     envelope,
+    envelope_array,
     v_of_t,
 )
 from .su2 import X_AXIS, Z_AXIS, pauli_exponential
@@ -337,19 +338,21 @@ def adiabatic_propagator(
 
 
 def _adiabatic_ratio(pulses: PulseSequence, params: SystemParams, t: float) -> float:
+    """Worst gamma |dv/dt| / (4 Omega^3) of the summed coupling over each gaussian's window."""
     gamma = params.gamma
+    if gamma == 0.0:
+        return 0.0  # H = v(t) sigma_x commutes with itself at all times
+    if any(p.shape is PulseShape.RECTANGULAR and p.alpha != 0.0 for p in pulses):
+        return math.inf  # discontinuous edges: infinitely fast variation
+    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
     worst = 0.0
-    for p in pulses:
-        if p.shape is PulseShape.RECTANGULAR:
-            if gamma > 0.0 and p.alpha != 0.0:
-                return math.inf  # discontinuous edges: infinitely fast variation
-            continue
+    for p in smooth:
         lo, hi = max(p.window()[0], 0.0), min(p.window()[1], t)
         if hi <= lo:
             continue
         x = np.linspace(lo, hi, 401)
-        vx = p.value(x)
-        vdot = np.abs(vx * 2.0 * (x - p.center) / (p.tau * p.tau))
+        vx = envelope_array(smooth, x)
+        vdot = np.abs(sum(q.value(x) * 2.0 * (x - q.center) / (q.tau * q.tau) for q in smooth))
         omega_sq = gamma * gamma + vx * vx
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = gamma * vdot / (4.0 * omega_sq**1.5)

@@ -20,7 +20,6 @@ for _m in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.flags.writeable = False
 
 X_AXIS = (1.0, 0.0, 0.0)
-Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
 
 
@@ -99,22 +98,6 @@ class PauliVector:
             cx=complex(m[0, 1] + m[1, 0]) / 2,
             cy=complex(m[1, 0] - m[0, 1]) / 2j,
             cz=complex(m[0, 0] - m[1, 1]) / 2,
-        )
-
-    def __add__(self, other: "PauliVector") -> "PauliVector":
-        return PauliVector(
-            self.c0 + other.c0,
-            self.cx + other.cx,
-            self.cy + other.cy,
-            self.cz + other.cz,
-        )
-
-    def __sub__(self, other: "PauliVector") -> "PauliVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scale: complex) -> "PauliVector":
-        return PauliVector(
-            scale * self.c0, scale * self.cx, scale * self.cy, scale * self.cz
         )
 
     def pauli_norm(self) -> float:

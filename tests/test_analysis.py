@@ -1,9 +1,11 @@
+import inspect
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kickedqubit import analysis, evolve
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import (
     SCENARIO_NAMES,
@@ -240,6 +242,22 @@ def _read_panel(name: str) -> tuple[list[str], np.ndarray]:
     lines = [line for line in lines if not line.startswith("#")]
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     return lines[0].split(","), np.array(rows)
+
+
+def test_benchmark_hooks_keep_their_shape(monkeypatch):
+    # the sweep-point timer wraps analysis.rk4_evolve; the step counter reads
+    # the last three arguments of evolve._rk4_span
+    calls = []
+    real = analysis.rk4_evolve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "rk4_evolve", counted)
+    scenario("fig5_left", {"alphas": (math.pi / 2,), "n_points": 3})
+    assert len(calls) == 3
+    assert list(inspect.signature(evolve._rk4_span).parameters)[-3:] == ["t0", "t1", "n"]
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4_right"])

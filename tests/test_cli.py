@@ -126,6 +126,16 @@ class TestPropagate:
             p2, p2_s, p2_i = (float(x) for x in row[2:5])
             assert p2 < 1e-14 and p2_s < 1e-14 and p2_i < 1e-14
 
+    def test_repeated_sample_time_gives_every_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "propagate", "--preset", "unit",
+            "--pulse", "gaussian:alpha=pi/2,tau=0.1,center=1",
+            "--t0", "2", "--t1", "2", "--samples", "3",
+        )
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 3 and len(set(rows)) == 1
+
     def test_bad_pulse_spec_is_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "propagate", "--pulse", "blob:alpha=1", "--t1", "3")
         assert code == 1
@@ -181,6 +191,22 @@ class TestFigure:
         )
         assert code == 0
         assert "lifetime" in err
+
+    def test_repeated_observation_time_is_clean(self, capsys):
+        code, _, err = run_cli(
+            capsys, "figure", "fig4_left", "--set", "observation_times=200:200:300",
+            "--set", "n_points=3", "--out", "-",
+        )
+        assert code in (0, 1)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["fig1", "fig4_left", "fig4_right", "fig5_left"])
+    @pytest.mark.parametrize("n_points", ["0", "1"])
+    def test_too_few_points_is_exit_1(self, capsys, name, n_points):
+        code, out, err = run_cli(capsys, "figure", name, "--set", f"n_points={n_points}", "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err == "error: n_points must be at least 2\n"
 
     def test_figure_determinism(self, tmp_path, capsys):
         args = ("figure", "fig5_left", "--set", "alphas=pi/4", "--set", "n_points=5",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import SweepSeries, error_scaling_fit
@@ -33,7 +35,8 @@ FIG1_PULSE = [gaussian(math.pi / 2, 10.0, 150.0)]
 class TestRk4Evolve:
     def test_free_evolution_phases(self):
         params = unit_system()
-        series = rk4_evolve([], params, (1.0, 0.0), 0.0, 3.0, IntegratorConfig(dt=0.002))
+        series = rk4_evolve([], params, (1.0, 0.0), 0.0, 3.0, IntegratorConfig(dt=0.002),
+                            record_times=np.linspace(0.0, 3.0, 1501))
         assert np.allclose(series.p1, 1.0, atol=1e-12)
         # a1(t) = e^{i gamma t}
         expected = np.exp(1j * series.times)
@@ -51,7 +54,8 @@ class TestRk4Evolve:
         assert series.p2[-1] == pytest.approx(0.8196049007317, abs=1e-9)
 
     def test_norm_conserved(self):
-        series = rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0)
+        series = rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0,
+                            record_times=[300.0])
         assert norm_defect(series.states[-1]) < 1e-8
 
     def test_record_times_subset(self):
@@ -60,10 +64,21 @@ class TestRk4Evolve:
         assert np.array_equal(series.times, marks)
         assert len(series.states) == 4
 
+    def test_repeated_record_times_each_get_a_row(self):
+        marks = [0.0, 150.0, 150.0, 300.0, 300.0]
+        series = rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0, record_times=marks)
+        assert np.array_equal(series.times, marks)
+        assert np.array_equal(series.states[1], series.states[2])
+        assert np.array_equal(series.states[3], series.states[4])
+
+    def test_no_record_times_gives_empty_series(self):
+        series = rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0, record_times=[])
+        assert series.states.shape == (0, 2) and series.p2.size == 0
+
     def test_coarse_step_raises(self):
         with pytest.raises(NonUnitaryError):
             rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0,
-                       IntegratorConfig(dt=10.0))
+                       IntegratorConfig(dt=10.0), record_times=[300.0])
 
     def test_kick_inside_sequence_is_exact_factor(self):
         params = unit_system()
@@ -81,6 +96,26 @@ class TestRk4Evolve:
         u_after = rk4_propagator([mix[0]], params, 1.5, 2.5, IntegratorConfig(dt=0.001))
         kick = prop.degenerate_propagator(-0.3)
         assert max_abs_diff(u, u_after @ kick @ u_before) < 1e-10
+
+
+_START = st.floats(0.0, 3.0)
+_STRENGTH = st.floats(-2.0, 2.0)
+_PULSE = st.one_of(
+    st.builds(gaussian, _STRENGTH, st.floats(0.1, 1.0), _START),
+    st.builds(rectangular, _STRENGTH, st.floats(0.1, 1.0), _START),
+    st.builds(ideal_kick, _STRENGTH, _START),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_PULSE, min_size=1, max_size=3), st.floats(0.0, 1.0), st.floats(0.0, 3.0))
+def test_completed_column_matches_direct_integration(pulses, t0, span):
+    # the SU(2) completion must equal integrating (0, 1), at any step size
+    cfg = IntegratorConfig(dt=0.01, unitarity_tolerance=math.inf)
+    t1 = t0 + span
+    u = rk4_propagator(pulses, unit_system(), t0, t1, cfg)
+    direct = rk4_evolve(pulses, unit_system(), (0.0, 1.0), t0, t1, cfg, record_times=[t1])
+    assert np.max(np.abs(u[:, 1] - direct.final_state())) <= 1e-13
 
 
 class TestRk4Propagator:

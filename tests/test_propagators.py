@@ -374,6 +374,12 @@ class TestAdiabatic:
         assert res.validity_ratio < 1e-3
         assert unitarity_defect(res.matrix) < 1e-12
 
+    def test_validity_ratio_judges_the_summed_coupling(self):
+        # equal and opposite pulses cancel: v(t) is zero everywhere
+        pair = [gaussian(1.0, 5.0, 50.0), gaussian(-1.0, 5.0, 50.0)]
+        for params in (unit_system(), SystemParams(0.0)):
+            assert prop.adiabatic_propagator(pair, params, 100.0).validity_ratio == 0.0
+
     def test_validity_ratio_flags_fast_pulses(self):
         fast = prop.adiabatic_propagator([gaussian(1.0, 0.05, 1.0)], unit_system(), 2.0)
         assert fast.validity_ratio > 1.0
