@@ -198,13 +198,18 @@ def no_ordering_p2_columns(
     sin^2 |int_{t0}^t v(t') e^{2 i gamma t'} dt'|.
     """
     g = params.gamma
-    bare = [
-        probabilities(
-            propagators.no_ordering_schrodinger(integrated_strength(pulses, t0, t), g * (t - t0)),
-            (1.0, 0.0),
-        )[1]
-        for t in np.asarray(times, dtype=float).tolist()
-    ]
+    bare = []
+    defect = 0.0
+    for t in np.asarray(times, dtype=float).tolist():
+        u11, u21 = propagators.no_ordering_schrodinger_column(
+            integrated_strength(pulses, t0, t), g * (t - t0)
+        )
+        p2 = abs(u21) ** 2
+        defect = max(defect, abs(abs(u11) ** 2 + p2 - 1.0))
+        bare.append(p2)
+    # for the SU(2) form this column check is the full unitarity defect
+    if defect > 1e-8:
+        raise NonUnitaryError(f"no-ordering propagator is not unitary (defect {defect:.3e})")
     integral = interaction_integral_series(pulses, params, t0, times, cfg)
     return np.array(bare), np.array([math.sin(abs(z)) ** 2 for z in integral])
 
@@ -288,6 +293,8 @@ def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     obs = tuple(
         float(x) for x in overrides.get("observation_times", (200.0, 300.0, 500.0))
     )
+    if len(set(obs)) != len(obs):
+        raise ValueError(f"observation_times must not repeat, got {obs}")
     n = int(overrides.get("n_points", _SWEEP_POINTS))
     taus = np.geomspace(
         float(overrides.get("tau_min", 1.0)), float(overrides.get("tau_max", 300.0)), n

@@ -37,6 +37,10 @@ from .pulses import (
 )
 from .su2 import SIGMA_X, SIGMA_Z, NonUnitaryError, PauliVector, norm_defect, unitarity_defect
 
+#: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping;
+#: at a few microseconds a step it is about a minute of work.
+MAX_RK4_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -58,10 +62,11 @@ class IntegratorConfig:
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: times (ps) and the amplitude pair at each time."""
+    """Sampled trajectory: times (ps), the amplitude pair at each time, the step used."""
 
     times: np.ndarray
     states: np.ndarray  # shape (n, 2) complex
+    dt: float  # resolved RK4 step in ps
 
     @property
     def p1(self) -> np.ndarray:
@@ -139,7 +144,8 @@ def rk4_evolve(
     has one row per requested time, repeats included, and a kick at a
     requested time is applied before that row.  The final norm is checked
     against the configured tolerance; exceeding it raises with advice to
-    lower dt.
+    lower dt.  A run that would take more than MAX_RK4_STEPS steps raises
+    ValueError before any stepping.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -164,6 +170,13 @@ def rk4_evolve(
     marks = np.clip(times, t0, t1).tolist()
 
     stops = sorted(set(kicks) | edges | {t0, t1} | set(marks))
+    # each stop can round one segment up by at most a step
+    budget = (t1 - t0) / dt + len(stops)
+    if budget > MAX_RK4_STEPS:
+        raise ValueError(
+            f"dt={dt:g} over {t1 - t0:g} ps needs up to {budget:.3g} RK4 steps, "
+            f"more than the {MAX_RK4_STEPS:.0e} allowed; use a larger dt"
+        )
     a1, a2 = complex(initial[0]), complex(initial[1])
     states: list[tuple[complex, complex]] = []
     j = 0
@@ -180,7 +193,9 @@ def rk4_evolve(
             states.append((a1, a2))
             j += 1
 
-    series = TimeSeries(times=times, states=np.array(states, dtype=complex).reshape(-1, 2))
+    series = TimeSeries(
+        times=times, states=np.array(states, dtype=complex).reshape(-1, 2), dt=dt
+    )
     if norm_defect(np.asarray(initial, dtype=complex)) < 1e-12:
         final_defect = norm_defect(np.array([a1, a2]))
         if final_defect > cfg.unitarity_tolerance:

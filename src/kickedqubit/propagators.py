@@ -60,6 +60,21 @@ def degenerate_propagator(alpha: float) -> np.ndarray:
     return pauli_exponential(-alpha, X_AXIS)
 
 
+def no_ordering_schrodinger_column(
+    alpha_running: float, gamma_t: float
+) -> tuple[complex, complex]:
+    """First column (u11, u21) of exp(i gamma t sigma_z - i alpha sigma_x).
+
+    With xi = sqrt(alpha^2 + (gamma t)^2) it is
+    (cos(xi) + i gamma t sin(xi)/xi, -i alpha sin(xi)/xi).  The matrix is
+    its SU(2) completion [[u11, -u21*], [u21, u11*]], and -u21* = u21
+    because u21 is imaginary.
+    """
+    xi = math.hypot(alpha_running, gamma_t)
+    s = _sin_over(xi)
+    return math.cos(xi) + 1j * gamma_t * s, -1j * alpha_running * s
+
+
 def no_ordering_schrodinger(alpha_running: float, gamma_t: float) -> np.ndarray:
     """exp(i gamma t sigma_z - i alpha sigma_x): bare-frame average evolution.
 
@@ -68,15 +83,8 @@ def no_ordering_schrodinger(alpha_running: float, gamma_t: float) -> np.ndarray:
     diagonal cos(xi) +/- i gamma t sin(xi)/xi, off-diagonal
     -i alpha sin(xi)/xi.
     """
-    xi = math.hypot(alpha_running, gamma_t)
-    s = _sin_over(xi)
-    c = math.cos(xi)
-    return np.array(
-        [
-            [c + 1j * gamma_t * s, -1j * alpha_running * s],
-            [-1j * alpha_running * s, c - 1j * gamma_t * s],
-        ]
-    )
+    u11, u21 = no_ordering_schrodinger_column(alpha_running, gamma_t)
+    return np.array([[u11, u21], [u21, u11.conjugate()]])
 
 
 def no_ordering_interaction_single(

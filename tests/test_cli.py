@@ -1,15 +1,39 @@
 import math
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kickedqubit import cli
 from kickedqubit.pulses import PulseShape
+
+REFERENCE_PANELS = Path(__file__).resolve().parents[1] / "out" / "figures"
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def data_rows(out: str) -> list[list[str]]:
+    """CSV data rows under the header ('#' lines are metadata)."""
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_csv_writer_matches_per_value_format(capsys):
+    values = [
+        0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e-300, 1.0000000000000004,
+        -1.0000000000000004, -123.45600000000002, 1e300, 7,
+    ]
+    rows = [values, values[::-1], [np.float64(x) for x in values]]
+    header = [f"c{i}" for i in range(len(values))]
+    cli._write_csv(None, ["meta"], header, rows)
+    expected = ["# meta", ",".join(header)]
+    expected += [",".join(f"{x:.17g}" for x in row) for row in rows]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 class TestParsing:
@@ -136,6 +160,54 @@ class TestPropagate:
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 3 and len(set(rows)) == 1
 
+    @pytest.mark.parametrize("tau, tail", [
+        ("0.1", ("--t1", "2", "--dt", "1e-300")),
+        ("0.1", ("--t1", "2", "--dt", "5e-324")),
+        ("0.001", ("--t1", "1000", "--samples", "3")),  # auto dt: 5e7 steps
+    ], ids=["dt-1e-300", "dt-5e-324", "auto-dt"])
+    def test_step_budget_is_exit_1(self, capsys, tau, tail):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "propagate", "--preset", "unit",
+            "--pulse", f"gaussian:alpha=pi/2,tau={tau},center=1", *tail,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "RK4 steps" in err
+
+    def test_metadata_reports_step_and_norm_defect(self, capsys):
+        # RK4 norm drift shows as P1 > 1; the metadata names it, the rows stay as integrated
+        code, out, _ = run_cli(
+            capsys, "propagate", "--preset", "unit",
+            "--pulse", "gaussian:alpha=pi/2,tau=0.1,center=1",
+            "--t0", "3", "--t1", "4", "--samples", "3",
+        )
+        assert code == 0
+        meta = [line for line in out.splitlines() if line.startswith("#")]
+        rows = [[float(x) for x in row] for row in data_rows(out)]
+        assert rows[-1][1] == 1.000000000000004
+        assert "# dt=auto resolved_dt=0.0015707963267948967" in meta
+        defect = max(abs(p1 + p2 - 1.0) for _, p1, p2, *_ in rows)
+        assert defect > 0.0
+        assert f"# norm_defect={defect:.17g}" in meta
+
+    def test_fig2_pair_matches_reference_panel(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "propagate", "--preset", "hydrogen-2s2p",
+            "--pulse", "gaussian:alpha=pi/2,tau=10,center=100",
+            "--pulse", "gaussian:alpha=-pi/2,tau=10,center=586",
+            "--t1", "700", "--samples", "400",
+        )
+        assert code == 0
+        lines = (REFERENCE_PANELS / "fig2.csv").read_text().splitlines()
+        lines = [line for line in lines if not line.startswith("#")]
+        column = lines[0].split(",").index("P2_tau10")
+        expected = np.array([float(line.split(",")[column]) for line in lines[1:]])
+        rows = np.array(data_rows(out), dtype=float)
+        assert rows.shape == (400, 9)
+        assert np.max(np.abs(rows[:, 2] - expected)) <= 1e-10
+
     def test_bad_pulse_spec_is_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "propagate", "--pulse", "blob:alpha=1", "--t1", "3")
         assert code == 1
@@ -193,12 +265,13 @@ class TestFigure:
         assert "lifetime" in err
 
     def test_repeated_observation_time_is_clean(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "figure", "fig4_left", "--set", "observation_times=200:200:300",
             "--set", "n_points=3", "--out", "-",
         )
-        assert code in (0, 1)
-        assert "Traceback" not in err
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: observation_times must not repeat")
 
     @pytest.mark.parametrize("name", ["fig1", "fig4_left", "fig4_right", "fig5_left"])
     @pytest.mark.parametrize("n_points", ["0", "1"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedqubit import propagators as prop
-from kickedqubit.analysis import SweepSeries, error_scaling_fit
+from kickedqubit.analysis import SweepSeries, error_scaling_fit, no_ordering_p2_columns
 from kickedqubit.evolve import (
     IntegratorConfig,
     convergence_check,
@@ -23,10 +23,17 @@ from kickedqubit.pulses import (
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
+    integrated_strength,
     rectangular,
     unit_system,
 )
-from kickedqubit.su2 import NonUnitaryError, max_abs_diff, norm_defect, unitarity_defect
+from kickedqubit.su2 import (
+    NonUnitaryError,
+    max_abs_diff,
+    norm_defect,
+    probabilities,
+    unitarity_defect,
+)
 
 HYDROGEN = hydrogen_2s2p()
 FIG1_PULSE = [gaussian(math.pi / 2, 10.0, 150.0)]
@@ -116,6 +123,29 @@ def test_completed_column_matches_direct_integration(pulses, t0, span):
     u = rk4_propagator(pulses, unit_system(), t0, t1, cfg)
     direct = rk4_evolve(pulses, unit_system(), (0.0, 1.0), t0, t1, cfg, record_times=[t1])
     assert np.max(np.abs(u[:, 1] - direct.final_state())) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_PULSE, min_size=1, max_size=3),
+    st.floats(0.0, 2.0),
+    st.lists(st.floats(0.0, 4.0), min_size=1, max_size=10),
+)
+def test_bare_column_matches_the_matrix_route(pulses, t0, offsets):
+    # the scalar no-ordering column must give P2 bit for bit as the full matrix did
+    params = unit_system()
+    times = np.array(sorted(t0 + x for x in offsets + offsets[:2]))  # with repeats
+    bare, _ = no_ordering_p2_columns(pulses, params, t0, times, IntegratorConfig(dt=0.01))
+    matrix_route = [
+        probabilities(
+            prop.no_ordering_schrodinger(
+                integrated_strength(pulses, t0, t), params.gamma * (t - t0)
+            ),
+            (1.0, 0.0),
+        )[1]
+        for t in times.tolist()
+    ]
+    assert bare.tolist() == matrix_route
 
 
 class TestRk4Propagator:
