@@ -183,6 +183,7 @@ def _cmd_propagate(args) -> int:
         ),
         f"window t0={_fmt(args.t0)} t1={_fmt(args.t1)} samples={args.samples}",
         f"dt={'auto' if args.dt is None else _fmt(args.dt)} resolved_dt={_fmt(series.dt)}",
+        f"rk4_steps={series.steps} segments={series.segments}",
         f"norm_defect={_fmt(norm_defect)}",
     ]
     header = [

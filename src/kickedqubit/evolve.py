@@ -15,6 +15,15 @@ given, one row per requested time.  `rk4_propagator` integrates one basis
 state per call: the Hamiltonian is traceless and Hermitian, so the second
 column of the propagator is the SU(2) completion of the first.
 
+The stepping kernel `_rk4_span` runs a segment of SMALL or more steps in
+blocks of at most BLOCK: it evaluates the coupling for a whole block,
+builds each step's matrix with numpy and multiplies them pairwise.  Short
+segments, such as the ones a dense sampling grid cuts, take the scalar
+loop.  Both call the scalar envelope closure three times per step, at the
+step's start, midpoint and end, on the same floats.  The end of one step
+is the start of the next, so one call in three repeats a value; it is kept
+because perfbench counts three envelope calls per step.
+
 This module also provides numerically constructed "no time ordering"
 evolutions in both frames; they serve as independent cross-checks of the
 closed forms in `propagators`.
@@ -37,9 +46,15 @@ from .pulses import (
 )
 from .su2 import SIGMA_X, SIGMA_Z, NonUnitaryError, PauliVector, norm_defect, unitarity_defect
 
-#: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping;
-#: at a few microseconds a step it is about a minute of work.
+#: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping:
+#: with a gaussian pair about 20 s of work in long segments, and about a
+#: minute when record times cut the span into segments shorter than SMALL.
 MAX_RK4_STEPS = 10_000_000
+#: Segments of at least SMALL steps run block by block through numpy step
+#: maps (a block's fixed cost, about 150 us, is repaid from about 60 steps
+#: on); BLOCK caps a block's length, and so the arrays one segment allocates.
+SMALL = 64
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -62,11 +77,13 @@ class IntegratorConfig:
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: times (ps), the amplitude pair at each time, the step used."""
+    """Sampled trajectory: times (ps), the amplitude pair at each time, the work done."""
 
     times: np.ndarray
     states: np.ndarray  # shape (n, 2) complex
     dt: float  # resolved RK4 step in ps
+    steps: int  # RK4 steps taken, summed over the segments
+    segments: int  # uniform-step segments integrated
 
     @property
     def p1(self) -> np.ndarray:
@@ -95,32 +112,91 @@ def _rk4_span(
     v is the smooth part of the coupling; v_const carries the rectangular
     contribution, constant within a segment, so that evaluations at the
     segment boundaries never see the wrong side of a discontinuity.
+
+    Segments of SMALL steps or more run as blocks of at most BLOCK steps
+    through _block_map, which calls v at the loop's floats in the loop's
+    order; shorter segments take the scalar loop.
     """
     h = (t1 - t0) / n
     ig = 1j * gamma
     t = t0
+    if n >= SMALL:
+        while n > 0:
+            m = min(n, BLOCK)
+            d, q, t = _block_map(v, v_const, ig, t, h, m)
+            a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
+            n -= m
+        return a1, a2
+    # loop invariants hoisted as the products group: 0.5 * h * k is (0.5 * h) * k
+    half, sixth, mig = 0.5 * h, h / 6.0, -ig
     for _ in range(n):
-        vt = v(t) + v_const
-        vm = v(t + 0.5 * h) + v_const
-        ve = v(t + h) + v_const
-        k1a = ig * a1 - 1j * vt * a2
-        k1b = -ig * a2 - 1j * vt * a1
-        x1 = a1 + 0.5 * h * k1a
-        x2 = a2 + 0.5 * h * k1b
-        k2a = ig * x1 - 1j * vm * x2
-        k2b = -ig * x2 - 1j * vm * x1
-        x1 = a1 + 0.5 * h * k2a
-        x2 = a2 + 0.5 * h * k2b
-        k3a = ig * x1 - 1j * vm * x2
-        k3b = -ig * x2 - 1j * vm * x1
+        ivt = 1j * (v(t) + v_const)
+        ivm = 1j * (v(t + half) + v_const)
+        ive = 1j * (v(t + h) + v_const)
+        k1a = ig * a1 - ivt * a2
+        k1b = mig * a2 - ivt * a1
+        x1 = a1 + half * k1a
+        x2 = a2 + half * k1b
+        k2a = ig * x1 - ivm * x2
+        k2b = mig * x2 - ivm * x1
+        x1 = a1 + half * k2a
+        x2 = a2 + half * k2b
+        k3a = ig * x1 - ivm * x2
+        k3b = mig * x2 - ivm * x1
         x1 = a1 + h * k3a
         x2 = a2 + h * k3b
-        k4a = ig * x1 - 1j * ve * x2
-        k4b = -ig * x2 - 1j * ve * x1
-        a1 = a1 + h / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a)
-        a2 = a2 + h / 6.0 * (k1b + 2.0 * (k2b + k3b) + k4b)
+        k4a = ig * x1 - ive * x2
+        k4b = mig * x2 - ive * x1
+        a1 = a1 + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+        a2 = a2 + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
         t += h
     return a1, a2
+
+
+def _block_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
+    """m RK4 steps from time t as one matrix [[1 + d, -q*], [q, 1 + d*]].
+
+    Each step's matrix is a real combination of 1 and i sigma_{x,y,z}, so
+    the step formula run on the basis column (1, 0) gives it whole, and the
+    form is closed under the product.  The identity is kept apart: rounding
+    1 + d at every step would repeat the same error over a stretch of equal
+    steps.  Returns (d, q, the time after the last step).
+    """
+    times = np.full(m + 1, h)
+    times[0] = t
+    times = np.add.accumulate(times)  # sequential: the scalar loop's t += h, bit for bit
+    tk = times[:m]
+    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=1).ravel().tolist()
+    iv = 1j * (np.fromiter(map(v, grid), float, count=3 * m).reshape(m, 3) + v_const)
+    ivt, ivm, ive = iv[:, 0], iv[:, 1], iv[:, 2]
+    half, sixth, mig = 0.5 * h, h / 6.0, -ig
+    # the scalar step with a1 = 1, a2 = 0
+    k1a = ig
+    k1b = -ivt
+    x1 = 1.0 + half * k1a
+    x2 = half * k1b
+    k2a = ig * x1 - ivm * x2
+    k2b = mig * x2 - ivm * x1
+    x1 = 1.0 + half * k2a
+    x2 = half * k2b
+    k3a = ig * x1 - ivm * x2
+    k3b = mig * x2 - ivm * x1
+    x1 = 1.0 + h * k3a
+    x2 = h * k3b
+    k4a = ig * x1 - ive * x2
+    k4b = mig * x2 - ive * x1
+    d = sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+    q = sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+    # pairwise product, later steps on the left; an odd last map waits a round
+    while d.size > 1:
+        e = d.size // 2 * 2
+        de, qe, dl, ql = d[0:e:2], q[0:e:2], d[1:e:2], q[1:e:2]
+        dd = dl + de + (dl * de - ql.conj() * qe)
+        qq = ql + qe + (ql * de + dl.conj() * qe)
+        if e < d.size:
+            dd, qq = np.append(dd, d[-1]), np.append(qq, q[-1])
+        d, q = dd, qq
+    return complex(d[0]), complex(q[0]), float(times[m])
 
 
 def _apply_kick(alpha: float, a1: complex, a2: complex):
@@ -179,7 +255,7 @@ def rk4_evolve(
         )
     a1, a2 = complex(initial[0]), complex(initial[1])
     states: list[tuple[complex, complex]] = []
-    j = 0
+    j = steps = segments = 0
     # the leading (t0, t0) pair applies a kick at t0 and records t0 without stepping
     for lo, hi in zip([t0] + stops[:-1], stops):
         if hi > lo:
@@ -187,6 +263,8 @@ def rk4_evolve(
             v_const = sum(amp for amp, rlo, rhi in rects if rlo < mid < rhi)
             n = max(1, math.ceil((hi - lo) / dt))
             a1, a2 = _rk4_span(v, v_const, params.gamma, a1, a2, lo, hi, n)
+            steps += n
+            segments += 1
         if hi in kicks:
             a1, a2 = _apply_kick(kicks[hi], a1, a2)
         while j < len(marks) and marks[j] == hi:
@@ -194,7 +272,11 @@ def rk4_evolve(
             j += 1
 
     series = TimeSeries(
-        times=times, states=np.array(states, dtype=complex).reshape(-1, 2), dt=dt
+        times=times,
+        states=np.array(states, dtype=complex).reshape(-1, 2),
+        dt=dt,
+        steps=steps,
+        segments=segments,
     )
     if norm_defect(np.asarray(initial, dtype=complex)) < 1e-12:
         final_defect = norm_defect(np.array([a1, a2]))

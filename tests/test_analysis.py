@@ -269,3 +269,15 @@ def test_scenario_matches_reference_panel(name):
     got = np.column_stack([series.values, *series.columns.values()])
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["fig5_left", "fig5_right"])
+def test_separation_scan_matches_reference_panel(name):
+    # 20 separations land on every 21st of the panel's 400; pi/2 is one of its alphas
+    series = scenario(name, {"alphas": (math.pi / 2,), "n_points": 20})
+    header, expected = _read_panel(name)
+    labels = [series.parameter, *series.columns]
+    want = expected[::21, [header.index(label) for label in labels]]
+    got = np.column_stack([series.values, *series.columns.values()])
+    assert got.shape == want.shape == (20, 5)
+    assert np.max(np.abs(got - want)) <= 1e-10

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kickedqubit import cli
+from kickedqubit import cli, evolve
 from kickedqubit.pulses import PulseShape
 
 REFERENCE_PANELS = Path(__file__).resolve().parents[1] / "out" / "figures"
@@ -177,20 +177,50 @@ class TestPropagate:
         assert err.startswith("error: ") and "RK4 steps" in err
 
     def test_metadata_reports_step_and_norm_defect(self, capsys):
-        # RK4 norm drift shows as P1 > 1; the metadata names it, the rows stay as integrated
+        # RK4 norm drift shows as P1 > 1; the metadata names it, the rows stay as integrated.
+        # 12 samples cut [3, 4] into 58-step segments, which take the scalar loop
+        code, out, _ = run_cli(
+            capsys, "propagate", "--preset", "unit",
+            "--pulse", "gaussian:alpha=pi/2,tau=0.1,center=1",
+            "--t0", "3", "--t1", "4", "--samples", "12",
+        )
+        assert code == 0
+        meta = [line for line in out.splitlines() if line.startswith("#")]
+        rows = [[float(x) for x in row] for row in data_rows(out)]
+        assert rows[-1][1] == 1.000000000000004
+        assert rows[-1][1] > 1.0
+        assert "# dt=auto resolved_dt=0.0015707963267948967" in meta
+        defect = max(abs(p1 + p2 - 1.0) for _, p1, p2, *_ in rows)
+        assert defect > 0.0
+        assert f"# norm_defect={defect:.17g}" in meta
+        # 3 samples give two 319-step segments, which run as blocks and keep P1 at 1 here
         code, out, _ = run_cli(
             capsys, "propagate", "--preset", "unit",
             "--pulse", "gaussian:alpha=pi/2,tau=0.1,center=1",
             "--t0", "3", "--t1", "4", "--samples", "3",
         )
         assert code == 0
-        meta = [line for line in out.splitlines() if line.startswith("#")]
-        rows = [[float(x) for x in row] for row in data_rows(out)]
-        assert rows[-1][1] == 1.000000000000004
-        assert "# dt=auto resolved_dt=0.0015707963267948967" in meta
-        defect = max(abs(p1 + p2 - 1.0) for _, p1, p2, *_ in rows)
-        assert defect > 0.0
-        assert f"# norm_defect={defect:.17g}" in meta
+        assert [float(row[1]) for row in data_rows(out)] == [1.0, 1.0, 1.0]
+        assert "# norm_defect=0" in out.splitlines()
+
+    def test_metadata_counts_the_integrated_steps(self, capsys, monkeypatch):
+        segments = []
+        real = evolve._rk4_span
+
+        def counted(*args):
+            segments.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(evolve, "_rk4_span", counted)
+        code, out, _ = run_cli(
+            capsys, "propagate", "--preset", "hydrogen-2s2p",
+            "--pulse", "gaussian:alpha=pi/2,tau=10,center=100",
+            "--pulse", "gaussian:alpha=-pi/2,tau=10,center=586",
+            "--t1", "700", "--samples", "400",
+        )
+        assert code == 0
+        assert len(segments) == 399
+        assert f"# rk4_steps={sum(segments)} segments=399" in out.splitlines()
 
     def test_fig2_pair_matches_reference_panel(self, capsys):
         code, out, _ = run_cli(

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kickedqubit import evolve
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import SweepSeries, error_scaling_fit, no_ordering_p2_columns
 from kickedqubit.evolve import (
@@ -19,7 +21,9 @@ from kickedqubit.evolve import (
 )
 from kickedqubit.pulses import (
     DoubleKickParams,
+    PulseShape,
     SystemParams,
+    envelope,
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
@@ -146,6 +150,67 @@ def test_bare_column_matches_the_matrix_route(pulses, t0, offsets):
         for t in times.tolist()
     ]
     assert bare.tolist() == matrix_route
+
+
+_SPAN_STEPS = st.sampled_from(
+    [evolve.SMALL - 1, evolve.SMALL, evolve.BLOCK, evolve.BLOCK + 1, 2 * evolve.BLOCK + 3]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(_PULSE, min_size=1, max_size=3),
+    _SPAN_STEPS,
+    st.floats(0.0, 2.0),
+    st.floats(0.1, 4.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, math.pi),
+)
+def test_block_kernel_matches_the_scalar_loop(pulses, n, t0, span, gamma, theta):
+    # the same envelope calls at the same floats, the same amplitudes to rounding
+    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
+    shape = envelope(smooth) if smooth else (lambda _t: 0.0)
+    v_const = sum(p.peak for p in pulses if p.shape is PulseShape.RECTANGULAR)
+    a1, a2 = math.cos(theta), 1j * math.sin(theta)
+    runs = []
+    for small in (n + 1, evolve.SMALL):  # scalar loop forced, then the kernel as shipped
+        calls = []
+
+        def v(t):
+            calls.append(t)
+            return shape(t)
+
+        with mock.patch.object(evolve, "SMALL", small):
+            runs.append((evolve._rk4_span(v, v_const, gamma, a1, a2, t0, t0 + span, n), calls))
+    (scalar, scalar_calls), (kernel, kernel_calls) = runs
+    assert len(kernel_calls) == 3 * n
+    assert kernel_calls == scalar_calls
+    # over thousands of near-identity steps (tiny gamma and coupling) the scalar
+    # loop's rounding piles up to about n eps / 8, so the bound grows with n there
+    tol = max(1e-13, n * np.finfo(float).eps)
+    assert abs(kernel[0] - scalar[0]) <= tol
+    assert abs(kernel[1] - scalar[1]) <= tol
+
+
+def test_block_kernel_is_exact_where_the_scalar_loop_drifts():
+    # gamma = 0 and a constant coupling: the exact amplitudes are cos, sin of (theta - v t)
+    v, theta, span, n = 1e-8, 1.0, 1.0, evolve.BLOCK
+    a1, a2 = evolve._rk4_span(
+        lambda _t: 0.0, v, 0.0, math.cos(theta), 1j * math.sin(theta), 0.0, span, n
+    )
+    assert abs(a1 - math.cos(theta - v * span)) <= 1e-15
+    assert abs(a2 - 1j * math.sin(theta - v * span)) <= 1e-15
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_PULSE, min_size=1, max_size=3), _SPAN_STEPS, st.floats(0.0, 1.0),
+       st.floats(0.5, 3.0))
+def test_long_segments_keep_the_propagator_unitary(pulses, n, t0, span):
+    # at least n steps, each short enough against gamma = 1 and the summed peaks
+    peaks = sum(abs(p.peak) for p in pulses if p.shape is not PulseShape.IDEAL_KICK)
+    cfg = IntegratorConfig(dt=min(span / n, 0.01 / (1.0 + peaks)))
+    u = rk4_propagator(pulses, unit_system(), t0, t0 + span, cfg)
+    assert unitarity_defect(u) <= cfg.unitarity_tolerance
 
 
 class TestRk4Propagator:
