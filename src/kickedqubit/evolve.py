@@ -280,7 +280,7 @@ def rk4_evolve(
     )
     if norm_defect(np.asarray(initial, dtype=complex)) < 1e-12:
         final_defect = norm_defect(np.array([a1, a2]))
-        if final_defect > cfg.unitarity_tolerance:
+        if not final_defect <= cfg.unitarity_tolerance:
             raise NonUnitaryError(
                 f"norm drifted by {final_defect:.3e} during integration; reduce dt"
             )
@@ -305,7 +305,7 @@ def rk4_propagator(
     # 0.0 - conj(b), not -conj(b): a zero b completes to +0, as integrating (0, 1) gives
     u = np.array([[a, 0.0 - np.conj(b)], [b, np.conj(a)]])
     defect = unitarity_defect(u)
-    if defect > cfg.unitarity_tolerance:
+    if not defect <= cfg.unitarity_tolerance:
         raise NonUnitaryError(
             f"integrated propagator unitarity defect {defect:.3e}; reduce dt"
         )

@@ -137,19 +137,24 @@ def kick_antikick_propagator(
 ) -> np.ndarray:
     """Exact evolution for kicks of strength +alpha at t1 and -alpha at t2.
 
-    Built as the exact factor product
-    e^{i g (t-t2) sz} e^{i a sx} e^{i g (t2-t1) sz} e^{-i a sx} e^{i g t1 sz};
-    from the first state this gives P2 = sin^2(gamma T_s) sin^2(2 alpha).
+    The exact factor product
+    e^{i g (t-t2) sz} e^{i a sx} e^{i g (t2-t1) sz} e^{-i a sx} e^{i g t1 sz},
+    composed right to left in SU(2) form: each factor and the running
+    product are [[p, -q*], [q, p*]], so only (p, q) is carried.  From the
+    first state this gives P2 = sin^2(gamma T_s) sin^2(2 alpha).
     """
     if t <= dk.t2:
         raise ValueError("measurement time must be after the second kick")
-    return (
-        pauli_exponential(gamma * (t - dk.t2), Z_AXIS)
-        @ pauli_exponential(alpha, X_AXIS)
-        @ pauli_exponential(gamma * dk.separation, Z_AXIS)
-        @ pauli_exponential(-alpha, X_AXIS)
-        @ pauli_exponential(gamma * dk.t1, Z_AXIS)
-    )
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    p, q = complex(math.cos(gamma * dk.t1), math.sin(gamma * dk.t1)), 0j
+    for p1, q1 in (
+        (ca, -1j * sa),
+        (complex(math.cos(gamma * dk.separation), math.sin(gamma * dk.separation)), 0j),
+        (ca, 1j * sa),
+        (complex(math.cos(gamma * (t - dk.t2)), math.sin(gamma * (t - dk.t2))), 0j),
+    ):
+        p, q = p1 * p - q1.conjugate() * q, q1 * p + p1.conjugate() * q
+    return np.array([[p, -q.conjugate()], [q, p.conjugate()]])
 
 
 def rectangular_propagator(

@@ -1,9 +1,13 @@
 """2x2 complex algebra on the Pauli basis.
 
 States are length-2 complex ndarrays (amplitudes of the two basis
-states); propagators are 2x2 complex ndarrays.  Everything is plain
-double-precision numpy; the largest-absolute-entry norm is used for all
-matrix defect measurements.
+states); propagators are 2x2 complex ndarrays.  Inside, each function
+works on Python complex scalars and builds at most one ndarray for its
+result, because numpy dispatch costs far more than the arithmetic on a
+2x2 matrix; numpy arrays appear only at the API boundary.  The
+largest-absolute-entry norm is used for all matrix defect measurements,
+and a NaN entry gives a NaN defect, which fails every `not defect <= tol`
+guard.
 """
 from __future__ import annotations
 
@@ -29,13 +33,16 @@ class NonUnitaryError(ValueError):
 
 def pauli_exponential(phi: float, axis) -> np.ndarray:
     """exp(i phi n.sigma) = cos(phi) 1 + i sin(phi) n.sigma for a unit 3-vector n."""
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    if abs(math.sqrt(float(n @ n)) - 1.0) > 1e-12:
-        raise ValueError("axis must have unit norm to 1e-12")
+    try:
+        nx, ny, nz = axis
+    except (TypeError, ValueError):
+        raise ValueError("axis must be a 3-vector") from None
+    nx, ny, nz = float(nx), float(ny), float(nz)
+    if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-12:
+        raise ValueError(f"axis must have unit norm to 1e-12, got {axis!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     c, s = math.cos(phi), math.sin(phi)
-    nx, ny, nz = n
     return np.array(
         [
             [c + 1j * s * nz, 1j * s * (nx - 1j * ny)],
@@ -44,17 +51,19 @@ def pauli_exponential(phi: float, axis) -> np.ndarray:
     )
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def unitarity_defect(m: np.ndarray) -> float:
-    """max |(M^dag M - 1)_ij|"""
-    return float(np.max(np.abs(dagger(m) @ m - IDENTITY)))
+    """max |(M^dag M - 1)_ij|, NaN if any entry is NaN."""
+    (a, b), (c, d) = m.tolist()
+    # (M^dag M)_10 is the conjugate of (M^dag M)_01, so one off-diagonal term covers both
+    d00 = abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0)
+    d11 = abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0)
+    d01 = abs(a.conjugate() * b + c.conjugate() * d)
+    # max() keeps or drops a NaN depending on where it sits
+    return math.nan if math.isnan(d00 + d11 + d01) else max(d00, d11, d01)
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
+    return float(np.abs(a - b).max())
 
 
 def norm_defect(state: np.ndarray) -> float:
@@ -68,7 +77,7 @@ def probabilities(u: np.ndarray, initial) -> tuple[float, float]:
     Requires u unitary to 1e-8; P1 + P2 is then conserved to the same level.
     """
     defect = unitarity_defect(u)
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise NonUnitaryError(f"propagator is not unitary (defect {defect:.3e})")
     a = u @ np.asarray(initial, dtype=complex)
     return float(abs(a[0]) ** 2), float(abs(a[1]) ** 2)
@@ -84,25 +93,15 @@ class PauliVector:
     cz: complex = 0.0
 
     def to_matrix(self) -> np.ndarray:
-        return (
-            self.c0 * IDENTITY
-            + self.cx * SIGMA_X
-            + self.cy * SIGMA_Y
-            + self.cz * SIGMA_Z
+        c0, cx, cy, cz = self.c0, self.cx, self.cy, self.cz
+        return np.array(
+            [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex
         )
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "PauliVector":
-        return cls(
-            c0=complex(m[0, 0] + m[1, 1]) / 2,
-            cx=complex(m[0, 1] + m[1, 0]) / 2,
-            cy=complex(m[1, 0] - m[0, 1]) / 2j,
-            cz=complex(m[0, 0] - m[1, 1]) / 2,
-        )
-
-    def pauli_norm(self) -> float:
-        """Euclidean norm of the (cx, cy, cz) part."""
-        return math.sqrt(abs(self.cx) ** 2 + abs(self.cy) ** 2 + abs(self.cz) ** 2)
+        (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
+        return cls(c0=(a + d) / 2, cx=(b + c) / 2, cy=(c - b) / 2j, cz=(a - d) / 2)
 
     def exp_minus_i(self) -> np.ndarray:
         """exp(-i (c0 + c.sigma)) for real coefficients.

@@ -109,7 +109,11 @@ def check_propagator_unitarity(rng: np.random.Generator, samples: int) -> CheckR
             prop.kick_antikick_propagator(alpha, gamma, dk, t),
             prop.rectangular_propagator(alpha, beta, gamma, t1, t),
         )
-        worst = max(worst, max(unitarity_defect(m) for m in mats))
+        for m in mats:
+            defect = unitarity_defect(m)
+            # x > nan is False, so a NaN, once kept, stays
+            if defect > worst or math.isnan(defect):
+                worst = defect
     return _result("propagator-unitarity", worst <= 1e-10, f"worst defect {worst:.1e}")
 
 

@@ -17,7 +17,7 @@ from kickedqubit.analysis import (
     time_ordering_report,
 )
 from kickedqubit.evolve import IntegratorConfig
-from kickedqubit.pulses import hydrogen_2s2p
+from kickedqubit.pulses import hydrogen_2s2p, unit_system
 from kickedqubit.su2 import IDENTITY, NonUnitaryError, Z_AXIS, pauli_exponential
 
 
@@ -95,6 +95,13 @@ class TestTimeOrderingReport:
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryError):
             time_ordering_report(2.0 * IDENTITY, IDENTITY, (1.0, 0.0), "schrodinger")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_rejects_nan(self, which):
+        mats = [IDENTITY, IDENTITY]
+        mats[which] = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(NonUnitaryError):
+            time_ordering_report(*mats, (1.0, 0.0), "schrodinger")
 
     def test_rejects_unknown_picture(self):
         with pytest.raises(ValueError):
@@ -242,6 +249,20 @@ def _read_panel(name: str) -> tuple[list[str], np.ndarray]:
     lines = [line for line in lines if not line.startswith("#")]
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     return lines[0].split(","), np.array(rows)
+
+
+def test_no_ordering_columns_reject_a_nan_row(monkeypatch):
+    # a NaN on a middle row must survive the running defect and raise
+    real = prop.no_ordering_schrodinger_column
+
+    def nan_at_two(alpha_running, gamma_t):
+        return (complex(math.nan), complex(math.nan)) if gamma_t == 2.0 else real(alpha_running, gamma_t)
+
+    monkeypatch.setattr(prop, "no_ordering_schrodinger_column", nan_at_two)
+    with pytest.raises(NonUnitaryError):
+        analysis.no_ordering_p2_columns(
+            [], unit_system(), 0.0, np.array([1.0, 2.0, 3.0]), None
+        )
 
 
 def test_benchmark_hooks_keep_their_shape(monkeypatch):

@@ -251,6 +251,17 @@ class TestPropagate:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_nan_integration_is_exit_2(self, capsys):
+        # used to exit 0 with nan rows and '# norm_defect=0'
+        code, out, err = run_cli(
+            capsys, "propagate", "--preset", "unit",
+            "--pulse", "gaussian:alpha=1e300,tau=1e-300,center=1",
+            "--t1", "2", "--dt", "0.5", "--samples", "3", "--out", "-",
+        )
+        assert code == 2
+        assert "numerical failure" in err
+        assert out == ""
+
     def test_lifetime_warning(self, capsys):
         code, _, err = run_cli(
             capsys, "propagate", "--preset", "hydrogen-2s2p",

@@ -91,6 +91,12 @@ class TestRk4Evolve:
             rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0,
                        IntegratorConfig(dt=10.0), record_times=[300.0])
 
+    def test_nan_state_raises(self):
+        # the peak overflows to inf, so the state goes NaN; a NaN norm defect must not pass
+        with pytest.raises(NonUnitaryError, match="nan"):
+            rk4_evolve([gaussian(1e300, 1e-300, 1.0)], unit_system(), (1.0, 0.0), 0.0, 2.0,
+                       IntegratorConfig(dt=0.5), record_times=[1.0, 2.0])
+
     def test_kick_inside_sequence_is_exact_factor(self):
         params = unit_system()
         series = rk4_evolve([ideal_kick(0.8, 1.0)], params, (1.0, 0.0), 0.0, 2.0,
@@ -250,6 +256,12 @@ class TestRk4Propagator:
     def test_unitary_to_tolerance(self):
         u = rk4_propagator(FIG1_PULSE, HYDROGEN, 0.0, 300.0)
         assert unitarity_defect(u) < 1e-8
+
+    def test_nan_propagator_raises(self):
+        # used to return an all-NaN matrix
+        with pytest.raises(NonUnitaryError):
+            rk4_propagator([gaussian(1e300, 1e-300, 1.0)], unit_system(), 0.0, 2.0,
+                           IntegratorConfig(dt=0.5))
 
 
 class TestNoOrderingNumeric:

@@ -25,6 +25,7 @@ from kickedqubit.su2 import (
     IDENTITY,
     PauliVector,
     SIGMA_Y,
+    X_AXIS,
     Z_AXIS,
     max_abs_diff,
     pauli_exponential,
@@ -187,6 +188,24 @@ class TestKickAntikick:
     def test_requires_time_after_second_kick(self):
         with pytest.raises(ValueError):
             prop.kick_antikick_propagator(1.0, 1.0, DoubleKickParams(0.0, 2.0), 2.0)
+
+    @given(
+        st.floats(-6, 6), st.floats(-2, 2), st.floats(0, 10), st.floats(0, 10),
+        st.floats(1e-3, 10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_five_factor_numpy_product(self, alpha, gamma, t1, ts, dt_after):
+        # the (p, q) composition against the same factors multiplied as numpy matrices
+        dk = DoubleKickParams(t1, t1 + ts)
+        t = dk.t2 + dt_after
+        reference = (
+            pauli_exponential(gamma * (t - dk.t2), Z_AXIS)
+            @ pauli_exponential(alpha, X_AXIS)
+            @ pauli_exponential(gamma * dk.separation, Z_AXIS)
+            @ pauli_exponential(-alpha, X_AXIS)
+            @ pauli_exponential(gamma * dk.t1, Z_AXIS)
+        )
+        assert max_abs_diff(prop.kick_antikick_propagator(alpha, gamma, dk, t), reference) <= 1e-15
 
     @given(st.floats(-3, 3), st.floats(0.01, 2), st.floats(0, 4), st.floats(0.01, 6), st.floats(0.01, 5))
     @settings(max_examples=150, deadline=None)
