@@ -398,6 +398,8 @@ def _separation_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -
     )
     n = int(overrides.get("n_points", _TIME_POINTS))
     ts_max = float(overrides.get("ts_max", 2.0 * params.rabi_time))
+    if not 0.0 <= ts_max < math.inf:
+        raise ValueError(f"ts_max must be finite and >= 0, got {ts_max:g}")
     g = params.gamma
     beta = g * tau
     seps = np.linspace(0.0, ts_max, n)

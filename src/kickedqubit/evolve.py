@@ -26,7 +26,8 @@ because perfbench counts three envelope calls per step.
 
 This module also provides numerically constructed "no time ordering"
 evolutions in both frames; they serve as independent cross-checks of the
-closed forms in `propagators`.
+closed forms in `propagators`.  scipy's `expm` is imported inside
+`no_ordering_schrodinger_numeric`, the one route that uses it.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .pulses import (
     PulseSequence,
@@ -323,6 +323,8 @@ def no_ordering_schrodinger_numeric(
     """
     if t == 0.0:
         return np.eye(2, dtype=complex)
+    from scipy.linalg import expm
+
     alpha_running = integrated_strength(pulses, 0.0, t)
     h_mean = -params.gamma * SIGMA_Z + (alpha_running / t) * SIGMA_X
     return expm(-1j * h_mean * t)

@@ -15,6 +15,11 @@ Validity domains:
 * rectangular form: exact for a rectangular pulse fully inside [0, t].
 * adiabatic form: slowly varying v(t); a validity ratio is reported, not
   enforced.
+
+The closed forms need numpy only.  scipy's `quad` is imported inside the
+three quadrature routes (`kick_correction_shape_factor` for a gaussian,
+`kick_correction_expansion`, `adiabatic_phase`), so importing this module
+does not load scipy.
 """
 from __future__ import annotations
 
@@ -22,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 from .pulses import (
     DoubleKickParams,
@@ -192,9 +195,11 @@ def kick_correction_shape_factor(alpha: float, shape: PulseShape) -> float:
     if shape is PulseShape.RECTANGULAR:
         return _sin_over(alpha) - math.cos(alpha)
     if shape is PulseShape.GAUSSIAN:
+        from scipy.integrate import quad
+
         # 2 [cos^2((alpha/2) erf s) - cos^2(alpha/2)] = cos(alpha erf s) - cos(alpha)
         val, _ = quad(
-            lambda s: math.cos(alpha * erf(s)) - math.cos(alpha),
+            lambda s: math.cos(alpha * math.erf(s)) - math.cos(alpha),
             -9.0,
             9.0,
             epsabs=1e-13,
@@ -230,6 +235,8 @@ def kick_correction_expansion(
     """
     if pulse.shape is PulseShape.IDEAL_KICK:
         return np.zeros((2, 2), dtype=complex)
+    from scipy.integrate import quad
+
     gamma = params.gamma
     alpha, tk = pulse.alpha, pulse.center
     lo, hi = pulse.window()
@@ -307,6 +314,8 @@ class AdiabaticResult:
 
 def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> AdiabaticPhase:
     """Accumulated dressed phase and endpoint mixing angles (adaptive quadrature)."""
+    from scipy.integrate import quad
+
     gamma = params.gamma
     v = envelope(pulses)
     breakpoints = sorted(

@@ -63,6 +63,8 @@ class Pulse:
         for name in ("alpha", "tau", "center"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.shape is not PulseShape.IDEAL_KICK and not math.isfinite(self.peak):
+            raise ValueError("finite pulse shapes need a finite peak alpha / tau")
 
     @property
     def peak(self) -> float:
@@ -155,6 +157,9 @@ class SystemParams:
 
     @classmethod
     def from_rabi_time(cls, rabi_time_ps: float) -> "SystemParams":
+        """gamma = pi / period; an infinite period is the degenerate gamma = 0."""
+        if not rabi_time_ps > 0.0:
+            raise ValueError(f"rabi_time must be > 0 (inf for gamma = 0), got {rabi_time_ps:g}")
         return cls(gamma=math.pi / rabi_time_ps)
 
     @classmethod

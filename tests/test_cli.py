@@ -242,6 +242,29 @@ class TestPropagate:
         code, _, _ = run_cli(capsys, "propagate", "--pulse", "blob:alpha=1", "--t1", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("shape", ["gaussian", "rect"])
+    def test_overflowing_peak_is_exit_1(self, capsys, shape):
+        # a span the pulse never reaches used to exit 2 with a NaN norm
+        code, out, err = run_cli(
+            capsys, "propagate", "--preset", "unit",
+            "--pulse", f"{shape}:alpha=1e300,tau=1e-300,center=1",
+            "--t0", "1.5", "--t1", "2", "--dt", "0.5", "--samples", "3", "--out", "-",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: argument --pulse: bad pulse spec")
+        assert "finite peak" in err
+
+    def test_zero_rabi_time_is_exit_1(self, capsys):
+        # used to die with a ZeroDivisionError traceback
+        code, out, err = run_cli(
+            capsys, "propagate", "--rabi-time", "0",
+            "--pulse", "kick:alpha=1,center=1", "--t1", "2", "--samples", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: rabi_time must be > 0")
+
     def test_numerical_failure_is_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "propagate", "--preset", "hydrogen-2s2p",
@@ -252,10 +275,11 @@ class TestPropagate:
         assert "numerical failure" in err
 
     def test_nan_integration_is_exit_2(self, capsys):
-        # used to exit 0 with nan rows and '# norm_defect=0'
+        # used to exit 0 with nan rows and '# norm_defect=0'; the peak is
+        # finite, but the first RK4 stage overflows and the state goes NaN
         code, out, err = run_cli(
             capsys, "propagate", "--preset", "unit",
-            "--pulse", "gaussian:alpha=1e300,tau=1e-300,center=1",
+            "--pulse", "gaussian:alpha=1e300,tau=1,center=1",
             "--t1", "2", "--dt", "0.5", "--samples", "3", "--out", "-",
         )
         assert code == 2
@@ -321,6 +345,24 @@ class TestFigure:
         assert code == 1
         assert out == ""
         assert err == "error: n_points must be at least 2\n"
+
+    @pytest.mark.parametrize("flag", [("--rabi-time", "0"), ("--set", "rabi_time=0")])
+    def test_zero_rabi_time_is_exit_1(self, capsys, flag):
+        code, out, err = run_cli(capsys, "figure", "fig1", *flag, "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: rabi_time must be > 0")
+
+    @pytest.mark.parametrize("name", ["fig5_left", "fig5_right"])
+    @pytest.mark.parametrize("ts_max", ["-1", "nan", "inf"])
+    def test_bad_ts_max_is_exit_1(self, capsys, name, ts_max):
+        code, out, err = run_cli(
+            capsys, "figure", name, "--set", f"ts_max={ts_max}", "--set", "n_points=3",
+            "--out", "-",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ts_max must be finite and >= 0")
 
     def test_figure_determinism(self, tmp_path, capsys):
         args = ("figure", "fig5_left", "--set", "alphas=pi/4", "--set", "n_points=5",

@@ -92,9 +92,10 @@ class TestRk4Evolve:
                        IntegratorConfig(dt=10.0), record_times=[300.0])
 
     def test_nan_state_raises(self):
-        # the peak overflows to inf, so the state goes NaN; a NaN norm defect must not pass
+        # a finite peak whose RK4 stages overflow, so the state goes NaN;
+        # a NaN norm defect must not pass
         with pytest.raises(NonUnitaryError, match="nan"):
-            rk4_evolve([gaussian(1e300, 1e-300, 1.0)], unit_system(), (1.0, 0.0), 0.0, 2.0,
+            rk4_evolve([gaussian(1e300, 1.0, 1.0)], unit_system(), (1.0, 0.0), 0.0, 2.0,
                        IntegratorConfig(dt=0.5), record_times=[1.0, 2.0])
 
     def test_kick_inside_sequence_is_exact_factor(self):
@@ -260,7 +261,7 @@ class TestRk4Propagator:
     def test_nan_propagator_raises(self):
         # used to return an all-NaN matrix
         with pytest.raises(NonUnitaryError):
-            rk4_propagator([gaussian(1e300, 1e-300, 1.0)], unit_system(), 0.0, 2.0,
+            rk4_propagator([gaussian(1e300, 1.0, 1.0)], unit_system(), 0.0, 2.0,
                            IntegratorConfig(dt=0.5))
 
 

@@ -46,6 +46,14 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(-1.0)
 
+    @pytest.mark.parametrize("period", [0.0, -0.0, -3.0, math.nan, -math.inf])
+    def test_rabi_time_must_be_positive(self, period):
+        with pytest.raises(ValueError, match="rabi_time must be > 0"):
+            SystemParams.from_rabi_time(period)
+
+    def test_infinite_rabi_time_is_degenerate(self):
+        assert SystemParams.from_rabi_time(math.inf).gamma == 0.0
+
 
 class TestPulseEvaluation:
     def test_gaussian_peak_value(self):
@@ -64,6 +72,12 @@ class TestPulseEvaluation:
     def test_kick_not_evaluable(self):
         with pytest.raises(PulseEvaluationError):
             v_of_t([ideal_kick(1.0, 0.0)], 0.0)
+
+    @pytest.mark.parametrize("make", [gaussian, rectangular])
+    def test_overflowing_peak_rejected(self, make):
+        # alpha / tau overflows to inf; envelope would give inf * 0 = nan everywhere
+        with pytest.raises(ValueError, match="finite peak"):
+            make(1e300, 1e-300, 1.0)
 
     def test_overlapping_pulses_add(self):
         p = [gaussian(1.0, 2.0, 5.0), gaussian(-1.0, 2.0, 5.0)]
