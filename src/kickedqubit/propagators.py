@@ -36,6 +36,7 @@ from .pulses import (
     SystemParams,
     envelope,
     envelope_array,
+    integrated_strength,
     v_of_t,
 )
 from .su2 import X_AXIS, Z_AXIS, pauli_exponential
@@ -283,6 +284,8 @@ class AdiabaticPhase:
 
     theta is the dressed phase int_0^t Omega dt' / 2 hbar (monotone in t);
     phi_0 and phi_t are the mixing angles atan(v/gamma) at the endpoints.
+    At gamma = 0 the mixing angles are pi/2 (the sigma_x basis) and theta is
+    the signed strength int_0^t v dt', which need not be monotone.
     """
 
     theta: float
@@ -314,10 +317,15 @@ class AdiabaticResult:
 
 def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> AdiabaticPhase:
     """Accumulated dressed phase and endpoint mixing angles (adaptive quadrature)."""
-    from scipy.integrate import quad
-
     gamma = params.gamma
     v = envelope(pulses)
+    if gamma == 0.0:
+        # H = v sigma_x commutes with itself: exactly exp(-i theta sigma_x),
+        # whether or not v underflows to 0 at the endpoints
+        theta = integrated_strength(pulses, 0.0, t) if t >= 0.0 else -integrated_strength(pulses, t, 0.0)
+        return AdiabaticPhase(theta=theta, phi_0=0.5 * math.pi, phi_t=0.5 * math.pi)
+    from scipy.integrate import quad
+
     breakpoints = sorted(
         {x for p in pulses for x in p.window() if 0.0 < x < t}
         | {p.center for p in pulses if 0.0 < p.center < t}

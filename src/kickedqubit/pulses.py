@@ -18,6 +18,11 @@ first moment over any interval.  The sequence helpers below (`envelope`,
 `envelope_array`, `integrated_strength`) and the integrator and closed
 forms elsewhere read from it.
 
+Pointwise evaluation (`Pulse.value`, `envelope`, `envelope_array`) is
+exactly zero outside each pulse's `window()`, edges included in the window.
+`integral` and `first_moment` stay analytic over the untruncated gaussian;
+the gap to the truncated value is at most alpha erfc(6) / 2.
+
 Ideal kicks cannot be evaluated pointwise; sequence evaluation raises for
 them and the closed-form kick propagators should be used instead.
 Overlapping pulses in a sequence add linearly.
@@ -33,8 +38,9 @@ import numpy as np
 
 HBAR_EV_PS = 6.582119569e-4  # hbar in eV * ps, for Delta_E conversions
 
-#: Gaussian support is truncated at this many widths for integration windows;
-#: the neglected tail weight is erfc(6) ~ 2e-17 relative.
+#: Gaussian support is truncated at this many widths: every pointwise
+#: evaluation is exactly zero outside center +- GAUSSIAN_WINDOW tau, where
+#: v < exp(-36) peak; the neglected tail weight is erfc(6) ~ 2e-17 relative.
 GAUSSIAN_WINDOW = 6.0
 
 
@@ -89,12 +95,10 @@ class Pulse:
         return (self.center - half, self.center + half)
 
     def value(self, t: np.ndarray) -> np.ndarray:
-        """v(t) over an array of times (kicks rejected)."""
-        if self.shape is PulseShape.GAUSSIAN:
-            u = (t - self.center) / self.tau
-            return self.peak * np.exp(-u * u)
+        """v(t) over an array of times, zero outside the window (kicks rejected)."""
         lo, hi = self.window()
-        return np.where((t >= lo) & (t <= hi), self.peak, 0.0)
+        u = (t - self.center) / self.tau if self.shape is PulseShape.GAUSSIAN else 0.0
+        return np.where((t >= lo) & (t <= hi), self.peak * np.exp(-u * u), 0.0)
 
     def integral(self, t0: float, t1: float) -> float:
         """int_{t0}^{t1} v dt for t0 <= t1; a kick counts fully when t0 <= T_k <= t1."""
@@ -203,20 +207,25 @@ def v_of_t(pulses: PulseSequence, t: float) -> float:
 
 
 def envelope(pulses: PulseSequence) -> Callable[[float], float]:
-    """Fast scalar v(t) closure for the integrator (kicks rejected)."""
-    gauss = [(p.peak, p.center, 1.0 / p.tau) for p in pulses if p.shape is PulseShape.GAUSSIAN]
+    """Fast scalar v(t) closure for the integrator (kicks rejected).
+
+    A rectangle is the inv_tau = 0 case of the gaussian term, as
+    amp * exp(-0.0) == amp; gaussians are summed first, in sequence order.
+    """
+    ordered = sorted(pulses, key=lambda p: p.shape is not PulseShape.GAUSSIAN)
     # a kick raises in Pulse.peak
-    rect = [(p.peak, *p.window()) for p in pulses if p.shape is not PulseShape.GAUSSIAN]
+    terms = [
+        (p.peak, *p.window(), p.center, 1.0 / p.tau if p.shape is PulseShape.GAUSSIAN else 0.0)
+        for p in ordered
+    ]
     exp = math.exp
 
     def v(t: float) -> float:
         total = 0.0
-        for amp, c, inv_tau in gauss:
-            u = (t - c) * inv_tau
-            total += amp * exp(-u * u)
-        for amp, lo, hi in rect:
+        for amp, lo, hi, c, inv_tau in terms:
             if lo <= t <= hi:
-                total += amp
+                u = (t - c) * inv_tau
+                total += amp * exp(-u * u)
         return total
 
     return v

@@ -292,6 +292,16 @@ def test_scenario_matches_reference_panel(name):
     assert np.max(np.abs(got - expected)) <= 1e-10
 
 
+def test_width_scan_matches_reference_panel():
+    # two widths, tau = 1 and 300 ps, are the first and last of the panel's 200
+    series = scenario("fig4_left", {"n_points": 2})
+    header, expected = _read_panel("fig4_left")
+    assert header == [series.parameter, *series.columns]
+    got = np.column_stack([series.values, *series.columns.values()])
+    assert got.shape == (2, len(header)) and len(expected) == 200
+    assert np.max(np.abs(got - expected[[0, -1]])) <= 1e-10
+
+
 @pytest.mark.parametrize("name", ["fig5_left", "fig5_right"])
 def test_separation_scan_matches_reference_panel(name):
     # 20 separations land on every 21st of the panel's 400; pi/2 is one of its alphas

@@ -384,6 +384,31 @@ class TestAdiabatic:
         res = prop.adiabatic_propagator(pulse, SystemParams(0.0), 20.0)
         assert max_abs_diff(res.matrix, prop.degenerate_propagator(0.4)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "pulses, t, alpha",
+        [
+            # v is exactly 0 at both endpoints, so atan2(v, 0) cannot give the mixing angle
+            ([gaussian(0.4, 1.0, 10.0)], 50.0, 0.4),
+            ([gaussian(0.4, 1.0, 40.0)], 80.0, 0.4),
+            ([gaussian(-0.7, 2.0, 20.0)], 40.0, -0.7),
+            # a cancelling pair: theta is signed, so the net rotation is the identity
+            ([gaussian(1.0, 5.0, 50.0), gaussian(-1.0, 5.0, 60.0)], 100.0, 0.0),
+            # backwards in time, U(t, 0) undoes the pulse
+            ([gaussian(0.4, 0.5, -3.0)], -6.0, -0.4),
+        ],
+    )
+    def test_degenerate_is_the_signed_strength_rotation(self, pulses, t, alpha):
+        res = prop.adiabatic_propagator(pulses, SystemParams(0.0), t)
+        assert max_abs_diff(res.matrix, prop.degenerate_propagator(alpha)) < 1e-12
+        assert res.validity_ratio == 0.0
+
+    def test_degenerate_theta_is_not_monotone(self):
+        pair = [gaussian(1.0, 5.0, 50.0), gaussian(-1.0, 5.0, 60.0)]
+        between = prop.adiabatic_phase(pair, SystemParams(0.0), 55.0)
+        after = prop.adiabatic_phase(pair, SystemParams(0.0), 100.0)
+        assert between.theta > 0.5 > abs(after.theta)
+        assert between.phi_0 == between.phi_t == after.phi_t == math.pi / 2
+
     def test_deep_adiabatic_matches_rk4(self):
         params = unit_system()
         pulse = [gaussian(0.05, 5.0, 40.0)]  # alpha = 0.05, beta = 5

@@ -11,7 +11,9 @@ from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_num
 from kickedqubit.pulses import (
     DoubleKickParams,
     PulseEvaluationError,
+    PulseShape,
     SystemParams,
+    envelope,
     envelope_array,
     gaussian,
     hydrogen_2s2p,
@@ -89,6 +91,81 @@ class TestPulseEvaluation:
         vals = envelope_array(p, ts)
         for t, v in zip(ts, vals):
             assert v == pytest.approx(v_of_t(p, float(t)), abs=1e-15)
+
+
+# The closure before each term was restricted to its window, kept as an
+# independent reference: every gaussian at every t, then the rectangles.
+def reference_envelope(pulses):
+    gauss = [(p.peak, p.center, 1.0 / p.tau) for p in pulses if p.shape is PulseShape.GAUSSIAN]
+    rect = [(p.peak, *p.window()) for p in pulses if p.shape is not PulseShape.GAUSSIAN]
+
+    def v(t):
+        total = 0.0
+        for amp, c, inv_tau in gauss:
+            u = (t - c) * inv_tau
+            total += amp * math.exp(-u * u)
+        for amp, lo, hi in rect:
+            if lo <= t <= hi:
+                total += amp
+        return total
+
+    return v
+
+
+finite_pulses = st.lists(
+    st.builds(
+        lambda make, alpha, tau, center: make(alpha, tau, center),
+        st.sampled_from([gaussian, rectangular]),
+        st.floats(-3.0, 3.0),
+        st.floats(0.05, 5.0),
+        st.floats(-20.0, 20.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def pulses_and_time(draw):
+    """A pulse mix and a time inside, exactly at an edge of, or outside one window."""
+    pulses = draw(finite_pulses)
+    lo, hi = draw(st.sampled_from(pulses)).window()
+    t = draw(
+        st.one_of(
+            st.sampled_from([lo, hi]),
+            st.floats(lo, hi),
+            st.sampled_from([math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]),
+            st.floats(-60.0, 60.0),
+        )
+    )
+    return pulses, t
+
+
+def _inside(p, t):
+    lo, hi = p.window()
+    return lo <= t <= hi
+
+
+@given(pulses_and_time())
+@settings(max_examples=400, deadline=None)
+def test_envelope_matches_the_untruncated_closure(case):
+    pulses, t = case
+    got = envelope(pulses)(t)
+    want = reference_envelope(pulses)(t)
+    skipped = [p for p in pulses if p.shape is PulseShape.GAUSSIAN and not _inside(p, t)]
+    scale = sum(abs(p.peak) for p in pulses)
+    if not skipped:
+        assert got == want
+    else:
+        # each skipped tail is below |peak| e^-36; without it the running sum
+        # may round differently, by at most an ulp of the sum per term
+        tails = sum(abs(p.peak) for p in skipped) * math.exp(-36.0)
+        assert abs(got - want) <= tails + len(pulses) * 2.0**-52 * scale
+    for p in pulses:
+        if p.shape is PulseShape.RECTANGULAR:
+            assert envelope([p])(t) == (p.peak if _inside(p, t) else 0.0)
+    array = envelope_array(pulses, np.array([t]))[0]
+    assert abs(array - got) <= 1e-15 * max(1.0, scale)
 
 
 class TestIntegratedStrength:
