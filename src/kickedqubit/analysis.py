@@ -26,16 +26,8 @@ from .pulses import (
 from .su2 import NonUnitaryError, max_abs_diff, probabilities
 
 
-class SingleKickProbabilities(NamedTuple):
-    """P2 closed forms for one pulse: exact kick limit, then the two no-ordering frames."""
-
-    exact_kick: float
-    no_ordering_schrodinger: float
-    no_ordering_interaction: float
-
-
-class DoubleKickProbabilities(NamedTuple):
-    """P2 closed forms for a kick-antikick pair, in the order of SingleKickProbabilities."""
+class KickProbabilities(NamedTuple):
+    """P2 closed forms: exact kick limit, then the two no-ordering frames."""
 
     exact_kick: float
     no_ordering_schrodinger: float
@@ -44,7 +36,7 @@ class DoubleKickProbabilities(NamedTuple):
 
 def p2_closed_forms_single(
     alpha: float, beta: float, gamma_tf: float
-) -> SingleKickProbabilities:
+) -> KickProbabilities:
     """Transfer probability for a single pulse in the three descriptions.
 
     exact kick limit: sin^2(alpha)
@@ -53,7 +45,7 @@ def p2_closed_forms_single(
     """
     xi = math.hypot(alpha, gamma_tf)
     amp = alpha * (math.sin(xi) / xi if xi > 1e-12 else 1.0)
-    return SingleKickProbabilities(
+    return KickProbabilities(
         exact_kick=math.sin(alpha) ** 2,
         no_ordering_schrodinger=amp * amp,
         no_ordering_interaction=math.sin(alpha * math.exp(-beta * beta)) ** 2,
@@ -62,14 +54,14 @@ def p2_closed_forms_single(
 
 def p2_closed_forms_double(
     alpha: float, beta: float, gamma_ts: float
-) -> DoubleKickProbabilities:
+) -> KickProbabilities:
     """Transfer probability for a kick-antikick pair in the three descriptions.
 
     exact kick limit: sin^2(gamma Ts) sin^2(2 alpha)
     bare frame, no ordering: identically zero (the average coupling vanishes)
     rotating frame, no ordering: sin^2(2 alpha e^{-beta^2} sin(gamma Ts))
     """
-    return DoubleKickProbabilities(
+    return KickProbabilities(
         exact_kick=math.sin(gamma_ts) ** 2 * math.sin(2.0 * alpha) ** 2,
         no_ordering_schrodinger=0.0,
         no_ordering_interaction=math.sin(

@@ -214,11 +214,7 @@ def _cmd_figure(args) -> int:
     overrides = dict(args.set or [])
     if args.rabi_time is not None:
         overrides["rabi_time"] = args.rabi_time
-    try:
-        series = scenario(args.name, overrides, IntegratorConfig(dt=args.dt))
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    series = scenario(args.name, overrides, IntegratorConfig(dt=args.dt))
     total = float(series.metadata.get("max_time_ps", 0.0))
     if total > LIFETIME_WARNING_PS:
         sys.stderr.write(
@@ -260,6 +256,8 @@ def _cmd_floquet(args) -> int:
     params, preset_label = _system_from_args(args)
     if args.sweep is not None:
         start, stop, count = args.sweep
+        if not (count >= 1 and count.is_integer()):
+            raise ValueError(f"--sweep COUNT must be a whole number >= 1, got {count:g}")
         gts = np.linspace(start, stop, int(count))
     elif args.period is not None:
         gts = np.array([params.gamma * args.period])

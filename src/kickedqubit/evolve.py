@@ -419,22 +419,3 @@ def interaction_integral_series(
             out = out + np.where(times >= p.center, jump, 0.0)
     return out
 
-
-def convergence_check(
-    pulses: PulseSequence,
-    params: SystemParams,
-    t: float,
-    cfg: IntegratorConfig | None = None,
-) -> float:
-    """Max propagator element change when halving dt; certifies a dt choice.
-
-    Deliberately coarse steps report a large defect instead of raising, so
-    the check can be used to probe bad configurations.
-    """
-    cfg = cfg or IntegratorConfig()
-    dt = cfg.resolve_dt(pulses, params, max(t, 1e-12))
-    u_coarse = rk4_propagator(
-        pulses, params, 0.0, t, IntegratorConfig(dt=dt, unitarity_tolerance=math.inf))
-    u_fine = rk4_propagator(
-        pulses, params, 0.0, t, IntegratorConfig(dt=dt / 2.0, unitarity_tolerance=math.inf))
-    return float(np.max(np.abs(u_coarse - u_fine)))

@@ -10,8 +10,14 @@ they differ between the bare (Schrodinger) frame and the rotating
 
 Validity domains:
 
-* kicked / kick-antikick forms: exact for delta-function pulses, accurate
-  to O(beta) in matrix elements for finite widths (beta = gamma tau).
+* kick sequence (`kick_sequence_propagator`, any number of ideal kicks
+  as time-ordered (alpha_k, T_k) pairs): exact for delta-function pulses,
+  accurate to O(beta) in matrix elements for finite widths
+  (beta = gamma tau).
+* rotating-frame no-ordering form (`no_ordering_interaction_kicks`):
+  exact for completed gaussians entered as a_k = alpha_k e^{-beta_k^2},
+  and for ideal kicks (beta = 0).
+  Both kick routes accept any finite gamma, negative included.
 * rectangular form: exact for a rectangular pulse fully inside [0, t].
 * adiabatic form: slowly varying v(t); a validity ratio is reported, not
   enforced.
@@ -25,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .pulses import (
-    DoubleKickParams,
     Pulse,
     PulseSequence,
     PulseShape,
@@ -37,7 +43,6 @@ from .pulses import (
     envelope,
     envelope_array,
     integrated_strength,
-    v_of_t,
 )
 from .su2 import X_AXIS, Z_AXIS, pauli_exponential
 
@@ -91,73 +96,50 @@ def no_ordering_schrodinger(alpha_running: float, gamma_t: float) -> np.ndarray:
     return np.array([[u11, u21], [u21, u11.conjugate()]])
 
 
-def no_ordering_interaction_single(
-    alpha: float, beta: float, gamma_tk: float
+def no_ordering_interaction_kicks(kicks: Sequence[tuple[float, float]], gamma: float) -> np.ndarray:
+    """Rotating-frame average evolution of kicks given as (a_k, T_k) pairs.
+
+    exp(-i sum_k a_k (cos 2 gamma T_k sigma_x + sin 2 gamma T_k sigma_y)),
+    summed in any order.  A completed gaussian of strength alpha and width
+    beta = gamma tau enters as a_k = alpha e^{-beta^2}, an ideal kick as
+    a_k = alpha.  With z = sum_k a_k e^{2 i gamma T_k} the matrix is
+    [[cos|z|, -q*], [q, cos|z|]], q = -i z sin|z|/|z|.  One kick gives
+    P2 = sin^2 a, a kick-antikick pair sin^2(2 a sin(gamma T_s)).
+    """
+    zr = zi = 0.0
+    for a, tk in kicks:
+        zr += a * math.cos(2.0 * gamma * tk)
+        zi += a * math.sin(2.0 * gamma * tk)
+    m = math.hypot(zr, zi)
+    s = _sin_over(m)
+    c, q = math.cos(m), complex(zi * s, -zr * s)
+    return np.array([[c, -q.conjugate()], [q, c]])
+
+
+def kick_sequence_propagator(
+    kicks: Sequence[tuple[float, float]], gamma: float, t: float
 ) -> np.ndarray:
-    """Rotating-frame average evolution for one completed gaussian pulse.
+    """Exact evolution from 0 to t through ideal kicks (alpha_k, T_k).
 
-    diag cos(alpha e^{-beta^2}); off-diagonal
-    -i sin(alpha e^{-beta^2}) e^{-+ 2 i gamma T_k}.  beta = 0 covers the
-    ideal kick, for which this equals the exact kicked propagator rotated
-    into the same frame.
+    The kicks must be time-ordered inside [0, t): 0 <= T_1 <= T_2 <= ... < t.
+    Free evolution e^{i gamma dt sigma_z} and each kick e^{-i alpha_k sigma_x}
+    are composed right to left in SU(2) form: each factor and the running
+    product are [[p, -q*], [q, p*]], so only (p, q) is carried.  One kick
+    gives [[e^{i gamma t} cos a, -i e^{i gamma (t - 2 T)} sin a], ...]; a
+    kick-antikick pair gives P2 = sin^2(gamma T_s) sin^2(2 alpha).
     """
-    a_eff = alpha * math.exp(-beta * beta)
-    c, s = math.cos(a_eff), math.sin(a_eff)
-    ph = complex(math.cos(2.0 * gamma_tk), math.sin(2.0 * gamma_tk))
-    return np.array([[c, -1j * s / ph], [-1j * s * ph, c]])
-
-
-def no_ordering_interaction_double(
-    alpha: float, beta: float, gamma: float, dk: DoubleKickParams
-) -> np.ndarray:
-    """Rotating-frame average evolution for an equal-and-opposite pulse pair.
-
-    With theta = 2 alpha e^{-beta^2} sin(gamma T_s) and Tbar the midpoint:
-    diag cos(theta); off-diagonal +/- sin(theta) e^{-+ 2 i gamma Tbar}.
-    """
-    theta = 2.0 * alpha * math.exp(-beta * beta) * math.sin(gamma * dk.separation)
-    c, s = math.cos(theta), math.sin(theta)
-    ph = complex(math.cos(2.0 * gamma * dk.midpoint), math.sin(2.0 * gamma * dk.midpoint))
-    return np.array([[c, s / ph], [-s * ph, c]])
-
-
-def kicked_propagator(alpha: float, gamma: float, t_kick: float, t: float) -> np.ndarray:
-    """Exact evolution for a single ideal kick of strength alpha at t_kick.
-
-    Free evolution, an instantaneous sigma_x rotation, then free evolution:
-    [[e^{i gamma t} cos a, -i e^{i gamma (t - 2 t_kick)} sin a],
-     [-i e^{-i gamma (t - 2 t_kick)} sin a, e^{-i gamma t} cos a]].
-    """
-    if t <= t_kick:
-        raise ValueError("measurement time must be after the kick")
-    c, s = math.cos(alpha), math.sin(alpha)
-    pt = complex(math.cos(gamma * t), math.sin(gamma * t))
-    pk = complex(math.cos(gamma * (t - 2.0 * t_kick)), math.sin(gamma * (t - 2.0 * t_kick)))
-    return np.array([[pt * c, -1j * pk * s], [-1j * s / pk, c / pt]])
-
-
-def kick_antikick_propagator(
-    alpha: float, gamma: float, dk: DoubleKickParams, t: float
-) -> np.ndarray:
-    """Exact evolution for kicks of strength +alpha at t1 and -alpha at t2.
-
-    The exact factor product
-    e^{i g (t-t2) sz} e^{i a sx} e^{i g (t2-t1) sz} e^{-i a sx} e^{i g t1 sz},
-    composed right to left in SU(2) form: each factor and the running
-    product are [[p, -q*], [q, p*]], so only (p, q) is carried.  From the
-    first state this gives P2 = sin^2(gamma T_s) sin^2(2 alpha).
-    """
-    if t <= dk.t2:
-        raise ValueError("measurement time must be after the second kick")
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    p, q = complex(math.cos(gamma * dk.t1), math.sin(gamma * dk.t1)), 0j
-    for p1, q1 in (
-        (ca, -1j * sa),
-        (complex(math.cos(gamma * dk.separation), math.sin(gamma * dk.separation)), 0j),
-        (ca, 1j * sa),
-        (complex(math.cos(gamma * (t - dk.t2)), math.sin(gamma * (t - dk.t2))), 0j),
-    ):
-        p, q = p1 * p - q1.conjugate() * q, q1 * p + p1.conjugate() * q
+    p, q = 1.0 + 0.0j, 0.0j
+    last = 0.0
+    for alpha, tk in kicks:
+        if not last <= tk < t:
+            raise ValueError("kicks must be time-ordered inside [0, t)")
+        f = complex(math.cos(gamma * (tk - last)), math.sin(gamma * (tk - last)))
+        c, s = math.cos(alpha), math.sin(alpha)
+        # free factor (f, 0), then the kick (c, -i s)
+        p, q = c * f * p - 1j * s * f.conjugate() * q, c * f.conjugate() * q - 1j * s * f * p
+        last = tk
+    f = complex(math.cos(gamma * (t - last)), math.sin(gamma * (t - last)))
+    p, q = f * p, f.conjugate() * q
     return np.array([[p, -q.conjugate()], [q, p.conjugate()]])
 
 
@@ -270,12 +252,6 @@ def commutator_correction(pulse: Pulse, params: SystemParams, t: float) -> np.nd
     j = t * pulse.integral(0.0, t) - 2.0 * pulse.first_moment(0.0, t)
     # i gamma J sigma_y = gamma J [[0, 1], [-1, 0]]
     return gamma * j * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-
-def instantaneous_splitting(pulses: PulseSequence, params: SystemParams, t: float) -> float:
-    """Dressed level splitting Omega(t)/hbar = 2 sqrt(gamma^2 + v(t)^2); >= 2 gamma."""
-    v = v_of_t(pulses, t)
-    return 2.0 * math.hypot(params.gamma, v)
 
 
 @dataclass(frozen=True)

@@ -181,31 +181,6 @@ def unit_system() -> SystemParams:
     return SystemParams(gamma=1.0)
 
 
-@dataclass(frozen=True)
-class DoubleKickParams:
-    """Timing of a two-kick sequence: kicks at t1 and t2 >= t1."""
-
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        if self.t2 < self.t1:
-            raise ValueError("t2 must be >= t1")
-
-    @property
-    def separation(self) -> float:
-        return self.t2 - self.t1
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.t1 + self.t2)
-
-
-def v_of_t(pulses: PulseSequence, t: float) -> float:
-    """Instantaneous coupling rate v(t) in rad/ps, summed over pulses."""
-    return envelope(pulses)(t)
-
-
 def envelope(pulses: PulseSequence) -> Callable[[float], float]:
     """Fast scalar v(t) closure for the integrator (kicks rejected).
 

@@ -28,7 +28,6 @@ from .evolve import (
     rk4_propagator,
 )
 from .pulses import (
-    DoubleKickParams,
     PulseShape,
     SystemParams,
     gaussian,
@@ -95,18 +94,17 @@ def check_propagator_unitarity(rng: np.random.Generator, samples: int) -> CheckR
         alpha, beta = rng.uniform(-6.0, 6.0), rng.uniform(0.0, 2.0)
         gamma = rng.uniform(0.0, 2.0)
         t1 = rng.uniform(0.0, 10.0)
-        ts = rng.uniform(0.0, 10.0)
-        t = t1 + ts + rng.uniform(0.1, 10.0)
-        dk = DoubleKickParams(t1, t1 + ts)
-        params = SystemParams(gamma)
+        t2 = t1 + rng.uniform(0.0, 10.0)
+        t = t2 + rng.uniform(0.1, 10.0)
+        a_eff = alpha * math.exp(-beta * beta)
         mats = (
-            prop.free_propagator(params, t),
+            prop.free_propagator(SystemParams(gamma), t),
             prop.degenerate_propagator(alpha),
             prop.no_ordering_schrodinger(alpha, gamma * t),
-            prop.no_ordering_interaction_single(alpha, beta, gamma * t1),
-            prop.no_ordering_interaction_double(alpha, beta, gamma, dk),
-            prop.kicked_propagator(alpha, gamma, t1, t),
-            prop.kick_antikick_propagator(alpha, gamma, dk, t),
+            prop.no_ordering_interaction_kicks(((a_eff, t1),), gamma),
+            prop.no_ordering_interaction_kicks(((a_eff, t1), (-a_eff, t2)), gamma),
+            prop.kick_sequence_propagator(((alpha, t1),), gamma, t),
+            prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t),
             prop.rectangular_propagator(alpha, beta, gamma, t1, t),
         )
         for m in mats:
@@ -128,14 +126,13 @@ def check_limit_web(offset: float = 1e-6, tol: float = 1e-5) -> CheckResult:
         prop.no_ordering_schrodinger(offset, gamma * t),
         prop.free_propagator(SystemParams(gamma), t),
     )
-    dk = DoubleKickParams(1.0, 1.0 + offset)
     diffs["kick-antikick -> free"] = max_abs_diff(
-        prop.kick_antikick_propagator(alpha, gamma, dk, t),
+        prop.kick_sequence_propagator(((alpha, 1.0), (-alpha, 1.0 + offset)), gamma, t),
         prop.free_propagator(SystemParams(gamma), t),
     )
     diffs["rectangular -> kicked"] = max_abs_diff(
         prop.rectangular_propagator(alpha, offset, gamma, 1.0, t),
-        prop.kicked_propagator(alpha, gamma, 1.0, t),
+        prop.kick_sequence_propagator(((alpha, 1.0),), gamma, t),
     )
     # adiabatic, degenerate side: gamma -> 0 at constant coupling
     adia = prop.adiabatic_propagator(
@@ -171,13 +168,11 @@ def check_interaction_kick_identity(rng: np.random.Generator, samples: int) -> C
         gamma = rng.uniform(0.0, 2.0)
         tk = rng.uniform(0.0, 8.0)
         t = tk + rng.uniform(0.01, 8.0)
-        rotated = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kicked_propagator(
-            alpha, gamma, tk, t
+        kick = ((alpha, tk),)
+        rotated = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(
+            kick, gamma, t
         )
-        worst = max(
-            worst,
-            max_abs_diff(rotated, prop.no_ordering_interaction_single(alpha, 0.0, gamma * tk)),
-        )
+        worst = max(worst, max_abs_diff(rotated, prop.no_ordering_interaction_kicks(kick, gamma)))
     return _result("interaction-kick-identity", worst <= 1e-12, f"worst {worst:.1e}")
 
 
@@ -206,24 +201,23 @@ def check_closed_form_consistency(rng: np.random.Generator, samples: int) -> Che
         gamma = rng.uniform(0.01, 2.0)
         tk = rng.uniform(0.0, 5.0)
         tf = tk + rng.uniform(0.01, 10.0)
+        a_eff = alpha * math.exp(-beta * beta)
         single = p2_closed_forms_single(alpha, beta, gamma * tf)
-        _, p2 = probabilities(prop.kicked_propagator(alpha, gamma, tk, tf), (1.0, 0.0))
+        _, p2 = probabilities(prop.kick_sequence_propagator(((alpha, tk),), gamma, tf), (1.0, 0.0))
         worst = max(worst, abs(p2 - single.exact_kick))
         _, p2 = probabilities(prop.no_ordering_schrodinger(alpha, gamma * tf), (1.0, 0.0))
         worst = max(worst, abs(p2 - single.no_ordering_schrodinger))
-        _, p2 = probabilities(
-            prop.no_ordering_interaction_single(alpha, beta, gamma * tk), (1.0, 0.0)
-        )
+        _, p2 = probabilities(prop.no_ordering_interaction_kicks(((a_eff, tk),), gamma), (1.0, 0.0))
         worst = max(worst, abs(p2 - single.no_ordering_interaction))
         t1 = rng.uniform(0.0, 4.0)
-        dk = DoubleKickParams(t1, t1 + rng.uniform(0.0, 8.0))
-        t = dk.t2 + rng.uniform(0.01, 5.0)
-        double = p2_closed_forms_double(alpha, beta, gamma * dk.separation)
-        _, p2 = probabilities(prop.kick_antikick_propagator(alpha, gamma, dk, t), (1.0, 0.0))
+        t2 = t1 + rng.uniform(0.0, 8.0)
+        t = t2 + rng.uniform(0.01, 5.0)
+        double = p2_closed_forms_double(alpha, beta, gamma * (t2 - t1))
+        pair = ((alpha, t1), (-alpha, t2))
+        _, p2 = probabilities(prop.kick_sequence_propagator(pair, gamma, t), (1.0, 0.0))
         worst = max(worst, abs(p2 - double.exact_kick))
-        _, p2 = probabilities(
-            prop.no_ordering_interaction_double(alpha, beta, gamma, dk), (1.0, 0.0)
-        )
+        pair = ((a_eff, t1), (-a_eff, t2))
+        _, p2 = probabilities(prop.no_ordering_interaction_kicks(pair, gamma), (1.0, 0.0))
         worst = max(worst, abs(p2 - double.no_ordering_interaction))
     return _result("closed-form-consistency", worst <= 1e-12, f"worst {worst:.1e}")
 
@@ -239,27 +233,19 @@ def check_numeric_no_ordering(rng: np.random.Generator, samples: int) -> CheckRe
         tau = beta / g
         tk = rng.uniform(6.0 * tau, 6.0 * tau + 300.0)
         t = tk + 6.0 * tau + rng.uniform(1.0, 300.0)
+        a_eff = alpha * math.exp(-beta * beta)
         pulse = [gaussian(alpha, tau, tk)]
         u_num = no_ordering_interaction_numeric(pulse, params, t)
-        worst = max(
-            worst,
-            max_abs_diff(u_num, prop.no_ordering_interaction_single(alpha, beta, g * tk)),
-        )
+        u_closed = prop.no_ordering_interaction_kicks(((a_eff, tk),), g)
+        worst = max(worst, max_abs_diff(u_num, u_closed))
         u0_num = no_ordering_schrodinger_numeric(pulse, params, t)
         a_run = alpha  # pulse complete, so the running integral is the full strength
         worst = max(worst, max_abs_diff(u0_num, prop.no_ordering_schrodinger(a_run, g * t)))
         t2 = tk + rng.uniform(12.0 * tau, 400.0)
         pair = [gaussian(alpha, tau, tk), gaussian(-alpha, tau, t2)]
         u_num = no_ordering_interaction_numeric(pair, params, t2 + 6.0 * tau + 1.0)
-        worst = max(
-            worst,
-            max_abs_diff(
-                u_num,
-                prop.no_ordering_interaction_double(
-                    alpha, beta, g, DoubleKickParams(tk, t2)
-                ),
-            ),
-        )
+        u_closed = prop.no_ordering_interaction_kicks(((a_eff, tk), (-a_eff, t2)), g)
+        worst = max(worst, max_abs_diff(u_num, u_closed))
     return _result("numeric-no-ordering", worst <= 1e-8, f"worst {worst:.1e}")
 
 
@@ -290,16 +276,15 @@ def check_time_reversal(rng: np.random.Generator, samples: int) -> CheckResult:
         gamma = rng.uniform(0.0, 2.0)
         tk = rng.uniform(0.1, 5.0)
         t = tk + rng.uniform(0.1, 5.0)
-        u = prop.kicked_propagator(alpha, gamma, tk, t)
-        u_rev = prop.kicked_propagator(-alpha, -gamma, t - tk, t)
+        u = prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
+        u_rev = prop.kick_sequence_propagator(((-alpha, t - tk),), -gamma, t)
         worst = max(worst, max_abs_diff(u_rev @ u, IDENTITY))
         t1 = rng.uniform(0.0, 3.0)
-        dk = DoubleKickParams(t1, t1 + rng.uniform(0.1, 4.0))
-        t = dk.t2 + rng.uniform(0.1, 4.0)
-        u = prop.kick_antikick_propagator(alpha, gamma, dk, t)
-        u_rev = prop.kick_antikick_propagator(
-            alpha, -gamma, DoubleKickParams(t - dk.t2, t - dk.t1), t
-        )
+        t2 = t1 + rng.uniform(0.1, 4.0)
+        t = t2 + rng.uniform(0.1, 4.0)
+        # the reverse run: inverse kicks in mirrored order, under -gamma
+        u = prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t)
+        u_rev = prop.kick_sequence_propagator(((alpha, t - t2), (-alpha, t - t1)), -gamma, t)
         worst = max(worst, max_abs_diff(u_rev @ u, IDENTITY))
         u = prop.no_ordering_schrodinger(alpha, gamma)
         worst = max(
@@ -318,17 +303,15 @@ def check_perturbative_onset() -> CheckResult:
     In the rotating frame ||U_I - U_I^0|| must fit a log-log slope >= 2 in
     alpha, and the off-diagonal difference a slope >= 3.
     """
-    gamma, t1, ts = 0.9, 1.0, 2.0
-    dk = DoubleKickParams(t1, t1 + ts)
-    t = dk.t2 + 1.5
+    gamma, t1, t2, t = 0.9, 1.0, 3.0, 4.5
     alphas = np.geomspace(3e-4, 3e-2, 8)
     full, offdiag = [], []
-    for alpha in alphas:
-        u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_antikick_propagator(
-            float(alpha), gamma, dk, t
+    for alpha in alphas.tolist():
+        pair = ((alpha, t1), (-alpha, t2))
+        u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(
+            pair, gamma, t
         )
-        u_i0 = prop.no_ordering_interaction_double(float(alpha), 0.0, gamma, dk)
-        diff = u_i - u_i0
+        diff = u_i - prop.no_ordering_interaction_kicks(pair, gamma)
         full.append(float(np.max(np.abs(diff))))
         offdiag.append(float(max(abs(diff[0, 1]), abs(diff[1, 0]))))
     fit_full = error_scaling_fit(
@@ -352,7 +335,7 @@ def check_rect_correction_residual() -> CheckResult:
     resid = []
     for beta in betas:
         delta = prop.rectangular_propagator(alpha, float(beta), gamma, tk, t) - \
-            prop.kicked_propagator(alpha, gamma, tk, t)
+            prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
         delta -= prop.kick_correction_leading(alpha, float(beta), gamma, t, PulseShape.RECTANGULAR)
         resid.append(float(np.max(np.abs(delta))))
     fit = error_scaling_fit(SweepSeries("beta", betas, {"resid": np.array(resid)}))
@@ -454,9 +437,8 @@ def check_consistency_triangle() -> CheckResult:
         beta = g * tau
         # closed form vs propagator route: must match to rounding
         single = p2_closed_forms_single(alpha, beta, g * tf)
-        _, p2_mat = probabilities(
-            prop.no_ordering_interaction_single(alpha, beta, g * tk), (1.0, 0.0)
-        )
+        a_eff = alpha * math.exp(-beta * beta)
+        _, p2_mat = probabilities(prop.no_ordering_interaction_kicks(((a_eff, tk),), g), (1.0, 0.0))
         worst_exact = max(worst_exact, abs(p2_mat - single.no_ordering_interaction))
         # RK4 vs kicked limit: bounded by the fitted quadratic error law
         u = rk4_propagator([gaussian(alpha, tau, tk)], params, 0.0, tf)

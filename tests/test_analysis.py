@@ -69,15 +69,16 @@ class TestClosedFormsDouble:
 
 class TestTimeOrderingReport:
     def test_equal_inputs(self):
-        u = prop.kicked_propagator(1.0, 0.5, 1.0, 2.0)
+        u = prop.kick_sequence_propagator(((1.0, 1.0),), 0.5, 2.0)
         rep = time_ordering_report(u, u, (1.0, 0.0), "schrodinger")
         assert rep.norm_diff == 0.0
         assert rep.delta_p2 == 0.0
 
     def test_single_kick_interaction_frame_is_ordering_free(self):
         alpha, gamma, tk, t = 1.1, 0.8, 1.0, 3.0
-        u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kicked_propagator(alpha, gamma, tk, t)
-        u_i0 = prop.no_ordering_interaction_single(alpha, 0.0, gamma * tk)
+        kick = ((alpha, tk),)
+        u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(kick, gamma, t)
+        u_i0 = prop.no_ordering_interaction_kicks(kick, gamma)
         rep = time_ordering_report(u_i, u_i0, (1.0, 0.0), "interaction")
         assert rep.norm_diff < 1e-12
 
@@ -85,7 +86,7 @@ class TestTimeOrderingReport:
         # large free phase suppresses the averaged transfer entirely
         alpha, gamma, tk = math.pi / 2, 1.0, 1.0
         t = 60.0
-        u = prop.kicked_propagator(alpha, gamma, tk, t)
+        u = prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
         u0 = prop.no_ordering_schrodinger(alpha, gamma * t)
         rep = time_ordering_report(u, u0, (1.0, 0.0), "schrodinger")
         expected_p2_0 = p2_closed_forms_single(alpha, 0.0, gamma * t).no_ordering_schrodinger

@@ -364,6 +364,15 @@ class TestFigure:
         assert out == ""
         assert err.startswith("error: ts_max must be finite and >= 0")
 
+    def test_numerical_failure_is_exit_2(self, capsys):
+        # a step far too coarse for tau = 10 ps: the norm drifts, as in propagate
+        code, out, err = run_cli(
+            capsys, "figure", "fig1", "--dt", "100", "--set", "n_points=3", "--out", "-",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: norm drifted by")
+
     def test_figure_determinism(self, tmp_path, capsys):
         args = ("figure", "fig5_left", "--set", "alphas=pi/4", "--set", "n_points=5",
                 "--set", "ts_max=972")
@@ -407,6 +416,15 @@ class TestFloquet:
         code, _, _ = run_cli(capsys, "floquet", "--alpha", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("count", ["-1", "nan", "0", "2.7"])
+    def test_sweep_count_must_be_a_whole_number(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "floquet", "--alpha", "1", "--gamma", "1", "--sweep", "0", "1", count,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --sweep COUNT must be a whole number >= 1, got {float(count):g}\n"
+
 
 class TestValidate:
     def test_quick_passes_within_budget(self, capsys):
@@ -423,14 +441,14 @@ class TestValidate:
     def test_fault_injection_fails(self, capsys, monkeypatch):
         import kickedqubit.propagators as prop
 
-        good = prop.no_ordering_interaction_single
+        good = prop.no_ordering_interaction_kicks
 
-        def tampered(alpha, beta, gamma_tk):
-            u = good(alpha, beta, gamma_tk)
+        def tampered(kicks, gamma):
+            u = good(kicks, gamma)
             return u.conj()  # flips the off-diagonal phase sign
 
         monkeypatch.setattr(
-            "kickedqubit.validation.prop.no_ordering_interaction_single", tampered
+            "kickedqubit.validation.prop.no_ordering_interaction_kicks", tampered
         )
         code, out, _ = run_cli(capsys, "validate", "--quick")
         assert code == 2

@@ -11,7 +11,6 @@ from kickedqubit import propagators as prop
 from kickedqubit.analysis import SweepSeries, error_scaling_fit, no_ordering_p2_columns
 from kickedqubit.evolve import (
     IntegratorConfig,
-    convergence_check,
     interaction_integral,
     interaction_integral_series,
     no_ordering_interaction_numeric,
@@ -20,7 +19,6 @@ from kickedqubit.evolve import (
     rk4_propagator,
 )
 from kickedqubit.pulses import (
-    DoubleKickParams,
     PulseShape,
     SystemParams,
     envelope,
@@ -102,7 +100,7 @@ class TestRk4Evolve:
         params = unit_system()
         series = rk4_evolve([ideal_kick(0.8, 1.0)], params, (1.0, 0.0), 0.0, 2.0,
                             IntegratorConfig(dt=0.002), record_times=[2.0])
-        expected = prop.kicked_propagator(0.8, 1.0, 1.0, 2.0) @ np.array([1.0, 0.0])
+        expected = prop.kick_sequence_propagator(((0.8, 1.0),), 1.0, 2.0) @ np.array([1.0, 0.0])
         assert np.max(np.abs(series.final_state() - expected)) < 1e-10
 
     def test_kick_and_gaussian_mixture(self):
@@ -246,7 +244,7 @@ class TestRk4Propagator:
     def test_narrow_gaussian_error_is_order_beta(self):
         # element error against the kick limit shrinks linearly with tau
         params = HYDROGEN
-        target = prop.kicked_propagator(math.pi / 2, params.gamma, 150.0, 300.0)
+        target = prop.kick_sequence_propagator(((math.pi / 2, 150.0),), params.gamma, 300.0)
         errs, taus = [], (2.0, 1.0, 0.5)
         for tau in taus:
             u = rk4_propagator([gaussian(math.pi / 2, tau, 150.0)], params, 0.0, 300.0)
@@ -294,7 +292,7 @@ class TestNoOrderingNumeric:
         beta = params.gamma * tau
         pulse = [gaussian(1.2, tau, 150.0)]
         u_num = no_ordering_interaction_numeric(pulse, params, 400.0)
-        u_closed = prop.no_ordering_interaction_single(1.2, beta, params.gamma * 150.0)
+        u_closed = prop.no_ordering_interaction_kicks(((1.2 * math.exp(-beta * beta), 150.0),), params.gamma)
         assert max_abs_diff(u_num, u_closed) < 1e-8
 
     def test_interaction_degenerate_equals_schrodinger(self):
@@ -307,10 +305,10 @@ class TestNoOrderingNumeric:
     def test_interaction_double_matches_closed_form(self):
         params = HYDROGEN
         tau = 0.03 / params.gamma  # beta = 0.03
-        dk = DoubleKickParams(120.0, 420.0)
-        pair = [gaussian(0.9, tau, dk.t1), gaussian(-0.9, tau, dk.t2)]
+        pair = [gaussian(0.9, tau, 120.0), gaussian(-0.9, tau, 420.0)]
         u_num = no_ordering_interaction_numeric(pair, params, 600.0)
-        u_closed = prop.no_ordering_interaction_double(0.9, 0.03, params.gamma, dk)
+        a = 0.9 * math.exp(-0.03**2)
+        u_closed = prop.no_ordering_interaction_kicks(((a, 120.0), (-a, 420.0)), params.gamma)
         assert max_abs_diff(u_num, u_closed) < 1e-6
 
     def test_interaction_kick_jumps(self):
@@ -331,19 +329,6 @@ class TestNoOrderingNumeric:
 
 
 class TestConvergence:
-    def test_free_system_is_exact(self):
-        assert convergence_check([], HYDROGEN, 2.0) < 1e-14
-
-    def test_single_pulse_default_dt(self):
-        # frozen halving-study value at the default step: 5.4e-10
-        val = convergence_check(FIG1_PULSE, HYDROGEN, 300.0)
-        assert val < 1e-9
-
-    def test_coarse_dt_reports_large_defect(self):
-        val = convergence_check([gaussian(0.5, 10.0, 150.0)], HYDROGEN, 300.0,
-                                IntegratorConfig(dt=10.0))
-        assert val > 1e-6
-
     def test_global_error_is_fourth_order(self):
         ref = rk4_propagator(FIG1_PULSE, HYDROGEN, 0.0, 300.0, IntegratorConfig(dt=0.0125))
         dts = np.array([1.6, 0.8, 0.4, 0.2])

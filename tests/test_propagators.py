@@ -9,21 +9,21 @@ from scipy.linalg import expm
 
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import SweepSeries, error_scaling_fit
-from kickedqubit.evolve import IntegratorConfig, rk4_propagator
+from kickedqubit.evolve import IntegratorConfig, no_ordering_interaction_numeric, rk4_propagator
 from kickedqubit.pulses import (
-    DoubleKickParams,
     PulseShape,
     SystemParams,
+    envelope,
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
     rectangular,
     unit_system,
-    v_of_t,
 )
 from kickedqubit.su2 import (
     IDENTITY,
     PauliVector,
+    SIGMA_X,
     SIGMA_Y,
     X_AXIS,
     Z_AXIS,
@@ -82,13 +82,13 @@ class TestNoOrderingSchrodinger:
 
 class TestNoOrderingInteraction:
     def test_single_full_transfer(self):
-        u = prop.no_ordering_interaction_single(math.pi / 2, 0.0, 0.7)
+        u = prop.no_ordering_interaction_kicks(((math.pi / 2, 0.35),), 1.0)
         _, p2 = probabilities(u, (1.0, 0.0))
         assert p2 == pytest.approx(1.0, abs=1e-14)
 
     def test_single_width_damping(self):
         beta = math.sqrt(math.log(2.0))  # e^{-beta^2} = 1/2
-        u = prop.no_ordering_interaction_single(math.pi / 2, beta, 0.0)
+        u = prop.no_ordering_interaction_kicks(((math.pi / 2 * math.exp(-beta * beta), 0.0),), 1.0)
         _, p2 = probabilities(u, (1.0, 0.0))
         assert p2 == pytest.approx(0.5, rel=1e-12)
 
@@ -99,49 +99,48 @@ class TestNoOrderingInteraction:
             gamma = rng.uniform(0, 2)
             tk = rng.uniform(0, 5)
             t = tk + rng.uniform(0.01, 5)
-            rotated = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kicked_propagator(
-                alpha, gamma, tk, t
+            kick = ((alpha, tk),)
+            rotated = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(
+                kick, gamma, t
             )
-            u0 = prop.no_ordering_interaction_single(alpha, 0.0, gamma * tk)
+            u0 = prop.no_ordering_interaction_kicks(kick, gamma)
             assert max_abs_diff(rotated, u0) < 1e-12
 
     def test_double_identity_at_full_period(self):
-        dk = DoubleKickParams(0.0, math.pi)  # gamma Ts = pi
-        u = prop.no_ordering_interaction_double(1.1, 0.3, 1.0, dk)
+        a = 1.1 * math.exp(-0.3**2)
+        u = prop.no_ordering_interaction_kicks(((a, 0.0), (-a, math.pi)), 1.0)  # gamma Ts = pi
         assert max_abs_diff(u, IDENTITY) < 1e-15
 
     def test_double_full_transfer(self):
-        dk = DoubleKickParams(0.0, math.pi / 2)
-        u = prop.no_ordering_interaction_double(math.pi / 4, 0.0, 1.0, dk)
+        pair = ((math.pi / 4, 0.0), (-math.pi / 4, math.pi / 2))
+        u = prop.no_ordering_interaction_kicks(pair, 1.0)
         assert abs(u[0, 1]) == pytest.approx(1.0, rel=1e-14)
 
     def test_double_matches_exponential_of_average(self):
         # independent route: exponentiate the averaged rotated coupling
-        params = SystemParams(0.9)
-        dk = DoubleKickParams(0.7, 0.7 + math.pi / 3 / 0.9)
-        alpha, beta = 3 * math.pi / 8, 0.0323
+        gamma, t1, t2 = 0.9, 0.7, 0.7 + math.pi / 3 / 0.9
+        a = 3 * math.pi / 8 * math.exp(-0.0323**2)
         # each completed gaussian contributes alpha_k e^{-beta^2} e^{2 i gamma T_k}
-        avg = alpha * math.exp(-beta * beta) * (
-            np.exp(2j * params.gamma * dk.t1) - np.exp(2j * params.gamma * dk.t2)
-        )
+        avg = a * (np.exp(2j * gamma * t1) - np.exp(2j * gamma * t2))
         u_ref = PauliVector(cx=avg.real, cy=avg.imag).exp_minus_i()
-        u = prop.no_ordering_interaction_double(alpha, beta, params.gamma, dk)
+        u = prop.no_ordering_interaction_kicks(((a, t1), (-a, t2)), gamma)
         assert max_abs_diff(u, u_ref) < 1e-10
 
 
 class TestKickedPropagator:
     def test_full_transfer_any_times(self):
         for gamma, tk, t in ((0.0, 1.0, 2.0), (0.8, 3.0, 9.0), (2.0, 0.1, 0.2)):
-            _, p2 = probabilities(prop.kicked_propagator(math.pi / 2, gamma, tk, t), (1.0, 0.0))
+            u = prop.kick_sequence_propagator(((math.pi / 2, tk),), gamma, t)
+            _, p2 = probabilities(u, (1.0, 0.0))
             assert p2 == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_form(self):
-        u = prop.kicked_propagator(0.9, 0.0, 1.0, 2.0)
+        u = prop.kick_sequence_propagator(((0.9, 1.0),), 0.0, 2.0)
         assert max_abs_diff(u, prop.degenerate_propagator(0.9)) < 1e-15
 
     def test_requires_time_after_kick(self):
         with pytest.raises(ValueError):
-            prop.kicked_propagator(1.0, 1.0, 2.0, 2.0)
+            prop.kick_sequence_propagator(((1.0, 2.0),), 1.0, 2.0)
 
     def test_factor_product_structure(self):
         alpha, gamma, tk, t = 1.2, 0.7, 1.5, 4.0
@@ -150,13 +149,14 @@ class TestKickedPropagator:
             @ prop.degenerate_propagator(alpha)
             @ pauli_exponential(gamma * tk, Z_AXIS)
         )
-        assert max_abs_diff(prop.kicked_propagator(alpha, gamma, tk, t), product) < 1e-14
+        u = prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
+        assert max_abs_diff(u, product) < 1e-14
 
     def test_narrow_gaussian_rk4_extrapolation(self):
         # tau -> 0 oracle: two RK4 runs, linear extrapolation in tau removes
         # the O(beta) width correction and leaves ~beta^2 ~ 1e-7
         params = hydrogen_2s2p()
-        target = prop.kicked_propagator(math.pi / 2, params.gamma, 150.0, 300.0)
+        target = prop.kick_sequence_propagator(((math.pi / 2, 150.0),), params.gamma, 300.0)
         u_01 = rk4_propagator([gaussian(math.pi / 2, 0.1, 150.0)], params, 0.0, 300.0,
                               IntegratorConfig(dt=0.002))
         u_005 = rk4_propagator([gaussian(math.pi / 2, 0.05, 150.0)], params, 0.0, 300.0,
@@ -171,23 +171,22 @@ class TestKickedPropagator:
 class TestKickAntikick:
     def test_full_return(self):
         # gamma Ts = pi/2 with alpha = pi/2: on at t1, back off at t2
-        dk = DoubleKickParams(1.0, 1.0 + math.pi / 2)
-        _, p2 = probabilities(prop.kick_antikick_propagator(math.pi / 2, 1.0, dk, 4.0), (1.0, 0.0))
+        pair = ((math.pi / 2, 1.0), (-math.pi / 2, 1.0 + math.pi / 2))
+        _, p2 = probabilities(prop.kick_sequence_propagator(pair, 1.0, 4.0), (1.0, 0.0))
         assert p2 == pytest.approx(0.0, abs=1e-15)
 
     def test_full_transfer(self):
-        dk = DoubleKickParams(1.0, 1.0 + math.pi / 2)
-        _, p2 = probabilities(prop.kick_antikick_propagator(math.pi / 4, 1.0, dk, 4.0), (1.0, 0.0))
+        pair = ((math.pi / 4, 1.0), (-math.pi / 4, 1.0 + math.pi / 2))
+        _, p2 = probabilities(prop.kick_sequence_propagator(pair, 1.0, 4.0), (1.0, 0.0))
         assert p2 == pytest.approx(1.0, abs=1e-12)
 
     def test_coalescing_kicks_give_free_evolution(self):
-        dk = DoubleKickParams(1.0, 1.0)
-        u = prop.kick_antikick_propagator(1.3, 0.8, dk, 5.0)
+        u = prop.kick_sequence_propagator(((1.3, 1.0), (-1.3, 1.0)), 0.8, 5.0)
         assert max_abs_diff(u, prop.free_propagator(SystemParams(0.8), 5.0)) < 1e-14
 
     def test_requires_time_after_second_kick(self):
         with pytest.raises(ValueError):
-            prop.kick_antikick_propagator(1.0, 1.0, DoubleKickParams(0.0, 2.0), 2.0)
+            prop.kick_sequence_propagator(((1.0, 0.0), (-1.0, 2.0)), 1.0, 2.0)
 
     @given(
         st.floats(-6, 6), st.floats(-2, 2), st.floats(0, 10), st.floats(0, 10),
@@ -196,51 +195,104 @@ class TestKickAntikick:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_five_factor_numpy_product(self, alpha, gamma, t1, ts, dt_after):
         # the (p, q) composition against the same factors multiplied as numpy matrices
-        dk = DoubleKickParams(t1, t1 + ts)
-        t = dk.t2 + dt_after
+        t2 = t1 + ts
+        t = t2 + dt_after
         reference = (
-            pauli_exponential(gamma * (t - dk.t2), Z_AXIS)
+            pauli_exponential(gamma * (t - t2), Z_AXIS)
             @ pauli_exponential(alpha, X_AXIS)
-            @ pauli_exponential(gamma * dk.separation, Z_AXIS)
+            @ pauli_exponential(gamma * (t2 - t1), Z_AXIS)
             @ pauli_exponential(-alpha, X_AXIS)
-            @ pauli_exponential(gamma * dk.t1, Z_AXIS)
+            @ pauli_exponential(gamma * t1, Z_AXIS)
         )
-        assert max_abs_diff(prop.kick_antikick_propagator(alpha, gamma, dk, t), reference) <= 1e-15
+        u = prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t)
+        assert max_abs_diff(u, reference) <= 1e-15
 
     @given(st.floats(-3, 3), st.floats(0.01, 2), st.floats(0, 4), st.floats(0.01, 6), st.floats(0.01, 5))
     @settings(max_examples=150, deadline=None)
     def test_closed_form_elements(self, alpha, gamma, t1, ts, dt_after):
         # the factor product must reproduce the closed-form matrix entries
-        dk = DoubleKickParams(t1, t1 + ts)
-        t = dk.t2 + dt_after
-        u = prop.kick_antikick_propagator(alpha, gamma, dk, t)
-        zeta = gamma * (t - dk.separation)
-        gts, gtb = gamma * dk.separation, gamma * dk.midpoint
+        t2 = t1 + ts
+        t = t2 + dt_after
+        u = prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t)
+        zeta = gamma * (t - ts)
+        gts = gamma * ts
         u11 = np.exp(1j * zeta) * (math.cos(gts) + 1j * math.sin(gts) * math.cos(2 * alpha))
-        u12 = np.exp(1j * gamma * (t - 2 * dk.midpoint)) * math.sin(gts) * math.sin(2 * alpha)
+        u12 = np.exp(1j * gamma * (t - t1 - t2)) * math.sin(gts) * math.sin(2 * alpha)
         assert abs(u[0, 0] - u11) < 1e-12
         assert abs(u[0, 1] - u12) < 1e-12
         assert abs(u[1, 0] + np.conj(u12)) < 1e-12
         assert abs(u[1, 1] - np.conj(u11)) < 1e-12
         p2_closed = math.sin(gts) ** 2 * math.sin(2 * alpha) ** 2
         assert abs(probabilities(u, (1.0, 0.0))[1] - p2_closed) < 1e-12
-        del gtb
 
     def test_probability_closed_form_sweep(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
             alpha, gamma = rng.uniform(-3, 3), rng.uniform(0.01, 2)
-            dk = DoubleKickParams(rng.uniform(0, 3), rng.uniform(3, 8))
-            t = dk.t2 + rng.uniform(0.1, 4)
-            _, p2 = probabilities(prop.kick_antikick_propagator(alpha, gamma, dk, t), (1.0, 0.0))
-            expected = math.sin(gamma * dk.separation) ** 2 * math.sin(2 * alpha) ** 2
+            t1, t2 = rng.uniform(0, 3), rng.uniform(3, 8)
+            t = t2 + rng.uniform(0.1, 4)
+            u = prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t)
+            _, p2 = probabilities(u, (1.0, 0.0))
+            expected = math.sin(gamma * (t2 - t1)) ** 2 * math.sin(2 * alpha) ** 2
             assert abs(p2 - expected) < 1e-12
+
+
+def _flip(u, gamma):
+    # sigma_x H(gamma) sigma_x = H(-gamma): the routes that need gamma >= 0 cover gamma < 0
+    return SIGMA_X @ u @ SIGMA_X if gamma < 0.0 else u
+
+
+class TestKickSequence:
+    """Any number of ideal kicks, against routes that share no code with it."""
+
+    KICKS = st.lists(st.tuples(st.floats(-3, 3), st.floats(0, 30)), min_size=1, max_size=6).map(
+        lambda ks: sorted(ks, key=lambda k: k[1])
+    )
+
+    @given(KICKS, st.floats(-2, 2), st.floats(1e-3, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_explicit_factor_product(self, kicks, gamma, dt_after):
+        t = kicks[-1][1] + dt_after
+        product, last = IDENTITY, 0.0
+        for alpha, tk in kicks:
+            free = prop.free_propagator(SystemParams(abs(gamma)), tk - last)
+            product = prop.degenerate_propagator(alpha) @ free @ product
+            last = tk
+        product = prop.free_propagator(SystemParams(abs(gamma)), t - last) @ product
+        u = prop.kick_sequence_propagator(kicks, gamma, t)
+        assert max_abs_diff(u, _flip(product, gamma)) <= 1e-13
+
+    @given(KICKS, st.floats(-2, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_no_ordering_matches_the_numeric_kick_sum(self, kicks, gamma):
+        pulses = [ideal_kick(alpha, tk) for alpha, tk in kicks]
+        u_num = no_ordering_interaction_numeric(pulses, SystemParams(abs(gamma)), 30.0)
+        u = prop.no_ordering_interaction_kicks(kicks, gamma)
+        assert max_abs_diff(u, _flip(u_num, gamma)) <= 1e-13
+
+    def test_no_kicks_is_free_evolution(self):
+        u = prop.kick_sequence_propagator((), 0.8, 5.0)
+        assert max_abs_diff(u, prop.free_propagator(SystemParams(0.8), 5.0)) < 1e-15
+        assert max_abs_diff(prop.no_ordering_interaction_kicks((), 0.8), IDENTITY) == 0.0
+
+    @pytest.mark.parametrize(
+        "kicks, t",
+        [
+            (((1.0, 2.0), (0.5, 1.0)), 3.0),  # out of time order
+            (((1.0, 4.0),), 3.0),  # a kick after t
+            (((1.0, -0.5),), 3.0),  # a kick before 0
+            (((1.0, math.nan),), 3.0),
+        ],
+    )
+    def test_rejects_kicks_outside_time_order(self, kicks, t):
+        with pytest.raises(ValueError, match="time-ordered"):
+            prop.kick_sequence_propagator(kicks, 1.0, t)
 
 
 class TestRectangular:
     def test_beta_zero_is_kicked(self):
         u = prop.rectangular_propagator(1.1, 0.0, 0.7, 2.0, 5.0)
-        assert max_abs_diff(u, prop.kicked_propagator(1.1, 0.7, 2.0, 5.0)) < 1e-15
+        assert max_abs_diff(u, prop.kick_sequence_propagator(((1.1, 2.0),), 0.7, 5.0)) < 1e-15
 
     def test_alpha_zero_is_free(self):
         u = prop.rectangular_propagator(0.0, 0.4, 0.8, 2.0, 5.0)
@@ -278,7 +330,7 @@ class TestKickCorrections:
         for beta in betas:
             delta = (
                 prop.rectangular_propagator(alpha, float(beta), gamma, tk, t)
-                - prop.kicked_propagator(alpha, gamma, tk, t)
+                - prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
                 - prop.kick_correction_leading(alpha, float(beta), gamma, t, PulseShape.RECTANGULAR)
             )
             resid.append(float(np.max(np.abs(delta))))
@@ -289,7 +341,7 @@ class TestKickCorrections:
         # finite-width deviation of a gaussian pulse matches i beta g(alpha) structure
         params = hydrogen_2s2p()
         alpha, tk, t = 1.1, 150.0, 300.0
-        uk = prop.kicked_propagator(alpha, params.gamma, tk, t)
+        uk = prop.kick_sequence_propagator(((alpha, tk),), params.gamma, t)
         for tau in (2.0, 4.0):
             beta = params.gamma * tau
             u = rk4_propagator([gaussian(alpha, tau, tk)], params, 0.0, t,
@@ -333,7 +385,7 @@ class TestKickCorrections:
         tau = beta / gamma
         tk, t = 3.0 * tau, 6.0 * tau
         exact_delta = prop.rectangular_propagator(alpha, beta, gamma, tk, t) - \
-            prop.kicked_propagator(alpha, gamma, tk, t)
+            prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
         approx = prop.kick_correction_expansion(rectangular(alpha, tau, tk), SystemParams(gamma), t)
         assert max_abs_diff(exact_delta, approx) < 0.1 * np.max(np.abs(exact_delta))
 
@@ -359,13 +411,14 @@ class TestCommutatorCorrection:
         params = SystemParams(0.4)
         t = 20.0
         out = prop.commutator_correction(pulse, params, t)
-        j, _ = quad(lambda x: (t - 2 * x) * v_of_t([pulse], x), 0.0, t, limit=300)
+        v = envelope([pulse])
+        j, _ = quad(lambda x: (t - 2 * x) * v(x), 0.0, t, limit=300)
         assert max_abs_diff(out, 1j * params.gamma * j * SIGMA_Y) < 1e-10
 
     def test_predicts_leading_ordering_effect(self):
         # small alpha, small gamma*t: U_kick - U_average approaches this term
         alpha, gamma, tk, t = 1e-3, 1e-3, 6.0, 10.0
-        diff = prop.kicked_propagator(alpha, gamma, tk, t) - prop.no_ordering_schrodinger(
+        diff = prop.kick_sequence_propagator(((alpha, tk),), gamma, t) - prop.no_ordering_schrodinger(
             alpha, gamma * t
         )
         predicted = prop.commutator_correction(ideal_kick(alpha, tk), SystemParams(gamma), t)
@@ -428,13 +481,10 @@ class TestAdiabatic:
         fast = prop.adiabatic_propagator([gaussian(1.0, 0.05, 1.0)], unit_system(), 2.0)
         assert fast.validity_ratio > 1.0
 
-    def test_splitting_bounded_below_and_theta_monotone(self):
+    def test_theta_monotone(self):
         params = unit_system()
         pulse = [gaussian(0.8, 2.0, 15.0)]
-        thetas = []
-        for t in (5.0, 10.0, 15.0, 20.0, 30.0):
-            assert prop.instantaneous_splitting(pulse, params, t) >= 2.0 * params.gamma
-            thetas.append(prop.adiabatic_phase(pulse, params, t).theta)
+        thetas = [prop.adiabatic_phase(pulse, params, t).theta for t in (5.0, 10.0, 15.0, 20.0, 30.0)]
         assert all(b > a for a, b in zip(thetas, thetas[1:]))
 
     def test_phase_angles_at_endpoints(self):
@@ -499,9 +549,8 @@ class TestLimitWeb:
         assert d < self.TOL
 
     def test_kick_antikick_to_free(self):
-        dk = DoubleKickParams(1.0, 1.0 + self.OFFSET)
         d = max_abs_diff(
-            prop.kick_antikick_propagator(1.1, 0.8, dk, 3.0),
+            prop.kick_sequence_propagator(((1.1, 1.0), (-1.1, 1.0 + self.OFFSET)), 0.8, 3.0),
             prop.free_propagator(SystemParams(0.8), 3.0),
         )
         assert d < self.TOL
@@ -509,7 +558,7 @@ class TestLimitWeb:
     def test_rectangular_to_kicked(self):
         d = max_abs_diff(
             prop.rectangular_propagator(1.1, self.OFFSET, 0.8, 1.0, 3.0),
-            prop.kicked_propagator(1.1, 0.8, 1.0, 3.0),
+            prop.kick_sequence_propagator(((1.1, 1.0),), 0.8, 3.0),
         )
         assert d < self.TOL
 
@@ -532,14 +581,15 @@ def test_unitarity_random_sweep():
         alpha, beta = rng.uniform(-6, 6), rng.uniform(0, 2)
         gamma = rng.uniform(0, 2)
         t1 = rng.uniform(0, 10)
-        dk = DoubleKickParams(t1, t1 + rng.uniform(0, 10))
-        t = dk.t2 + rng.uniform(0.1, 10)
+        t2 = t1 + rng.uniform(0, 10)
+        t = t2 + rng.uniform(0.1, 10)
+        a = alpha * math.exp(-beta * beta)
         for u in (
             prop.no_ordering_schrodinger(alpha, gamma * t),
-            prop.no_ordering_interaction_single(alpha, beta, gamma * t1),
-            prop.no_ordering_interaction_double(alpha, beta, gamma, dk),
-            prop.kicked_propagator(alpha, gamma, t1, t),
-            prop.kick_antikick_propagator(alpha, gamma, dk, t),
+            prop.no_ordering_interaction_kicks(((a, t1),), gamma),
+            prop.no_ordering_interaction_kicks(((a, t1), (-a, t2)), gamma),
+            prop.kick_sequence_propagator(((alpha, t1),), gamma, t),
+            prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t),
             prop.rectangular_propagator(alpha, beta, gamma, t1, t),
         ):
             worst = max(worst, unitarity_defect(u))
@@ -548,15 +598,13 @@ def test_unitarity_random_sweep():
 
 def test_perturbative_ordering_onset_in_rotating_frame():
     # kick-antikick: ordering effects start at alpha^2; off-diagonals at alpha^3
-    gamma, dk = 0.9, DoubleKickParams(1.0, 3.0)
-    t = 4.5
+    gamma, t = 0.9, 4.5
     alphas = np.geomspace(3e-4, 3e-2, 8)
     full, offdiag = [], []
-    for alpha in alphas:
-        u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_antikick_propagator(
-            float(alpha), gamma, dk, t
-        )
-        diff = u_i - prop.no_ordering_interaction_double(float(alpha), 0.0, gamma, dk)
+    for alpha in alphas.tolist():
+        pair = ((alpha, 1.0), (-alpha, 3.0))
+        u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(pair, gamma, t)
+        diff = u_i - prop.no_ordering_interaction_kicks(pair, gamma)
         full.append(float(np.max(np.abs(diff))))
         offdiag.append(float(max(abs(diff[0, 1]), abs(diff[1, 0]))))
     assert error_scaling_fit(SweepSeries("a", alphas, {"d": np.array(full)})).slope >= 1.95
@@ -569,13 +617,10 @@ def test_time_reversal_composition():
         alpha, gamma = rng.uniform(-3, 3), rng.uniform(0, 2)
         tk = rng.uniform(0.1, 5)
         t = tk + rng.uniform(0.1, 5)
-        u = prop.kicked_propagator(alpha, gamma, tk, t)
-        u_rev = prop.kicked_propagator(-alpha, -gamma, t - tk, t)
+        u = prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
+        u_rev = prop.kick_sequence_propagator(((-alpha, t - tk),), -gamma, t)
         assert max_abs_diff(u_rev @ u, IDENTITY) < 1e-10
-        dk = DoubleKickParams(tk, t)
         tf = t + rng.uniform(0.1, 3)
-        u = prop.kick_antikick_propagator(alpha, gamma, dk, tf)
-        u_rev = prop.kick_antikick_propagator(
-            alpha, -gamma, DoubleKickParams(tf - dk.t2, tf - dk.t1), tf
-        )
+        u = prop.kick_sequence_propagator(((alpha, tk), (-alpha, t)), gamma, tf)
+        u_rev = prop.kick_sequence_propagator(((alpha, tf - t), (-alpha, tf - tk)), -gamma, tf)
         assert max_abs_diff(u_rev @ u, IDENTITY) < 1e-10

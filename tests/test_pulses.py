@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from kickedqubit import propagators as prop
 from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_numeric
 from kickedqubit.pulses import (
-    DoubleKickParams,
     PulseEvaluationError,
     PulseShape,
     SystemParams,
@@ -21,7 +20,6 @@ from kickedqubit.pulses import (
     integrated_strength,
     rectangular,
     unit_system,
-    v_of_t,
 )
 from kickedqubit.su2 import IDENTITY, PauliVector, max_abs_diff, probabilities
 
@@ -60,20 +58,20 @@ class TestSystemParams:
 class TestPulseEvaluation:
     def test_gaussian_peak_value(self):
         p = [gaussian(1.3, 2.0, 5.0)]
-        assert v_of_t(p, 5.0) == pytest.approx(1.3 / (math.sqrt(math.pi) * 2.0), rel=1e-14)
+        assert envelope(p)(5.0) == pytest.approx(1.3 / (math.sqrt(math.pi) * 2.0), rel=1e-14)
 
     def test_gaussian_tail_negligible(self):
         p = [gaussian(1.0, 2.0, 5.0)]
-        assert v_of_t(p, 5.0 + 16.0) < 1e-27 / 2.0
+        assert envelope(p)(5.0 + 16.0) < 1e-27 / 2.0
 
     def test_rectangular_top(self):
         p = [rectangular(0.8, 4.0, 10.0)]
-        assert v_of_t(p, 9.0) == pytest.approx(0.2, rel=1e-14)
-        assert v_of_t(p, 12.5) == 0.0
+        assert envelope(p)(9.0) == pytest.approx(0.2, rel=1e-14)
+        assert envelope(p)(12.5) == 0.0
 
     def test_kick_not_evaluable(self):
         with pytest.raises(PulseEvaluationError):
-            v_of_t([ideal_kick(1.0, 0.0)], 0.0)
+            envelope([ideal_kick(1.0, 0.0)])
 
     @pytest.mark.parametrize("make", [gaussian, rectangular])
     def test_overflowing_peak_rejected(self, make):
@@ -83,14 +81,15 @@ class TestPulseEvaluation:
 
     def test_overlapping_pulses_add(self):
         p = [gaussian(1.0, 2.0, 5.0), gaussian(-1.0, 2.0, 5.0)]
-        assert v_of_t(p, 4.0) == 0.0
+        assert envelope(p)(4.0) == 0.0
 
     def test_envelope_array_matches_scalar(self):
         p = [gaussian(0.7, 3.0, 8.0), rectangular(-0.2, 2.0, 4.0)]
         ts = np.linspace(0.0, 16.0, 37)
         vals = envelope_array(p, ts)
-        for t, v in zip(ts, vals):
-            assert v == pytest.approx(v_of_t(p, float(t)), abs=1e-15)
+        v = envelope(p)
+        for t, val in zip(ts, vals):
+            assert val == pytest.approx(v(float(t)), abs=1e-15)
 
 
 # The closure before each term was restricted to its window, kept as an
@@ -201,8 +200,9 @@ class TestIntegratedStrength:
 class TestPulseKernel:
     @pytest.mark.parametrize("pulse", [gaussian(0.8, 2.0, 7.0), rectangular(-0.6, 3.0, 9.0)])
     def test_first_moment_against_quadrature(self, pulse):
+        v = envelope([pulse])
         for t0, t1 in ((0.0, 20.0), (6.0, 8.5), (8.0, 30.0)):
-            ref, _ = quad(lambda x: x * v_of_t([pulse], x), t0, t1,
+            ref, _ = quad(lambda x: x * v(x), t0, t1,
                           points=pulse.window(), limit=300)
             assert pulse.first_moment(t0, t1) == pytest.approx(ref, abs=1e-12)
 
@@ -243,9 +243,10 @@ class TestPhaseAngles:
 def quadrature_interaction_integral(params, pulse, t):
     """Independent oracle: adaptive quadrature of the rotated coupling."""
     lo, hi = pulse.window()
-    cx = quad(lambda x: v_of_t([pulse], x) * math.cos(2 * params.gamma * x),
+    v = envelope([pulse])
+    cx = quad(lambda x: v(x) * math.cos(2 * params.gamma * x),
               max(lo, 0.0), min(hi, t), epsabs=1e-13, limit=300)[0]
-    cy = quad(lambda x: v_of_t([pulse], x) * math.sin(2 * params.gamma * x),
+    cy = quad(lambda x: v(x) * math.sin(2 * params.gamma * x),
               max(lo, 0.0), min(hi, t), epsabs=1e-13, limit=300)[0]
     return cx, cy
 
@@ -272,8 +273,9 @@ class TestInteractionPicture:
         params = hydrogen_2s2p()
         pulse = gaussian(math.pi / 2, 10.0, 150.0)
         cx, cy = quadrature_interaction_integral(params, pulse, 300.0)
-        u = prop.no_ordering_interaction_single(
-            pulse.alpha, params.gamma * pulse.tau, params.gamma * pulse.center
+        beta = params.gamma * pulse.tau
+        u = prop.no_ordering_interaction_kicks(
+            ((pulse.alpha * math.exp(-beta * beta), pulse.center),), params.gamma
         )
         assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), u) < 1e-10
 
@@ -283,45 +285,43 @@ class TestInteractionPicture:
         pulse = gaussian(1.9, 7.0, 111.0)
         cx, cy = quadrature_interaction_integral(params, pulse, 300.0)
         assert abs(cx) > 0.1 and abs(cy) > 0.1
-        u = prop.no_ordering_interaction_single(
-            pulse.alpha, params.gamma * pulse.tau, params.gamma * pulse.center
+        beta = params.gamma * pulse.tau
+        u = prop.no_ordering_interaction_kicks(
+            ((pulse.alpha * math.exp(-beta * beta), pulse.center),), params.gamma
         )
         assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), u) < 1e-10
 
 
 class TestAveragedInteractionSingle:
     def test_centered_pulse_is_pure_x(self):
-        u = prop.no_ordering_interaction_single(1.2, 0.0, 0.0)
+        u = prop.no_ordering_interaction_kicks(((1.2, 0.0),), 1.0)
         assert max_abs_diff(u, PauliVector(cx=1.2).exp_minus_i()) < 1e-15
 
     def test_kick_magnitude_has_no_width_damping(self):
-        u = prop.no_ordering_interaction_single(0.8, 0.0, 3.0)
+        u = prop.no_ordering_interaction_kicks(((0.8, 1.5),), 2.0)
         assert abs(u[0, 1]) == pytest.approx(math.sin(0.8), rel=1e-14)
 
 
 class TestAveragedInteractionDouble:
     def test_full_period_separation_cancels(self):
-        dk = DoubleKickParams(1.0, 1.0 + math.pi)  # gamma Ts = pi
-        u = prop.no_ordering_interaction_double(1.3, 0.2, 1.0, dk)
+        a = 1.3 * math.exp(-0.2**2)
+        u = prop.no_ordering_interaction_kicks(((a, 1.0), (-a, 1.0 + math.pi)), 1.0)  # gamma Ts = pi
         assert max_abs_diff(u, IDENTITY) < 1e-15
 
     def test_degenerate_system_cancels(self):
-        u = prop.no_ordering_interaction_double(1.3, 0.0, 0.0, DoubleKickParams(1.0, 4.0))
+        u = prop.no_ordering_interaction_kicks(((1.3, 1.0), (-1.3, 4.0)), 0.0)
         assert max_abs_diff(u, IDENTITY) == 0.0
 
     def test_direct_evaluation(self):
         # gamma Ts = pi/2 and gamma Tbar = pi/4 make the exponent pi/2 sigma_x
-        dk = DoubleKickParams(0.0, math.pi / 2)
-        u = prop.no_ordering_interaction_double(math.pi / 4, 0.0, 1.0, dk)
+        u = prop.no_ordering_interaction_kicks(((math.pi / 4, 0.0), (-math.pi / 4, math.pi / 2)), 1.0)
         assert max_abs_diff(u, PauliVector(cx=math.pi / 2).exp_minus_i()) < 1e-12
 
     def test_matches_narrow_pulse_quadrature_extrapolation(self):
         # tau -> 0 limit of gaussian pair quadratures, Richardson in tau^2
         params = hydrogen_2s2p()
         alpha, t1, t2 = 1.1, 120.0, 420.0
-        target = prop.no_ordering_interaction_double(
-            alpha, 0.0, params.gamma, DoubleKickParams(t1, t2)
-        )
+        target = prop.no_ordering_interaction_kicks(((alpha, t1), (-alpha, t2)), params.gamma)
 
         def components(tau):
             cx1, cy1 = quadrature_interaction_integral(params, gaussian(alpha, tau, t1), 700.0)
@@ -351,10 +351,3 @@ class TestAveragedSchrodinger:
         u0 = no_ordering_schrodinger_numeric([gaussian(1.0, 1.0, 50.0)], unit_system(), 10.0)
         assert max_abs_diff(u0, prop.free_propagator(unit_system(), 10.0)) < 1e-12
 
-
-def test_double_kick_params():
-    dk = DoubleKickParams(100.0, 586.0)
-    assert dk.separation == 486.0
-    assert dk.midpoint == 343.0
-    with pytest.raises(ValueError):
-        DoubleKickParams(2.0, 1.0)
