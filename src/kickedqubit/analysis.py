@@ -173,6 +173,14 @@ def _check_keys(overrides: dict, allowed: set[str], name: str) -> None:
         raise ValueError(f"scenario {name!r} does not accept overrides {sorted(unknown)}")
 
 
+def _bounded(key: str, value: float, low: float, *, strict: bool = False, low_label: str = "") -> float:
+    """value if it is finite and >= low (> low when strict); else ValueError naming key."""
+    if not ((value > low if strict else value >= low) and value < math.inf):
+        op = ">" if strict else ">="
+        raise ValueError(f"{key} must be finite and {op} {low_label or f'{low:g}'}, got {value:g}")
+    return value
+
+
 def no_ordering_p2_columns(
     pulses: PulseSequence,
     params: SystemParams,
@@ -239,7 +247,7 @@ def _time_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> Swee
     params = _system(overrides)
     single = name == "fig1"
     alpha = float(overrides.get("alpha", math.pi / 4 if name == "fig3" else math.pi / 2))
-    t_f = float(overrides.get("t_f", 300.0 if single else 700.0))
+    t_f = _bounded("t_f", float(overrides.get("t_f", 300.0 if single else 700.0)), 0.0)
     n = int(overrides.get("n_points", _TIME_POINTS))
     taus = (float(overrides["tau"]),) if "tau" in overrides else tuple(
         float(x) for x in overrides.get("taus", (1.0, 10.0, 100.0))
@@ -283,13 +291,16 @@ def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     t_k = float(overrides.get("t_k", 150.0))
     # the observation times are a reporting choice, recorded in the metadata
     obs = tuple(
-        float(x) for x in overrides.get("observation_times", (200.0, 300.0, 500.0))
+        _bounded("observation_times", float(x), 0.0)
+        for x in overrides.get("observation_times", (200.0, 300.0, 500.0))
     )
     if len(set(obs)) != len(obs):
         raise ValueError(f"observation_times must not repeat, got {obs}")
     n = int(overrides.get("n_points", _SWEEP_POINTS))
     taus = np.geomspace(
-        float(overrides.get("tau_min", 1.0)), float(overrides.get("tau_max", 300.0)), n
+        _bounded("tau_min", float(overrides.get("tau_min", 1.0)), 0.0, strict=True),
+        _bounded("tau_max", float(overrides.get("tau_max", 300.0)), 0.0, strict=True),
+        n,
     )
     g = params.gamma
     marks = np.array(sorted(obs))
@@ -340,8 +351,8 @@ def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSer
     params = _system(overrides)
     alpha = float(overrides.get("alpha", math.pi / 2))
     tau = float(overrides.get("tau", 10.0))
-    t_k = float(overrides.get("t_k", 150.0))
-    t_max = float(overrides.get("t_f", t_k + 2000.0))
+    t_k = _bounded("t_k", float(overrides.get("t_k", 150.0)), 0.0)
+    t_max = _bounded("t_f", float(overrides.get("t_f", t_k + 2000.0)), t_k, low_label=f"t_k = {t_k:g}")
     n = int(overrides.get("n_points", _TIME_POINTS))
     g = params.gamma
     beta = g * tau
@@ -389,9 +400,7 @@ def _separation_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -
         float(x) for x in overrides.get("alphas", (math.pi / 2, 3 * math.pi / 8, math.pi / 4))
     )
     n = int(overrides.get("n_points", _TIME_POINTS))
-    ts_max = float(overrides.get("ts_max", 2.0 * params.rabi_time))
-    if not 0.0 <= ts_max < math.inf:
-        raise ValueError(f"ts_max must be finite and >= 0, got {ts_max:g}")
+    ts_max = _bounded("ts_max", float(overrides.get("ts_max", 2.0 * params.rabi_time)), 0.0)
     g = params.gamma
     beta = g * tau
     seps = np.linspace(0.0, ts_max, n)

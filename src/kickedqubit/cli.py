@@ -51,11 +51,15 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+        value = sign * num * math.pi / den if den else math.nan
+    else:
+        try:
+            value = float(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
 
 
 _SHAPE_ALIASES = {
@@ -258,8 +262,12 @@ def _cmd_floquet(args) -> int:
         start, stop, count = args.sweep
         if not (count >= 1 and count.is_integer()):
             raise ValueError(f"--sweep COUNT must be a whole number >= 1, got {count:g}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"--sweep START and STOP must be finite, got {start:g} and {stop:g}")
         gts = np.linspace(start, stop, int(count))
     elif args.period is not None:
+        if not math.isfinite(args.period):
+            raise ValueError(f"--period must be finite, got {args.period:g}")
         gts = np.array([params.gamma * args.period])
     else:
         sys.stderr.write("error: give --period or --sweep\n")

@@ -26,8 +26,12 @@ because perfbench counts three envelope calls per step.
 
 This module also provides numerically constructed "no time ordering"
 evolutions in both frames; they serve as independent cross-checks of the
-closed forms in `propagators`.  scipy's `expm` is imported inside
-`no_ordering_schrodinger_numeric`, the one route that uses it.
+closed forms in `propagators`.  Both exponentiate with scipy's `expm`.  The
+rotating-frame one takes its exponent from `interaction_integral`, which
+integrates each pulse window by QUADPACK's Fourier-weighted QAWO rule.
+scipy is imported inside these three routes, so the integrator's import
+stays numpy-only.  `interaction_integral_series` is the cheap cumulative
+trapezoid behind the no-ordering CSV columns.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from .pulses import (
     envelope_array,
     integrated_strength,
 )
-from .su2 import SIGMA_X, SIGMA_Z, NonUnitaryError, PauliVector, norm_defect, unitarity_defect
+from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, unitarity_defect
 
 #: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping:
 #: with a gaussian pair about 20 s of work in long segments, and about a
@@ -330,51 +334,32 @@ def no_ordering_schrodinger_numeric(
     return expm(-1j * h_mean * t)
 
 
-def interaction_integral(
-    pulses: PulseSequence,
-    params: SystemParams,
-    t: float,
-    tol: float = 1e-10,
-) -> PauliVector:
-    """int_0^t of the rotating-frame coupling, as a Pauli vector.
+def interaction_integral(pulses: PulseSequence, params: SystemParams, t: float) -> complex:
+    """z = int_0^t v(t') e^{2 i gamma t'} dt', the rotating-frame coupling integral.
 
-    Finite pulses are integrated window by window with a trapezoid rule
-    refined by Richardson extrapolation to `tol`; kicks contribute exact
-    jumps alpha e^{2 i gamma t_kick}.
+    Kicks contribute exact jumps alpha e^{2 i gamma t_kick}.  Each finite
+    pulse's window, clipped to [0, t], is integrated by QUADPACK's QAWO
+    routine (scipy's quad with weight 'cos' and 'sin' at frequency
+    2 gamma), which builds the oscillating factor into its rule.
     """
-    g = params.gamma
-    total = 0.0 + 0.0j
+    from scipy.integrate import quad
+
+    w = 2.0 * params.gamma
+    z = 0.0 + 0.0j
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK:
             if 0.0 <= p.center <= t:
-                total += p.alpha * complex(
-                    math.cos(2.0 * g * p.center), math.sin(2.0 * g * p.center)
-                )
+                z += p.alpha * complex(math.cos(w * p.center), math.sin(w * p.center))
             continue
         lo, hi = p.window()
         lo, hi = max(lo, 0.0), min(hi, t)
         if hi <= lo:
             continue
-        total += _refined_trapezoid(
-            lambda x, pp=p: pp.value(x) * np.exp(2j * g * x), lo, hi, tol
-        )
-    return PauliVector(cx=total.real, cy=total.imag)
-
-
-def _refined_trapezoid(f, lo: float, hi: float, tol: float) -> complex:
-    n = 64
-    x = np.linspace(lo, hi, n + 1)
-    coarse = complex(np.trapezoid(f(x), x))
-    best = None
-    while n <= 2**20:
-        n *= 2
-        x = np.linspace(lo, hi, n + 1)
-        fine = complex(np.trapezoid(f(x), x))
-        refined = (4.0 * fine - coarse) / 3.0
-        if best is not None and abs(refined - best) <= tol * max(1.0, abs(refined)):
-            return refined
-        coarse, best = fine, refined
-    return best
+        v = envelope([p])
+        re = quad(v, lo, hi, weight="cos", wvar=w)[0]
+        im = quad(v, lo, hi, weight="sin", wvar=w)[0]
+        z += complex(re, im)
+    return z
 
 
 def no_ordering_interaction_numeric(
@@ -382,8 +367,11 @@ def no_ordering_interaction_numeric(
     params: SystemParams,
     t: float,
 ) -> np.ndarray:
-    """exp(-i int_0^t v_I dt'), exponentiated through the Pauli identity."""
-    return interaction_integral(pulses, params, t).exp_minus_i()
+    """exp(-i (Re z sigma_x + Im z sigma_y)) with z from interaction_integral, by expm."""
+    from scipy.linalg import expm
+
+    z = interaction_integral(pulses, params, t)
+    return expm(-1j * (z.real * SIGMA_X + z.imag * SIGMA_Y))
 
 
 def interaction_integral_series(

@@ -1,4 +1,5 @@
-"""2x2 complex algebra on the Pauli basis.
+"""2x2 complex algebra on the Pauli basis: the Pauli matrices, rotations
+exp(i phi n.sigma), unitarity and norm defects, occupation probabilities.
 
 States are length-2 complex ndarrays (amplitudes of the two basis
 states); propagators are 2x2 complex ndarrays.  Inside, each function
@@ -7,12 +8,13 @@ result, because numpy dispatch costs far more than the arithmetic on a
 2x2 matrix; numpy arrays appear only at the API boundary.  The
 largest-absolute-entry norm is used for all matrix defect measurements,
 and a NaN entry gives a NaN defect, which fails every `not defect <= tol`
-guard.
+guard.  The numeric no-ordering routes in `evolve` exponentiate with
+scipy's `expm`, not with `pauli_exponential`, so they share no code with
+the closed forms they check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,41 +83,3 @@ def probabilities(u: np.ndarray, initial) -> tuple[float, float]:
         raise NonUnitaryError(f"propagator is not unitary (defect {defect:.3e})")
     a = u @ np.asarray(initial, dtype=complex)
     return float(abs(a[0]) ** 2), float(abs(a[1]) ** 2)
-
-
-@dataclass(frozen=True)
-class PauliVector:
-    """Coefficients (c0, cx, cy, cz) of a matrix on the basis (1, sx, sy, sz)."""
-
-    c0: complex = 0.0
-    cx: complex = 0.0
-    cy: complex = 0.0
-    cz: complex = 0.0
-
-    def to_matrix(self) -> np.ndarray:
-        c0, cx, cy, cz = self.c0, self.cx, self.cy, self.cz
-        return np.array(
-            [[c0 + cz, cx - 1j * cy], [cx + 1j * cy, c0 - cz]], dtype=complex
-        )
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "PauliVector":
-        (a, b), (c, d) = np.asarray(m, dtype=complex).tolist()
-        return cls(c0=(a + d) / 2, cx=(b + c) / 2, cy=(c - b) / 2j, cz=(a - d) / 2)
-
-    def exp_minus_i(self) -> np.ndarray:
-        """exp(-i (c0 + c.sigma)) for real coefficients.
-
-        Uses cos(|c|) 1 - i sin(|c|) c.sigma/|c|, so the result is exactly
-        unitary instead of unitary to matrix-exponential accuracy.
-        """
-        coeffs = np.array([self.c0, self.cx, self.cy, self.cz], dtype=complex)
-        if np.max(np.abs(coeffs.imag)) > 1e-12:
-            raise ValueError("exp_minus_i requires real Pauli coefficients")
-        c0, cx, cy, cz = coeffs.real
-        m = math.sqrt(cx * cx + cy * cy + cz * cz)
-        if m == 0.0:
-            rot = IDENTITY.copy()
-        else:
-            rot = pauli_exponential(-m, (cx / m, cy / m, cz / m))
-        return complex(math.cos(c0), -math.sin(c0)) * rot

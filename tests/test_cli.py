@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,11 @@ class TestParsing:
         assert cli.parse_angle("0.75") == 0.75
         with pytest.raises(Exception):
             cli.parse_angle("two pi")
+
+    def test_angle_parser_rejects_non_finite(self):
+        for text in ("nan", "-inf", "1e400", "pi/0"):
+            with pytest.raises(Exception, match="angle must be finite"):
+                cli.parse_angle(text)
 
     def test_pulse_grammar(self):
         p = cli.parse_pulse("gaussian:alpha=pi/2,tau=10,center=150")
@@ -364,6 +370,29 @@ class TestFigure:
         assert out == ""
         assert err.startswith("error: ts_max must be finite and >= 0")
 
+    @pytest.mark.parametrize(
+        "name, override, message",
+        [
+            ("fig1", "t_f=nan", "t_f must be finite and >= 0, got nan"),
+            ("fig1", "t_f=inf", "t_f must be finite and >= 0, got inf"),
+            ("fig4_right", "t_f=nan", "t_f must be finite and >= t_k = 150, got nan"),
+            ("fig4_right", "t_f=10", "t_f must be finite and >= t_k = 150, got 10"),
+            ("fig4_right", "t_k=nan", "t_k must be finite and >= 0, got nan"),
+            ("fig4_left", "observation_times=nan", "observation_times must be finite and >= 0, got nan"),
+            ("fig4_left", "tau_min=0", "tau_min must be finite and > 0, got 0"),
+            ("fig4_left", "tau_max=inf", "tau_max must be finite and > 0, got inf"),
+        ],
+    )
+    def test_bad_grid_override_is_exit_1(self, capsys, name, override, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run_cli(
+                capsys, "figure", name, "--set", override, "--set", "n_points=3", "--out", "-",
+            )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_numerical_failure_is_exit_2(self, capsys):
         # a step far too coarse for tau = 10 ps: the norm drifts, as in propagate
         code, out, err = run_cli(
@@ -426,6 +455,26 @@ class TestFloquet:
         assert err == f"error: --sweep COUNT must be a whole number >= 1, got {float(count):g}\n"
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--sweep", "0", "inf", "3"), "error: --sweep START and STOP must be finite, got 0 and inf"),
+            (("--sweep", "nan", "1", "3"), "error: --sweep START and STOP must be finite, got nan and 1"),
+            (("--period", "nan"), "error: --period must be finite, got nan"),
+            (("--period", "inf"), "error: --period must be finite, got inf"),
+            (("--period", "1", "--alpha", "nan"), "error: argument --alpha: angle must be finite, got 'nan'"),
+            (("--period", "1", "--alpha", "inf"), "error: argument --alpha: angle must be finite, got 'inf'"),
+        ],
+    )
+    def test_non_finite_input_names_the_flag(self, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run_cli(capsys, "floquet", "--alpha", "1", "--gamma", "1", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == message
+
+
 class TestValidate:
     def test_quick_passes_within_budget(self, capsys):
         import time
@@ -453,3 +502,12 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--quick")
         assert code == 2
         assert "FAIL" in out
+
+    def test_quadrature_fault_fails_numeric_no_ordering(self, capsys, monkeypatch):
+        good = evolve.interaction_integral
+        # conjugating z flips the phase of every window's contribution
+        monkeypatch.setattr(evolve, "interaction_integral", lambda *args: good(*args).conjugate())
+        code, out, _ = run_cli(capsys, "validate", "--quick")
+        assert code == 2
+        verdicts = dict(line.split()[:2] for line in out.splitlines()[:-1])
+        assert verdicts["numeric-no-ordering"] == "FAIL"

@@ -2,9 +2,11 @@
 
 The CLI's propagate, figure and floquet commands need numpy only; scipy is
 imported inside the routes that use it (the quadrature closed forms in
-`propagators` and the expm route in `evolve`).  Each check runs in a fresh
-interpreter, because the test modules import scipy themselves.
+`propagators`, and the QAWO quadrature and expm routes in `evolve`).  Each
+check runs in a fresh interpreter, because the test modules import scipy
+themselves.
 """
+import cmath
 import json
 import math
 import os
@@ -81,7 +83,7 @@ def lazy_routes() -> dict:
     return run_fresh(
         f"""
         import json, math
-        from kickedqubit.evolve import no_ordering_schrodinger_numeric
+        from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_numeric
         from kickedqubit.propagators import (
             adiabatic_phase, kick_correction_expansion, kick_correction_shape_factor,
         )
@@ -91,7 +93,9 @@ def lazy_routes() -> dict:
             return [[z.real, z.imag] for z in m.ravel().tolist()]
 
         params = SystemParams(1.0)
-        out = {{"adiabatic": list(vars(adiabatic_phase([gaussian(0.8, 2.0, 5.0)], params, 10.0)).values())}}
+        z = interaction_integral([gaussian(0.7, 0.1, 1.0)], params, 2.0)
+        out = {{"interaction": [z.real, z.imag]}}
+        out["adiabatic"] = list(vars(adiabatic_phase([gaussian(0.8, 2.0, 5.0)], params, 10.0)).values())
         out["expansion"] = entries(kick_correction_expansion(gaussian(0.3, 0.05, 1.0), params, 2.0))
         out["shape"] = [
             kick_correction_shape_factor(a, PulseShape.GAUSSIAN) for a in {list(SHAPE_FACTORS)!r}
@@ -100,6 +104,12 @@ def lazy_routes() -> dict:
         print(json.dumps(out))
         """
     )
+
+
+def test_interaction_integral(lazy_routes):
+    # a completed gaussian: a e^{-beta^2} e^{2 i gamma T}, with beta = gamma tau = 0.1
+    z = complex(*lazy_routes["interaction"])
+    assert abs(z - 0.7 * math.exp(-0.01) * cmath.exp(2j * 1.0)) < 1e-13
 
 
 def test_adiabatic_phase(lazy_routes):

@@ -314,9 +314,23 @@ class TestNoOrderingNumeric:
     def test_interaction_kick_jumps(self):
         params = unit_system()
         kicks = [ideal_kick(0.7, 1.0), ideal_kick(-0.7, 2.0)]
-        pv = interaction_integral(kicks, params, 3.0)
+        z = interaction_integral(kicks, params, 3.0)
         expected = 0.7 * (np.exp(2j * 1.0) - np.exp(2j * 2.0))
-        assert complex(pv.cx, pv.cy) == pytest.approx(expected, abs=1e-14)
+        assert z == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "gamma, t",
+        [(0.7, 20.0), (0.05, 20.0), (1.9, 20.0), (0.7, 9.0)],  # the last clips at t
+    )
+    def test_interaction_integral_of_rectangles(self, gamma, t):
+        # (peak / 2 i gamma)(e^{2 i gamma hi} - e^{2 i gamma lo}) per window clipped to [0, t]
+        pulses = [rectangular(0.8, 3.0, 1.0), rectangular(-1.3, 4.0, 8.0)]
+        expected = 0.0
+        for p in pulses:
+            lo, hi = max(p.window()[0], 0.0), min(p.window()[1], t)
+            expected += p.peak / (2j * gamma) * (np.exp(2j * gamma * hi) - np.exp(2j * gamma * lo))
+        z = interaction_integral(pulses, SystemParams(gamma), t)
+        assert abs(z - expected) < 1e-13
 
     def test_integral_series_matches_single_time_quadrature(self):
         params = HYDROGEN
@@ -324,8 +338,7 @@ class TestNoOrderingNumeric:
         times = np.array([50.0, 150.0, 350.0, 500.0])
         series_vals = interaction_integral_series(pulses, params, 0.0, times)
         for t, val in zip(times, series_vals):
-            pv = interaction_integral(pulses, params, float(t))
-            assert abs(complex(pv.cx, pv.cy) - val) < 1e-7
+            assert abs(interaction_integral(pulses, params, float(t)) - val) < 1e-7
 
 
 class TestConvergence:

@@ -22,7 +22,6 @@ from kickedqubit.pulses import (
 )
 from kickedqubit.su2 import (
     IDENTITY,
-    PauliVector,
     SIGMA_X,
     SIGMA_Y,
     X_AXIS,
@@ -122,7 +121,7 @@ class TestNoOrderingInteraction:
         a = 3 * math.pi / 8 * math.exp(-0.0323**2)
         # each completed gaussian contributes alpha_k e^{-beta^2} e^{2 i gamma T_k}
         avg = a * (np.exp(2j * gamma * t1) - np.exp(2j * gamma * t2))
-        u_ref = PauliVector(cx=avg.real, cy=avg.imag).exp_minus_i()
+        u_ref = expm(-1j * (avg.real * SIGMA_X + avg.imag * SIGMA_Y))
         u = prop.no_ordering_interaction_kicks(((a, t1), (-a, t2)), gamma)
         assert max_abs_diff(u, u_ref) < 1e-10
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from kickedqubit import propagators as prop
 from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_numeric
@@ -21,7 +22,15 @@ from kickedqubit.pulses import (
     rectangular,
     unit_system,
 )
-from kickedqubit.su2 import IDENTITY, PauliVector, max_abs_diff, probabilities
+from kickedqubit.su2 import (
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
+    X_AXIS,
+    max_abs_diff,
+    pauli_exponential,
+    probabilities,
+)
 
 
 class TestSystemParams:
@@ -218,10 +227,9 @@ class TestPhaseAngles:
 
     def test_hydrogen_beta(self):
         # a completed gaussian is damped by e^{-beta^2} in the rotating frame
-        pv = interaction_integral([gaussian(1.0, 10.0, 100.0)], hydrogen_2s2p(), 300.0)
+        z = interaction_integral([gaussian(1.0, 10.0, 100.0)], hydrogen_2s2p(), 300.0)
         beta = math.pi * 10.0 / 972.0
-        norm = math.sqrt(abs(pv.cx) ** 2 + abs(pv.cy) ** 2 + abs(pv.cz) ** 2)
-        assert norm == pytest.approx(math.exp(-beta * beta), rel=1e-9)
+        assert abs(z) == pytest.approx(math.exp(-beta * beta), rel=1e-9)
 
     def test_degenerate(self):
         # gamma = 0: beta = gamma t = 0 and xi = alpha, so the bare average is degenerate
@@ -240,62 +248,55 @@ class TestPhaseAngles:
         assert abs(u[0, 1]) == pytest.approx(3.0 * abs(math.sin(5.0)) / 5.0, rel=1e-14)
 
 
-def quadrature_interaction_integral(params, pulse, t):
-    """Independent oracle: adaptive quadrature of the rotated coupling."""
-    lo, hi = pulse.window()
-    v = envelope([pulse])
-    cx = quad(lambda x: v(x) * math.cos(2 * params.gamma * x),
-              max(lo, 0.0), min(hi, t), epsabs=1e-13, limit=300)[0]
-    cy = quad(lambda x: v(x) * math.sin(2 * params.gamma * x),
-              max(lo, 0.0), min(hi, t), epsabs=1e-13, limit=300)[0]
-    return cx, cy
+def exp_rotating(z):
+    """exp(-i (Re z sigma_x + Im z sigma_y)) by scipy's expm."""
+    return expm(-1j * (z.real * SIGMA_X + z.imag * SIGMA_Y))
 
 
 class TestInteractionPicture:
     def test_degenerate_frame_coincides(self):
         pulses = [gaussian(1.0, 2.0, 15.0)]
-        pv = interaction_integral(pulses, SystemParams(0.0), 40.0)
-        assert pv.cy == 0.0
-        assert pv.cx == pytest.approx(integrated_strength(pulses, 0.0, 40.0), abs=1e-12)
+        z = interaction_integral(pulses, SystemParams(0.0), 40.0)
+        assert z.imag == 0.0
+        assert z.real == pytest.approx(integrated_strength(pulses, 0.0, 40.0), abs=1e-12)
 
     def test_t_zero_has_no_phase(self):
-        pv = interaction_integral([ideal_kick(1.0, 0.0)], unit_system(), 1.0)
-        assert (pv.cx, pv.cy) == (1.0, 0.0)
+        z = interaction_integral([ideal_kick(1.0, 0.0)], unit_system(), 1.0)
+        assert (z.real, z.imag) == (1.0, 0.0)
 
     @given(st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.0, 20.0))
     @settings(max_examples=100, deadline=None)
     def test_rotation_preserves_magnitude(self, gamma, alpha, t):
-        pv = interaction_integral([ideal_kick(alpha, 8.0)], SystemParams(gamma), 8.0 + t)
-        norm = math.sqrt(abs(pv.cx) ** 2 + abs(pv.cy) ** 2 + abs(pv.cz) ** 2)
-        assert norm == pytest.approx(abs(alpha), abs=1e-12)
+        z = interaction_integral([ideal_kick(alpha, 8.0)], SystemParams(gamma), 8.0 + t)
+        assert abs(z) == pytest.approx(abs(alpha), abs=1e-12)
 
     def test_single_pulse_closed_form_vs_quadrature(self):
         params = hydrogen_2s2p()
         pulse = gaussian(math.pi / 2, 10.0, 150.0)
-        cx, cy = quadrature_interaction_integral(params, pulse, 300.0)
+        z = interaction_integral([pulse], params, 300.0)
         beta = params.gamma * pulse.tau
         u = prop.no_ordering_interaction_kicks(
             ((pulse.alpha * math.exp(-beta * beta), pulse.center),), params.gamma
         )
-        assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), u) < 1e-10
+        assert max_abs_diff(exp_rotating(z), u) < 1e-10
 
     def test_closed_form_at_generic_phase(self):
         # arbitrary center so both quadrature components are exercised
         params = SystemParams(0.0323)
         pulse = gaussian(1.9, 7.0, 111.0)
-        cx, cy = quadrature_interaction_integral(params, pulse, 300.0)
-        assert abs(cx) > 0.1 and abs(cy) > 0.1
+        z = interaction_integral([pulse], params, 300.0)
+        assert abs(z.real) > 0.1 and abs(z.imag) > 0.1
         beta = params.gamma * pulse.tau
         u = prop.no_ordering_interaction_kicks(
             ((pulse.alpha * math.exp(-beta * beta), pulse.center),), params.gamma
         )
-        assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), u) < 1e-10
+        assert max_abs_diff(exp_rotating(z), u) < 1e-10
 
 
 class TestAveragedInteractionSingle:
     def test_centered_pulse_is_pure_x(self):
         u = prop.no_ordering_interaction_kicks(((1.2, 0.0),), 1.0)
-        assert max_abs_diff(u, PauliVector(cx=1.2).exp_minus_i()) < 1e-15
+        assert max_abs_diff(u, pauli_exponential(-1.2, X_AXIS)) < 1e-15
 
     def test_kick_magnitude_has_no_width_damping(self):
         u = prop.no_ordering_interaction_kicks(((0.8, 1.5),), 2.0)
@@ -315,7 +316,7 @@ class TestAveragedInteractionDouble:
     def test_direct_evaluation(self):
         # gamma Ts = pi/2 and gamma Tbar = pi/4 make the exponent pi/2 sigma_x
         u = prop.no_ordering_interaction_kicks(((math.pi / 4, 0.0), (-math.pi / 4, math.pi / 2)), 1.0)
-        assert max_abs_diff(u, PauliVector(cx=math.pi / 2).exp_minus_i()) < 1e-12
+        assert max_abs_diff(u, pauli_exponential(-math.pi / 2, X_AXIS)) < 1e-12
 
     def test_matches_narrow_pulse_quadrature_extrapolation(self):
         # tau -> 0 limit of gaussian pair quadratures, Richardson in tau^2
@@ -323,16 +324,14 @@ class TestAveragedInteractionDouble:
         alpha, t1, t2 = 1.1, 120.0, 420.0
         target = prop.no_ordering_interaction_kicks(((alpha, t1), (-alpha, t2)), params.gamma)
 
-        def components(tau):
-            cx1, cy1 = quadrature_interaction_integral(params, gaussian(alpha, tau, t1), 700.0)
-            cx2, cy2 = quadrature_interaction_integral(params, gaussian(-alpha, tau, t2), 700.0)
-            return np.array([cx1 + cx2, cy1 + cy2])
+        def integral(tau):
+            return interaction_integral(
+                [gaussian(alpha, tau, t1), gaussian(-alpha, tau, t2)], params, 700.0
+            )
 
         tau = 0.03 / params.gamma  # beta = 0.03
-        fine = components(tau / math.sqrt(2.0))
-        coarse = components(tau)
-        cx, cy = 2.0 * fine - coarse
-        assert max_abs_diff(PauliVector(cx=cx, cy=cy).exp_minus_i(), target) < 1e-6
+        z = 2.0 * integral(tau / math.sqrt(2.0)) - integral(tau)
+        assert max_abs_diff(exp_rotating(z), target) < 1e-6
 
 
 class TestAveragedSchrodinger:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from kickedqubit.su2 import (
     IDENTITY,
     NonUnitaryError,
-    PauliVector,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -45,19 +45,6 @@ def reference_pauli_exponential(phi, axis):
 
 def reference_unitarity_defect(m):
     return float(np.max(np.abs(m.conj().T @ m - IDENTITY)))
-
-
-def reference_to_matrix(pv):
-    return pv.c0 * IDENTITY + pv.cx * SIGMA_X + pv.cy * SIGMA_Y + pv.cz * SIGMA_Z
-
-
-def reference_from_matrix(m):
-    return (
-        complex(m[0, 0] + m[1, 1]) / 2,
-        complex(m[0, 1] + m[1, 0]) / 2,
-        complex(m[1, 0] - m[0, 1]) / 2j,
-        complex(m[0, 0] - m[1, 1]) / 2,
-    )
 
 
 # unit axes that hit signed zeros and exact +-1 components as well as generic ones
@@ -110,17 +97,6 @@ def test_unitarity_defect_is_nan_when_any_entry_is_nan(m, k, bad):
     m = m.copy()
     m.flat[k] = bad
     assert math.isnan(unitarity_defect(m))
-
-
-@given(st.tuples(*(st.floats(-1e6, 1e6) for _ in range(8))))
-@settings(max_examples=300, deadline=None)
-def test_pauli_vector_matches_the_numpy_route(parts):
-    pv = PauliVector(*(complex(parts[i], parts[i + 1]) for i in range(0, 8, 2)))
-    m = pv.to_matrix()
-    assert m.dtype == complex
-    assert np.array_equal(m, reference_to_matrix(pv))
-    back = PauliVector.from_matrix(m)
-    assert (back.c0, back.cx, back.cy, back.cz) == reference_from_matrix(m)
 
 
 def test_zero_angle_is_identity():
@@ -235,37 +211,10 @@ class TestProbabilities:
             probabilities(np.full((2, 2), np.nan, dtype=complex), (1, 0))
 
 
-@given(
-    st.tuples(*(st.floats(-3, 3) for _ in range(8))),
-)
-@settings(max_examples=200, deadline=None)
-def test_pauli_vector_round_trip(parts):
-    pv = PauliVector(
-        complex(parts[0], parts[1]),
-        complex(parts[2], parts[3]),
-        complex(parts[4], parts[5]),
-        complex(parts[6], parts[7]),
-    )
-    back = PauliVector.from_matrix(pv.to_matrix())
-    for a, b in zip((pv.c0, pv.cx, pv.cy, pv.cz), (back.c0, back.cx, back.cy, back.cz)):
-        assert abs(a - b) < 1e-14
-
-
-def test_pauli_vector_basis_decomposition():
-    assert PauliVector.from_matrix(SIGMA_X) == PauliVector(cx=1.0)
-    assert PauliVector.from_matrix(SIGMA_Y) == PauliVector(cy=1.0)
-    assert PauliVector.from_matrix(SIGMA_Z) == PauliVector(cz=1.0)
-
-
-def test_exp_minus_i_matches_direct_rotation():
-    pv = PauliVector(c0=0.4, cx=0.3, cy=-1.1, cz=0.7)
-    m = math.sqrt(0.3**2 + 1.1**2 + 0.7**2)
-    axis = (0.3 / m, -1.1 / m, 0.7 / m)
-    expected = np.exp(-0.4j) * pauli_exponential(-m, axis)
-    assert max_abs_diff(pv.exp_minus_i(), expected) < 1e-14
-    assert unitarity_defect(pv.exp_minus_i()) < 1e-14
-
-
-def test_exp_minus_i_rejects_complex_coefficients():
-    with pytest.raises(ValueError):
-        PauliVector(cx=1j).exp_minus_i()
+def test_pauli_exponential_matches_expm():
+    # exp(-i (c0 + c.sigma)) = e^{-i c0} exp(i (-|c|) c.sigma/|c|), against scipy's expm
+    c0, c = 0.4, np.array([0.3, -1.1, 0.7])
+    m = float(np.linalg.norm(c))
+    expected = expm(-1j * (c0 * IDENTITY + c[0] * SIGMA_X + c[1] * SIGMA_Y + c[2] * SIGMA_Z))
+    u = np.exp(-1j * c0) * pauli_exponential(-m, tuple((c / m).tolist()))
+    assert max_abs_diff(u, expected) < 1e-14
