@@ -249,9 +249,9 @@ def _time_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> Swee
     alpha = float(overrides.get("alpha", math.pi / 4 if name == "fig3" else math.pi / 2))
     t_f = _bounded("t_f", float(overrides.get("t_f", 300.0 if single else 700.0)), 0.0)
     n = int(overrides.get("n_points", _TIME_POINTS))
-    taus = (float(overrides["tau"]),) if "tau" in overrides else tuple(
-        float(x) for x in overrides.get("taus", (1.0, 10.0, 100.0))
-    )
+    key = "tau" if "tau" in overrides else "taus"
+    given = (overrides["tau"],) if "tau" in overrides else overrides.get("taus", (1.0, 10.0, 100.0))
+    taus = tuple(_bounded(key, float(x), 0.0, strict=True) for x in given)
     times = np.linspace(0.0, t_f, n)
     columns: dict[str, np.ndarray] = {}
     meta: dict[str, Any] = {
@@ -261,12 +261,12 @@ def _time_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> Swee
         "taus_ps": taus,
     }
     if single:
-        t_k = float(overrides.get("t_k", 150.0))
+        t_k = _bounded("t_k", float(overrides.get("t_k", 150.0)), 0.0)
         meta["t_k_ps"] = t_k
         pulse_sets = {tau: [gaussian(alpha, tau, t_k)] for tau in taus}
     else:
-        t1 = float(overrides.get("t1", 100.0))
-        t2 = float(overrides.get("t2", 586.0))
+        t1 = _bounded("t1", float(overrides.get("t1", 100.0)), 0.0)
+        t2 = _bounded("t2", float(overrides.get("t2", 586.0)), 0.0)
         meta["t1_ps"], meta["t2_ps"] = t1, t2
         pulse_sets = {
             tau: [gaussian(alpha, tau, t1), gaussian(-alpha, tau, t2)] for tau in taus
@@ -288,7 +288,7 @@ def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     )
     params = _system(overrides)
     alpha = float(overrides.get("alpha", math.pi / 2))
-    t_k = float(overrides.get("t_k", 150.0))
+    t_k = _bounded("t_k", float(overrides.get("t_k", 150.0)), 0.0)
     # the observation times are a reporting choice, recorded in the metadata
     obs = tuple(
         _bounded("observation_times", float(x), 0.0)
@@ -350,7 +350,7 @@ def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSer
     )
     params = _system(overrides)
     alpha = float(overrides.get("alpha", math.pi / 2))
-    tau = float(overrides.get("tau", 10.0))
+    tau = _bounded("tau", float(overrides.get("tau", 10.0)), 0.0, strict=True)
     t_k = _bounded("t_k", float(overrides.get("t_k", 150.0)), 0.0)
     t_max = _bounded("t_f", float(overrides.get("t_f", t_k + 2000.0)), t_k, low_label=f"t_k = {t_k:g}")
     n = int(overrides.get("n_points", _TIME_POINTS))
@@ -395,7 +395,8 @@ def _separation_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -
     )
     params = _system(overrides)
     tau = float(overrides.get("tau", 10.0 if name == "fig5_left" else 100.0))
-    t1 = float(overrides.get("t1", 100.0))
+    tau = _bounded("tau", tau, 0.0, strict=True)
+    t1 = _bounded("t1", float(overrides.get("t1", 100.0)), 0.0)
     alphas = tuple(
         float(x) for x in overrides.get("alphas", (math.pi / 2, 3 * math.pi / 8, math.pi / 4))
     )

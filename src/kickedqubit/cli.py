@@ -155,15 +155,12 @@ def _cmd_propagate(args) -> int:
     params, preset_label = _system_from_args(args)
     pulses = list(args.pulse)
     if args.samples < 1:
-        sys.stderr.write("error: --samples must be at least 1\n")
-        return 1
+        raise ValueError("--samples must be at least 1")
     given = [args.t0, args.t1] + ([] if args.dt is None else [args.dt])
     if not all(math.isfinite(x) for x in given):
-        sys.stderr.write("error: --t0, --t1 and --dt must be finite\n")
-        return 1
+        raise ValueError("--t0, --t1 and --dt must be finite")
     if args.t0 < 0.0 or args.t1 < args.t0 or any(p.center < 0.0 for p in pulses):
-        sys.stderr.write("error: times must be non-negative with t1 >= t0\n")
-        return 1
+        raise ValueError("times must be non-negative with t1 >= t0")
     _warn_scales(pulses, params, args.t1 - args.t0, preset_label)
     cfg = IntegratorConfig(dt=args.dt)
     times = np.linspace(args.t0, args.t1, args.samples)
@@ -264,14 +261,18 @@ def _cmd_floquet(args) -> int:
             raise ValueError(f"--sweep COUNT must be a whole number >= 1, got {count:g}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"--sweep START and STOP must be finite, got {start:g} and {stop:g}")
+        if not math.isfinite(stop - start):
+            raise ValueError(f"--sweep STOP - START must be finite, got {stop - start:g}")
         gts = np.linspace(start, stop, int(count))
     elif args.period is not None:
         if not math.isfinite(args.period):
             raise ValueError(f"--period must be finite, got {args.period:g}")
-        gts = np.array([params.gamma * args.period])
+        gt = params.gamma * args.period
+        if not math.isfinite(gt):
+            raise ValueError(f"--period times gamma must be finite, got {gt:g}")
+        gts = np.array([gt])
     else:
-        sys.stderr.write("error: give --period or --sweep\n")
-        return 1
+        raise ValueError("give --period or --sweep")
     rows = []
     for gt in gts:
         res = propagators.floquet_eigenphases(args.alpha, float(gt))

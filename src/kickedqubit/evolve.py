@@ -15,14 +15,16 @@ given, one row per requested time.  `rk4_propagator` integrates one basis
 state per call: the Hamiltonian is traceless and Hermitian, so the second
 column of the propagator is the SU(2) completion of the first.
 
-The stepping kernel `_rk4_span` runs a segment of SMALL or more steps in
-blocks of at most BLOCK: it evaluates the coupling for a whole block,
-builds each step's matrix with numpy and multiplies them pairwise.  Short
-segments, such as the ones a dense sampling grid cuts, take the scalar
-loop.  Both call the scalar envelope closure three times per step, at the
-step's start, midpoint and end, on the same floats.  The end of one step
-is the start of the next, so one call in three repeats a value; it is kept
-because perfbench counts three envelope calls per step.
+The stepping kernel `_rk4_span` writes the RK4 step once, in `_step_map`,
+as the SU(2) map [[1 + d, -q*], [q, 1 + d*]] with the identity kept apart.
+A composer multiplies a block of at most BLOCK such maps into one, and the
+state is updated once per block: `_block_map` builds and multiplies them
+pairwise with numpy for segments of SMALL or more steps, `_short_map` one
+at a time for the short segments a dense sampling grid cuts.  Both call
+the scalar envelope closure three times per step, at the step's start,
+midpoint and end, on the same floats.  The end of one step is the start of
+the next, so one call in three repeats a value; it is kept because
+perfbench counts three envelope calls per step.
 
 This module also provides numerically constructed "no time ordering"
 evolutions in both frames; they serve as independent cross-checks of the
@@ -117,64 +119,30 @@ def _rk4_span(
     contribution, constant within a segment, so that evaluations at the
     segment boundaries never see the wrong side of a discontinuity.
 
-    Segments of SMALL steps or more run as blocks of at most BLOCK steps
-    through _block_map, which calls v at the loop's floats in the loop's
-    order; shorter segments take the scalar loop.
+    Each block of at most BLOCK steps becomes one map (d, q) that updates
+    the state once: _block_map builds it from SMALL steps on, _short_map
+    below, both calling v at the same floats in the same order.
     """
     h = (t1 - t0) / n
     ig = 1j * gamma
+    compose = _block_map if n >= SMALL else _short_map
     t = t0
-    if n >= SMALL:
-        while n > 0:
-            m = min(n, BLOCK)
-            d, q, t = _block_map(v, v_const, ig, t, h, m)
-            a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
-            n -= m
-        return a1, a2
-    # loop invariants hoisted as the products group: 0.5 * h * k is (0.5 * h) * k
-    half, sixth, mig = 0.5 * h, h / 6.0, -ig
-    for _ in range(n):
-        ivt = 1j * (v(t) + v_const)
-        ivm = 1j * (v(t + half) + v_const)
-        ive = 1j * (v(t + h) + v_const)
-        k1a = ig * a1 - ivt * a2
-        k1b = mig * a2 - ivt * a1
-        x1 = a1 + half * k1a
-        x2 = a2 + half * k1b
-        k2a = ig * x1 - ivm * x2
-        k2b = mig * x2 - ivm * x1
-        x1 = a1 + half * k2a
-        x2 = a2 + half * k2b
-        k3a = ig * x1 - ivm * x2
-        k3b = mig * x2 - ivm * x1
-        x1 = a1 + h * k3a
-        x2 = a2 + h * k3b
-        k4a = ig * x1 - ive * x2
-        k4b = mig * x2 - ive * x1
-        a1 = a1 + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-        a2 = a2 + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-        t += h
+    while n > 0:
+        m = min(n, BLOCK)
+        d, q, t = compose(v, v_const, ig, t, h, m)
+        a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
+        n -= m
     return a1, a2
 
 
-def _block_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
-    """m RK4 steps from time t as one matrix [[1 + d, -q*], [q, 1 + d*]].
+def _step_map(ig, h: float, ivt, ivm, ive):
+    """One RK4 step as the map [[1 + d, -q*], [q, 1 + d*]]; returns (d, q).
 
-    Each step's matrix is a real combination of 1 and i sigma_{x,y,z}, so
-    the step formula run on the basis column (1, 0) gives it whole, and the
-    form is closed under the product.  The identity is kept apart: rounding
-    1 + d at every step would repeat the same error over a stretch of equal
-    steps.  Returns (d, q, the time after the last step).
+    The matrix is a real combination of 1 and i sigma_{x,y,z}, so the step
+    run on the column (1, 0) gives it whole.  ivt, ivm and ive are i v at the
+    step's start, midpoint and end: scalars, or arrays with one per step.
     """
-    times = np.full(m + 1, h)
-    times[0] = t
-    times = np.add.accumulate(times)  # sequential: the scalar loop's t += h, bit for bit
-    tk = times[:m]
-    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=1).ravel().tolist()
-    iv = 1j * (np.fromiter(map(v, grid), float, count=3 * m).reshape(m, 3) + v_const)
-    ivt, ivm, ive = iv[:, 0], iv[:, 1], iv[:, 2]
     half, sixth, mig = 0.5 * h, h / 6.0, -ig
-    # the scalar step with a1 = 1, a2 = 0
     k1a = ig
     k1b = -ivt
     x1 = 1.0 + half * k1a
@@ -189,8 +157,37 @@ def _block_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
     x2 = h * k3b
     k4a = ig * x1 - ive * x2
     k4b = mig * x2 - ive * x1
-    d = sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-    q = sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+    return sixth * (k1a + 2.0 * (k2a + k3a) + k4a), sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+
+
+def _short_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
+    """_block_map's (d, q, t) for m steps, composed one step at a time."""
+    for k in range(m):
+        dl, ql = _step_map(
+            ig, h, 1j * (v(t) + v_const), 1j * (v(t + 0.5 * h) + v_const), 1j * (v(t + h) + v_const)
+        )
+        if k:  # the later step on the left
+            d, q = dl + d + (dl * d - ql.conjugate() * q), ql + q + (ql * d + dl.conjugate() * q)
+        else:
+            d, q = dl, ql
+        t += h
+    return d, q, t
+
+
+def _block_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
+    """m RK4 steps from time t as one map (d, q), multiplied pairwise.
+
+    The identity is kept apart: rounding 1 + d at every step would repeat
+    the same error over a stretch of equal steps.  Returns (d, q, the time
+    after the last step).
+    """
+    times = np.full(m + 1, h)
+    times[0] = t
+    times = np.add.accumulate(times)  # sequential: _short_map's t += h, bit for bit
+    tk = times[:m]
+    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=1).ravel().tolist()
+    iv = 1j * (np.fromiter(map(v, grid), float, count=3 * m).reshape(m, 3) + v_const)
+    d, q = _step_map(ig, h, iv[:, 0], iv[:, 1], iv[:, 2])
     # pairwise product, later steps on the left; an odd last map waits a round
     while d.size > 1:
         e = d.size // 2 * 2

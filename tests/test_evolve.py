@@ -171,14 +171,14 @@ _SPAN_STEPS = st.sampled_from(
     st.floats(-2.0, 2.0),
     st.floats(0.0, math.pi),
 )
-def test_block_kernel_matches_the_scalar_loop(pulses, n, t0, span, gamma, theta):
+def test_block_and_short_composers_agree(pulses, n, t0, span, gamma, theta):
     # the same envelope calls at the same floats, the same amplitudes to rounding
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
     shape = envelope(smooth) if smooth else (lambda _t: 0.0)
     v_const = sum(p.peak for p in pulses if p.shape is PulseShape.RECTANGULAR)
     a1, a2 = math.cos(theta), 1j * math.sin(theta)
     runs = []
-    for small in (n + 1, evolve.SMALL):  # scalar loop forced, then the kernel as shipped
+    for small in (n + 1, evolve.SMALL):  # short composer forced, then the kernel as shipped
         calls = []
 
         def v(t):
@@ -187,22 +187,25 @@ def test_block_kernel_matches_the_scalar_loop(pulses, n, t0, span, gamma, theta)
 
         with mock.patch.object(evolve, "SMALL", small):
             runs.append((evolve._rk4_span(v, v_const, gamma, a1, a2, t0, t0 + span, n), calls))
-    (scalar, scalar_calls), (kernel, kernel_calls) = runs
+    (short, short_calls), (kernel, kernel_calls) = runs
     assert len(kernel_calls) == 3 * n
-    assert kernel_calls == scalar_calls
-    # over thousands of near-identity steps (tiny gamma and coupling) the scalar
-    # loop's rounding piles up to about n eps / 8, so the bound grows with n there
+    assert kernel_calls == short_calls
+    # composing one step at a time rounds differently from pairwise products, and
+    # the gap grows with n: up to about n eps / 10 over thousands of forced steps
     tol = max(1e-13, n * np.finfo(float).eps)
-    assert abs(kernel[0] - scalar[0]) <= tol
-    assert abs(kernel[1] - scalar[1]) <= tol
+    assert abs(kernel[0] - short[0]) <= tol
+    assert abs(kernel[1] - short[1]) <= tol
 
 
-def test_block_kernel_is_exact_where_the_scalar_loop_drifts():
-    # gamma = 0 and a constant coupling: the exact amplitudes are cos, sin of (theta - v t)
+@pytest.mark.parametrize("small", [evolve.SMALL, evolve.BLOCK + 1], ids=["block", "short"])
+def test_both_composers_are_exact_over_near_identity_steps(small):
+    # gamma = 0 and a constant coupling: the exact amplitudes are cos, sin of (theta - v t);
+    # raising SMALL above n sends the same BLOCK steps through the short composer
     v, theta, span, n = 1e-8, 1.0, 1.0, evolve.BLOCK
-    a1, a2 = evolve._rk4_span(
-        lambda _t: 0.0, v, 0.0, math.cos(theta), 1j * math.sin(theta), 0.0, span, n
-    )
+    with mock.patch.object(evolve, "SMALL", small):
+        a1, a2 = evolve._rk4_span(
+            lambda _t: 0.0, v, 0.0, math.cos(theta), 1j * math.sin(theta), 0.0, span, n
+        )
     assert abs(a1 - math.cos(theta - v * span)) <= 1e-15
     assert abs(a2 - 1j * math.sin(theta - v * span)) <= 1e-15
 
