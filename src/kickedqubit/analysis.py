@@ -1,4 +1,4 @@
-"""Time-ordering metrics, closed-form probabilities, fits, and scenarios.
+"""Closed-form transfer probabilities, a log-log fit, and scenarios.
 
 The bundled scenarios (fig1 .. fig5_right) are the reference experiments
 for a hydrogen 2s-2p system driven by gaussian pulses: single-pulse and
@@ -15,7 +15,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import propagators
-from .evolve import IntegratorConfig, interaction_integral_series, rk4_evolve
+from .evolve import MAX_RK4_STEPS, IntegratorConfig, interaction_integral_series, rk4_evolve
 from .pulses import (
     PulseSequence,
     SystemParams,
@@ -23,7 +23,7 @@ from .pulses import (
     hydrogen_2s2p,
     integrated_strength,
 )
-from .su2 import NonUnitaryError, max_abs_diff, probabilities
+from .su2 import NonUnitaryError
 
 
 class KickProbabilities(NamedTuple):
@@ -71,28 +71,6 @@ def p2_closed_forms_double(
     )
 
 
-@dataclass(frozen=True)
-class TimeOrderingReport:
-    """Size of the time-ordering effect: ||U - U0||_max and the P2 shift."""
-
-    norm_diff: float
-    delta_p2: float
-    picture: str
-
-
-def time_ordering_report(
-    u: np.ndarray, u0: np.ndarray, initial, picture: str
-) -> TimeOrderingReport:
-    if picture not in ("schrodinger", "interaction"):
-        raise ValueError("picture must be 'schrodinger' or 'interaction'")
-    # probabilities rejects a non-unitary or NaN u and u0
-    _, p2 = probabilities(u, initial)
-    _, p2_0 = probabilities(u0, initial)
-    return TimeOrderingReport(
-        norm_diff=max_abs_diff(u, u0), delta_p2=p2 - p2_0, picture=picture
-    )
-
-
 @dataclass
 class SweepSeries:
     """One swept parameter and any number of labeled observable columns."""
@@ -107,40 +85,30 @@ class SweepSeries:
             if len(col) != len(self.values):
                 raise ValueError(f"column {label!r} length mismatch")
 
-    def column(self, label: str) -> np.ndarray:
-        return self.columns[label]
-
 
 class ScalingFit(NamedTuple):
     slope: float
     intercept: float
     residual: float
-    expected_slope: float | None
 
 
-def error_scaling_fit(
-    series: SweepSeries,
-    expected_slope: float | None = None,
-    column: str | None = None,
-) -> ScalingFit:
+def error_scaling_fit(series: SweepSeries) -> ScalingFit:
     """Least-squares slope of log(observable) against log(parameter).
 
-    The residual is the RMS misfit in log space.  Requires at least three
-    strictly positive points.
+    The series must have exactly one column.  The residual is the RMS
+    misfit in log space.  Requires at least three strictly positive points.
     """
-    if column is None:
-        if len(series.columns) != 1:
-            raise ValueError("column must be named when the series has several")
-        column = next(iter(series.columns))
+    if len(series.columns) != 1:
+        raise ValueError(f"need a series with one column, got {len(series.columns)}")
     x = np.asarray(series.values, dtype=float)
-    y = np.asarray(series.columns[column], dtype=float)
+    y = np.asarray(next(iter(series.columns.values())), dtype=float)
     if x.size < 3:
         raise ValueError("need at least three points to fit a slope")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("log-log fit needs strictly positive values")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     resid = float(np.sqrt(np.mean((np.log(y) - (slope * np.log(x) + intercept)) ** 2)))
-    return ScalingFit(float(slope), float(intercept), resid, expected_slope)
+    return ScalingFit(float(slope), float(intercept), resid)
 
 
 SCENARIO_NAMES = (
@@ -224,8 +192,11 @@ def scenario(
     tau_min, tau_max.
     """
     overrides = dict(overrides or {})
-    if int(overrides.get("n_points", 2)) < 2:
+    n_points = int(overrides.get("n_points", 2))
+    if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if n_points > MAX_RK4_STEPS:
+        raise ValueError(f"n_points must be at most {MAX_RK4_STEPS:.0e}, got {n_points}")
     if name in ("fig1", "fig2", "fig3"):
         return _time_scan(name, overrides, cfg)
     if name == "fig4_left":

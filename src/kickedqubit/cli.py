@@ -16,7 +16,7 @@ import numpy as np
 
 from . import propagators
 from .analysis import SCENARIO_NAMES, SweepSeries, no_ordering_p2_columns, scenario
-from .evolve import IntegratorConfig, rk4_evolve
+from .evolve import MAX_RK4_STEPS, IntegratorConfig, rk4_evolve
 from .pulses import (
     Pulse,
     PulseShape,
@@ -81,6 +81,8 @@ def parse_pulse(text: str) -> Pulse:
             if not item:
                 continue
             key, _, value = item.partition("=")
+            if key.strip() in fields:
+                raise ValueError(f"repeated field {key.strip()!r}")
             fields[key.strip()] = value.strip()
         alpha = parse_angle(fields.pop("alpha"))
         center = float(fields.pop("center"))
@@ -156,6 +158,11 @@ def _cmd_propagate(args) -> int:
     pulses = list(args.pulse)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if args.samples > MAX_RK4_STEPS:
+        raise ValueError(
+            f"--samples must be at most {MAX_RK4_STEPS:.0e}, the RK4 steps allowed in one run, "
+            f"got {args.samples}"
+        )
     given = [args.t0, args.t1] + ([] if args.dt is None else [args.dt])
     if not all(math.isfinite(x) for x in given):
         raise ValueError("--t0, --t1 and --dt must be finite")
@@ -201,14 +208,13 @@ def _parse_override(item: str):
         raise argparse.ArgumentTypeError(f"override {item!r} is not key=value")
     key = key.strip()
     value = value.strip()
-    list_keys = {"taus", "alphas", "observation_times"}
-    if key in list_keys:
-        return key, tuple(parse_angle(v) if key == "alphas" else float(v) for v in value.split(":"))
-    if key in {"alpha"}:
-        return key, parse_angle(value)
-    if key in {"n_points"}:
-        return key, int(value)
-    return key, float(value)
+    convert = parse_angle if key in {"alpha", "alphas"} else int if key == "n_points" else float
+    try:
+        if key in {"taus", "alphas", "observation_times"}:
+            return key, tuple(convert(v) for v in value.split(":"))
+        return key, convert(value)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"bad value {value!r} for override {key!r}") from None
 
 
 def _cmd_figure(args) -> int:
@@ -257,8 +263,10 @@ def _cmd_floquet(args) -> int:
     params, preset_label = _system_from_args(args)
     if args.sweep is not None:
         start, stop, count = args.sweep
-        if not (count >= 1 and count.is_integer()):
-            raise ValueError(f"--sweep COUNT must be a whole number >= 1, got {count:g}")
+        if not (1 <= count <= MAX_RK4_STEPS and count.is_integer()):
+            raise ValueError(
+                f"--sweep COUNT must be a whole number from 1 to {MAX_RK4_STEPS:.0e}, got {count:g}"
+            )
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"--sweep START and STOP must be finite, got {start:g} and {stop:g}")
         if not math.isfinite(stop - start):

@@ -55,6 +55,7 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, unitar
 #: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping:
 #: with a gaussian pair about 20 s of work in long segments, and about a
 #: minute when record times cut the span into segments shorter than SMALL.
+#: It also caps propagate --samples, scenario n_points and floquet COUNT.
 MAX_RK4_STEPS = 10_000_000
 #: Segments of at least SMALL steps run block by block through numpy step
 #: maps (a block's fixed cost, about 150 us, is repaid from about 60 steps
@@ -90,10 +91,6 @@ class TimeSeries:
     dt: float  # resolved RK4 step in ps
     steps: int  # RK4 steps taken, summed over the segments
     segments: int  # uniform-step segments integrated
-
-    @property
-    def p1(self) -> np.ndarray:
-        return np.abs(self.states[:, 0]) ** 2
 
     @property
     def p2(self) -> np.ndarray:
@@ -240,6 +237,16 @@ def rk4_evolve(
     edges = {e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1}
 
     times = np.asarray(record_times, dtype=float)
+    # each stop (kick, edge, end or record time) can round one segment up by
+    # at most a step; times.size bounds the record stops before any are built
+    span_steps = (t1 - t0) / dt
+    budget = span_steps + len(kicks) + len(edges) + 2 + times.size
+    if budget > MAX_RK4_STEPS:
+        advice = "use a larger dt" if span_steps >= times.size else "record fewer times"
+        raise ValueError(
+            f"dt={dt:g} over {t1 - t0:g} ps with {times.size} record times needs up to "
+            f"{budget:.3g} RK4 steps, more than the {MAX_RK4_STEPS:.0e} allowed; {advice}"
+        )
     if times.size and (times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12):
         raise ValueError("record times must lie inside [t0, t1]")
     if np.any(np.diff(times) < 0.0):
@@ -247,13 +254,6 @@ def rk4_evolve(
     marks = np.clip(times, t0, t1).tolist()
 
     stops = sorted(set(kicks) | edges | {t0, t1} | set(marks))
-    # each stop can round one segment up by at most a step
-    budget = (t1 - t0) / dt + len(stops)
-    if budget > MAX_RK4_STEPS:
-        raise ValueError(
-            f"dt={dt:g} over {t1 - t0:g} ps needs up to {budget:.3g} RK4 steps, "
-            f"more than the {MAX_RK4_STEPS:.0e} allowed; use a larger dt"
-        )
     a1, a2 = complex(initial[0]), complex(initial[1])
     states: list[tuple[complex, complex]] = []
     j = steps = segments = 0

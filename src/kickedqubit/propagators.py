@@ -23,9 +23,8 @@ Validity domains:
   enforced.
 
 The closed forms need numpy only.  scipy's `quad` is imported inside the
-three quadrature routes (`kick_correction_shape_factor` for a gaussian,
-`kick_correction_expansion`, `adiabatic_phase`), so importing this module
-does not load scipy.
+two quadrature routes (`kick_correction_shape_factor` for a gaussian, and
+`adiabatic_phase`), so importing this module does not load scipy.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .pulses import (
-    Pulse,
     PulseSequence,
     PulseShape,
     SystemParams,
@@ -205,55 +203,6 @@ def kick_correction_leading(
     return 1j * beta * g * np.array([[ph, 0.0], [0.0, -1.0 / ph]])
 
 
-def kick_correction_expansion(
-    pulse: Pulse, params: SystemParams, t: float
-) -> np.ndarray:
-    """Two-term small-(alpha, beta) expansion of the kicked-approximation error.
-
-    The diagonal term scales as beta alpha^2 and integrates
-    (alpha/2)^2 - A(u)^2 over the pulse; the off-diagonal term scales as
-    beta^2 alpha and integrates v(u) (u - T_k)^2.  The oscillating phase
-    factors are kept exact at the measurement time so the result can be
-    compared directly against exact propagator differences.
-    """
-    if pulse.shape is PulseShape.IDEAL_KICK:
-        return np.zeros((2, 2), dtype=complex)
-    from scipy.integrate import quad
-
-    gamma = params.gamma
-    alpha, tk = pulse.alpha, pulse.center
-    lo, hi = pulse.window()
-    v = envelope([pulse])
-
-    def square_deficit(u: float) -> float:
-        a_run = pulse.integral(tk, u) if u >= tk else -pulse.integral(u, tk)
-        return 0.25 * alpha * alpha - a_run * a_run
-
-    i1, _ = quad(square_deficit, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-    i2, _ = quad(
-        lambda u: v(u) * (u - tk) ** 2, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200
-    )
-    ph_t = complex(math.cos(gamma * t), math.sin(gamma * t))
-    ph_k = complex(math.cos(gamma * (t - 2.0 * tk)), math.sin(gamma * (t - 2.0 * tk)))
-    diag = 2j * gamma * i1 * np.array([[ph_t, 0.0], [0.0, -1.0 / ph_t]])
-    off = 2j * gamma * gamma * i2 * np.array([[0.0, ph_k], [1.0 / ph_k, 0.0]])
-    return diag + off
-
-
-def commutator_correction(pulse: Pulse, params: SystemParams, t: float) -> np.ndarray:
-    """Leading commutator term of (exact - bare-frame average) evolution.
-
-    -(1/2 hbar^2) [H0, V0] int_0^t (t - 2 t') f(t') dt' with v = v0 f;
-    the commutator reduces it to i gamma sigma_y int (t - 2 t') v(t') dt'.
-    Vanishes for any envelope symmetric about t/2 and for constant
-    envelopes.
-    """
-    gamma = params.gamma
-    j = t * pulse.integral(0.0, t) - 2.0 * pulse.first_moment(0.0, t)
-    # i gamma J sigma_y = gamma J [[0, 1], [-1, 0]]
-    return gamma * j * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class AdiabaticPhase:
     """Phase content of the adiabatic evolution up to time t.
@@ -279,7 +228,7 @@ class AdiabaticPhase:
 
 @dataclass(frozen=True)
 class AdiabaticResult:
-    """Adiabatic propagator, its phase content, and the worst validity ratio.
+    """Adiabatic propagator and the worst validity ratio.
 
     validity_ratio is max over sampled times of
     hbar |dV/dt| Delta_E / Omega^3; the approximation is trustworthy when
@@ -288,7 +237,6 @@ class AdiabaticResult:
 
     matrix: np.ndarray
     validity_ratio: float
-    phase: AdiabaticPhase
 
 
 def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> AdiabaticPhase:
@@ -336,11 +284,7 @@ def adiabatic_propagator(
             [-ct * math.sin(fm) - 1j * st * math.sin(fp), ct * math.cos(fm) - 1j * st * math.cos(fp)],
         ]
     )
-    return AdiabaticResult(
-        matrix=matrix,
-        validity_ratio=_adiabatic_ratio(pulses, params, t),
-        phase=phase,
-    )
+    return AdiabaticResult(matrix=matrix, validity_ratio=_adiabatic_ratio(pulses, params, t))
 
 
 def _adiabatic_ratio(pulses: PulseSequence, params: SystemParams, t: float) -> float:

@@ -13,15 +13,15 @@ Shapes, all with signed integrated strength alpha = int v dt:
 * ideal kick:   v(t) = alpha * delta(t - T_k), the tau -> 0 limit
 
 `Pulse` is the only place that knows the math of each shape: its peak
-rate, its window, its value over an array of times, its integral and its
-first moment over any interval.  The sequence helpers below (`envelope`,
-`envelope_array`, `integrated_strength`) and the integrator and closed
-forms elsewhere read from it.
+rate, its window, its value over an array of times, and its integral over
+any interval.  The sequence helpers below (`envelope`, `envelope_array`,
+`integrated_strength`) and the integrator and closed forms elsewhere read
+from it.
 
 Pointwise evaluation (`Pulse.value`, `envelope`, `envelope_array`) is
 exactly zero outside each pulse's `window()`, edges included in the window.
-`integral` and `first_moment` stay analytic over the untruncated gaussian;
-the gap to the truncated value is at most alpha erfc(6) / 2.
+`integral` stays analytic over the untruncated gaussian; the gap to the
+truncated value is at most alpha erfc(6) / 2.
 
 Ideal kicks cannot be evaluated pointwise; sequence evaluation raises for
 them and the closed-form kick propagators should be used instead.
@@ -111,19 +111,6 @@ class Pulse:
             return self.peak * max(0.0, min(t1, hi) - max(t0, lo))
         return self.alpha if t0 <= self.center <= t1 else 0.0
 
-    def first_moment(self, t0: float, t1: float) -> float:
-        """int_{t0}^{t1} t v dt: T_k times the integral plus the moment about T_k."""
-        moment = self.center * self.integral(t0, t1)
-        if self.shape is PulseShape.GAUSSIAN:
-            u0, u1 = (t0 - self.center) / self.tau, (t1 - self.center) / self.tau
-            moment += 0.5 * self.peak * self.tau**2 * (math.exp(-u0 * u0) - math.exp(-u1 * u1))
-        elif self.shape is PulseShape.RECTANGULAR:
-            lo, hi = self.window()
-            lo, hi = max(t0, lo) - self.center, min(t1, hi) - self.center
-            if hi > lo:
-                moment += 0.5 * self.peak * (hi * hi - lo * lo)
-        return moment
-
 
 def gaussian(alpha: float, tau: float, center: float) -> Pulse:
     return Pulse(PulseShape.GAUSSIAN, alpha, tau, center)
@@ -154,10 +141,6 @@ class SystemParams:
     def rabi_time(self) -> float:
         """Free oscillation period pi / gamma (inf for a degenerate system)."""
         return math.pi / self.gamma if self.gamma > 0.0 else math.inf
-
-    @property
-    def delta_e_ev(self) -> float:
-        return 2.0 * self.gamma * HBAR_EV_PS
 
     @classmethod
     def from_rabi_time(cls, rabi_time_ps: float) -> "SystemParams":

@@ -355,7 +355,7 @@ def kicked_error_scaling_fit(n_points: int = 8) -> tuple[ScalingFit, SweepSeries
         _, p2 = probabilities(u, (1.0, 0.0))
         errs[i] = abs(p2 - math.sin(alpha) ** 2)
     series = SweepSeries("tau_over_T", ratios, {"p2_error": errs})
-    return error_scaling_fit(series, expected_slope=2.0), series
+    return error_scaling_fit(series), series
 
 
 def check_rk4_order() -> CheckResult:
@@ -390,7 +390,7 @@ def rk4_order_fit(dts=(1.6, 0.8, 0.4, 0.2)) -> tuple[ScalingFit, SweepSeries, fl
     )
     series = SweepSeries("dt", dts, {"err": errs})
     u_default = rk4_propagator(pulses, params, 0.0, 300.0)
-    return error_scaling_fit(series, expected_slope=4.0), series, unitarity_defect(u_default)
+    return error_scaling_fit(series), series, unitarity_defect(u_default)
 
 
 def check_rectangular_vs_rk4(rng: np.random.Generator, samples: int) -> CheckResult:

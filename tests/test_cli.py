@@ -166,12 +166,15 @@ class TestPropagate:
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 3 and len(set(rows)) == 1
 
-    @pytest.mark.parametrize("tau, tail", [
-        ("0.1", ("--t1", "2", "--dt", "1e-300")),
-        ("0.1", ("--t1", "2", "--dt", "5e-324")),
-        ("0.001", ("--t1", "1000", "--samples", "3")),  # auto dt: 5e7 steps
-    ], ids=["dt-1e-300", "dt-5e-324", "auto-dt"])
-    def test_step_budget_is_exit_1(self, capsys, tau, tail):
+    @pytest.mark.parametrize("tau, tail, named", [
+        ("0.1", ("--t1", "2", "--dt", "1e-300"), "dt="),
+        ("0.1", ("--t1", "2", "--dt", "5e-324"), "dt="),
+        ("0.001", ("--t1", "1000", "--samples", "3"), "dt="),  # auto dt: 5e7 steps
+        # refused before the sample grid is allocated
+        ("0.1", ("--t1", "2", "--samples", "10000001"), "--samples"),
+        ("0.1", ("--t1", "2", "--samples", "100000000000"), "--samples"),
+    ], ids=["dt-1e-300", "dt-5e-324", "auto-dt", "samples-1e7+1", "samples-1e11"])
+    def test_step_budget_is_exit_1(self, capsys, tau, tail, named):
         start = time.perf_counter()
         code, out, err = run_cli(
             capsys, "propagate", "--preset", "unit",
@@ -180,7 +183,7 @@ class TestPropagate:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "RK4 steps" in err
+        assert err.startswith("error: ") and "RK4 steps" in err and named in err
 
     def test_metadata_reports_step_and_norm_defect(self, capsys):
         # 12 samples cut [3, 4] into 58-step segments (short composer), 3 samples
@@ -243,6 +246,14 @@ class TestPropagate:
     def test_bad_pulse_spec_is_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "propagate", "--pulse", "blob:alpha=1", "--t1", "3")
         assert code == 1
+
+    def test_repeated_pulse_field_is_exit_1(self, capsys):
+        spec = "gaussian:alpha=1,tau=1,center=1,center=2"
+        code, out, err = run_cli(capsys, "propagate", "--pulse", spec, "--t1", "3")
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: argument --pulse: bad pulse spec {spec!r} "
+                            "(want shape:alpha=...,tau=...,center=...): repeated field 'center'\n")
 
     @pytest.mark.parametrize("shape", ["gaussian", "rect"])
     def test_overflowing_peak_is_exit_1(self, capsys, shape):
@@ -386,17 +397,34 @@ class TestFigure:
             ("fig2", "tau=0", "tau must be finite and > 0, got 0"),
             ("fig4_right", "tau=nan", "tau must be finite and > 0, got nan"),
             ("fig5_right", "tau=-1", "tau must be finite and > 0, got -1"),
+            # checked before any grid is allocated
+            ("fig1", "n_points=10000001", "n_points must be at most 1e+07, got 10000001"),
+            ("fig4_left", "n_points=100000000000", "n_points must be at most 1e+07, got 100000000000"),
         ],
     )
     def test_bad_grid_override_is_exit_1(self, capsys, name, override, message):
+        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            # the last --set wins, so the override comes after n_points=3
             code, out, err = run_cli(
-                capsys, "figure", name, "--set", override, "--set", "n_points=3", "--out", "-",
+                capsys, "figure", name, "--set", "n_points=3", "--set", override, "--out", "-",
             )
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("override, key, value", [
+        ("n_points=2.5", "n_points", "2.5"),
+        ("taus=", "taus", ""),
+        ("alphas=pi/2:x", "alphas", "pi/2:x"),
+    ])
+    def test_unconvertible_override_names_the_key(self, capsys, override, key, value):
+        code, out, err = run_cli(capsys, "figure", "fig1", "--set", override, "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err.endswith(f"error: argument --set: bad value {value!r} for override {key!r}\n")
 
     def test_numerical_failure_is_exit_2(self, capsys):
         # a step far too coarse for tau = 10 ps: the norm drifts, as in propagate
@@ -450,14 +478,16 @@ class TestFloquet:
         code, _, _ = run_cli(capsys, "floquet", "--alpha", "1")
         assert code == 1
 
-    @pytest.mark.parametrize("count", ["-1", "nan", "0", "2.7"])
+    @pytest.mark.parametrize("count", ["-1", "nan", "0", "2.7", "100000000000"])
     def test_sweep_count_must_be_a_whole_number(self, capsys, count):
+        start = time.perf_counter()
         code, out, err = run_cli(
             capsys, "floquet", "--alpha", "1", "--gamma", "1", "--sweep", "0", "1", count,
         )
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
-        assert err == f"error: --sweep COUNT must be a whole number >= 1, got {float(count):g}\n"
+        assert err == f"error: --sweep COUNT must be a whole number from 1 to 1e+07, got {float(count):g}\n"
 
 
     @pytest.mark.parametrize(

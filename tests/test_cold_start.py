@@ -67,10 +67,6 @@ SHAPE_FACTORS = {
     5.0: -1.7421387093714409,
 }
 ADIABATIC_PHASE = [10.063267678918868, 0.0004356568185084407, 0.0004356568185084407]
-EXPANSION_GAUSSIAN = [
-    [-0.0032648147011889264, -0.0014941671115856314], [0.0, 0.0007499999999999996],
-    [0.0, 0.0007499999999999996], [-0.0032648147011889264, 0.0014941671115856314],
-]
 NO_ORDERING_EXPM = [
     [-0.5211225504469954, 0.8055659867105067], [0.0, -0.2819480953486773],
     [6.213819893487482e-17, -0.2819480953486773], [-0.5211225504469952, -0.8055659867105065],
@@ -84,9 +80,7 @@ def lazy_routes() -> dict:
         f"""
         import json, math
         from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_numeric
-        from kickedqubit.propagators import (
-            adiabatic_phase, kick_correction_expansion, kick_correction_shape_factor,
-        )
+        from kickedqubit.propagators import adiabatic_phase, kick_correction_shape_factor
         from kickedqubit.pulses import PulseShape, SystemParams, gaussian
 
         def entries(m):
@@ -96,7 +90,6 @@ def lazy_routes() -> dict:
         z = interaction_integral([gaussian(0.7, 0.1, 1.0)], params, 2.0)
         out = {{"interaction": [z.real, z.imag]}}
         out["adiabatic"] = list(vars(adiabatic_phase([gaussian(0.8, 2.0, 5.0)], params, 10.0)).values())
-        out["expansion"] = entries(kick_correction_expansion(gaussian(0.3, 0.05, 1.0), params, 2.0))
         out["shape"] = [
             kick_correction_shape_factor(a, PulseShape.GAUSSIAN) for a in {list(SHAPE_FACTORS)!r}
         ]
@@ -114,10 +107,6 @@ def test_interaction_integral(lazy_routes):
 
 def test_adiabatic_phase(lazy_routes):
     assert lazy_routes["adiabatic"] == pytest.approx(ADIABATIC_PHASE, rel=1e-15)
-
-
-def test_kick_correction_expansion(lazy_routes):
-    assert lazy_routes["expansion"] == [pytest.approx(e, rel=1e-15, abs=1e-18) for e in EXPANSION_GAUSSIAN]
 
 
 def test_gaussian_shape_factor(lazy_routes):

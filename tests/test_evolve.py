@@ -1,4 +1,5 @@
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -46,7 +47,7 @@ class TestRk4Evolve:
         params = unit_system()
         series = rk4_evolve([], params, (1.0, 0.0), 0.0, 3.0, IntegratorConfig(dt=0.002),
                             record_times=np.linspace(0.0, 3.0, 1501))
-        assert np.allclose(series.p1, 1.0, atol=1e-12)
+        assert np.allclose(np.abs(series.states[:, 0]) ** 2, 1.0, atol=1e-12)
         # a1(t) = e^{i gamma t}
         expected = np.exp(1j * series.times)
         assert np.max(np.abs(series.states[:, 0] - expected)) < 1e-10
@@ -83,6 +84,14 @@ class TestRk4Evolve:
     def test_no_record_times_gives_empty_series(self):
         series = rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0, record_times=[])
         assert series.states.shape == (0, 2) and series.p2.size == 0
+
+    def test_record_times_count_against_the_budget_before_use(self):
+        # a zero-copy view of MAX_RK4_STEPS + 1 times is refused before it is read
+        times = np.broadcast_to(0.0, (evolve.MAX_RK4_STEPS + 1,))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="10000001 record times .* record fewer times"):
+            rk4_evolve([], unit_system(), (1.0, 0.0), 0.0, 2.0, record_times=times)
+        assert time.perf_counter() - start < 1.0
 
     def test_coarse_step_raises(self):
         with pytest.raises(NonUnitaryError):

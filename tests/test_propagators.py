@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from kickedqubit import propagators as prop
@@ -13,7 +12,6 @@ from kickedqubit.evolve import IntegratorConfig, no_ordering_interaction_numeric
 from kickedqubit.pulses import (
     PulseShape,
     SystemParams,
-    envelope,
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
@@ -348,71 +346,31 @@ class TestKickCorrections:
             corr = prop.kick_correction_leading(alpha, beta, params.gamma, t, PulseShape.GAUSSIAN)
             assert max_abs_diff(u, uk + corr) < 2.0 * beta * beta
 
-    def test_expansion_zero_for_kick(self):
-        out = prop.kick_correction_expansion(ideal_kick(1.0, 2.0), unit_system(), 5.0)
-        assert np.all(out == 0.0)
-
-    def test_expansion_integrals_match_closed_forms(self):
-        # rectangular: I1 = alpha^2 tau / 6, I2 = alpha tau^2 / 12
-        alpha, tau, tk, gamma, t = 0.3, 0.8, 2.0, 0.6, 5.0
-        params = SystemParams(gamma)
-        out = prop.kick_correction_expansion(rectangular(alpha, tau, tk), params, t)
-        i1 = alpha**2 * tau / 6.0
-        i2 = alpha * tau**2 / 12.0
-        expected = 2j * gamma * i1 * np.array(
-            [[np.exp(1j * gamma * t), 0], [0, -np.exp(-1j * gamma * t)]]
-        ) + 2j * gamma**2 * i2 * np.array(
-            [[0, np.exp(1j * gamma * (t - 2 * tk))], [np.exp(-1j * gamma * (t - 2 * tk)), 0]]
-        )
-        assert max_abs_diff(out, expected) < 1e-10
-
-    def test_expansion_gaussian_moments(self):
-        # gaussian: I1 = (alpha^2 tau / 4) sqrt(8/pi), I2 = alpha tau^2 / 2
-        alpha, tau, tk = 0.2, 1.0, 8.0
-        params = SystemParams(0.5)
-        out = prop.kick_correction_expansion(gaussian(alpha, tau, tk), params, 20.0)
-        diag_mag = abs(out[0, 0])
-        off_mag = abs(out[0, 1])
-        assert diag_mag == pytest.approx(
-            2.0 * 0.5 * alpha**2 * tau / 4.0 * math.sqrt(8.0 / math.pi), rel=1e-8
-        )
-        assert off_mag == pytest.approx(2.0 * 0.5**2 * alpha * tau**2 / 2.0, rel=1e-8)
-
-    def test_expansion_matches_exact_difference_at_small_parameters(self):
-        alpha = beta = 0.05
-        gamma = 0.5
-        tau = beta / gamma
-        tk, t = 3.0 * tau, 6.0 * tau
-        exact_delta = prop.rectangular_propagator(alpha, beta, gamma, tk, t) - \
-            prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
-        approx = prop.kick_correction_expansion(rectangular(alpha, tau, tk), SystemParams(gamma), t)
-        assert max_abs_diff(exact_delta, approx) < 0.1 * np.max(np.abs(exact_delta))
-
-
 class TestCommutatorCorrection:
+    """Leading term of (kick - bare-frame average): i gamma sigma_y int (t - 2 t') v dt'."""
+
     def test_symmetric_pulse_centered_at_half_time(self):
-        out = prop.commutator_correction(gaussian(1.0, 1.0, 5.0), unit_system(), 10.0)
-        assert np.max(np.abs(out)) < 1e-12
+        # the leading term vanishes for an envelope symmetric about t / 2
+        alpha, gamma, t = 1e-3, 1e-3, 10.0
+        u = rk4_propagator([gaussian(alpha, 1.0, 5.0)], SystemParams(gamma), 0.0, t)
+        diff = u - prop.no_ordering_schrodinger(alpha, gamma * t)
+        assert np.max(np.abs(diff)) < 0.01 * gamma * alpha * t
 
     def test_constant_envelope_vanishes(self):
-        # rectangle spanning exactly [0, t]
-        out = prop.commutator_correction(rectangular(1.0, 10.0, 5.0), unit_system(), 10.0)
-        assert np.max(np.abs(out)) < 1e-12
+        # a rectangle filling [0, t] is a constant Hamiltonian: no ordering effect at all
+        alpha, gamma, t = 1.0, 0.7, 10.0
+        u = prop.rectangular_propagator(alpha, gamma * t, gamma, 0.5 * t, t)
+        assert max_abs_diff(u, prop.no_ordering_schrodinger(alpha, gamma * t)) < 1e-12
 
     def test_kick_off_center_structure(self):
-        gamma, alpha, tk, t = 0.9, 0.7, 2.0, 10.0
-        out = prop.commutator_correction(ideal_kick(alpha, tk), SystemParams(gamma), t)
-        expected = 1j * gamma * alpha * (t - 2.0 * tk) * SIGMA_Y
-        assert max_abs_diff(out, expected) < 1e-12
-
-    def test_first_moment_against_quadrature(self):
-        pulse = gaussian(0.8, 2.0, 7.0)
-        params = SystemParams(0.4)
-        t = 20.0
-        out = prop.commutator_correction(pulse, params, t)
-        v = envelope([pulse])
-        j, _ = quad(lambda x: (t - 2 * x) * v(x), 0.0, t, limit=300)
-        assert max_abs_diff(out, 1j * params.gamma * j * SIGMA_Y) < 1e-10
+        # J = alpha (t - 2 T_k): the term flips sign when the kick is mirrored about t / 2
+        alpha, gamma, t = 1e-3, 1e-3, 10.0
+        for tk in (1.0, 3.0, 7.0, 9.0):
+            diff = prop.kick_sequence_propagator(((alpha, tk),), gamma, t) - prop.no_ordering_schrodinger(
+                alpha, gamma * t
+            )
+            predicted = 1j * gamma * alpha * (t - 2.0 * tk) * SIGMA_Y
+            assert max_abs_diff(diff, predicted) < 0.01 * np.max(np.abs(predicted))
 
     def test_predicts_leading_ordering_effect(self):
         # small alpha, small gamma*t: U_kick - U_average approaches this term
@@ -420,7 +378,7 @@ class TestCommutatorCorrection:
         diff = prop.kick_sequence_propagator(((alpha, tk),), gamma, t) - prop.no_ordering_schrodinger(
             alpha, gamma * t
         )
-        predicted = prop.commutator_correction(ideal_kick(alpha, tk), SystemParams(gamma), t)
+        predicted = 1j * gamma * alpha * (t - 2.0 * tk) * SIGMA_Y
         assert max_abs_diff(diff, predicted) < 0.05 * np.max(np.abs(predicted))
 
 
