@@ -9,6 +9,7 @@ emission.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -162,24 +163,16 @@ def no_ordering_p2_columns(
     mean of the coupling over [t0, t].  Rotating frame:
     sin^2 |int_{t0}^t v(t') e^{2 i gamma t'} dt'|.
     """
-    g = params.gamma
-    bare = []
-    defect = 0.0
-    for t in np.asarray(times, dtype=float).tolist():
-        u11, u21 = propagators.no_ordering_schrodinger_column(
-            integrated_strength(pulses, t0, t), g * (t - t0)
-        )
-        p2 = abs(u21) ** 2
-        row_defect = abs(abs(u11) ** 2 + p2 - 1.0)
-        # x > nan is False, so a NaN, once kept, stays
-        if row_defect > defect or math.isnan(row_defect):
-            defect = row_defect
-        bare.append(p2)
-    # for the SU(2) form this column check is the full unitarity defect
+    times = np.asarray(times, dtype=float)
+    running, phases = integrated_strength(pulses, t0, times), params.gamma * (times - t0)
+    columns = map(propagators.no_ordering_schrodinger_column, running.tolist(), phases.tolist())
+    p = np.fromiter((abs(u) ** 2 for c in columns for u in c), float, count=2 * times.size)
+    # for the SU(2) form this column check is the full unitarity defect; a NaN fails it
+    defect = np.max(np.abs(p[0::2] + p[1::2] - 1.0), initial=0.0)
     if not defect <= 1e-8:
         raise NonUnitaryError(f"no-ordering propagator is not unitary (defect {defect:.3e})")
     integral = interaction_integral_series(pulses, params, t0, times, cfg)
-    return np.array(bare), np.array([math.sin(abs(z)) ** 2 for z in integral])
+    return p[1::2], np.array([math.sin(abs(z)) ** 2 for z in integral])
 
 
 def scenario(
@@ -192,7 +185,9 @@ def scenario(
     tau_min, tau_max.
     """
     overrides = dict(overrides or {})
-    n_points = int(overrides.get("n_points", 2))
+    n_points = overrides.get("n_points", 2)
+    if not (isinstance(n_points, numbers.Real) and n_points % 1 == 0):
+        raise ValueError(f"n_points must be a whole number, got {n_points!r}")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     if n_points > MAX_RK4_STEPS:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import propagators
 from .analysis import SCENARIO_NAMES, SweepSeries, no_ordering_p2_columns, scenario
-from .evolve import MAX_RK4_STEPS, IntegratorConfig, rk4_evolve
+from .evolve import MAX_RK4_STEPS, IntegratorConfig, check_step_budget, rk4_evolve
 from .pulses import (
     Pulse,
     PulseShape,
@@ -158,11 +158,6 @@ def _cmd_propagate(args) -> int:
     pulses = list(args.pulse)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    if args.samples > MAX_RK4_STEPS:
-        raise ValueError(
-            f"--samples must be at most {MAX_RK4_STEPS:.0e}, the RK4 steps allowed in one run, "
-            f"got {args.samples}"
-        )
     given = [args.t0, args.t1] + ([] if args.dt is None else [args.dt])
     if not all(math.isfinite(x) for x in given):
         raise ValueError("--t0, --t1 and --dt must be finite")
@@ -170,6 +165,8 @@ def _cmd_propagate(args) -> int:
         raise ValueError("times must be non-negative with t1 >= t0")
     _warn_scales(pulses, params, args.t1 - args.t0, preset_label)
     cfg = IntegratorConfig(dt=args.dt)
+    # rk4_evolve's own bound, applied before the sample grid exists
+    check_step_budget(pulses, params, args.t0, args.t1, cfg, args.samples, "lower --samples")
     times = np.linspace(args.t0, args.t1, args.samples)
     series = rk4_evolve(pulses, params, (1.0, 0.0), args.t0, args.t1, cfg, record_times=times)
     noto_s, noto_i = no_ordering_p2_columns(pulses, params, args.t0, times, cfg)
@@ -218,21 +215,24 @@ def _parse_override(item: str):
 
 
 def _cmd_figure(args) -> int:
+    if args.out is not None and len(args.name) > 1:
+        raise ValueError(f"--out names one file, got {len(args.name)} scenarios; use --outdir")
     overrides = dict(args.set or [])
     if args.rabi_time is not None:
         overrides["rabi_time"] = args.rabi_time
-    series = scenario(args.name, overrides, IntegratorConfig(dt=args.dt))
-    total = float(series.metadata.get("max_time_ps", 0.0))
-    if total > LIFETIME_WARNING_PS:
-        sys.stderr.write(
-            f"warning: span {total:g} ps exceeds the 2p lifetime scale "
-            f"{LIFETIME_WARNING_PS:g} ps; dissipation is not modeled\n"
-        )
-    out = args.out
-    if out is None:
-        out = str(Path(args.outdir) / f"{args.name}.csv")
-        Path(args.outdir).mkdir(parents=True, exist_ok=True)
-    _write_series(out, args.name, series)
+    for name in args.name:
+        series = scenario(name, overrides, IntegratorConfig(dt=args.dt))
+        total = float(series.metadata.get("max_time_ps", 0.0))
+        if total > LIFETIME_WARNING_PS:
+            sys.stderr.write(
+                f"warning: span {total:g} ps exceeds the 2p lifetime scale "
+                f"{LIFETIME_WARNING_PS:g} ps; dissipation is not modeled\n"
+            )
+        out = args.out
+        if out is None:
+            out = str(Path(args.outdir) / f"{name}.csv")
+            Path(args.outdir).mkdir(parents=True, exist_ok=True)
+        _write_series(out, name, series)
     return 0
 
 
@@ -321,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_propagate)
 
-    p = sub.add_parser("figure", help="run a bundled scenario and write its CSV panel")
-    p.add_argument("name", choices=SCENARIO_NAMES)
+    p = sub.add_parser("figure", help="run bundled scenarios and write one CSV panel each")
+    p.add_argument("name", nargs="+", choices=SCENARIO_NAMES)
     p.add_argument("--set", type=_parse_override, action="append", metavar="KEY=VALUE",
                    help="override scenario parameters (tau=, alpha=, t_k=, t1=, t2=, t_f=, ...)")
     p.add_argument("--rabi-time", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--outdir", default=".")
-    p.add_argument("--out", default=None, help="explicit CSV path (overrides --outdir)")
+    p.add_argument("--out", default=None, help="CSV path for a single scenario (overrides --outdir)")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")

@@ -15,16 +15,18 @@ given, one row per requested time.  `rk4_propagator` integrates one basis
 state per call: the Hamiltonian is traceless and Hermitian, so the second
 column of the propagator is the SU(2) completion of the first.
 
-The stepping kernel `_rk4_span` writes the RK4 step once, in `_step_map`,
-as the SU(2) map [[1 + d, -q*], [q, 1 + d*]] with the identity kept apart.
-A composer multiplies a block of at most BLOCK such maps into one, and the
-state is updated once per block: `_block_map` builds and multiplies them
-pairwise with numpy for segments of SMALL or more steps, `_short_map` one
-at a time for the short segments a dense sampling grid cuts.  Both call
-the scalar envelope closure three times per step, at the step's start,
-midpoint and end, on the same floats.  The end of one step is the start of
-the next, so one call in three repeats a value; it is kept because
-perfbench counts three envelope calls per step.
+`rk4_evolve` runs in three phases.  It first plans every segment between
+consecutive stops (kicks, rectangle edges, the span ends and the record
+times) as arrays: its step count n = max(1, ceil(length / dt)), step h and
+rectangular coupling.  It then batches the segments of fewer than SMALL
+steps, the ones a dense record grid cuts: `_batch_maps` advances them in
+lockstep, one numpy pass per step index.  Last, it applies the maps in
+order, with the kicks and the records between them; a segment of SMALL or
+more steps goes to `_rk4_span`, which multiplies its steps block by block
+in `_block_map`.  Both composers write the RK4 step once, in `_step_map`,
+as the SU(2) map [[1 + d, -q*], [q, 1 + d*]] with the identity kept apart,
+and update the state once per map.  Both call the scalar envelope closure
+three times per step, at the step's start, midpoint and end.
 
 This module also provides numerically constructed "no time ordering"
 evolutions in both frames; they serve as independent cross-checks of the
@@ -37,6 +39,7 @@ trapezoid behind the no-ordering CSV columns.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -52,14 +55,14 @@ from .pulses import (
 )
 from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, unitarity_defect
 
-#: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping:
-#: with a gaussian pair about 20 s of work in long segments, and about a
-#: minute when record times cut the span into segments shorter than SMALL.
-#: It also caps propagate --samples, scenario n_points and floquet COUNT.
+#: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping
+#: (with a gaussian pair about 20 s of work).  It also caps scenario
+#: n_points and floquet COUNT.
 MAX_RK4_STEPS = 10_000_000
-#: Segments of at least SMALL steps run block by block through numpy step
-#: maps (a block's fixed cost, about 150 us, is repaid from about 60 steps
-#: on); BLOCK caps a block's length, and so the arrays one segment allocates.
+#: Segments of at least SMALL steps run alone, block by block, through numpy
+#: step maps (a block's fixed cost, about 150 us, is repaid from about 60
+#: steps on); shorter ones are batched.  BLOCK caps a block's length, and
+#: BLOCK // 2 the segments of one batch, so that either's arrays stay small.
 SMALL = 64
 BLOCK = 4096
 
@@ -101,14 +104,7 @@ class TimeSeries:
 
 
 def _rk4_span(
-    v,
-    v_const: float,
-    gamma: float,
-    a1: complex,
-    a2: complex,
-    t0: float,
-    t1: float,
-    n: int,
+    v, v_const: float, gamma: float, a1: complex, a2: complex, t0: float, t1: float, n: int
 ):
     """n uniform RK4 steps of the two coupled amplitude equations.
 
@@ -116,17 +112,15 @@ def _rk4_span(
     contribution, constant within a segment, so that evaluations at the
     segment boundaries never see the wrong side of a discontinuity.
 
-    Each block of at most BLOCK steps becomes one map (d, q) that updates
-    the state once: _block_map builds it from SMALL steps on, _short_map
-    below, both calling v at the same floats in the same order.
+    Each block of at most BLOCK steps becomes one map (d, q), built by
+    _block_map, that updates the state once.
     """
     h = (t1 - t0) / n
     ig = 1j * gamma
-    compose = _block_map if n >= SMALL else _short_map
     t = t0
     while n > 0:
         m = min(n, BLOCK)
-        d, q, t = compose(v, v_const, ig, t, h, m)
+        d, q, t = _block_map(v, v_const, ig, t, h, m)
         a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
         n -= m
     return a1, a2
@@ -157,18 +151,34 @@ def _step_map(ig, h: float, ivt, ivm, ive):
     return sixth * (k1a + 2.0 * (k2a + k3a) + k4a), sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
 
 
-def _short_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
-    """_block_map's (d, q, t) for m steps, composed one step at a time."""
-    for k in range(m):
-        dl, ql = _step_map(
-            ig, h, 1j * (v(t) + v_const), 1j * (v(t + 0.5 * h) + v_const), 1j * (v(t + h) + v_const)
-        )
-        if k:  # the later step on the left
-            d, q = dl + d + (dl * d - ql.conjugate() * q), ql + q + (ql * d + dl.conjugate() * q)
-        else:
-            d, q = dl, ql
-        t += h
-    return d, q, t
+def _batch_maps(v, v_const, ig: complex, t, h, n):
+    """Each segment's map (d, q): n[i] RK4 steps of h[i] from t[i], as two lists.
+
+    The segments advance in lockstep, one pass per step index, with t += h.
+    Each step's map multiplies from the left, written out in real parts to
+    round as Python's complex product does (numpy's may fuse).
+    """
+    d = q = np.zeros(t.size, dtype=complex)
+    t = t.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm guard rejects a NaN
+        for k in range(int(n.max(initial=0))):
+            on = np.flatnonzero(n > k)
+            tk, hk = t[on], h[on]
+            grid = np.stack([tk, tk + 0.5 * hk, tk + hk], axis=1).ravel().tolist()
+            iv = np.fromiter(map(v, grid), float, count=3 * on.size).reshape(-1, 3)
+            iv = 1j * (iv + v_const[on, None])
+            dl, ql = _step_map(ig, hk, iv[:, 0], iv[:, 1], iv[:, 2])
+            if k:  # d <- dl + d + (dl d - ql* q), q <- ql + q + (ql d + dl* q)
+                lr, li, mr, mi = dl.real, dl.imag, ql.real, ql.imag
+                dr, di, qr, qi = d.real[on], d.imag[on], q.real[on], q.imag[on]
+                d.real[on] = (lr + dr) + ((lr * dr - li * di) - (mr * qr + mi * qi))
+                d.imag[on] = (li + di) + ((lr * di + li * dr) - (mr * qi - mi * qr))
+                q.real[on] = (mr + qr) + ((mr * dr - mi * di) + (lr * qr + li * qi))
+                q.imag[on] = (mi + qi) + ((mr * di + mi * dr) + (lr * qi - li * qr))
+            else:
+                d, q = dl, ql
+            t[on] = tk + hk
+    return d.tolist(), q.tolist()
 
 
 def _block_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
@@ -180,7 +190,7 @@ def _block_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
     """
     times = np.full(m + 1, h)
     times[0] = t
-    times = np.add.accumulate(times)  # sequential: _short_map's t += h, bit for bit
+    times = np.add.accumulate(times)  # sequential: t += h, bit for bit
     tk = times[:m]
     grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=1).ravel().tolist()
     iv = 1j * (np.fromiter(map(v, grid), float, count=3 * m).reshape(m, 3) + v_const)
@@ -202,6 +212,32 @@ def _apply_kick(alpha: float, a1: complex, a2: complex):
     return c * a1 - 1j * s * a2, -1j * s * a1 + c * a2
 
 
+def check_step_budget(
+    pulses: PulseSequence, params: SystemParams, t0: float, t1: float, cfg: IntegratorConfig,
+    records: int, fewer: str = "record fewer times",
+) -> float:
+    """The resolved dt, once [t0, t1] with this many record times fits MAX_RK4_STEPS.
+
+    Each stop after t0 can round one segment up by a step: t1, each record
+    time, and at most two a pulse (a kick, a rectangle's edges).
+    """
+    dt = cfg.resolve_dt(pulses, params, max(t1 - t0, 1e-12))
+    span_steps = (t1 - t0) / dt
+    if not span_steps <= MAX_RK4_STEPS:
+        raise ValueError(
+            f"dt={dt:g} over {t1 - t0:g} ps needs {span_steps:.3g} RK4 steps, "
+            f"more than the {MAX_RK4_STEPS} allowed; use a larger dt"
+        )
+    bound = math.ceil(span_steps) + 2 * len(pulses) + 1 + records
+    if bound > MAX_RK4_STEPS:
+        raise ValueError(
+            f"dt={dt:g} over {t1 - t0:g} ps with {records} record times needs up to {bound} "
+            f"RK4 steps, more than the {MAX_RK4_STEPS} allowed; "
+            + ("use a larger dt" if span_steps >= records else fewer)
+        )
+    return dt
+
+
 def rk4_evolve(
     pulses: PulseSequence,
     params: SystemParams,
@@ -218,13 +254,18 @@ def rk4_evolve(
     has one row per requested time, repeats included, and a kick at a
     requested time is applied before that row.  The final norm is checked
     against the configured tolerance; exceeding it raises with advice to
-    lower dt.  A run that would take more than MAX_RK4_STEPS steps raises
-    ValueError before any stepping.
+    lower dt.  A run that check_step_budget refuses raises ValueError
+    before any stepping.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     cfg = cfg or IntegratorConfig()
-    dt = cfg.resolve_dt(pulses, params, max(t1 - t0, 1e-12))
+    times = np.asarray(record_times, dtype=float)
+    dt = check_step_budget(pulses, params, t0, t1, cfg, times.size)
+    if times.size and (times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12):
+        raise ValueError("record times must lie inside [t0, t1]")
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("record times must be non-decreasing")
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
     rects = [(p.peak, *p.window()) for p in pulses if p.shape is PulseShape.RECTANGULAR]
     v = envelope(smooth) if smooth else (lambda _t: 0.0)
@@ -234,50 +275,46 @@ def rk4_evolve(
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK and t0 <= p.center <= t1:
             kicks[p.center] = kicks.get(p.center, 0.0) + p.alpha
-    edges = {e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1}
-
-    times = np.asarray(record_times, dtype=float)
-    # each stop (kick, edge, end or record time) can round one segment up by
-    # at most a step; times.size bounds the record stops before any are built
-    span_steps = (t1 - t0) / dt
-    budget = span_steps + len(kicks) + len(edges) + 2 + times.size
-    if budget > MAX_RK4_STEPS:
-        advice = "use a larger dt" if span_steps >= times.size else "record fewer times"
-        raise ValueError(
-            f"dt={dt:g} over {t1 - t0:g} ps with {times.size} record times needs up to "
-            f"{budget:.3g} RK4 steps, more than the {MAX_RK4_STEPS:.0e} allowed; {advice}"
-        )
-    if times.size and (times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12):
-        raise ValueError("record times must lie inside [t0, t1]")
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("record times must be non-decreasing")
+    edges = [e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1]
     marks = np.clip(times, t0, t1).tolist()
 
-    stops = sorted(set(kicks) | edges | {t0, t1} | set(marks))
-    a1, a2 = complex(initial[0]), complex(initial[1])
-    states: list[tuple[complex, complex]] = []
-    j = steps = segments = 0
-    # the leading (t0, t0) pair applies a kick at t0 and records t0 without stepping
-    for lo, hi in zip([t0] + stops[:-1], stops):
-        if hi > lo:
-            mid = 0.5 * (lo + hi)
-            v_const = sum(amp for amp, rlo, rhi in rects if rlo < mid < rhi)
-            n = max(1, math.ceil((hi - lo) / dt))
-            a1, a2 = _rk4_span(v, v_const, params.gamma, a1, a2, lo, hi, n)
-            steps += n
-            segments += 1
-        if hi in kicks:
-            a1, a2 = _apply_kick(kicks[hi], a1, a2)
-        while j < len(marks) and marks[j] == hi:
-            states.append((a1, a2))
-            j += 1
+    # plan: one uniform-step segment between each pair of consecutive stops
+    stops = np.array(sorted({t0, t1, *kicks, *edges, *marks}))
+    lo, hi = stops[:-1], stops[1:]
+    n = np.maximum(1, np.ceil((hi - lo) / dt)).astype(np.int64)
+    v_const, short = np.zeros(n.size), n < SMALL
+    for amp, rlo, rhi in rects:  # a rectangle is on where it covers the segment's midpoint
+        mid = 0.5 * (lo + hi)
+        v_const += np.where((rlo < mid) & (mid < rhi), amp, 0.0)
+
+    a1, a2, ig = complex(initial[0]), complex(initial[1]), 1j * params.gamma
+    if t0 in kicks:
+        a1, a2 = _apply_kick(kicks[t0], a1, a2)
+    j = bisect.bisect_right(marks, t0)  # the rows at t0
+    states = [(a1, a2)] * j
+    for s in range(0, hi.size, BLOCK // 2):  # batch a chunk's short segments, then apply it
+        few, *plan = (x[s : s + BLOCK // 2] for x in (short, lo, hi, n, v_const))
+        if few.any():
+            a, b, m, c = (x[few] for x in plan)
+            maps = zip(*_batch_maps(v, c, ig, a, (b - a) / m, m))
+        for small, a, b, m, c in zip(few.tolist(), *(x.tolist() for x in plan)):
+            if small:
+                d, q = next(maps)
+                a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
+            else:
+                a1, a2 = _rk4_span(v, c, params.gamma, a1, a2, a, b, m)
+            if b in kicks:
+                a1, a2 = _apply_kick(kicks[b], a1, a2)
+            while j < len(marks) and marks[j] == b:
+                states.append((a1, a2))
+                j += 1
 
     series = TimeSeries(
         times=times,
         states=np.array(states, dtype=complex).reshape(-1, 2),
         dt=dt,
-        steps=steps,
-        segments=segments,
+        steps=int(n.sum()),
+        segments=hi.size,
     )
     if norm_defect(np.asarray(initial, dtype=complex)) < 1e-12:
         final_defect = norm_defect(np.array([a1, a2]))

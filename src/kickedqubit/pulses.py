@@ -100,16 +100,20 @@ class Pulse:
         u = (t - self.center) / self.tau if self.shape is PulseShape.GAUSSIAN else 0.0
         return np.where((t >= lo) & (t <= hi), self.peak * np.exp(-u * u), 0.0)
 
-    def integral(self, t0: float, t1: float) -> float:
-        """int_{t0}^{t1} v dt for t0 <= t1; a kick counts fully when t0 <= T_k <= t1."""
+    def integral(self, t0: float, t1):
+        """int_{t0}^{t1} v dt for t0 <= t1; a kick counts fully when t0 <= T_k <= t1.
+
+        t1 may be a 1-D array: each entry is the float the scalar call gives.
+        """
         if self.shape is PulseShape.GAUSSIAN:
-            return 0.5 * self.alpha * (
-                math.erf((t1 - self.center) / self.tau) - math.erf((t0 - self.center) / self.tau)
-            )
+            x = (t1 - self.center) / self.tau
+            many = isinstance(x, np.ndarray)
+            e1 = np.fromiter(map(math.erf, x.tolist()), float, x.size) if many else math.erf(x)
+            return 0.5 * self.alpha * (e1 - math.erf((t0 - self.center) / self.tau))
         if self.shape is PulseShape.RECTANGULAR:
             lo, hi = self.window()
-            return self.peak * max(0.0, min(t1, hi) - max(t0, lo))
-        return self.alpha if t0 <= self.center <= t1 else 0.0
+            return self.peak * np.maximum(0.0, np.minimum(t1, hi) - max(t0, lo))
+        return self.alpha * ((t0 <= self.center) & (self.center <= t1))
 
 
 def gaussian(alpha: float, tau: float, center: float) -> Pulse:
@@ -198,15 +202,16 @@ def envelope_array(pulses: PulseSequence, times: np.ndarray) -> np.ndarray:
     return total
 
 
-def integrated_strength(pulses: PulseSequence, t0: float, t1: float) -> float:
+def integrated_strength(pulses: PulseSequence, t0: float, t1):
     """int_{t0}^{t1} v(t) dt in rad, analytic for every shape.
 
     Kicks contribute their full alpha when the kick time lies inside the
-    window (boundaries inclusive).
+    window (boundaries inclusive).  t1 may be a 1-D array of end times, as
+    in Pulse.integral.
     """
-    if t1 < t0:
+    if np.any(t1 < t0):
         raise ValueError("t1 must be >= t0")
-    total = 0.0
+    total = np.zeros(t1.size) if isinstance(t1, np.ndarray) else 0.0
     for p in pulses:
         total += p.integral(t0, t1)
     return total

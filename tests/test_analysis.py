@@ -127,6 +127,11 @@ class TestScenarios:
         with pytest.raises(ValueError):
             scenario("fig1", {"bananas": 1.0})
 
+    @pytest.mark.parametrize("n_points", [2.7, math.nan, math.inf, "3"])
+    def test_point_count_must_be_a_whole_number(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be a whole number"):
+            scenario("fig1", {"n_points": n_points, "taus": (10.0,)})
+
     def test_names_exported(self):
         assert set(SCENARIO_NAMES) == {
             "fig1", "fig2", "fig3", "fig4_left", "fig4_right", "fig5_left", "fig5_right",

@@ -171,9 +171,10 @@ class TestPropagate:
         ("0.1", ("--t1", "2", "--dt", "5e-324"), "dt="),
         ("0.001", ("--t1", "1000", "--samples", "3"), "dt="),  # auto dt: 5e7 steps
         # refused before the sample grid is allocated
+        ("0.1", ("--t1", "2", "--samples", "10000000"), "--samples"),
         ("0.1", ("--t1", "2", "--samples", "10000001"), "--samples"),
         ("0.1", ("--t1", "2", "--samples", "100000000000"), "--samples"),
-    ], ids=["dt-1e-300", "dt-5e-324", "auto-dt", "samples-1e7+1", "samples-1e11"])
+    ], ids=["dt-1e-300", "dt-5e-324", "auto-dt", "samples-1e7", "samples-1e7+1", "samples-1e11"])
     def test_step_budget_is_exit_1(self, capsys, tau, tail, named):
         start = time.perf_counter()
         code, out, err = run_cli(
@@ -209,14 +210,21 @@ class TestPropagate:
             assert abs(x - y) <= 4 * math.ulp(max(abs(x), abs(y)))
 
     def test_metadata_counts_the_integrated_steps(self, capsys, monkeypatch):
-        segments = []
-        real = evolve._rk4_span
+        # each step calls the envelope closure three times, and each of the 399
+        # segments between samples takes max(1, ceil(length / dt)) steps
+        calls = [0]
+        real = evolve.envelope
 
-        def counted(*args):
-            segments.append(args[-1])
-            return real(*args)
+        def counting(pulses):
+            v = real(pulses)
 
-        monkeypatch.setattr(evolve, "_rk4_span", counted)
+            def counted(t):
+                calls[0] += 1
+                return v(t)
+
+            return counted
+
+        monkeypatch.setattr(evolve, "envelope", counting)
         code, out, _ = run_cli(
             capsys, "propagate", "--preset", "hydrogen-2s2p",
             "--pulse", "gaussian:alpha=pi/2,tau=10,center=100",
@@ -224,24 +232,35 @@ class TestPropagate:
             "--t1", "700", "--samples", "400",
         )
         assert code == 0
-        assert len(segments) == 399
-        assert f"# rk4_steps={sum(segments)} segments=399" in out.splitlines()
+        meta = dict(
+            item.split("=", 1) for line in out.splitlines() if line.startswith("# ")
+            for item in line[2:].split() if "=" in item
+        )
+        dt = float(meta["resolved_dt"])
+        times = np.linspace(0.0, 700.0, 400).tolist()
+        planned = sum(max(1, math.ceil((b - a) / dt)) for a, b in zip(times, times[1:]))
+        assert meta["segments"] == "399"
+        assert int(meta["rk4_steps"]) == calls[0] / 3 == planned
 
     def test_fig2_pair_matches_reference_panel(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "propagate", "--preset", "hydrogen-2s2p",
-            "--pulse", "gaussian:alpha=pi/2,tau=10,center=100",
-            "--pulse", "gaussian:alpha=-pi/2,tau=10,center=586",
-            "--t1", "700", "--samples", "400",
-        )
-        assert code == 0
         lines = (REFERENCE_PANELS / "fig2.csv").read_text().splitlines()
         lines = [line for line in lines if not line.startswith("#")]
         column = lines[0].split(",").index("P2_tau10")
         expected = np.array([float(line.split(",")[column]) for line in lines[1:]])
-        rows = np.array(data_rows(out), dtype=float)
-        assert rows.shape == (400, 9)
-        assert np.max(np.abs(rows[:, 2] - expected)) <= 1e-10
+        # every 50th of 19951 rows falls on the panel's 400-point grid; each record
+        # time ends a segment and rounds its step count up, so the denser grid moves
+        # P2 by up to about 8e-10 (the benchmark gates it at 1e-8)
+        for samples, tol in ((400, 1e-10), (19951, 1e-9)):
+            code, out, _ = run_cli(
+                capsys, "propagate", "--preset", "hydrogen-2s2p",
+                "--pulse", "gaussian:alpha=pi/2,tau=10,center=100",
+                "--pulse", "gaussian:alpha=-pi/2,tau=10,center=586",
+                "--t1", "700", "--samples", str(samples),
+            )
+            assert code == 0
+            rows = np.array(data_rows(out), dtype=float)
+            assert rows.shape == (samples, 9)
+            assert np.max(np.abs(rows[:: (samples - 1) // 399, 2] - expected)) <= tol
 
     def test_bad_pulse_spec_is_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "propagate", "--pulse", "blob:alpha=1", "--t1", "3")
@@ -329,6 +348,21 @@ class TestFigure:
         last = text.strip().splitlines()[-1].split(",")
         assert float(last[0]) == 300.0
         assert float(last[1]) == pytest.approx(0.99768, abs=1e-4)
+
+    def test_several_names_write_one_panel_each(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys, "figure", "fig1", "fig4_right", "--set", "n_points=3", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        for name in ("fig1", "fig4_right"):
+            _, single, _ = run_cli(capsys, "figure", name, "--set", "n_points=3", "--out", "-")
+            assert (tmp_path / f"{name}.csv").read_text() == single
+
+    def test_out_with_several_names_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "figure", "fig1", "fig2", "--out", "-")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --out names one file, got 2 scenarios; use --outdir\n"
 
     def test_unknown_figure_is_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "figure", "fig9")

@@ -171,52 +171,122 @@ _SPAN_STEPS = st.sampled_from(
 )
 
 
+def _batched(v, v_const, gamma, a1, a2, t0, t1, n):
+    """_rk4_span's n steps over [t0, t1], as one segment of the batched composer."""
+    d, q = evolve._batch_maps(
+        v, np.array([v_const], dtype=float), 1j * gamma, np.array([t0]),
+        np.array([(t1 - t0) / n]), np.array([n]),
+    )
+    d, q = d[0], q[0]
+    return a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(_PULSE, min_size=1, max_size=3),
-    _SPAN_STEPS,
+    # (n, BLOCK): the batched composer takes one numpy pass per step, so the
+    # spans of two and three blocks run with BLOCK lowered to SMALL
+    st.sampled_from(
+        [(n, evolve.BLOCK) for n in (1, 2, evolve.SMALL - 1, evolve.SMALL, evolve.BLOCK)]
+        + [(evolve.SMALL + 1, evolve.SMALL), (2 * evolve.SMALL + 3, evolve.SMALL)]
+    ),
     st.floats(0.0, 2.0),
     st.floats(0.1, 4.0),
     st.floats(-2.0, 2.0),
     st.floats(0.0, math.pi),
 )
-def test_block_and_short_composers_agree(pulses, n, t0, span, gamma, theta):
+def test_block_and_short_composers_agree(pulses, steps, t0, span, gamma, theta):
+    n, block = steps
     # the same envelope calls at the same floats, the same amplitudes to rounding
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
     shape = envelope(smooth) if smooth else (lambda _t: 0.0)
     v_const = sum(p.peak for p in pulses if p.shape is PulseShape.RECTANGULAR)
     a1, a2 = math.cos(theta), 1j * math.sin(theta)
     runs = []
-    for small in (n + 1, evolve.SMALL):  # short composer forced, then the kernel as shipped
+    for integrate in (_batched, evolve._rk4_span):  # the batched composer, then the block kernel
         calls = []
 
         def v(t):
             calls.append(t)
             return shape(t)
 
-        with mock.patch.object(evolve, "SMALL", small):
-            runs.append((evolve._rk4_span(v, v_const, gamma, a1, a2, t0, t0 + span, n), calls))
+        with mock.patch.object(evolve, "BLOCK", block):
+            runs.append((integrate(v, v_const, gamma, a1, a2, t0, t0 + span, n), calls))
     (short, short_calls), (kernel, kernel_calls) = runs
     assert len(kernel_calls) == 3 * n
     assert kernel_calls == short_calls
     # composing one step at a time rounds differently from pairwise products, and
-    # the gap grows with n: up to about n eps / 10 over thousands of forced steps
+    # the gap grows with n: up to about n eps / 10 over thousands of steps
     tol = max(1e-13, n * np.finfo(float).eps)
     assert abs(kernel[0] - short[0]) <= tol
     assert abs(kernel[1] - short[1]) <= tol
 
 
-@pytest.mark.parametrize("small", [evolve.SMALL, evolve.BLOCK + 1], ids=["block", "short"])
-def test_both_composers_are_exact_over_near_identity_steps(small):
-    # gamma = 0 and a constant coupling: the exact amplitudes are cos, sin of (theta - v t);
-    # raising SMALL above n sends the same BLOCK steps through the short composer
+@pytest.mark.parametrize("integrate", [evolve._rk4_span, _batched], ids=["block", "short"])
+def test_both_composers_are_exact_over_near_identity_steps(integrate):
+    # gamma = 0 and a constant coupling: the exact amplitudes are cos, sin of (theta - v t)
     v, theta, span, n = 1e-8, 1.0, 1.0, evolve.BLOCK
-    with mock.patch.object(evolve, "SMALL", small):
-        a1, a2 = evolve._rk4_span(
-            lambda _t: 0.0, v, 0.0, math.cos(theta), 1j * math.sin(theta), 0.0, span, n
-        )
+    a1, a2 = integrate(lambda _t: 0.0, v, 0.0, math.cos(theta), 1j * math.sin(theta), 0.0, span, n)
     assert abs(a1 - math.cos(theta - v * span)) <= 1e-15
     assert abs(a2 - 1j * math.sin(theta - v * span)) <= 1e-15
+
+
+def _per_segment_reference(pulses, params, t0, t1, dt, marks):
+    """The state at each mark, with one _rk4_span call per segment between stops."""
+    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
+    rects = [(p.peak, *p.window()) for p in pulses if p.shape is PulseShape.RECTANGULAR]
+    v = envelope(smooth) if smooth else (lambda _t: 0.0)
+    kicks = {}
+    for p in pulses:
+        if p.shape is PulseShape.IDEAL_KICK and t0 <= p.center <= t1:
+            kicks[p.center] = kicks.get(p.center, 0.0) + p.alpha
+    edges = {e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1}
+    stops = sorted(set(kicks) | edges | {t0, t1} | set(marks))
+    a1, a2 = 1.0 + 0.0j, 0.0j
+    at = {}
+    for lo, hi in zip([t0] + stops[:-1], stops):
+        if hi > lo:
+            mid = 0.5 * (lo + hi)
+            v_const = sum(amp for amp, rlo, rhi in rects if rlo < mid < rhi)
+            n = max(1, math.ceil((hi - lo) / dt))
+            a1, a2 = evolve._rk4_span(v, v_const, params.gamma, a1, a2, lo, hi, n)
+        if hi in kicks:
+            c, s = math.cos(kicks[hi]), math.sin(kicks[hi])
+            a1, a2 = c * a1 - 1j * s * a2, -1j * s * a1 + c * a2
+        at[hi] = (a1, a2)
+    return np.array([at[t] for t in marks]).reshape(-1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_PULSE, min_size=1, max_size=4),
+    st.floats(0.0, 1.0),
+    st.floats(0.5, 4.0),
+    st.lists(st.floats(0.0, 1.0), max_size=40),
+    st.sampled_from([0.003, 0.02, 0.3]),
+    st.sampled_from([64, evolve.BLOCK]),
+)
+def test_batched_plan_matches_per_segment_spans(pulses, t0, span, fractions, dt, block):
+    # record times that repeat and that fall on kicks and rectangle edges; a
+    # small BLOCK splits the batch into many chunks
+    t1 = t0 + span
+    breaks = [e for p in pulses for e in {p.window()[0], p.center, p.window()[1]}]
+    marks = [t0 + f * span for f in fractions] + [t for t in breaks if t0 <= t <= t1]
+    marks = sorted(marks + marks[::3])
+    cfg = IntegratorConfig(dt=dt, unitarity_tolerance=math.inf)
+    with mock.patch.object(evolve, "BLOCK", block):
+        series = rk4_evolve(pulses, unit_system(), (1.0, 0.0), t0, t1, cfg, record_times=marks)
+        expected = _per_segment_reference(pulses, unit_system(), t0, t1, dt, marks)
+    assert series.states.shape == (len(marks), 2)
+    assert np.max(np.abs(series.states - expected), initial=0.0) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_PULSE, max_size=4), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 4.0), max_size=20))
+def test_array_integrated_strength_matches_the_scalar_calls(pulses, t0, offsets):
+    times = t0 + np.array(offsets)
+    scalar = [integrated_strength(pulses, t0, t) for t in times.tolist()]
+    assert integrated_strength(pulses, t0, times).tolist() == scalar
 
 
 @settings(max_examples=20, deadline=None)
