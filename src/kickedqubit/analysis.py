@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -159,20 +160,27 @@ def no_ordering_p2_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """P2 from t0 to each time without time ordering: (bare frame, rotating frame).
 
-    Bare frame: exp(-i (H0 + vbar sigma_x)(t - t0)) with vbar the running
-    mean of the coupling over [t0, t].  Rotating frame:
-    sin^2 |int_{t0}^t v(t') e^{2 i gamma t'} dt'|.
+    Both read P2 off propagators.no_ordering_column: the bare frame (lam = 0)
+    with the running strength int_{t0}^t v dt, the rotating frame (lam = 1)
+    with z = int_{t0}^t v(t') e^{2 i gamma t'} dt'.
     """
     times = np.asarray(times, dtype=float)
-    running, phases = integrated_strength(pulses, t0, times), params.gamma * (times - t0)
-    columns = map(propagators.no_ordering_schrodinger_column, running.tolist(), phases.tolist())
-    p = np.fromiter((abs(u) ** 2 for c in columns for u in c), float, count=2 * times.size)
-    # for the SU(2) form this column check is the full unitarity defect; a NaN fails it
+    spans, column = (times - t0).tolist(), propagators.no_ordering_column
+    frames = (
+        (0.0, integrated_strength(pulses, t0, times).tolist()),
+        (1.0, interaction_integral_series(pulses, params, t0, times, cfg).tolist()),
+    )
+    columns = chain.from_iterable(
+        map(column, zs, repeat(lam), repeat(params.gamma), spans) for lam, zs in frames
+    )
+    p = np.fromiter((abs(u) ** 2 for c in columns for u in c), float, count=4 * times.size)
+    # one guard over both frames: for the SU(2) form this column check is the full
+    # unitarity defect, and a NaN fails it
     defect = np.max(np.abs(p[0::2] + p[1::2] - 1.0), initial=0.0)
     if not defect <= 1e-8:
         raise NonUnitaryError(f"no-ordering propagator is not unitary (defect {defect:.3e})")
-    integral = interaction_integral_series(pulses, params, t0, times, cfg)
-    return p[1::2], np.array([math.sin(abs(z)) ** 2 for z in integral])
+    p2 = p[1::2]
+    return p2[: times.size], p2[times.size :]
 
 
 def scenario(

@@ -28,14 +28,15 @@ as the SU(2) map [[1 + d, -q*], [q, 1 + d*]] with the identity kept apart,
 and update the state once per map.  Both call the scalar envelope closure
 three times per step, at the step's start, midpoint and end.
 
-This module also provides numerically constructed "no time ordering"
-evolutions in both frames; they serve as independent cross-checks of the
-closed forms in `propagators`.  Both exponentiate with scipy's `expm`.  The
-rotating-frame one takes its exponent from `interaction_integral`, which
-integrates each pulse window by QUADPACK's Fourier-weighted QAWO rule.
-scipy is imported inside these three routes, so the integrator's import
-stays numpy-only.  `interaction_integral_series` is the cheap cumulative
-trapezoid behind the no-ordering CSV columns.
+This module also provides the numeric "no time ordering" evolution,
+`no_ordering_numeric`, an independent cross-check of the closed form in
+`propagators` for either frame: lam = 0 (bare) or lam = 1 (rotating).
+It exponentiates with scipy's `expm`; its exponent comes from
+`interaction_integral`, which integrates each pulse window by QUADPACK's
+Fourier-weighted QAWO rule at frequency 2 lam gamma.  scipy is imported
+inside these two routes, so the integrator's import stays numpy-only.
+`interaction_integral_series` is the cheap cumulative trapezoid behind the
+rotating-frame no-ordering CSV column.
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ from .pulses import (
     SystemParams,
     envelope,
     envelope_array,
-    integrated_strength,
 )
 from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, unitarity_defect
 
@@ -350,35 +350,20 @@ def rk4_propagator(
     return u
 
 
-def no_ordering_schrodinger_numeric(
-    pulses: PulseSequence, params: SystemParams, t: float
-) -> np.ndarray:
-    """Matrix exponential of the time-averaged bare-frame Hamiltonian.
+def interaction_integral(
+    pulses: PulseSequence, params: SystemParams, t: float, lam: float
+) -> complex:
+    """z_lam = int_0^t v(t') e^{2 i lam gamma t'} dt', the no-ordering exponent of frame lam.
 
-    exp(-i (H0 + vbar sigma_x) t) with vbar the running mean of the
-    coupling over [0, t]; evaluated with scipy's expm as an independent
-    route to the closed form.
-    """
-    if t == 0.0:
-        return np.eye(2, dtype=complex)
-    from scipy.linalg import expm
-
-    alpha_running = integrated_strength(pulses, 0.0, t)
-    h_mean = -params.gamma * SIGMA_Z + (alpha_running / t) * SIGMA_X
-    return expm(-1j * h_mean * t)
-
-
-def interaction_integral(pulses: PulseSequence, params: SystemParams, t: float) -> complex:
-    """z = int_0^t v(t') e^{2 i gamma t'} dt', the rotating-frame coupling integral.
-
-    Kicks contribute exact jumps alpha e^{2 i gamma t_kick}.  Each finite
-    pulse's window, clipped to [0, t], is integrated by QUADPACK's QAWO
-    routine (scipy's quad with weight 'cos' and 'sin' at frequency
-    2 gamma), which builds the oscillating factor into its rule.
+    Kicks contribute exact jumps alpha e^{2 i lam gamma t_kick}.  Each
+    finite pulse's window, clipped to [0, t], is integrated by QUADPACK's
+    QAWO routine (scipy's quad with weight 'cos' and 'sin' at frequency
+    2 lam gamma), which builds the oscillating factor into its rule; it
+    accepts frequency 0, the bare frame.
     """
     from scipy.integrate import quad
 
-    w = 2.0 * params.gamma
+    w = 2.0 * lam * params.gamma
     z = 0.0 + 0.0j
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK:
@@ -396,16 +381,19 @@ def interaction_integral(pulses: PulseSequence, params: SystemParams, t: float) 
     return z
 
 
-def no_ordering_interaction_numeric(
-    pulses: PulseSequence,
-    params: SystemParams,
-    t: float,
+def no_ordering_numeric(
+    pulses: PulseSequence, params: SystemParams, t: float, lam: float
 ) -> np.ndarray:
-    """exp(-i (Re z sigma_x + Im z sigma_y)) with z from interaction_integral, by expm."""
+    """expm(-i Omega_lam), Omega_lam = Re z sigma_x + Im z sigma_y - (1 - lam) gamma t sigma_z.
+
+    z is interaction_integral's quadrature of frame lam: lam = 0 is the bare
+    frame, lam = 1 the rotating frame.
+    """
     from scipy.linalg import expm
 
-    z = interaction_integral(pulses, params, t)
-    return expm(-1j * (z.real * SIGMA_X + z.imag * SIGMA_Y))
+    z = interaction_integral(pulses, params, t, lam)
+    c = (1.0 - lam) * params.gamma * t
+    return expm(-1j * (z.real * SIGMA_X + z.imag * SIGMA_Y - c * SIGMA_Z))
 
 
 def interaction_integral_series(

@@ -2,11 +2,12 @@
 
 All propagators act on amplitude pairs in the basis where the free
 Hamiltonian is H0/hbar = -gamma sigma_z and the coupling is v(t) sigma_x.
-The free propagator is therefore exp(i gamma t sigma_z).  "No ordering"
-variants are the evolution obtained by replacing the time-ordered
-exponential with the plain exponential of the time-averaged Hamiltonian;
-they differ between the bare (Schrodinger) frame and the rotating
-(interaction) frame, which is the point of comparing them.
+The free propagator is therefore exp(i gamma t sigma_z).  The "no
+ordering" evolution replaces the time-ordered exponential with the plain
+exponential of the time-averaged Hamiltonian.  It depends on the frame of
+the average, which is the point of comparing frames: `no_ordering` is one
+closed form for the frame family lam, where lam = 0 is the bare
+(Schrodinger) frame and lam = 1 the rotating (interaction) frame.
 
 Validity domains:
 
@@ -14,10 +15,12 @@ Validity domains:
   as time-ordered (alpha_k, T_k) pairs): exact for delta-function pulses,
   accurate to O(beta) in matrix elements for finite widths
   (beta = gamma tau).
-* rotating-frame no-ordering form (`no_ordering_interaction_kicks`):
-  exact for completed gaussians entered as a_k = alpha_k e^{-beta_k^2},
-  and for ideal kicks (beta = 0).
-  Both kick routes accept any finite gamma, negative included.
+* no-ordering form (`no_ordering`): exact for any coupling once z_lam is
+  exact.  At lam = 0, z is the running strength int_0^t v dt of any
+  pulse sequence.  For kicks, `kick_integral` gives z_lam at any lam; at
+  lam = 1 it is also exact for completed gaussians entered as
+  a_k = alpha_k e^{-beta_k^2}.  `kick_sequence_propagator` and
+  `kick_integral` accept any finite gamma, negative included.
 * rectangular form: exact for a rectangular pulse fully inside [0, t].
 * adiabatic form: slowly varying v(t); a validity ratio is reported, not
   enforced.
@@ -67,51 +70,50 @@ def degenerate_propagator(alpha: float) -> np.ndarray:
     return pauli_exponential(-alpha, X_AXIS)
 
 
-def no_ordering_schrodinger_column(
-    alpha_running: float, gamma_t: float
-) -> tuple[complex, complex]:
-    """First column (u11, u21) of exp(i gamma t sigma_z - i alpha sigma_x).
+def kick_integral(kicks: Sequence[tuple[float, float]], lam: float, gamma: float) -> complex:
+    """z_lam = sum_k a_k e^{2 i lam gamma T_k} of kicks given as (a_k, T_k) pairs.
 
-    With xi = sqrt(alpha^2 + (gamma t)^2) it is
-    (cos(xi) + i gamma t sin(xi)/xi, -i alpha sin(xi)/xi).  The matrix is
-    its SU(2) completion [[u11, -u21*], [u21, u11*]], and -u21* = u21
-    because u21 is imaginary.
+    The no-ordering exponent of ideal kicks in the frame lam (see
+    `no_ordering_column`).  A completed gaussian of strength alpha and
+    width beta = gamma tau enters the rotating frame (lam = 1) as
+    a_k = alpha e^{-beta^2}, an ideal kick as a_k = alpha.
     """
-    xi = math.hypot(alpha_running, gamma_t)
-    s = _sin_over(xi)
-    return math.cos(xi) + 1j * gamma_t * s, -1j * alpha_running * s
-
-
-def no_ordering_schrodinger(alpha_running: float, gamma_t: float) -> np.ndarray:
-    """exp(i gamma t sigma_z - i alpha sigma_x): bare-frame average evolution.
-
-    alpha_running is the coupling integrated from 0 to the measurement
-    time.  Matrix elements involve xi = sqrt(alpha^2 + (gamma t)^2):
-    diagonal cos(xi) +/- i gamma t sin(xi)/xi, off-diagonal
-    -i alpha sin(xi)/xi.
-    """
-    u11, u21 = no_ordering_schrodinger_column(alpha_running, gamma_t)
-    return np.array([[u11, u21], [u21, u11.conjugate()]])
-
-
-def no_ordering_interaction_kicks(kicks: Sequence[tuple[float, float]], gamma: float) -> np.ndarray:
-    """Rotating-frame average evolution of kicks given as (a_k, T_k) pairs.
-
-    exp(-i sum_k a_k (cos 2 gamma T_k sigma_x + sin 2 gamma T_k sigma_y)),
-    summed in any order.  A completed gaussian of strength alpha and width
-    beta = gamma tau enters as a_k = alpha e^{-beta^2}, an ideal kick as
-    a_k = alpha.  With z = sum_k a_k e^{2 i gamma T_k} the matrix is
-    [[cos|z|, -q*], [q, cos|z|]], q = -i z sin|z|/|z|.  One kick gives
-    P2 = sin^2 a, a kick-antikick pair sin^2(2 a sin(gamma T_s)).
-    """
+    w = 2.0 * lam * gamma
     zr = zi = 0.0
     for a, tk in kicks:
-        zr += a * math.cos(2.0 * gamma * tk)
-        zi += a * math.sin(2.0 * gamma * tk)
-    m = math.hypot(zr, zi)
-    s = _sin_over(m)
-    c, q = math.cos(m), complex(zi * s, -zr * s)
-    return np.array([[c, -q.conjugate()], [q, c]])
+        zr += a * math.cos(w * tk)
+        zi += a * math.sin(w * tk)
+    return complex(zr, zi)
+
+
+def no_ordering_column(z: complex, lam: float, gamma: float, t: float) -> tuple[complex, complex]:
+    """First column (u11, u21) of exp(-i Omega_lam), the no-ordering evolution of frame lam.
+
+    The frame splits -lam gamma sigma_z off H0; its averaged (first-order
+    Magnus) exponent is Omega_lam = Re z sigma_x + Im z sigma_y
+    - c sigma_z, c = (1 - lam) gamma t, z = int_0^t v e^{2 i lam gamma t'} dt'
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  With
+    xi = sqrt(|z|^2 + c^2) the column is (cos(xi) + i c sin(xi)/xi,
+    -i z sin(xi)/xi).  The frame factor e^{i lam gamma t sigma_z} is
+    diagonal, so P2 = |u21|^2 in every frame.
+    """
+    c = (1.0 - lam) * gamma * t
+    zr, zi = z.real, z.imag
+    xi = math.hypot(zr, zi, c)
+    # _sin_over written out for xi >= 1e-4: propagate calls this twice per CSV row
+    s = math.sin(xi) / xi if xi >= 1e-4 else _sin_over(xi)
+    return math.cos(xi) + c * s * 1j, zi * s - zr * s * 1j
+
+
+def no_ordering(z: complex, lam: float, gamma: float, t: float) -> np.ndarray:
+    """exp(-i Omega_lam): the SU(2) completion [[u11, -u21*], [u21, u11*]] of `no_ordering_column`.
+
+    In the rotating frame one kick gives P2 = sin^2 a and a kick-antikick
+    pair sin^2(2 a sin(gamma T_s)); in the bare frame a running strength
+    alpha gives P2 = (alpha sin(xi)/xi)^2, xi = sqrt(alpha^2 + (gamma t)^2).
+    """
+    u11, u21 = no_ordering_column(z, lam, gamma, t)
+    return np.array([[u11, -u21.conjugate()], [u21, u11.conjugate()]])
 
 
 def kick_sequence_propagator(

@@ -21,12 +21,7 @@ from .analysis import (
     p2_closed_forms_double,
     p2_closed_forms_single,
 )
-from .evolve import (
-    IntegratorConfig,
-    no_ordering_interaction_numeric,
-    no_ordering_schrodinger_numeric,
-    rk4_propagator,
-)
+from .evolve import IntegratorConfig, no_ordering_numeric, rk4_propagator
 from .pulses import (
     PulseShape,
     SystemParams,
@@ -54,6 +49,11 @@ class CheckResult:
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def _rotating(kicks, gamma: float, t: float):
+    """The rotating-frame (lam = 1) no-ordering matrix of kicks (a_k, T_k) at time t."""
+    return prop.no_ordering(prop.kick_integral(kicks, 1.0, gamma), 1.0, gamma, t)
 
 
 def check_pauli_algebra(rng: np.random.Generator, samples: int) -> CheckResult:
@@ -89,9 +89,9 @@ def check_propagator_unitarity(rng: np.random.Generator, samples: int) -> CheckR
         mats = (
             prop.free_propagator(SystemParams(gamma), t),
             prop.degenerate_propagator(alpha),
-            prop.no_ordering_schrodinger(alpha, gamma * t),
-            prop.no_ordering_interaction_kicks(((a_eff, t1),), gamma),
-            prop.no_ordering_interaction_kicks(((a_eff, t1), (-a_eff, t2)), gamma),
+            prop.no_ordering(alpha, 0.0, gamma, t),
+            _rotating(((a_eff, t1),), gamma, t),
+            _rotating(((a_eff, t1), (-a_eff, t2)), gamma, t),
             prop.kick_sequence_propagator(((alpha, t1),), gamma, t),
             prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t),
             prop.rectangular_propagator(alpha, beta, gamma, t1, t),
@@ -109,10 +109,10 @@ def check_limit_web(offset: float = 1e-6, tol: float = 1e-5) -> CheckResult:
     alpha, gamma, t = 1.1, 0.8, 3.0
     diffs = {}
     diffs["bare-average -> degenerate"] = max_abs_diff(
-        prop.no_ordering_schrodinger(alpha, offset), prop.degenerate_propagator(alpha)
+        prop.no_ordering(alpha, 0.0, offset, 1.0), prop.degenerate_propagator(alpha)
     )
     diffs["bare-average -> free"] = max_abs_diff(
-        prop.no_ordering_schrodinger(offset, gamma * t),
+        prop.no_ordering(offset, 0.0, gamma, t),
         prop.free_propagator(SystemParams(gamma), t),
     )
     diffs["kick-antikick -> free"] = max_abs_diff(
@@ -161,7 +161,7 @@ def check_interaction_kick_identity(rng: np.random.Generator, samples: int) -> C
         rotated = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(
             kick, gamma, t
         )
-        worst = max(worst, max_abs_diff(rotated, prop.no_ordering_interaction_kicks(kick, gamma)))
+        worst = max(worst, max_abs_diff(rotated, _rotating(kick, gamma, t)))
     return _result("interaction-kick-identity", worst <= 1e-12, f"worst {worst:.1e}")
 
 
@@ -175,7 +175,7 @@ def check_schrodinger_double_zero(rng: np.random.Generator, samples: int) -> Che
         t2 = t1 + rng.uniform(0.01, 8.0)
         t = t2 + rng.uniform(0.1, 5.0)
         kicks = [ideal_kick(alpha, t1), ideal_kick(-alpha, t2)]
-        u0 = no_ordering_schrodinger_numeric(kicks, SystemParams(gamma), t)
+        u0 = no_ordering_numeric(kicks, SystemParams(gamma), t, 0.0)
         _, p2 = probabilities(u0, (1.0, 0.0))
         worst = max(worst, p2)
     return _result("schrodinger-double-zero", worst <= 1e-12, f"worst P2 {worst:.1e}")
@@ -194,9 +194,9 @@ def check_closed_form_consistency(rng: np.random.Generator, samples: int) -> Che
         single = p2_closed_forms_single(alpha, beta, gamma * tf)
         _, p2 = probabilities(prop.kick_sequence_propagator(((alpha, tk),), gamma, tf), (1.0, 0.0))
         worst = max(worst, abs(p2 - single.exact_kick))
-        _, p2 = probabilities(prop.no_ordering_schrodinger(alpha, gamma * tf), (1.0, 0.0))
+        _, p2 = probabilities(prop.no_ordering(alpha, 0.0, gamma, tf), (1.0, 0.0))
         worst = max(worst, abs(p2 - single.no_ordering_schrodinger))
-        _, p2 = probabilities(prop.no_ordering_interaction_kicks(((a_eff, tk),), gamma), (1.0, 0.0))
+        _, p2 = probabilities(_rotating(((a_eff, tk),), gamma, tf), (1.0, 0.0))
         worst = max(worst, abs(p2 - single.no_ordering_interaction))
         t1 = rng.uniform(0.0, 4.0)
         t2 = t1 + rng.uniform(0.0, 8.0)
@@ -206,7 +206,7 @@ def check_closed_form_consistency(rng: np.random.Generator, samples: int) -> Che
         _, p2 = probabilities(prop.kick_sequence_propagator(pair, gamma, t), (1.0, 0.0))
         worst = max(worst, abs(p2 - double.exact_kick))
         pair = ((a_eff, t1), (-a_eff, t2))
-        _, p2 = probabilities(prop.no_ordering_interaction_kicks(pair, gamma), (1.0, 0.0))
+        _, p2 = probabilities(_rotating(pair, gamma, t), (1.0, 0.0))
         worst = max(worst, abs(p2 - double.no_ordering_interaction))
     return _result("closed-form-consistency", worst <= 1e-12, f"worst {worst:.1e}")
 
@@ -224,16 +224,17 @@ def check_numeric_no_ordering(rng: np.random.Generator, samples: int) -> CheckRe
         t = tk + 6.0 * tau + rng.uniform(1.0, 300.0)
         a_eff = alpha * math.exp(-beta * beta)
         pulse = [gaussian(alpha, tau, tk)]
-        u_num = no_ordering_interaction_numeric(pulse, params, t)
-        u_closed = prop.no_ordering_interaction_kicks(((a_eff, tk),), g)
+        u_num = no_ordering_numeric(pulse, params, t, 1.0)
+        u_closed = _rotating(((a_eff, tk),), g, t)
         worst = max(worst, max_abs_diff(u_num, u_closed))
-        u0_num = no_ordering_schrodinger_numeric(pulse, params, t)
+        u0_num = no_ordering_numeric(pulse, params, t, 0.0)
         a_run = alpha  # pulse complete, so the running integral is the full strength
-        worst = max(worst, max_abs_diff(u0_num, prop.no_ordering_schrodinger(a_run, g * t)))
+        worst = max(worst, max_abs_diff(u0_num, prop.no_ordering(a_run, 0.0, g, t)))
         t2 = tk + rng.uniform(12.0 * tau, 400.0)
         pair = [gaussian(alpha, tau, tk), gaussian(-alpha, tau, t2)]
-        u_num = no_ordering_interaction_numeric(pair, params, t2 + 6.0 * tau + 1.0)
-        u_closed = prop.no_ordering_interaction_kicks(((a_eff, tk), (-a_eff, t2)), g)
+        t = t2 + 6.0 * tau + 1.0
+        u_num = no_ordering_numeric(pair, params, t, 1.0)
+        u_closed = _rotating(((a_eff, tk), (-a_eff, t2)), g, t)
         worst = max(worst, max_abs_diff(u_num, u_closed))
     return _result("numeric-no-ordering", worst <= 1e-8, f"worst {worst:.1e}")
 
@@ -275,10 +276,8 @@ def check_time_reversal(rng: np.random.Generator, samples: int) -> CheckResult:
         u = prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t)
         u_rev = prop.kick_sequence_propagator(((alpha, t - t2), (-alpha, t - t1)), -gamma, t)
         worst = max(worst, max_abs_diff(u_rev @ u, IDENTITY))
-        u = prop.no_ordering_schrodinger(alpha, gamma)
-        worst = max(
-            worst, max_abs_diff(prop.no_ordering_schrodinger(-alpha, -gamma) @ u, IDENTITY)
-        )
+        u = prop.no_ordering(alpha, 0.0, gamma, 1.0)
+        worst = max(worst, max_abs_diff(prop.no_ordering(-alpha, 0.0, -gamma, 1.0) @ u, IDENTITY))
         beta = rng.uniform(0.0, 1.0)
         u = prop.rectangular_propagator(alpha, beta, gamma, tk, t)
         u_rev = prop.rectangular_propagator(-alpha, -beta, -gamma, t - tk, t)
@@ -300,7 +299,7 @@ def check_perturbative_onset() -> CheckResult:
         u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(
             pair, gamma, t
         )
-        diff = u_i - prop.no_ordering_interaction_kicks(pair, gamma)
+        diff = u_i - _rotating(pair, gamma, t)
         full.append(float(np.max(np.abs(diff))))
         offdiag.append(float(max(abs(diff[0, 1]), abs(diff[1, 0]))))
     fit_full = error_scaling_fit(
@@ -427,7 +426,7 @@ def check_consistency_triangle() -> CheckResult:
         # closed form vs propagator route: must match to rounding
         single = p2_closed_forms_single(alpha, beta, g * tf)
         a_eff = alpha * math.exp(-beta * beta)
-        _, p2_mat = probabilities(prop.no_ordering_interaction_kicks(((a_eff, tk),), g), (1.0, 0.0))
+        _, p2_mat = probabilities(_rotating(((a_eff, tk),), g, tf), (1.0, 0.0))
         worst_exact = max(worst_exact, abs(p2_mat - single.no_ordering_interaction))
         # RK4 vs kicked limit: bounded by the fitted quadratic error law
         u = rk4_propagator([gaussian(alpha, tau, tk)], params, 0.0, tf)

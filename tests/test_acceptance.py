@@ -89,7 +89,7 @@ def test_08_schrodinger_double_zero():
     # coupling, so the bare-frame average propagator is exactly free
     worst_analytic = 0.0
     for alpha, gamma, t1, ts in ((1.2, 0.7, 1.0, 2.0), (math.pi / 2, 0.003, 100.0, 486.0)):
-        u0 = prop.no_ordering_schrodinger(0.0, gamma * (t1 + ts + 1.0))
+        u0 = prop.no_ordering(0.0, 0.0, gamma, t1 + ts + 1.0)
         worst_analytic = max(worst_analytic, abs(u0[1, 0]))
         assert p2_closed_forms_double(alpha, 0.1, gamma * ts).no_ordering_schrodinger == 0.0
     rng = np.random.default_rng(2)

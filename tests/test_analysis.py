@@ -73,7 +73,7 @@ class TestTimeOrderingReport:
         alpha, gamma, tk, t = 1.1, 0.8, 1.0, 3.0
         kick = ((alpha, tk),)
         u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(kick, gamma, t)
-        u_i0 = prop.no_ordering_interaction_kicks(kick, gamma)
+        u_i0 = prop.no_ordering(prop.kick_integral(kick, 1.0, gamma), 1.0, gamma, t)
         assert max_abs_diff(u_i, u_i0) < 1e-12
 
     def test_single_kick_bare_frame_effect_saturates(self):
@@ -81,7 +81,7 @@ class TestTimeOrderingReport:
         alpha, gamma, tk = math.pi / 2, 1.0, 1.0
         t = 60.0
         u = prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
-        u0 = prop.no_ordering_schrodinger(alpha, gamma * t)
+        u0 = prop.no_ordering(alpha, 0.0, gamma, t)
         delta_p2 = probabilities(u, (1.0, 0.0))[1] - probabilities(u0, (1.0, 0.0))[1]
         expected_p2_0 = p2_closed_forms_single(alpha, 0.0, gamma * t).no_ordering_schrodinger
         assert delta_p2 == pytest.approx(1.0 - expected_p2_0, abs=1e-12)
@@ -235,14 +235,27 @@ def _read_panel(name: str) -> tuple[list[str], np.ndarray]:
     return lines[0].split(","), np.array(rows)
 
 
-def test_no_ordering_columns_reject_a_nan_row(monkeypatch):
-    # a NaN on a middle row must survive the running defect and raise
-    real = prop.no_ordering_schrodinger_column
+@pytest.mark.parametrize("frame", ["bare", "rotating"])
+def test_no_ordering_columns_reject_a_nan_row(monkeypatch, frame):
+    # a NaN on a middle row of either column must survive the running defect and raise
+    if frame == "bare":
+        real = prop.no_ordering_column
 
-    def nan_at_two(alpha_running, gamma_t):
-        return (complex(math.nan), complex(math.nan)) if gamma_t == 2.0 else real(alpha_running, gamma_t)
+        def nan_at_two(z, lam, gamma, t):
+            if (lam, t) == (0.0, 2.0):
+                return complex(math.nan), complex(math.nan)
+            return real(z, lam, gamma, t)
 
-    monkeypatch.setattr(prop, "no_ordering_schrodinger_column", nan_at_two)
+        monkeypatch.setattr(prop, "no_ordering_column", nan_at_two)
+    else:
+        real = analysis.interaction_integral_series
+
+        def nan_at_two(*args):
+            z = real(*args)
+            z[1] = math.nan
+            return z
+
+        monkeypatch.setattr(analysis, "interaction_integral_series", nan_at_two)
     with pytest.raises(NonUnitaryError):
         analysis.no_ordering_p2_columns(
             [], unit_system(), 0.0, np.array([1.0, 2.0, 3.0]), None

@@ -561,15 +561,13 @@ class TestValidate:
     def test_fault_injection_fails(self, capsys, monkeypatch):
         import kickedqubit.propagators as prop
 
-        good = prop.no_ordering_interaction_kicks
+        good = prop.no_ordering
 
-        def tampered(kicks, gamma):
-            u = good(kicks, gamma)
+        def tampered(z, lam, gamma, t):
+            u = good(z, lam, gamma, t)
             return u.conj()  # flips the off-diagonal phase sign
 
-        monkeypatch.setattr(
-            "kickedqubit.validation.prop.no_ordering_interaction_kicks", tampered
-        )
+        monkeypatch.setattr("kickedqubit.validation.prop.no_ordering", tampered)
         code, out, _ = run_cli(capsys, "validate", "--quick")
         assert code == 2
         assert "FAIL" in out

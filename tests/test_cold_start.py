@@ -79,7 +79,7 @@ def lazy_routes() -> dict:
     return run_fresh(
         f"""
         import json, math
-        from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_numeric
+        from kickedqubit.evolve import interaction_integral, no_ordering_numeric
         from kickedqubit.propagators import adiabatic_phase, kick_correction_shape_factor
         from kickedqubit.pulses import PulseShape, SystemParams, gaussian
 
@@ -87,13 +87,13 @@ def lazy_routes() -> dict:
             return [[z.real, z.imag] for z in m.ravel().tolist()]
 
         params = SystemParams(1.0)
-        z = interaction_integral([gaussian(0.7, 0.1, 1.0)], params, 2.0)
+        z = interaction_integral([gaussian(0.7, 0.1, 1.0)], params, 2.0, 1.0)
         out = {{"interaction": [z.real, z.imag]}}
         out["adiabatic"] = list(vars(adiabatic_phase([gaussian(0.8, 2.0, 5.0)], params, 10.0)).values())
         out["shape"] = [
             kick_correction_shape_factor(a, PulseShape.GAUSSIAN) for a in {list(SHAPE_FACTORS)!r}
         ]
-        out["expm"] = entries(no_ordering_schrodinger_numeric([gaussian(0.7, 0.1, 1.0)], params, 2.0))
+        out["expm"] = entries(no_ordering_numeric([gaussian(0.7, 0.1, 1.0)], params, 2.0, 0.0))
         print(json.dumps(out))
         """
     )
@@ -114,5 +114,5 @@ def test_gaussian_shape_factor(lazy_routes):
     assert lazy_routes["shape"] == pytest.approx(list(SHAPE_FACTORS.values()), rel=4e-16)
 
 
-def test_no_ordering_schrodinger_numeric(lazy_routes):
+def test_no_ordering_numeric_bare_frame(lazy_routes):
     assert lazy_routes["expm"] == [pytest.approx(e, rel=1e-15, abs=1e-15) for e in NO_ORDERING_EXPM]

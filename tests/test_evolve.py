@@ -14,8 +14,7 @@ from kickedqubit.evolve import (
     IntegratorConfig,
     interaction_integral,
     interaction_integral_series,
-    no_ordering_interaction_numeric,
-    no_ordering_schrodinger_numeric,
+    no_ordering_numeric,
     rk4_evolve,
     rk4_propagator,
 )
@@ -150,15 +149,13 @@ def test_completed_column_matches_direct_integration(pulses, t0, span):
     st.lists(st.floats(0.0, 4.0), min_size=1, max_size=10),
 )
 def test_bare_column_matches_the_matrix_route(pulses, t0, offsets):
-    # the scalar no-ordering column must give P2 bit for bit as the full matrix did
+    # the scalar no-ordering column must give P2 bit for bit as the full matrix does
     params = unit_system()
     times = np.array(sorted(t0 + x for x in offsets + offsets[:2]))  # with repeats
     bare, _ = no_ordering_p2_columns(pulses, params, t0, times, IntegratorConfig(dt=0.01))
     matrix_route = [
         probabilities(
-            prop.no_ordering_schrodinger(
-                integrated_strength(pulses, t0, t), params.gamma * (t - t0)
-            ),
+            prop.no_ordering(integrated_strength(pulses, t0, t), 0.0, params.gamma, t - t0),
             (1.0, 0.0),
         )[1]
         for t in times.tolist()
@@ -348,22 +345,22 @@ class TestRk4Propagator:
 class TestNoOrderingNumeric:
     def test_schrodinger_matches_closed_form(self):
         t = 300.0
-        u_num = no_ordering_schrodinger_numeric(FIG1_PULSE, HYDROGEN, t)
+        u_num = no_ordering_numeric(FIG1_PULSE, HYDROGEN, t, 0.0)
         alpha_running = math.pi / 2  # pulse complete well before t
-        u_closed = prop.no_ordering_schrodinger(alpha_running, HYDROGEN.gamma * t)
+        u_closed = prop.no_ordering(alpha_running, 0.0, HYDROGEN.gamma, t)
         assert max_abs_diff(u_num, u_closed) < 1e-12
 
     def test_schrodinger_kick_antikick_never_transfers(self):
         params = unit_system()
         kicks = [ideal_kick(1.1, 1.0), ideal_kick(-1.1, 2.5)]
-        u0 = no_ordering_schrodinger_numeric(kicks, params, 4.0)
+        u0 = no_ordering_numeric(kicks, params, 4.0, 0.0)
         assert abs(u0[1, 0]) == 0.0
 
     def test_schrodinger_transfer_dies_at_large_times(self):
         pulse = [gaussian(math.pi / 2, 5.0, 100.0)]
         p2s = []
         for tf in (300.0, 1000.0, 3000.0):
-            u0 = no_ordering_schrodinger_numeric(pulse, HYDROGEN, tf)
+            u0 = no_ordering_numeric(pulse, HYDROGEN, tf, 0.0)
             p2s.append(abs(u0[1, 0]) ** 2)
         assert p2s[0] > p2s[1] > p2s[2]
         assert p2s[2] < 0.03
@@ -373,30 +370,32 @@ class TestNoOrderingNumeric:
         tau = 10.0
         beta = params.gamma * tau
         pulse = [gaussian(1.2, tau, 150.0)]
-        u_num = no_ordering_interaction_numeric(pulse, params, 400.0)
-        u_closed = prop.no_ordering_interaction_kicks(((1.2 * math.exp(-beta * beta), 150.0),), params.gamma)
+        u_num = no_ordering_numeric(pulse, params, 400.0, 1.0)
+        z = prop.kick_integral(((1.2 * math.exp(-beta * beta), 150.0),), 1.0, params.gamma)
+        u_closed = prop.no_ordering(z, 1.0, params.gamma, 400.0)
         assert max_abs_diff(u_num, u_closed) < 1e-8
 
     def test_interaction_degenerate_equals_schrodinger(self):
         params = SystemParams(0.0)
         pulse = [gaussian(0.9, 2.0, 20.0)]
-        u_i = no_ordering_interaction_numeric(pulse, params, 50.0)
-        u_s = no_ordering_schrodinger_numeric(pulse, params, 50.0)
+        u_i = no_ordering_numeric(pulse, params, 50.0, 1.0)
+        u_s = no_ordering_numeric(pulse, params, 50.0, 0.0)
         assert max_abs_diff(u_i, u_s) < 1e-10
 
     def test_interaction_double_matches_closed_form(self):
         params = HYDROGEN
         tau = 0.03 / params.gamma  # beta = 0.03
         pair = [gaussian(0.9, tau, 120.0), gaussian(-0.9, tau, 420.0)]
-        u_num = no_ordering_interaction_numeric(pair, params, 600.0)
+        u_num = no_ordering_numeric(pair, params, 600.0, 1.0)
         a = 0.9 * math.exp(-0.03**2)
-        u_closed = prop.no_ordering_interaction_kicks(((a, 120.0), (-a, 420.0)), params.gamma)
+        z = prop.kick_integral(((a, 120.0), (-a, 420.0)), 1.0, params.gamma)
+        u_closed = prop.no_ordering(z, 1.0, params.gamma, 600.0)
         assert max_abs_diff(u_num, u_closed) < 1e-6
 
     def test_interaction_kick_jumps(self):
         params = unit_system()
         kicks = [ideal_kick(0.7, 1.0), ideal_kick(-0.7, 2.0)]
-        z = interaction_integral(kicks, params, 3.0)
+        z = interaction_integral(kicks, params, 3.0, 1.0)
         expected = 0.7 * (np.exp(2j * 1.0) - np.exp(2j * 2.0))
         assert z == pytest.approx(expected, abs=1e-14)
 
@@ -411,7 +410,7 @@ class TestNoOrderingNumeric:
         for p in pulses:
             lo, hi = max(p.window()[0], 0.0), min(p.window()[1], t)
             expected += p.peak / (2j * gamma) * (np.exp(2j * gamma * hi) - np.exp(2j * gamma * lo))
-        z = interaction_integral(pulses, SystemParams(gamma), t)
+        z = interaction_integral(pulses, SystemParams(gamma), t, 1.0)
         assert abs(z - expected) < 1e-13
 
     def test_integral_series_matches_single_time_quadrature(self):
@@ -420,7 +419,7 @@ class TestNoOrderingNumeric:
         times = np.array([50.0, 150.0, 350.0, 500.0])
         series_vals = interaction_integral_series(pulses, params, 0.0, times)
         for t, val in zip(times, series_vals):
-            assert abs(interaction_integral(pulses, params, float(t)) - val) < 1e-7
+            assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < 1e-7
 
 
 class TestConvergence:

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import SweepSeries, error_scaling_fit
-from kickedqubit.evolve import IntegratorConfig, no_ordering_interaction_numeric, rk4_propagator
+from kickedqubit.evolve import IntegratorConfig, no_ordering_numeric, rk4_propagator
 from kickedqubit.pulses import (
     PulseShape,
     SystemParams,
@@ -54,38 +54,48 @@ class TestFreeAndDegenerate:
         assert p2 == pytest.approx(0.5, abs=1e-14)
 
 
+def _bare(alpha, gamma_t):
+    """The bare-frame (lam = 0) no-ordering matrix of a running strength alpha."""
+    return prop.no_ordering(alpha, 0.0, gamma_t, 1.0)
+
+
+def _rotating(kicks, gamma):
+    """The rotating-frame (lam = 1) no-ordering matrix of kicks (a_k, T_k)."""
+    return prop.no_ordering(prop.kick_integral(kicks, 1.0, gamma), 1.0, gamma, 0.0)
+
+
 class TestNoOrderingSchrodinger:
     def test_reduces_to_degenerate(self):
-        u = prop.no_ordering_schrodinger(0.9, 0.0)
+        u = _bare(0.9, 0.0)
         assert max_abs_diff(u, prop.degenerate_propagator(0.9)) < 1e-15
 
     def test_reduces_to_free(self):
-        u = prop.no_ordering_schrodinger(0.0, 1.3)
+        u = _bare(0.0, 1.3)
         assert max_abs_diff(u, prop.free_propagator(SystemParams(1.0), 1.3)) < 1e-15
 
     def test_transfer_zero_at_full_rotation(self):
         # alpha = pi/2 with gamma t = sqrt(3)/2 pi makes xi = pi
-        u = prop.no_ordering_schrodinger(math.pi / 2, math.sqrt(3) / 2 * math.pi)
+        u = _bare(math.pi / 2, math.sqrt(3) / 2 * math.pi)
         _, p2 = probabilities(u, (1.0, 0.0))
         assert p2 == pytest.approx(0.0, abs=1e-25)
 
     @given(st.floats(-4, 4), st.floats(-4, 4))
     @settings(max_examples=100, deadline=None)
     def test_matches_matrix_exponential(self, alpha, gamma_t):
-        u = prop.no_ordering_schrodinger(alpha, gamma_t)
+        u = _bare(alpha, gamma_t)
         h = -gamma_t * np.array([[1, 0], [0, -1]]) + alpha * np.array([[0, 1], [1, 0]])
         assert max_abs_diff(u, expm(-1j * h)) < 1e-12
 
 
 class TestNoOrderingInteraction:
     def test_single_full_transfer(self):
-        u = prop.no_ordering_interaction_kicks(((math.pi / 2, 0.35),), 1.0)
+        u = _rotating(((math.pi / 2, 0.35),), 1.0)
         _, p2 = probabilities(u, (1.0, 0.0))
         assert p2 == pytest.approx(1.0, abs=1e-14)
 
     def test_single_width_damping(self):
         beta = math.sqrt(math.log(2.0))  # e^{-beta^2} = 1/2
-        u = prop.no_ordering_interaction_kicks(((math.pi / 2 * math.exp(-beta * beta), 0.0),), 1.0)
+        u = _rotating(((math.pi / 2 * math.exp(-beta * beta), 0.0),), 1.0)
         _, p2 = probabilities(u, (1.0, 0.0))
         assert p2 == pytest.approx(0.5, rel=1e-12)
 
@@ -100,17 +110,17 @@ class TestNoOrderingInteraction:
             rotated = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(
                 kick, gamma, t
             )
-            u0 = prop.no_ordering_interaction_kicks(kick, gamma)
+            u0 = _rotating(kick, gamma)
             assert max_abs_diff(rotated, u0) < 1e-12
 
     def test_double_identity_at_full_period(self):
         a = 1.1 * math.exp(-0.3**2)
-        u = prop.no_ordering_interaction_kicks(((a, 0.0), (-a, math.pi)), 1.0)  # gamma Ts = pi
+        u = _rotating(((a, 0.0), (-a, math.pi)), 1.0)  # gamma Ts = pi
         assert max_abs_diff(u, IDENTITY) < 1e-15
 
     def test_double_full_transfer(self):
         pair = ((math.pi / 4, 0.0), (-math.pi / 4, math.pi / 2))
-        u = prop.no_ordering_interaction_kicks(pair, 1.0)
+        u = _rotating(pair, 1.0)
         assert abs(u[0, 1]) == pytest.approx(1.0, rel=1e-14)
 
     def test_double_matches_exponential_of_average(self):
@@ -120,7 +130,7 @@ class TestNoOrderingInteraction:
         # each completed gaussian contributes alpha_k e^{-beta^2} e^{2 i gamma T_k}
         avg = a * (np.exp(2j * gamma * t1) - np.exp(2j * gamma * t2))
         u_ref = expm(-1j * (avg.real * SIGMA_X + avg.imag * SIGMA_Y))
-        u = prop.no_ordering_interaction_kicks(((a, t1), (-a, t2)), gamma)
+        u = _rotating(((a, t1), (-a, t2)), gamma)
         assert max_abs_diff(u, u_ref) < 1e-10
 
 
@@ -263,14 +273,25 @@ class TestKickSequence:
     @settings(max_examples=200, deadline=None)
     def test_no_ordering_matches_the_numeric_kick_sum(self, kicks, gamma):
         pulses = [ideal_kick(alpha, tk) for alpha, tk in kicks]
-        u_num = no_ordering_interaction_numeric(pulses, SystemParams(abs(gamma)), 30.0)
-        u = prop.no_ordering_interaction_kicks(kicks, gamma)
+        u_num = no_ordering_numeric(pulses, SystemParams(abs(gamma)), 30.0, 1.0)
+        u = _rotating(kicks, gamma)
         assert max_abs_diff(u, _flip(u_num, gamma)) <= 1e-13
+
+    @given(KICKS, st.floats(0, 2), st.floats(0, 1), st.floats(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_no_ordering_family_matches_the_numeric_route(self, kicks, gamma, lam, dt_after):
+        # every frame lam in [0, 1], not only the bare (0) and rotating (1) ones
+        t = kicks[-1][1] + dt_after
+        pulses = [ideal_kick(alpha, tk) for alpha, tk in kicks]
+        u = prop.no_ordering(prop.kick_integral(kicks, lam, gamma), lam, gamma, t)
+        u_num = no_ordering_numeric(pulses, SystemParams(gamma), t, lam)
+        assert max_abs_diff(u, u_num) <= 1e-12
+        assert unitarity_defect(u) <= 1e-13
 
     def test_no_kicks_is_free_evolution(self):
         u = prop.kick_sequence_propagator((), 0.8, 5.0)
         assert max_abs_diff(u, prop.free_propagator(SystemParams(0.8), 5.0)) < 1e-15
-        assert max_abs_diff(prop.no_ordering_interaction_kicks((), 0.8), IDENTITY) == 0.0
+        assert max_abs_diff(_rotating((), 0.8), IDENTITY) == 0.0
 
     @pytest.mark.parametrize(
         "kicks, t",
@@ -353,31 +374,29 @@ class TestCommutatorCorrection:
         # the leading term vanishes for an envelope symmetric about t / 2
         alpha, gamma, t = 1e-3, 1e-3, 10.0
         u = rk4_propagator([gaussian(alpha, 1.0, 5.0)], SystemParams(gamma), 0.0, t)
-        diff = u - prop.no_ordering_schrodinger(alpha, gamma * t)
+        diff = u - prop.no_ordering(alpha, 0.0, gamma, t)
         assert np.max(np.abs(diff)) < 0.01 * gamma * alpha * t
 
     def test_constant_envelope_vanishes(self):
         # a rectangle filling [0, t] is a constant Hamiltonian: no ordering effect at all
         alpha, gamma, t = 1.0, 0.7, 10.0
         u = prop.rectangular_propagator(alpha, gamma * t, gamma, 0.5 * t, t)
-        assert max_abs_diff(u, prop.no_ordering_schrodinger(alpha, gamma * t)) < 1e-12
+        assert max_abs_diff(u, prop.no_ordering(alpha, 0.0, gamma, t)) < 1e-12
 
     def test_kick_off_center_structure(self):
         # J = alpha (t - 2 T_k): the term flips sign when the kick is mirrored about t / 2
         alpha, gamma, t = 1e-3, 1e-3, 10.0
+        u0 = prop.no_ordering(alpha, 0.0, gamma, t)
         for tk in (1.0, 3.0, 7.0, 9.0):
-            diff = prop.kick_sequence_propagator(((alpha, tk),), gamma, t) - prop.no_ordering_schrodinger(
-                alpha, gamma * t
-            )
+            diff = prop.kick_sequence_propagator(((alpha, tk),), gamma, t) - u0
             predicted = 1j * gamma * alpha * (t - 2.0 * tk) * SIGMA_Y
             assert max_abs_diff(diff, predicted) < 0.01 * np.max(np.abs(predicted))
 
     def test_predicts_leading_ordering_effect(self):
         # small alpha, small gamma*t: U_kick - U_average approaches this term
         alpha, gamma, tk, t = 1e-3, 1e-3, 6.0, 10.0
-        diff = prop.kick_sequence_propagator(((alpha, tk),), gamma, t) - prop.no_ordering_schrodinger(
-            alpha, gamma * t
-        )
+        u0 = prop.no_ordering(alpha, 0.0, gamma, t)
+        diff = prop.kick_sequence_propagator(((alpha, tk),), gamma, t) - u0
         predicted = 1j * gamma * alpha * (t - 2.0 * tk) * SIGMA_Y
         assert max_abs_diff(diff, predicted) < 0.05 * np.max(np.abs(predicted))
 
@@ -494,13 +513,13 @@ class TestLimitWeb:
 
     def test_bare_average_to_degenerate(self):
         d = max_abs_diff(
-            prop.no_ordering_schrodinger(1.1, self.OFFSET), prop.degenerate_propagator(1.1)
+            _bare(1.1, self.OFFSET), prop.degenerate_propagator(1.1)
         )
         assert d < self.TOL
 
     def test_bare_average_to_free(self):
         d = max_abs_diff(
-            prop.no_ordering_schrodinger(self.OFFSET, 0.8 * 3.0),
+            prop.no_ordering(self.OFFSET, 0.0, 0.8, 3.0),
             prop.free_propagator(SystemParams(0.8), 3.0),
         )
         assert d < self.TOL
@@ -542,9 +561,9 @@ def test_unitarity_random_sweep():
         t = t2 + rng.uniform(0.1, 10)
         a = alpha * math.exp(-beta * beta)
         for u in (
-            prop.no_ordering_schrodinger(alpha, gamma * t),
-            prop.no_ordering_interaction_kicks(((a, t1),), gamma),
-            prop.no_ordering_interaction_kicks(((a, t1), (-a, t2)), gamma),
+            prop.no_ordering(alpha, 0.0, gamma, t),
+            _rotating(((a, t1),), gamma),
+            _rotating(((a, t1), (-a, t2)), gamma),
             prop.kick_sequence_propagator(((alpha, t1),), gamma, t),
             prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t),
             prop.rectangular_propagator(alpha, beta, gamma, t1, t),
@@ -561,7 +580,7 @@ def test_perturbative_ordering_onset_in_rotating_frame():
     for alpha in alphas.tolist():
         pair = ((alpha, 1.0), (-alpha, 3.0))
         u_i = pauli_exponential(-gamma * t, Z_AXIS) @ prop.kick_sequence_propagator(pair, gamma, t)
-        diff = u_i - prop.no_ordering_interaction_kicks(pair, gamma)
+        diff = u_i - _rotating(pair, gamma)
         full.append(float(np.max(np.abs(diff))))
         offdiag.append(float(max(abs(diff[0, 1]), abs(diff[1, 0]))))
     assert error_scaling_fit(SweepSeries("a", alphas, {"d": np.array(full)})).slope >= 1.95

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kickedqubit import propagators as prop
-from kickedqubit.evolve import interaction_integral, no_ordering_schrodinger_numeric
+from kickedqubit.evolve import interaction_integral, no_ordering_numeric
 from kickedqubit.pulses import (
     HBAR_EV_PS,
     PulseEvaluationError,
@@ -218,19 +218,19 @@ class TestPhaseAngles:
 
     def test_hydrogen_beta(self):
         # a completed gaussian is damped by e^{-beta^2} in the rotating frame
-        z = interaction_integral([gaussian(1.0, 10.0, 100.0)], hydrogen_2s2p(), 300.0)
+        z = interaction_integral([gaussian(1.0, 10.0, 100.0)], hydrogen_2s2p(), 300.0, 1.0)
         beta = math.pi * 10.0 / 972.0
         assert abs(z) == pytest.approx(math.exp(-beta * beta), rel=1e-9)
 
     def test_degenerate(self):
         # gamma = 0: beta = gamma t = 0 and xi = alpha, so the bare average is degenerate
-        u0 = no_ordering_schrodinger_numeric([gaussian(0.7, 10.0, 70.0)], SystemParams(0.0), 140.0)
+        u0 = no_ordering_numeric([gaussian(0.7, 10.0, 70.0)], SystemParams(0.0), 140.0, 0.0)
         assert max_abs_diff(u0, prop.degenerate_propagator(0.7)) < 1e-12
 
     def test_xi_combines_strength_and_phase(self):
         # alpha = pi/2 and gamma t = sqrt(3)/2 pi make xi = pi: no bare-frame transfer
         t = math.sqrt(3) / 2 * math.pi
-        u0 = no_ordering_schrodinger_numeric([gaussian(math.pi / 2, 0.1, t / 2)], unit_system(), t)
+        u0 = no_ordering_numeric([gaussian(math.pi / 2, 0.1, t / 2)], unit_system(), t, 0.0)
         assert probabilities(u0, (1.0, 0.0))[1] == pytest.approx(0.0, abs=1e-24)
 
     def test_alpha_prime(self):
@@ -244,29 +244,45 @@ def exp_rotating(z):
     return expm(-1j * (z.real * SIGMA_X + z.imag * SIGMA_Y))
 
 
+def _rotating(kicks, gamma):
+    """The rotating-frame (lam = 1) no-ordering matrix of kicks (a_k, T_k)."""
+    return prop.no_ordering(prop.kick_integral(kicks, 1.0, gamma), 1.0, gamma, 0.0)
+
+
 class TestInteractionPicture:
+    MIXES = [
+        [gaussian(1.0, 2.0, 15.0)],
+        [gaussian(1.0, 2.0, 15.0), gaussian(-0.4, 0.5, 38.0)],  # the second clipped at t
+        [rectangular(0.8, 3.0, 10.0), rectangular(-1.3, 4.0, 39.0)],
+        [ideal_kick(0.9, 0.0), ideal_kick(-0.3, 12.0), ideal_kick(0.5, 40.0)],
+        [gaussian(0.7, 3.0, 20.0), rectangular(-0.6, 2.0, 30.0), ideal_kick(1.1, 25.0)],
+    ]
+
     def test_degenerate_frame_coincides(self):
-        pulses = [gaussian(1.0, 2.0, 15.0)]
-        z = interaction_integral(pulses, SystemParams(0.0), 40.0)
-        assert z.imag == 0.0
-        assert z.real == pytest.approx(integrated_strength(pulses, 0.0, 40.0), abs=1e-12)
+        # gamma = 0 in the rotating frame, and the bare frame (lam = 0) at gamma != 0:
+        # the frequency-0 quadrature is the running strength the erf route gives
+        for pulses in self.MIXES:
+            for params, lam in ((SystemParams(0.0), 1.0), (unit_system(), 0.0)):
+                z = interaction_integral(pulses, params, 40.0, lam)
+                assert z.imag == 0.0
+                assert abs(z.real - integrated_strength(pulses, 0.0, 40.0)) <= 1e-13
 
     def test_t_zero_has_no_phase(self):
-        z = interaction_integral([ideal_kick(1.0, 0.0)], unit_system(), 1.0)
+        z = interaction_integral([ideal_kick(1.0, 0.0)], unit_system(), 1.0, 1.0)
         assert (z.real, z.imag) == (1.0, 0.0)
 
     @given(st.floats(0.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.0, 20.0))
     @settings(max_examples=100, deadline=None)
     def test_rotation_preserves_magnitude(self, gamma, alpha, t):
-        z = interaction_integral([ideal_kick(alpha, 8.0)], SystemParams(gamma), 8.0 + t)
+        z = interaction_integral([ideal_kick(alpha, 8.0)], SystemParams(gamma), 8.0 + t, 1.0)
         assert abs(z) == pytest.approx(abs(alpha), abs=1e-12)
 
     def test_single_pulse_closed_form_vs_quadrature(self):
         params = hydrogen_2s2p()
         pulse = gaussian(math.pi / 2, 10.0, 150.0)
-        z = interaction_integral([pulse], params, 300.0)
+        z = interaction_integral([pulse], params, 300.0, 1.0)
         beta = params.gamma * pulse.tau
-        u = prop.no_ordering_interaction_kicks(
+        u = _rotating(
             ((pulse.alpha * math.exp(-beta * beta), pulse.center),), params.gamma
         )
         assert max_abs_diff(exp_rotating(z), u) < 1e-10
@@ -275,10 +291,10 @@ class TestInteractionPicture:
         # arbitrary center so both quadrature components are exercised
         params = SystemParams(0.0323)
         pulse = gaussian(1.9, 7.0, 111.0)
-        z = interaction_integral([pulse], params, 300.0)
+        z = interaction_integral([pulse], params, 300.0, 1.0)
         assert abs(z.real) > 0.1 and abs(z.imag) > 0.1
         beta = params.gamma * pulse.tau
-        u = prop.no_ordering_interaction_kicks(
+        u = _rotating(
             ((pulse.alpha * math.exp(-beta * beta), pulse.center),), params.gamma
         )
         assert max_abs_diff(exp_rotating(z), u) < 1e-10
@@ -286,38 +302,38 @@ class TestInteractionPicture:
 
 class TestAveragedInteractionSingle:
     def test_centered_pulse_is_pure_x(self):
-        u = prop.no_ordering_interaction_kicks(((1.2, 0.0),), 1.0)
+        u = _rotating(((1.2, 0.0),), 1.0)
         assert max_abs_diff(u, pauli_exponential(-1.2, X_AXIS)) < 1e-15
 
     def test_kick_magnitude_has_no_width_damping(self):
-        u = prop.no_ordering_interaction_kicks(((0.8, 1.5),), 2.0)
+        u = _rotating(((0.8, 1.5),), 2.0)
         assert abs(u[0, 1]) == pytest.approx(math.sin(0.8), rel=1e-14)
 
 
 class TestAveragedInteractionDouble:
     def test_full_period_separation_cancels(self):
         a = 1.3 * math.exp(-0.2**2)
-        u = prop.no_ordering_interaction_kicks(((a, 1.0), (-a, 1.0 + math.pi)), 1.0)  # gamma Ts = pi
+        u = _rotating(((a, 1.0), (-a, 1.0 + math.pi)), 1.0)  # gamma Ts = pi
         assert max_abs_diff(u, IDENTITY) < 1e-15
 
     def test_degenerate_system_cancels(self):
-        u = prop.no_ordering_interaction_kicks(((1.3, 1.0), (-1.3, 4.0)), 0.0)
+        u = _rotating(((1.3, 1.0), (-1.3, 4.0)), 0.0)
         assert max_abs_diff(u, IDENTITY) == 0.0
 
     def test_direct_evaluation(self):
         # gamma Ts = pi/2 and gamma Tbar = pi/4 make the exponent pi/2 sigma_x
-        u = prop.no_ordering_interaction_kicks(((math.pi / 4, 0.0), (-math.pi / 4, math.pi / 2)), 1.0)
+        u = _rotating(((math.pi / 4, 0.0), (-math.pi / 4, math.pi / 2)), 1.0)
         assert max_abs_diff(u, pauli_exponential(-math.pi / 2, X_AXIS)) < 1e-12
 
     def test_matches_narrow_pulse_quadrature_extrapolation(self):
         # tau -> 0 limit of gaussian pair quadratures, Richardson in tau^2
         params = hydrogen_2s2p()
         alpha, t1, t2 = 1.1, 120.0, 420.0
-        target = prop.no_ordering_interaction_kicks(((alpha, t1), (-alpha, t2)), params.gamma)
+        target = _rotating(((alpha, t1), (-alpha, t2)), params.gamma)
 
         def integral(tau):
             return interaction_integral(
-                [gaussian(alpha, tau, t1), gaussian(-alpha, tau, t2)], params, 700.0
+                [gaussian(alpha, tau, t1), gaussian(-alpha, tau, t2)], params, 700.0, 1.0
             )
 
         tau = 0.03 / params.gamma  # beta = 0.03
@@ -329,15 +345,15 @@ class TestAveragedSchrodinger:
     """The bare-frame average exponentiates int_0^t v dt on sigma_x alone."""
 
     def test_single_full_pulse(self):
-        u0 = no_ordering_schrodinger_numeric([gaussian(1.3, 2.0, 30.0)], unit_system(), 60.0)
-        assert max_abs_diff(u0, prop.no_ordering_schrodinger(1.3, 60.0)) < 1e-12
+        u0 = no_ordering_numeric([gaussian(1.3, 2.0, 30.0)], unit_system(), 60.0, 0.0)
+        assert max_abs_diff(u0, prop.no_ordering(1.3, 0.0, 1.0, 60.0)) < 1e-12
 
     def test_kick_antikick_window_cancels(self):
         kicks = [ideal_kick(2.0, 10.0), ideal_kick(-2.0, 40.0)]
-        u0 = no_ordering_schrodinger_numeric(kicks, unit_system(), 100.0)
+        u0 = no_ordering_numeric(kicks, unit_system(), 100.0, 0.0)
         assert max_abs_diff(u0, prop.free_propagator(unit_system(), 100.0)) < 1e-12
 
     def test_before_onset(self):
-        u0 = no_ordering_schrodinger_numeric([gaussian(1.0, 1.0, 50.0)], unit_system(), 10.0)
+        u0 = no_ordering_numeric([gaussian(1.0, 1.0, 50.0)], unit_system(), 10.0, 0.0)
         assert max_abs_diff(u0, prop.free_propagator(unit_system(), 10.0)) < 1e-12
 
