@@ -15,18 +15,16 @@ given, one row per requested time.  `rk4_propagator` integrates one basis
 state per call: the Hamiltonian is traceless and Hermitian, so the second
 column of the propagator is the SU(2) completion of the first.
 
-`rk4_evolve` runs in three phases.  It first plans every segment between
-consecutive stops (kicks, rectangle edges, the span ends and the record
-times) as arrays: its step count n = max(1, ceil(length / dt)), step h and
-rectangular coupling.  It then batches the segments of fewer than SMALL
-steps, the ones a dense record grid cuts: `_batch_maps` advances them in
-lockstep, one numpy pass per step index.  Last, it applies the maps in
-order, with the kicks and the records between them; a segment of SMALL or
-more steps goes to `_rk4_span`, which multiplies its steps block by block
-in `_block_map`.  Both composers write the RK4 step once, in `_step_map`,
-as the SU(2) map [[1 + d, -q*], [q, 1 + d*]] with the identity kept apart,
-and update the state once per map.  Both call the scalar envelope closure
-three times per step, at the step's start, midpoint and end.
+`rk4_evolve` plans every segment between consecutive stops (kicks,
+rectangle edges, the span ends and the record times) as arrays: step count
+n = max(1, ceil(length / dt)), step h and rectangular coupling.  A segment
+of SMALL or more steps runs through `_rk4_span` block by block; shorter
+ones, grouped by step count, are composed as the rows of one call.
+`_block_map` is the one composer: `_step_map` writes each RK4 step as the
+SU(2) map [[1 + d, -q*], [q, 1 + d*]], identity kept apart, and a row's
+maps are multiplied pairwise.  The state is updated once per map, and the
+scalar envelope closure is called three times per step (start, midpoint,
+end).
 
 This module also provides the numeric "no time ordering" evolution,
 `no_ordering_numeric`, an independent cross-check of the closed form in
@@ -59,10 +57,11 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, unitar
 #: (with a gaussian pair about 20 s of work).  It also caps scenario
 #: n_points and floquet COUNT.
 MAX_RK4_STEPS = 10_000_000
-#: Segments of at least SMALL steps run alone, block by block, through numpy
-#: step maps (a block's fixed cost, about 150 us, is repaid from about 60
-#: steps on); shorter ones are batched.  BLOCK caps a block's length, and
-#: BLOCK // 2 the segments of one batch, so that either's arrays stay small.
+#: A segment of at least SMALL steps runs alone through _rk4_span, where
+#: perfbench's tracer counts steps, in blocks of up to BLOCK steps.  Shorter
+#: ones, the cuts of a dense record grid, are grouped by step count into
+#: _block_map calls of up to BLOCK steps, BLOCK // 2 segments a chunk, so
+#: that every array stays small.
 SMALL = 64
 BLOCK = 4096
 
@@ -113,27 +112,28 @@ def _rk4_span(
     segment boundaries never see the wrong side of a discontinuity.
 
     Each block of at most BLOCK steps becomes one map (d, q), built by
-    _block_map, that updates the state once.
+    _block_map as a single row, that updates the state once.
     """
-    h = (t1 - t0) / n
-    ig = 1j * gamma
-    t = t0
+    t, h, c = np.array([t0]), np.array([(t1 - t0) / n]), np.array([v_const], dtype=float)
     while n > 0:
         m = min(n, BLOCK)
-        d, q, t = _block_map(v, v_const, ig, t, h, m)
+        d, q, t = _block_map(v, c, 1j * gamma, t, h, m)
+        d, q = complex(d[0]), complex(q[0])
         a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
         n -= m
     return a1, a2
 
 
-def _step_map(ig, h: float, ivt, ivm, ive):
+def _step_map(ig, h, ivt, ivm, ive):
     """One RK4 step as the map [[1 + d, -q*], [q, 1 + d*]]; returns (d, q).
 
     The matrix is a real combination of 1 and i sigma_{x,y,z}, so the step
     run on the column (1, 0) gives it whole.  ivt, ivm and ive are i v at the
-    step's start, midpoint and end: scalars, or arrays with one per step.
+    step's start, midpoint and end, one per step; h broadcasts against them.
     """
-    half, sixth, mig = 0.5 * h, h / 6.0, -ig
+    # complex copies, (x, 0), of the float 0.5 h, h / 6 and h keep numpy off its
+    # slower float-by-complex loops (a complex h / 6.0 would round differently)
+    half, sixth, h, mig = 0.5 * h + 0j, h / 6.0 + 0j, h + 0j, -ig
     k1a = ig
     k1b = -ivt
     x1 = 1.0 + half * k1a
@@ -151,60 +151,34 @@ def _step_map(ig, h: float, ivt, ivm, ive):
     return sixth * (k1a + 2.0 * (k2a + k3a) + k4a), sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
 
 
-def _batch_maps(v, v_const, ig: complex, t, h, n):
-    """Each segment's map (d, q): n[i] RK4 steps of h[i] from t[i], as two lists.
+def _block_map(v, v_const, ig: complex, t, h, m: int):
+    """m RK4 steps of h[r] from t[r] as one map per row r, multiplied pairwise.
 
-    The segments advance in lockstep, one pass per step index, with t += h.
-    Each step's map multiplies from the left, written out in real parts to
-    round as Python's complex product does (numpy's may fuse).
+    Every row is composed as it would be alone, and v is called three times
+    per step, row by row.  The identity is kept apart: rounding 1 + d at
+    every step would repeat the same error over a stretch of equal steps.
+    Returns the arrays (d, q, the time after each row's last step).
     """
-    d = q = np.zeros(t.size, dtype=complex)
-    t = t.copy()
+    rows, h = t.size, h[:, None]
+    times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
+    tk = times[:, :m]
+    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=2)
+    iv = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size)
+    iv = 1j * (iv.reshape(grid.shape) + v_const[:, None, None])
     with np.errstate(over="ignore", invalid="ignore"):  # the norm guard rejects a NaN
-        for k in range(int(n.max(initial=0))):
-            on = np.flatnonzero(n > k)
-            tk, hk = t[on], h[on]
-            grid = np.stack([tk, tk + 0.5 * hk, tk + hk], axis=1).ravel().tolist()
-            iv = np.fromiter(map(v, grid), float, count=3 * on.size).reshape(-1, 3)
-            iv = 1j * (iv + v_const[on, None])
-            dl, ql = _step_map(ig, hk, iv[:, 0], iv[:, 1], iv[:, 2])
-            if k:  # d <- dl + d + (dl d - ql* q), q <- ql + q + (ql d + dl* q)
-                lr, li, mr, mi = dl.real, dl.imag, ql.real, ql.imag
-                dr, di, qr, qi = d.real[on], d.imag[on], q.real[on], q.imag[on]
-                d.real[on] = (lr + dr) + ((lr * dr - li * di) - (mr * qr + mi * qi))
-                d.imag[on] = (li + di) + ((lr * di + li * dr) - (mr * qi - mi * qr))
-                q.real[on] = (mr + qr) + ((mr * dr - mi * di) + (lr * qr + li * qi))
-                q.imag[on] = (mi + qi) + ((mr * di + mi * dr) + (lr * qi - li * qr))
-            else:
-                d, q = dl, ql
-            t[on] = tk + hk
-    return d.tolist(), q.tolist()
-
-
-def _block_map(v, v_const: float, ig: complex, t: float, h: float, m: int):
-    """m RK4 steps from time t as one map (d, q), multiplied pairwise.
-
-    The identity is kept apart: rounding 1 + d at every step would repeat
-    the same error over a stretch of equal steps.  Returns (d, q, the time
-    after the last step).
-    """
-    times = np.full(m + 1, h)
-    times[0] = t
-    times = np.add.accumulate(times)  # sequential: t += h, bit for bit
-    tk = times[:m]
-    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=1).ravel().tolist()
-    iv = 1j * (np.fromiter(map(v, grid), float, count=3 * m).reshape(m, 3) + v_const)
-    d, q = _step_map(ig, h, iv[:, 0], iv[:, 1], iv[:, 2])
-    # pairwise product, later steps on the left; an odd last map waits a round
-    while d.size > 1:
-        e = d.size // 2 * 2
-        de, qe, dl, ql = d[0:e:2], q[0:e:2], d[1:e:2], q[1:e:2]
-        dd = dl + de + (dl * de - ql.conj() * qe)
-        qq = ql + qe + (ql * de + dl.conj() * qe)
-        if e < d.size:
-            dd, qq = np.append(dd, d[-1]), np.append(qq, q[-1])
-        d, q = dd, qq
-    return complex(d[0]), complex(q[0]), float(times[m])
+        d, q = _step_map(ig, h, iv[..., 0], iv[..., 1], iv[..., 2])
+        # pairwise product, later steps on the left, over the flat rows; an odd
+        # width w gets an identity column, whose products are exact
+        d, q, w = d.ravel(), q.ravel(), m
+        while w > 1:
+            if w % 2:
+                one, w = np.zeros((rows, 1), dtype=complex), w + 1
+                d, q = (np.hstack([x.reshape(rows, -1), one]).ravel() for x in (d, q))
+            de, qe, dl, ql = d[0::2], q[0::2], d[1::2], q[1::2]
+            d = dl + de + (dl * de - ql.conj() * qe)
+            q = ql + qe + (ql * de + dl.conj() * qe)
+            w //= 2
+    return d, q, times[:, m]
 
 
 def _apply_kick(alpha: float, a1: complex, a2: complex):
@@ -292,11 +266,17 @@ def rk4_evolve(
         a1, a2 = _apply_kick(kicks[t0], a1, a2)
     j = bisect.bisect_right(marks, t0)  # the rows at t0
     states = [(a1, a2)] * j
-    for s in range(0, hi.size, BLOCK // 2):  # batch a chunk's short segments, then apply it
+    for s in range(0, hi.size, BLOCK // 2):  # compose a chunk's short segments, then apply it
         few, *plan = (x[s : s + BLOCK // 2] for x in (short, lo, hi, n, v_const))
-        if few.any():
-            a, b, m, c = (x[few] for x in plan)
-            maps = zip(*_batch_maps(v, c, ig, a, (b - a) / m, m))
+        a, b, m, c = (x[few] for x in plan)
+        d, q, h = np.empty(m.size, complex), np.empty(m.size, complex), (b - a) / m
+        # rows of k steps, up to BLOCK steps a call (np.unique would load numpy.ma)
+        for k in sorted(set(m.tolist())):
+            same = np.flatnonzero(m == k)
+            for r in range(0, same.size, BLOCK // k):
+                i = same[r : r + BLOCK // k]
+                d[i], q[i], _ = _block_map(v, c[i], ig, a[i], h[i], k)
+        maps = zip(d.tolist(), q.tolist())
         for small, a, b, m, c in zip(few.tolist(), *(x.tolist() for x in plan)):
             if small:
                 d, q = next(maps)
@@ -358,8 +338,8 @@ def interaction_integral(
     Kicks contribute exact jumps alpha e^{2 i lam gamma t_kick}.  Each
     finite pulse's window, clipped to [0, t], is integrated by QUADPACK's
     QAWO routine (scipy's quad with weight 'cos' and 'sin' at frequency
-    2 lam gamma), which builds the oscillating factor into its rule; it
-    accepts frequency 0, the bare frame.
+    2 lam gamma), which builds the oscillating factor into its rule.  At
+    frequency 0, the bare frame, only the cosine half is integrated.
     """
     from scipy.integrate import quad
 
@@ -376,7 +356,7 @@ def interaction_integral(
             continue
         v = envelope([p])
         re = quad(v, lo, hi, weight="cos", wvar=w)[0]
-        im = quad(v, lo, hi, weight="sin", wvar=w)[0]
+        im = quad(v, lo, hi, weight="sin", wvar=w)[0] if w else 0.0  # quad gives 0.0 at w = 0
         z += complex(re, im)
     return z
 

@@ -318,6 +318,21 @@ class TestPropagate:
         assert "numerical failure" in err
         assert out == ""
 
+    @pytest.mark.parametrize("t1, samples", [("1000", "2"), ("100", "3")], ids=["long", "short"])
+    def test_overflowing_steps_print_one_clean_line(self, capsys, t1, samples):
+        # gamma = 1e200 overflows the RK4 stages: 1000 ps is one segment of
+        # 1000 steps, 100 ps three short ones; neither may leak numpy text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run_cli(
+                capsys, "propagate", "--gamma", "1e200",
+                "--pulse", "gaussian:alpha=1,tau=10,center=50",
+                "--t1", t1, "--dt", "1", "--samples", samples, "--out", "-",
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_lifetime_warning(self, capsys):
         code, _, err = run_cli(
             capsys, "propagate", "--preset", "hydrogen-2s2p",

@@ -168,64 +168,71 @@ _SPAN_STEPS = st.sampled_from(
 )
 
 
-def _batched(v, v_const, gamma, a1, a2, t0, t1, n):
-    """_rk4_span's n steps over [t0, t1], as one segment of the batched composer."""
-    d, q = evolve._batch_maps(
-        v, np.array([v_const], dtype=float), 1j * gamma, np.array([t0]),
-        np.array([(t1 - t0) / n]), np.array([n]),
-    )
-    d, q = d[0], q[0]
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_PULSE, min_size=1, max_size=3),
+    st.sampled_from([1, 2, 3, evolve.SMALL - 1, evolve.SMALL, evolve.BLOCK]),
+    st.lists(
+        st.tuples(st.floats(0.0, 2.0), st.floats(0.01, 2.0), st.floats(-2.0, 2.0)),
+        min_size=2, max_size=4,
+    ),
+    st.floats(-2.0, 2.0),
+)
+def test_rows_compose_as_each_row_alone(pulses, k, rows, gamma):
+    # one call over rows (t0, span, rectangular coupling) of k steps gives each
+    # row's map and end time bit for bit as that row alone, with the same calls
+    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
+    shape = envelope(smooth) if smooth else (lambda _t: 0.0)
+    t, span, c = (np.array(x) for x in zip(*rows))
+    h, calls = span / k, []
+
+    def v(x):
+        calls.append(x)
+        return shape(x)
+
+    together = [x.tolist() for x in evolve._block_map(v, c, 1j * gamma, t, h, k)]
+    together_calls, calls[:] = calls[:], []
+    alone = [[], [], []]
+    for r in range(t.size):
+        one = slice(r, r + 1)
+        for out, x in zip(alone, evolve._block_map(v, c[one], 1j * gamma, t[one], h[one], k)):
+            out += x.tolist()
+    assert len(together_calls) == 3 * k * t.size
+    assert together_calls == calls
+    assert together == alone
+
+
+def _as_rows(v, v_const, gamma, a1, a2, t0, t1, n):
+    """_rk4_span's n steps over [t0, t1], as the first of three rows of one call."""
+    c = np.array([v_const, -2.0 * v_const, 3.0 * v_const])
+    t, h = np.array([t0, t0 + 1.0, t0 - 1.0]), np.full(3, (t1 - t0) / n)
+    d, q, _ = evolve._block_map(v, c, 1j * gamma, t, h, n)
+    d, q = complex(d[0]), complex(q[0])
     return a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(_PULSE, min_size=1, max_size=3),
-    # (n, BLOCK): the batched composer takes one numpy pass per step, so the
-    # spans of two and three blocks run with BLOCK lowered to SMALL
-    st.sampled_from(
-        [(n, evolve.BLOCK) for n in (1, 2, evolve.SMALL - 1, evolve.SMALL, evolve.BLOCK)]
-        + [(evolve.SMALL + 1, evolve.SMALL), (2 * evolve.SMALL + 3, evolve.SMALL)]
-    ),
-    st.floats(0.0, 2.0),
-    st.floats(0.1, 4.0),
-    st.floats(-2.0, 2.0),
-    st.floats(0.0, math.pi),
-)
-def test_block_and_short_composers_agree(pulses, steps, t0, span, gamma, theta):
-    n, block = steps
-    # the same envelope calls at the same floats, the same amplitudes to rounding
-    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
-    shape = envelope(smooth) if smooth else (lambda _t: 0.0)
-    v_const = sum(p.peak for p in pulses if p.shape is PulseShape.RECTANGULAR)
-    a1, a2 = math.cos(theta), 1j * math.sin(theta)
-    runs = []
-    for integrate in (_batched, evolve._rk4_span):  # the batched composer, then the block kernel
-        calls = []
-
-        def v(t):
-            calls.append(t)
-            return shape(t)
-
-        with mock.patch.object(evolve, "BLOCK", block):
-            runs.append((integrate(v, v_const, gamma, a1, a2, t0, t0 + span, n), calls))
-    (short, short_calls), (kernel, kernel_calls) = runs
-    assert len(kernel_calls) == 3 * n
-    assert kernel_calls == short_calls
-    # composing one step at a time rounds differently from pairwise products, and
-    # the gap grows with n: up to about n eps / 10 over thousands of steps
-    tol = max(1e-13, n * np.finfo(float).eps)
-    assert abs(kernel[0] - short[0]) <= tol
-    assert abs(kernel[1] - short[1]) <= tol
-
-
-@pytest.mark.parametrize("integrate", [evolve._rk4_span, _batched], ids=["block", "short"])
+@pytest.mark.parametrize("integrate", [evolve._rk4_span, _as_rows], ids=["block", "rows"])
 def test_both_composers_are_exact_over_near_identity_steps(integrate):
     # gamma = 0 and a constant coupling: the exact amplitudes are cos, sin of (theta - v t)
     v, theta, span, n = 1e-8, 1.0, 1.0, evolve.BLOCK
     a1, a2 = integrate(lambda _t: 0.0, v, 0.0, math.cos(theta), 1j * math.sin(theta), 0.0, span, n)
     assert abs(a1 - math.cos(theta - v * span)) <= 1e-15
     assert abs(a2 - 1j * math.sin(theta - v * span)) <= 1e-15
+
+
+def test_grouped_short_segments_stay_within_a_block():
+    # 200 segments of 63 steps: rows of one step count share a call, and no
+    # call composes more than BLOCK steps
+    dt, k = 1.0 / 64.0, evolve.SMALL - 1
+    marks = [i * k * dt for i in range(1, 201)]
+    cfg = IntegratorConfig(dt=dt)
+    with mock.patch.object(evolve, "_block_map", wraps=evolve._block_map) as block_map:
+        series = rk4_evolve([gaussian(1.0, 0.5, 2.0)], unit_system(), (1.0, 0.0), 0.0,
+                            marks[-1], cfg, record_times=marks)
+    sizes = [call.args[3].size * call.args[5] for call in block_map.call_args_list]
+    assert series.steps == sum(sizes) == 200 * k
+    assert max(sizes) == evolve.BLOCK // k * k
+    assert all(size <= evolve.BLOCK for size in sizes)
 
 
 def _per_segment_reference(pulses, params, t0, t1, dt, marks):
