@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import propagators
+from . import __version__, propagators
 from .analysis import SCENARIO_NAMES, SweepSeries, no_ordering_p2_columns, scenario
 from .evolve import MAX_RK4_STEPS, IntegratorConfig, check_step_budget, rk4_evolve
 from .pulses import (
@@ -128,6 +128,7 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: str | None, meta: list[str], header: list[str], rows) -> None:
     lines = [f"# {m}" for m in meta]
+    lines.append(f"# kickedqubit {__version__}")
     lines.append(",".join(header))
     # one %-template per row; "%.17g" % x is the same text as _fmt(x)
     template = ",".join(["%.17g"] * len(header))
@@ -172,12 +173,10 @@ def _cmd_propagate(args) -> int:
     noto_s, noto_i = no_ordering_p2_columns(pulses, params, args.t0, times, cfg)
     u11, u21 = series.states[:, 0], series.states[:, 1]
     u12 = 0.0 - np.conj(u21)  # SU(2) completion; 0.0 - keeps a zero at +0
-    # Python abs: np.abs over the array differs from it by an ulp on some rows
-    p1 = [abs(z) ** 2 for z in u11.tolist()]
-    p2 = [abs(z) ** 2 for z in u21.tolist()]
-    norm_defect = max(abs(a + b - 1.0) for a, b in zip(p1, p2))
+    p1, p2 = np.abs(u11) ** 2, np.abs(u21) ** 2
+    norm_defect = float(np.max(np.abs(p1 + p2 - 1.0)))
     rows = zip(
-        times.tolist(), p1, p2, noto_s.tolist(), noto_i.tolist(),
+        times.tolist(), p1.tolist(), p2.tolist(), noto_s.tolist(), noto_i.tolist(),
         u11.real.tolist(), u11.imag.tolist(), u12.real.tolist(), u12.imag.tolist(),
     )
     meta = [

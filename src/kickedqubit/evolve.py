@@ -6,25 +6,23 @@ The amplitudes evolve under H/hbar = -gamma sigma_z + v(t) sigma_x:
     da2/dt = -i gamma a2 - i v(t) a1
 
 The step is fixed (no adaptivity) for reproducibility; the default
-resolves both the pulse width and the free oscillation.  Integration is
-split at rectangular pulse edges so the stepper never crosses a
-discontinuity, and ideal kicks inside a sequence are applied as exact
-matrix factors exp(-i alpha sigma_x) between segments rather than being
-discretized.  `rk4_evolve` records the state only at the times it is
-given, one row per requested time.  `rk4_propagator` integrates one basis
-state per call: the Hamiltonian is traceless and Hermitian, so the second
+resolves both the pulse width and the free oscillation.  `rk4_propagator`
+integrates one basis state: H is traceless and Hermitian, so the second
 column of the propagator is the SU(2) completion of the first.
 
-`rk4_evolve` plans every segment between consecutive stops (kicks,
-rectangle edges, the span ends and the record times) as arrays: step count
-n = max(1, ceil(length / dt)), step h and rectangular coupling.  A segment
-of SMALL or more steps runs through `_rk4_span` block by block; shorter
-ones, grouped by step count, are composed as the rows of one call.
-`_block_map` is the one composer: `_step_map` writes each RK4 step as the
-SU(2) map [[1 + d, -q*], [q, 1 + d*]], identity kept apart, and a row's
-maps are multiplied pairwise.  The state is updated once per map, and the
-scalar envelope closure is called three times per step (start, midpoint,
-end).
+`rk4_evolve` records the state at each requested time in three passes.
+Plan: the segments between consecutive stops (kicks, rectangle edges, so
+that no step crosses a discontinuity, the span ends and the record times)
+get, as arrays, a step count n = max(1, ceil(length / dt)), a step and a
+rectangular coupling.  Compose: each segment becomes one SU(2) map
+[[1 + d, -q*], [q, 1 + d*]], identity kept apart, times the exact map
+exp(-i alpha sigma_x) of a kick at its end.  `_block_map`, the one
+composer, writes each RK4 step as such a map, calling the envelope closure
+at its start, midpoint and end, and multiplies a row's maps pairwise; a
+segment of SMALL or more steps runs through `_rk4_span` block by block,
+shorter ones grouped by step count as the rows of one call.  Prefix
+products: a Hillis-Steele scan over a chunk's maps (`_prefix_maps`) gives
+the state at every segment end, with no Python loop per segment or row.
 
 This module also provides the numeric "no time ordering" evolution,
 `no_ordering_numeric`, an independent cross-check of the closed form in
@@ -38,7 +36,6 @@ rotating-frame no-ordering CSV column.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -57,11 +54,10 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, unitar
 #: (with a gaussian pair about 20 s of work).  It also caps scenario
 #: n_points and floquet COUNT.
 MAX_RK4_STEPS = 10_000_000
-#: A segment of at least SMALL steps runs alone through _rk4_span, where
-#: perfbench's tracer counts steps, in blocks of up to BLOCK steps.  Shorter
-#: ones, the cuts of a dense record grid, are grouped by step count into
-#: _block_map calls of up to BLOCK steps, BLOCK // 2 segments a chunk, so
-#: that every array stays small.
+#: A segment of at least SMALL steps runs alone through _rk4_span (where
+#: perfbench's tracer counts steps) in blocks of up to BLOCK steps; shorter
+#: ones are grouped by step count into _block_map calls of up to BLOCK
+#: steps, BLOCK // 2 segments a chunk, so that every array stays small.
 SMALL = 64
 BLOCK = 4096
 
@@ -102,26 +98,39 @@ class TimeSeries:
         return self.states[-1]
 
 
-def _rk4_span(
-    v, v_const: float, gamma: float, a1: complex, a2: complex, t0: float, t1: float, n: int
-):
-    """n uniform RK4 steps of the two coupled amplitude equations.
+def _rk4_span(v, v_const: float, gamma: float, t0: float, t1: float, n: int):
+    """The map (d, q) of n uniform RK4 steps, a _block_map row per block of at most BLOCK.
 
     v is the smooth part of the coupling; v_const carries the rectangular
     contribution, constant within a segment, so that evaluations at the
     segment boundaries never see the wrong side of a discontinuity.
-
-    Each block of at most BLOCK steps becomes one map (d, q), built by
-    _block_map as a single row, that updates the state once.
     """
     t, h, c = np.array([t0]), np.array([(t1 - t0) / n]), np.array([v_const], dtype=float)
+    d = q = 0j
     while n > 0:
         m = min(n, BLOCK)
-        d, q, t = _block_map(v, c, 1j * gamma, t, h, m)
-        d, q = complex(d[0]), complex(q[0])
-        a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
+        db, qb, t = _block_map(v, c, 1j * gamma, t, h, m)
+        d, q = _compose(complex(db[0]), complex(qb[0]), d, q)
         n -= m
-    return a1, a2
+    return d, q
+
+
+def _compose(dl, ql, de, qe):
+    """The map (dl, ql) after (de, qe), for scalars or arrays of maps (d, q)."""
+    return dl + de + (dl * de - ql.conjugate() * qe), ql + qe + (ql * de + dl.conjugate() * qe)
+
+
+def _prefix_maps(d, q):
+    """Inclusive prefix products, in place: entry k becomes map k after ... after map 0.
+
+    Hillis-Steele scan (Commun. ACM 29, 1170 (1986)): pass p composes each
+    entry with the one 2^p places earlier, ceil(log2 L) array passes.
+    """
+    k = 1
+    while k < d.size:
+        d[k:], q[k:] = _compose(d[k:], q[k:], d[:-k], q[:-k])
+        k *= 2
+    return d, q
 
 
 def _step_map(ig, h, ivt, ivm, ive):
@@ -174,16 +183,9 @@ def _block_map(v, v_const, ig: complex, t, h, m: int):
             if w % 2:
                 one, w = np.zeros((rows, 1), dtype=complex), w + 1
                 d, q = (np.hstack([x.reshape(rows, -1), one]).ravel() for x in (d, q))
-            de, qe, dl, ql = d[0::2], q[0::2], d[1::2], q[1::2]
-            d = dl + de + (dl * de - ql.conj() * qe)
-            q = ql + qe + (ql * de + dl.conj() * qe)
+            d, q = _compose(d[1::2], q[1::2], d[0::2], q[0::2])
             w //= 2
     return d, q, times[:, m]
-
-
-def _apply_kick(alpha: float, a1: complex, a2: complex):
-    c, s = math.cos(alpha), math.sin(alpha)
-    return c * a1 - 1j * s * a2, -1j * s * a1 + c * a2
 
 
 def check_step_budget(
@@ -244,60 +246,58 @@ def rk4_evolve(
     rects = [(p.peak, *p.window()) for p in pulses if p.shape is PulseShape.RECTANGULAR]
     v = envelope(smooth) if smooth else (lambda _t: 0.0)
 
-    # kicks grouped by time; rectangular edges become integration breakpoints
-    kicks: dict[float, float] = {}
-    for p in pulses:
-        if p.shape is PulseShape.IDEAL_KICK and t0 <= p.center <= t1:
-            kicks[p.center] = kicks.get(p.center, 0.0) + p.alpha
+    # kicks (summed at a shared time) and rectangular edges are breakpoints
+    kicks = [p for p in pulses if p.shape is PulseShape.IDEAL_KICK and t0 <= p.center <= t1]
     edges = [e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1]
     marks = np.clip(times, t0, t1).tolist()
 
     # plan: one uniform-step segment between each pair of consecutive stops
-    stops = np.array(sorted({t0, t1, *kicks, *edges, *marks}))
+    stops = np.array(sorted({t0, t1, *(p.center for p in kicks), *edges, *marks}))
     lo, hi = stops[:-1], stops[1:]
     n = np.maximum(1, np.ceil((hi - lo) / dt)).astype(np.int64)
-    v_const, short = np.zeros(n.size), n < SMALL
+    v_const = np.zeros(n.size)
     for amp, rlo, rhi in rects:  # a rectangle is on where it covers the segment's midpoint
         mid = 0.5 * (lo + hi)
         v_const += np.where((rlo < mid) & (mid < rhi), amp, 0.0)
 
-    a1, a2, ig = complex(initial[0]), complex(initial[1]), 1j * params.gamma
-    if t0 in kicks:
-        a1, a2 = _apply_kick(kicks[t0], a1, a2)
-    j = bisect.bisect_right(marks, t0)  # the rows at t0
-    states = [(a1, a2)] * j
-    for s in range(0, hi.size, BLOCK // 2):  # compose a chunk's short segments, then apply it
-        few, *plan = (x[s : s + BLOCK // 2] for x in (short, lo, hi, n, v_const))
-        a, b, m, c = (x[few] for x in plan)
+    # the state (a1, a2) after each stop, kept as the map (a1 - 1, a2) whose first
+    # column it is: prefix products of a chunk's maps (one a segment, times
+    # exp(-i alpha sigma_x) of the kick ending it) after the state carried in
+    sd, sq = np.empty(stops.size, complex), np.empty(stops.size, complex)
+    sd[0], sq[0] = complex(initial[0]) - 1.0, complex(initial[1])
+    if kicks:  # alpha = 0 (the identity) at a stop without a kick
+        at = np.searchsorted(stops, [p.center for p in kicks])
+        alpha = np.bincount(at, [p.alpha for p in kicks], stops.size)
+        kick_d, kick_q = -2.0 * np.sin(0.5 * alpha) ** 2 + 0j, -1j * np.sin(alpha)
+        sd[0], sq[0] = _compose(kick_d[0], kick_q[0], sd[0], sq[0])
+    for s in range(0, hi.size, BLOCK // 2):
+        a, b, m, c = (x[s : s + BLOCK // 2] for x in (lo, hi, n, v_const))
         d, q, h = np.empty(m.size, complex), np.empty(m.size, complex), (b - a) / m
-        # rows of k steps, up to BLOCK steps a call (np.unique would load numpy.ma)
-        for k in sorted(set(m.tolist())):
+        # short rows of k steps, up to BLOCK steps a call (np.unique would load numpy.ma)
+        for k in sorted(k for k in set(m.tolist()) if k < SMALL):
             same = np.flatnonzero(m == k)
             for r in range(0, same.size, BLOCK // k):
                 i = same[r : r + BLOCK // k]
-                d[i], q[i], _ = _block_map(v, c[i], ig, a[i], h[i], k)
-        maps = zip(d.tolist(), q.tolist())
-        for small, a, b, m, c in zip(few.tolist(), *(x.tolist() for x in plan)):
-            if small:
-                d, q = next(maps)
-                a1, a2 = a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
-            else:
-                a1, a2 = _rk4_span(v, c, params.gamma, a1, a2, a, b, m)
-            if b in kicks:
-                a1, a2 = _apply_kick(kicks[b], a1, a2)
-            while j < len(marks) and marks[j] == b:
-                states.append((a1, a2))
-                j += 1
+                d[i], q[i], _ = _block_map(v, c[i], 1j * params.gamma, a[i], h[i], k)
+        for i in np.flatnonzero(m >= SMALL).tolist():
+            ci, ai, bi, mi = (x[i].item() for x in (c, a, b, m))
+            d[i], q[i] = _rk4_span(v, ci, params.gamma, ai, bi, mi)
+        ends = slice(s + 1, s + 1 + m.size)
+        if kicks:
+            d, q = _compose(kick_d[ends], kick_q[ends], d, q)
+        d[0], q[0] = _compose(d[0], q[0], sd[s], sq[s])
+        sd[ends], sq[ends] = _prefix_maps(d, q)
 
+    rows = np.searchsorted(stops, marks)
     series = TimeSeries(
         times=times,
-        states=np.array(states, dtype=complex).reshape(-1, 2),
+        states=np.column_stack((1.0 + sd[rows], sq[rows])),
         dt=dt,
         steps=int(n.sum()),
         segments=hi.size,
     )
     if norm_defect(np.asarray(initial, dtype=complex)) < 1e-12:
-        final_defect = norm_defect(np.array([a1, a2]))
+        final_defect = norm_defect(np.array([1.0 + sd[-1], sq[-1]]))
         if not final_defect <= cfg.unitarity_tolerance:
             raise NonUnitaryError(
                 f"norm drifted by {final_defect:.3e} during integration; reduce dt"

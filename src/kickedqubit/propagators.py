@@ -45,7 +45,7 @@ from .pulses import (
     envelope_array,
     integrated_strength,
 )
-from .su2 import X_AXIS, Z_AXIS, pauli_exponential
+from .su2 import X_AXIS, Z_AXIS, _rotation, pauli_exponential
 
 
 def _sin_over(x: float) -> float:
@@ -86,7 +86,7 @@ def kick_integral(kicks: Sequence[tuple[float, float]], lam: float, gamma: float
     return complex(zr, zi)
 
 
-def no_ordering_column(z: complex, lam: float, gamma: float, t: float) -> tuple[complex, complex]:
+def no_ordering_column(z, lam: float, gamma: float, t):
     """First column (u11, u21) of exp(-i Omega_lam), the no-ordering evolution of frame lam.
 
     The frame splits -lam gamma sigma_z off H0; its averaged (first-order
@@ -95,25 +95,27 @@ def no_ordering_column(z: complex, lam: float, gamma: float, t: float) -> tuple[
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  With
     xi = sqrt(|z|^2 + c^2) the column is (cos(xi) + i c sin(xi)/xi,
     -i z sin(xi)/xi).  The frame factor e^{i lam gamma t sigma_z} is
-    diagonal, so P2 = |u21|^2 in every frame.
+    diagonal, so P2 = |u21|^2 in every frame.  z and t are arrays, one entry
+    per time: each no-ordering CSV column of `propagate` is one call.
     """
     c = (1.0 - lam) * gamma * t
-    zr, zi = z.real, z.imag
-    xi = math.hypot(zr, zi, c)
-    # _sin_over written out for xi >= 1e-4: propagate calls this twice per CSV row
-    s = math.sin(xi) / xi if xi >= 1e-4 else _sin_over(xi)
-    return math.cos(xi) + c * s * 1j, zi * s - zr * s * 1j
+    xi = np.hypot(np.abs(z), c)
+    s = np.ones_like(xi)  # sin(xi)/xi, 1 at xi = 0
+    np.divide(np.sin(xi), xi, out=s, where=xi != 0.0)
+    return np.cos(xi) + 1j * c * s, -1j * z * s
 
 
 def no_ordering(z: complex, lam: float, gamma: float, t: float) -> np.ndarray:
-    """exp(-i Omega_lam): the SU(2) completion [[u11, -u21*], [u21, u11*]] of `no_ordering_column`.
+    """exp(-i Omega_lam) of `no_ordering_column` as the rotation exp(-i xi n.sigma), n = Omega_lam / xi.
 
     In the rotating frame one kick gives P2 = sin^2 a and a kick-antikick
     pair sin^2(2 a sin(gamma T_s)); in the bare frame a running strength
     alpha gives P2 = (alpha sin(xi)/xi)^2, xi = sqrt(alpha^2 + (gamma t)^2).
     """
-    u11, u21 = no_ordering_column(z, lam, gamma, t)
-    return np.array([[u11, -u21.conjugate()], [u21, u11.conjugate()]])
+    c = (1.0 - lam) * gamma * t
+    xi = math.hypot(z.real, z.imag, c)
+    r = xi or 1.0  # at xi = 0, sin(xi) = 0 and any axis gives the identity
+    return _rotation(math.cos(xi), -math.sin(xi), z.real / r, z.imag / r, -c / r)
 
 
 def kick_sequence_propagator(

@@ -45,13 +45,13 @@ def pauli_exponential(phi: float, axis) -> np.ndarray:
         raise ValueError(f"axis must have unit norm to 1e-12, got {axis!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array(
-        [
-            [c + 1j * s * nz, 1j * s * (nx - 1j * ny)],
-            [1j * s * (nx + 1j * ny), c - 1j * s * nz],
-        ]
-    )
+    return _rotation(math.cos(phi), math.sin(phi), nx, ny, nz)
+
+
+def _rotation(c: float, s: float, nx: float, ny: float, nz: float) -> np.ndarray:
+    """c 1 + i s n.sigma, unchecked: exp(i phi n.sigma) for c, s = cos, sin of phi and |n| = 1."""
+    return np.array([[c + 1j * s * nz, 1j * s * (nx - 1j * ny)],
+                     [1j * s * (nx + 1j * ny), c - 1j * s * nz]])
 
 
 def unitarity_defect(m: np.ndarray) -> float:

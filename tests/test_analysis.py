@@ -235,27 +235,19 @@ def _read_panel(name: str) -> tuple[list[str], np.ndarray]:
     return lines[0].split(","), np.array(rows)
 
 
-@pytest.mark.parametrize("frame", ["bare", "rotating"])
+@pytest.mark.parametrize("frame", ["bare", "rotating", "infinite"])
 def test_no_ordering_columns_reject_a_nan_row(monkeypatch, frame):
-    # a NaN on a middle row of either column must survive the running defect and raise
-    if frame == "bare":
-        real = prop.no_ordering_column
+    # a NaN (or an infinite z) on a middle row of either column must survive
+    # the running defect and raise
+    name = "integrated_strength" if frame == "bare" else "interaction_integral_series"
+    real = getattr(analysis, name)
 
-        def nan_at_two(z, lam, gamma, t):
-            if (lam, t) == (0.0, 2.0):
-                return complex(math.nan), complex(math.nan)
-            return real(z, lam, gamma, t)
+    def bad_at_two(*args):
+        z = real(*args)
+        z[1] = math.inf if frame == "infinite" else math.nan
+        return z
 
-        monkeypatch.setattr(prop, "no_ordering_column", nan_at_two)
-    else:
-        real = analysis.interaction_integral_series
-
-        def nan_at_two(*args):
-            z = real(*args)
-            z[1] = math.nan
-            return z
-
-        monkeypatch.setattr(analysis, "interaction_integral_series", nan_at_two)
+    monkeypatch.setattr(analysis, name, bad_at_two)
     with pytest.raises(NonUnitaryError):
         analysis.no_ordering_p2_columns(
             [], unit_system(), 0.0, np.array([1.0, 2.0, 3.0]), None

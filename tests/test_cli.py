@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kickedqubit import cli, evolve
+from kickedqubit import __version__, cli, evolve
 from kickedqubit.pulses import PulseShape
 
 REFERENCE_PANELS = Path(__file__).resolve().parents[1] / "out" / "figures"
@@ -32,7 +32,7 @@ def test_csv_writer_matches_per_value_format(capsys):
     rows = [values, values[::-1], [np.float64(x) for x in values]]
     header = [f"c{i}" for i in range(len(values))]
     cli._write_csv(None, ["meta"], header, rows)
-    expected = ["# meta", ",".join(header)]
+    expected = ["# meta", f"# kickedqubit {__version__}", ",".join(header)]
     expected += [",".join(f"{x:.17g}" for x in row) for row in rows]
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
 

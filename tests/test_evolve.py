@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickedqubit import evolve
@@ -33,6 +33,7 @@ from kickedqubit.su2 import (
     NonUnitaryError,
     max_abs_diff,
     norm_defect,
+    pauli_exponential,
     probabilities,
     unitarity_defect,
 )
@@ -144,23 +145,28 @@ def test_completed_column_matches_direct_integration(pulses, t0, span):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(_PULSE, min_size=1, max_size=3),
+    st.lists(_PULSE, max_size=3),
     st.floats(0.0, 2.0),
     st.lists(st.floats(0.0, 4.0), min_size=1, max_size=10),
+    st.sampled_from([0.0, 1e-6, 1.0, 300.0]),
 )
-def test_bare_column_matches_the_matrix_route(pulses, t0, offsets):
-    # the scalar no-ordering column must give P2 bit for bit as the full matrix does
-    params = unit_system()
+@example(pulses=[], t0=0.5, offsets=[0.0], gamma=1.0)  # xi = 0
+@example(pulses=[ideal_kick(3e-5, 0.2)], t0=0.0, offsets=[0.3, 0.5], gamma=1e-6)  # xi < 1e-4
+@example(pulses=[ideal_kick(40.0, 1.0)], t0=0.0, offsets=[2.0, 4.0], gamma=300.0)  # large xi
+def test_columns_match_the_matrix_route(pulses, t0, offsets, gamma):
+    # each row of the array columns is the P2 of the scalar matrix, in both frames
+    params, cfg = SystemParams(gamma), IntegratorConfig(dt=0.01)
     times = np.array(sorted(t0 + x for x in offsets + offsets[:2]))  # with repeats
-    bare, _ = no_ordering_p2_columns(pulses, params, t0, times, IntegratorConfig(dt=0.01))
-    matrix_route = [
-        probabilities(
-            prop.no_ordering(integrated_strength(pulses, t0, t), 0.0, params.gamma, t - t0),
-            (1.0, 0.0),
-        )[1]
-        for t in times.tolist()
-    ]
-    assert bare.tolist() == matrix_route
+    columns = no_ordering_p2_columns(pulses, params, t0, times, cfg)
+    zs = (
+        integrated_strength(pulses, t0, times),
+        interaction_integral_series(pulses, params, t0, times, cfg),
+    )
+    for lam, column, z in zip((0.0, 1.0), columns, zs):
+        for p2, zk, t in zip(column.tolist(), z.tolist(), (times - t0).tolist()):
+            _, expected = probabilities(prop.no_ordering(zk, lam, gamma, t), (1.0, 0.0))
+            xi = math.hypot(abs(zk), (1.0 - lam) * gamma * t)
+            assert abs(p2 - expected) <= 1e-14 * max(1.0, xi)
 
 
 _SPAN_STEPS = st.sampled_from(
@@ -202,22 +208,64 @@ def test_rows_compose_as_each_row_alone(pulses, k, rows, gamma):
     assert together == alone
 
 
+def _applied(d, q, a1, a2):
+    """The state (a1, a2) after the map (d, q), as rk4_evolve applies it."""
+    d, q = evolve._compose(d, q, a1 - 1.0, a2)
+    return 1.0 + d, q
+
+
+def _as_span(v, v_const, gamma, a1, a2, t0, t1, n):
+    """_rk4_span's map of n steps over [t0, t1], applied to (a1, a2)."""
+    return _applied(*evolve._rk4_span(v, v_const, gamma, t0, t1, n), a1, a2)
+
+
 def _as_rows(v, v_const, gamma, a1, a2, t0, t1, n):
     """_rk4_span's n steps over [t0, t1], as the first of three rows of one call."""
     c = np.array([v_const, -2.0 * v_const, 3.0 * v_const])
     t, h = np.array([t0, t0 + 1.0, t0 - 1.0]), np.full(3, (t1 - t0) / n)
     d, q, _ = evolve._block_map(v, c, 1j * gamma, t, h, n)
-    d, q = complex(d[0]), complex(q[0])
-    return a1 + (d * a1 - q.conjugate() * a2), a2 + (q * a1 + d.conjugate() * a2)
+    return _applied(complex(d[0]), complex(q[0]), a1, a2)
 
 
-@pytest.mark.parametrize("integrate", [evolve._rk4_span, _as_rows], ids=["block", "rows"])
+@pytest.mark.parametrize("integrate", [_as_span, _as_rows], ids=["block", "rows"])
 def test_both_composers_are_exact_over_near_identity_steps(integrate):
     # gamma = 0 and a constant coupling: the exact amplitudes are cos, sin of (theta - v t)
     v, theta, span, n = 1e-8, 1.0, 1.0, evolve.BLOCK
     a1, a2 = integrate(lambda _t: 0.0, v, 0.0, math.cos(theta), 1j * math.sin(theta), 0.0, span, n)
     assert abs(a1 - math.cos(theta - v * span)) <= 1e-15
     assert abs(a2 - 1j * math.sin(theta - v * span)) <= 1e-15
+
+
+def test_short_segments_do_not_drift():
+    # the same exact rotation cut by 66 record times into 66 segments of 63
+    # steps: their maps are multiplied before the state sees them, so the
+    # final state is as exact as one 4096-step segment's
+    v, theta = 1e-8, 1.0
+    marks = [k / 66 for k in range(1, 67)]
+    series = rk4_evolve([rectangular(v, 1.0, 0.5)], SystemParams(0.0),
+                        (math.cos(theta), -1j * math.sin(theta)), 0.0, 1.0,
+                        IntegratorConfig(dt=1.0 / 4096), record_times=marks)
+    assert (series.segments, series.steps) == (66, 66 * 63)
+    a1, a2 = series.final_state()
+    assert abs(a1 - math.cos(theta + v)) <= 4.5e-16
+    assert abs(a2 + 1j * math.sin(theta + v)) <= 4.5e-16
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 2048]), st.integers(0, 2**32 - 1))
+def test_prefix_products_equal_the_left_fold(size, seed):
+    # random near-identity SU(2) maps: entry k of the scan is map k after ... after map 0
+    rng = np.random.default_rng(seed)
+    axes = rng.normal(size=(size, 3))
+    u = [pauli_exponential(phi, n / np.linalg.norm(n))
+         for phi, n in zip(rng.uniform(-1e-3, 1e-3, size), axes)]
+    d, q = np.array([m[0, 0] - 1.0 for m in u]), np.array([m[1, 0] for m in u])
+    fold, (dk, qk) = [], (0j, 0j)
+    for x in zip(d.tolist(), q.tolist()):
+        dk, qk = evolve._compose(*x, dk, qk)
+        fold.append((dk, qk))
+    scan = np.column_stack(evolve._prefix_maps(d, q))
+    assert np.max(np.abs(scan - np.array(fold))) <= 1e-14
 
 
 def test_grouped_short_segments_stay_within_a_block():
@@ -235,8 +283,8 @@ def test_grouped_short_segments_stay_within_a_block():
     assert all(size <= evolve.BLOCK for size in sizes)
 
 
-def _per_segment_reference(pulses, params, t0, t1, dt, marks):
-    """The state at each mark, with one _rk4_span call per segment between stops."""
+def _sequential_reference(pulses, params, t0, t1, dt, marks):
+    """The state at each mark from a left fold of each segment's map, the kicks as exact matrices."""
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
     rects = [(p.peak, *p.window()) for p in pulses if p.shape is PulseShape.RECTANGULAR]
     v = envelope(smooth) if smooth else (lambda _t: 0.0)
@@ -246,18 +294,18 @@ def _per_segment_reference(pulses, params, t0, t1, dt, marks):
             kicks[p.center] = kicks.get(p.center, 0.0) + p.alpha
     edges = {e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1}
     stops = sorted(set(kicks) | edges | {t0, t1} | set(marks))
-    a1, a2 = 1.0 + 0.0j, 0.0j
-    at = {}
+    u, at = np.eye(2, dtype=complex), {}
     for lo, hi in zip([t0] + stops[:-1], stops):
         if hi > lo:
             mid = 0.5 * (lo + hi)
             v_const = sum(amp for amp, rlo, rhi in rects if rlo < mid < rhi)
             n = max(1, math.ceil((hi - lo) / dt))
-            a1, a2 = evolve._rk4_span(v, v_const, params.gamma, a1, a2, lo, hi, n)
+            d, q = evolve._rk4_span(v, v_const, params.gamma, lo, hi, n)
+            u = np.array([[1.0 + d, -q.conjugate()], [q, 1.0 + d.conjugate()]]) @ u
         if hi in kicks:
             c, s = math.cos(kicks[hi]), math.sin(kicks[hi])
-            a1, a2 = c * a1 - 1j * s * a2, -1j * s * a1 + c * a2
-        at[hi] = (a1, a2)
+            u = np.array([[c, -1j * s], [-1j * s, c]]) @ u
+        at[hi] = u[:, 0]
     return np.array([at[t] for t in marks]).reshape(-1, 2)
 
 
@@ -265,22 +313,27 @@ def _per_segment_reference(pulses, params, t0, t1, dt, marks):
 @given(
     st.lists(_PULSE, min_size=1, max_size=4),
     st.floats(0.0, 1.0),
-    st.floats(0.5, 4.0),
+    st.one_of(st.just(0.0), st.floats(0.5, 4.0)),
     st.lists(st.floats(0.0, 1.0), max_size=40),
     st.sampled_from([0.003, 0.02, 0.3]),
     st.sampled_from([64, evolve.BLOCK]),
+    st.booleans(),
 )
-def test_batched_plan_matches_per_segment_spans(pulses, t0, span, fractions, dt, block):
-    # record times that repeat and that fall on kicks and rectangle edges; a
-    # small BLOCK splits the batch into many chunks
+def test_batched_plan_matches_per_segment_spans(pulses, t0, span, fractions, dt, block, kick_t0):
+    # record times that repeat and that fall on kicks and rectangle edges, a
+    # kick at t0 recorded there, runs of short segments on either side of a
+    # long one, t0 == t1; a small BLOCK splits the batch into many chunks
     t1 = t0 + span
+    if kick_t0:
+        pulses = [ideal_kick(0.7, t0), *pulses]
     breaks = [e for p in pulses for e in {p.window()[0], p.center, p.window()[1]}]
-    marks = [t0 + f * span for f in fractions] + [t for t in breaks if t0 <= t <= t1]
+    runs = [t0 + k * 1e-3 * span for k in range(5)] + [t1 - k * 1e-3 * span for k in range(5)]
+    marks = [t0 + f * span for f in fractions] + runs + [t for t in breaks if t0 <= t <= t1]
     marks = sorted(marks + marks[::3])
     cfg = IntegratorConfig(dt=dt, unitarity_tolerance=math.inf)
     with mock.patch.object(evolve, "BLOCK", block):
         series = rk4_evolve(pulses, unit_system(), (1.0, 0.0), t0, t1, cfg, record_times=marks)
-        expected = _per_segment_reference(pulses, unit_system(), t0, t1, dt, marks)
+        expected = _sequential_reference(pulses, unit_system(), t0, t1, dt, marks)
     assert series.states.shape == (len(marks), 2)
     assert np.max(np.abs(series.states - expected), initial=0.0) <= 1e-13
 
