@@ -27,10 +27,12 @@ the state at every segment end, with no Python loop per segment or row.
 This module also provides the numeric "no time ordering" evolution,
 `no_ordering_numeric`, an independent cross-check of the closed form in
 `propagators` for either frame: lam = 0 (bare) or lam = 1 (rotating).
-It exponentiates with scipy's `expm`; its exponent comes from
-`interaction_integral`, which integrates each pulse window by QUADPACK's
-Fourier-weighted QAWO rule at frequency 2 lam gamma.  scipy is imported
-inside these two routes, so the integrator's import stays numpy-only.
+It exponentiates the Hermitian exponent through its spectral
+decomposition (numpy's `eigh`), not through the closed rotation; the
+exponent comes from `interaction_integral`, which integrates each pulse
+window by QUADPACK's Fourier-weighted QAWO rule at frequency 2 lam gamma.
+scipy is imported inside that quadrature, so the integrator's import
+stays numpy-only.
 `interaction_integral_series` is the cheap cumulative trapezoid behind the
 rotating-frame no-ordering CSV column.
 """
@@ -364,16 +366,16 @@ def interaction_integral(
 def no_ordering_numeric(
     pulses: PulseSequence, params: SystemParams, t: float, lam: float
 ) -> np.ndarray:
-    """expm(-i Omega_lam), Omega_lam = Re z sigma_x + Im z sigma_y - (1 - lam) gamma t sigma_z.
+    """exp(-i Omega_lam), Omega_lam = Re z sigma_x + Im z sigma_y - (1 - lam) gamma t sigma_z.
 
     z is interaction_integral's quadrature of frame lam: lam = 0 is the bare
-    frame, lam = 1 the rotating frame.
+    frame, lam = 1 the rotating frame.  Omega_lam is Hermitian, so with
+    Omega_lam = V diag(w) V^dag the exponential is V diag(e^{-i w}) V^dag.
     """
-    from scipy.linalg import expm
-
     z = interaction_integral(pulses, params, t, lam)
     c = (1.0 - lam) * params.gamma * t
-    return expm(-1j * (z.real * SIGMA_X + z.imag * SIGMA_Y - c * SIGMA_Z))
+    w, v = np.linalg.eigh(z.real * SIGMA_X + z.imag * SIGMA_Y - c * SIGMA_Z)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def interaction_integral_series(

@@ -10,8 +10,9 @@ largest-absolute-entry norm is used for all matrix defect measurements,
 and a NaN entry gives a NaN defect, which fails every `not defect <= tol`
 guard.  The one numeric no-ordering route, `evolve.no_ordering_numeric`,
 serves the bare (lam = 0) and rotating (lam = 1) frames alike; it
-exponentiates with scipy's `expm`, not with `pauli_exponential`, so it
-shares no code with the closed form `propagators.no_ordering` it checks.
+exponentiates through numpy's `eigh` (a spectral decomposition), not with
+`pauli_exponential`, so it shares no code with the closed form
+`propagators.no_ordering` it checks.
 """
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 
 The CLI's propagate, figure and floquet commands need numpy only; scipy is
 imported inside the routes that use it (the quadrature closed forms in
-`propagators`, and the QAWO quadrature and expm routes in `evolve`).  Each
+`propagators`, and the QAWO quadrature in `evolve`, which
+`no_ordering_numeric` exponentiates with numpy's `eigh`).  Each
 check runs in a fresh interpreter, because the test modules import scipy
 themselves.
 """
