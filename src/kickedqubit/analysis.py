@@ -28,47 +28,46 @@ from .su2 import NonUnitaryError
 
 
 class KickProbabilities(NamedTuple):
-    """P2 closed forms: exact kick limit, then the two no-ordering frames."""
+    """P2 closed forms: exact kick limit, then the two no-ordering frames.
 
-    exact_kick: float
-    no_ordering_schrodinger: float
-    no_ordering_interaction: float
+    Each field has the broadcast shape of the arguments.
+    """
+
+    exact_kick: np.ndarray
+    no_ordering_schrodinger: np.ndarray
+    no_ordering_interaction: np.ndarray
 
 
-def p2_closed_forms_single(
-    alpha: float, beta: float, gamma_tf: float
-) -> KickProbabilities:
+def p2_closed_forms_single(alpha, beta, gamma_tf) -> KickProbabilities:
     """Transfer probability for a single pulse in the three descriptions.
 
     exact kick limit: sin^2(alpha)
     bare frame, no ordering: (alpha sin(xi)/xi)^2, xi = sqrt(alpha^2 + (gamma Tf)^2)
     rotating frame, no ordering: sin^2(alpha e^{-beta^2})
     """
-    xi = math.hypot(alpha, gamma_tf)
-    amp = alpha * (math.sin(xi) / xi if xi > 1e-12 else 1.0)
+    alpha, beta, gamma_tf = np.broadcast_arrays(alpha, beta, gamma_tf)
+    xi = np.hypot(alpha, gamma_tf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # xi = 0 takes the limit 1
+        amp = alpha * np.where(xi > 1e-12, np.sin(xi) / xi, 1.0)
     return KickProbabilities(
-        exact_kick=math.sin(alpha) ** 2,
+        exact_kick=np.sin(alpha) ** 2,
         no_ordering_schrodinger=amp * amp,
-        no_ordering_interaction=math.sin(alpha * math.exp(-beta * beta)) ** 2,
+        no_ordering_interaction=np.sin(alpha * np.exp(-beta * beta)) ** 2,
     )
 
 
-def p2_closed_forms_double(
-    alpha: float, beta: float, gamma_ts: float
-) -> KickProbabilities:
+def p2_closed_forms_double(alpha, beta, gamma_ts) -> KickProbabilities:
     """Transfer probability for a kick-antikick pair in the three descriptions.
 
     exact kick limit: sin^2(gamma Ts) sin^2(2 alpha)
     bare frame, no ordering: identically zero (the average coupling vanishes)
     rotating frame, no ordering: sin^2(2 alpha e^{-beta^2} sin(gamma Ts))
     """
+    alpha, beta, gamma_ts = np.broadcast_arrays(alpha, beta, gamma_ts)
     return KickProbabilities(
-        exact_kick=math.sin(gamma_ts) ** 2 * math.sin(2.0 * alpha) ** 2,
-        no_ordering_schrodinger=0.0,
-        no_ordering_interaction=math.sin(
-            2.0 * alpha * math.exp(-beta * beta) * math.sin(gamma_ts)
-        )
-        ** 2,
+        exact_kick=np.sin(gamma_ts) ** 2 * np.sin(2.0 * alpha) ** 2,
+        no_ordering_schrodinger=np.zeros(alpha.shape),
+        no_ordering_interaction=np.sin(2.0 * alpha * np.exp(-beta * beta) * np.sin(gamma_ts)) ** 2,
     )
 
 
@@ -286,15 +285,11 @@ def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     for tf in obs:
         j = int(np.searchsorted(marks, tf))
         cols[f"P2_Tf{tf:g}"] = exact[:, j]
-        cols[f"P2_noTO_S_Tf{tf:g}"] = np.array(
-            [
-                p2_closed_forms_single(alpha, b, g * tf).no_ordering_schrodinger
-                for b in beta
-            ]
-        )
+        single = p2_closed_forms_single(alpha, beta, g * tf)
+        cols[f"P2_noTO_S_Tf{tf:g}"] = single.no_ordering_schrodinger
         cols[f"P2_noTO_S_running_Tf{tf:g}"] = noto_s_run[:, j]
         cols[f"P2_noTO_I_numeric_Tf{tf:g}"] = noto_i_num[:, j]
-    cols["P2_noTO_I"] = np.sin(alpha * np.exp(-beta * beta)) ** 2
+    cols["P2_noTO_I"] = p2_closed_forms_single(alpha, beta, 0.0).no_ordering_interaction
     return SweepSeries(
         "tau_ps",
         taus,
@@ -329,16 +324,12 @@ def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSer
     pulses = [gaussian(alpha, tau, t_k)]
     series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, t_max, cfg, record_times=tfs)
     noto_s_run, noto_i_num = no_ordering_p2_columns(pulses, params, 0.0, tfs, cfg)
+    closed = p2_closed_forms_single(alpha, beta, g * tfs)
     cols = {
         "P2": series.p2,
-        "P2_noTO_S": np.array(
-            [
-                p2_closed_forms_single(alpha, beta, g * tf).no_ordering_schrodinger
-                for tf in tfs
-            ]
-        ),
+        "P2_noTO_S": closed.no_ordering_schrodinger,
         "P2_noTO_S_running": noto_s_run,
-        "P2_noTO_I": np.full(n, p2_closed_forms_single(alpha, beta, 0.0).no_ordering_interaction),
+        "P2_noTO_I": closed.no_ordering_interaction,
         "P2_noTO_I_numeric": noto_i_num,
     }
     return SweepSeries(
@@ -386,10 +377,10 @@ def _separation_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -
                 pulses, params, (1.0, 0.0), 0.0, t_f, cfg, record_times=[t_f]
             )
             exact[i] = series.p2[-1]
-        closed = [p2_closed_forms_double(alpha, beta, g * ts) for ts in seps]
+        closed = p2_closed_forms_double(alpha, beta, g * seps)
         cols[f"P2_{label}"] = exact
-        cols[f"P2_kick_{label}"] = np.array([c.exact_kick for c in closed])
-        cols[f"P2_noTO_I_{label}"] = np.array([c.no_ordering_interaction for c in closed])
+        cols[f"P2_kick_{label}"] = closed.exact_kick
+        cols[f"P2_noTO_I_{label}"] = closed.no_ordering_interaction
     cols["P2_noTO_S"] = np.zeros(n)
     return SweepSeries(
         "Ts_ps",

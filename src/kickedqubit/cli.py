@@ -280,17 +280,10 @@ def _cmd_floquet(args) -> int:
         gts = np.array([gt])
     else:
         raise ValueError("give --period or --sweep")
-    rows = []
-    for gt in gts:
-        res = propagators.floquet_eigenphases(args.alpha, float(gt))
-        v_plus, v_minus = res.eigenvectors
-        rows.append(
-            (
-                gt, res.chi,
-                v_plus[0].real, v_plus[0].imag, v_plus[1].real, v_plus[1].imag,
-                v_minus[0].real, v_minus[0].imag, v_minus[1].real, v_minus[1].imag,
-            )
-        )
+    res = propagators.floquet_eigenphases(args.alpha, gts)
+    v_plus, v_minus = res.eigenvectors
+    parts = [f(v[:, i]) for v in (v_plus, v_minus) for i in (0, 1) for f in (np.real, np.imag)]
+    rows = zip(*(c.tolist() for c in [gts, res.chi, *parts]))
     meta = [
         f"system {preset_label} gamma_rad_per_ps={_fmt(params.gamma)}",
         f"alpha_rad={_fmt(args.alpha)}",

@@ -50,7 +50,7 @@ from .pulses import (
     envelope,
     envelope_array,
 )
-from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, unitarity_defect
+from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, su2, unitarity_defect
 
 #: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping
 #: (with a gaussian pair about 20 s of work).  It also caps scenario
@@ -322,8 +322,7 @@ def rk4_propagator(
     """
     cfg = cfg or IntegratorConfig()
     a, b = rk4_evolve(pulses, params, (1.0, 0.0), t0, t1, cfg, record_times=[t1]).final_state()
-    # 0.0 - conj(b), not -conj(b): a zero b completes to +0, as integrating (0, 1) gives
-    u = np.array([[a, 0.0 - np.conj(b)], [b, np.conj(a)]])
+    u = su2(a, b)  # a zero b completes to +0, as integrating (0, 1) gives
     defect = unitarity_defect(u)
     if not defect <= cfg.unitarity_tolerance:
         raise NonUnitaryError(

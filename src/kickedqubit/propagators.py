@@ -25,6 +25,12 @@ Validity domains:
 * adiabatic form: slowly varying v(t); a validity ratio is reported, not
   enforced.
 
+Every closed form here broadcasts over array parameters: scalar input
+gives one (2, 2) matrix and array input a (..., 2, 2) stack, built by
+`su2.su2` from the SU(2) pair (p, q) of each matrix (the free and
+degenerate forms by `su2.pauli_exponential`).  So `validate`, the scans
+and `floquet` make one call per array pass, not one per sample.
+
 The closed forms need numpy only.  scipy's `quad` is imported inside the
 two quadrature routes (`kick_correction_shape_factor` for a gaussian, and
 `adiabatic_phase`), so importing this module does not load scipy.
@@ -45,23 +51,28 @@ from .pulses import (
     envelope_array,
     integrated_strength,
 )
-from .su2 import X_AXIS, Z_AXIS, _rotation, pauli_exponential
+from .su2 import X_AXIS, Z_AXIS, pauli_exponential, su2
 
 
-def _sin_over(x: float) -> float:
-    """sin(x)/x with the removable singularity handled by series."""
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
-    return math.sin(x) / x
+def _sinc(x):
+    """sin(x)/x, 1 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    s = np.ones_like(x)
+    np.divide(np.sin(x), x, out=s, where=x != 0.0)
+    return s
 
 
-def free_propagator(params: SystemParams, t: float) -> np.ndarray:
+def _phase(x):
+    """e^{i x}."""
+    return np.cos(x) + 1j * np.sin(x)
+
+
+def free_propagator(gamma, t) -> np.ndarray:
     """diag(e^{i gamma t}, e^{-i gamma t}): free evolution under H0."""
-    return pauli_exponential(params.gamma * t, Z_AXIS)
+    return pauli_exponential(gamma * t, Z_AXIS)
 
 
-def degenerate_propagator(alpha: float) -> np.ndarray:
+def degenerate_propagator(alpha) -> np.ndarray:
     """exp(-i alpha sigma_x), the exact evolution of a degenerate pair.
 
     With no level splitting the coupling commutes with itself at all
@@ -70,7 +81,7 @@ def degenerate_propagator(alpha: float) -> np.ndarray:
     return pauli_exponential(-alpha, X_AXIS)
 
 
-def kick_integral(kicks: Sequence[tuple[float, float]], lam: float, gamma: float) -> complex:
+def kick_integral(kicks: Sequence[tuple], lam, gamma):
     """z_lam = sum_k a_k e^{2 i lam gamma T_k} of kicks given as (a_k, T_k) pairs.
 
     The no-ordering exponent of ideal kicks in the frame lam (see
@@ -79,11 +90,11 @@ def kick_integral(kicks: Sequence[tuple[float, float]], lam: float, gamma: float
     a_k = alpha e^{-beta^2}, an ideal kick as a_k = alpha.
     """
     w = 2.0 * lam * gamma
-    zr = zi = 0.0
+    zr = zi = 0.0 * w
     for a, tk in kicks:
-        zr += a * math.cos(w * tk)
-        zi += a * math.sin(w * tk)
-    return complex(zr, zi)
+        zr = zr + a * np.cos(w * tk)
+        zi = zi + a * np.sin(w * tk)
+    return zr + 1j * zi
 
 
 def no_ordering_column(z, lam: float, gamma: float, t):
@@ -100,54 +111,46 @@ def no_ordering_column(z, lam: float, gamma: float, t):
     """
     c = (1.0 - lam) * gamma * t
     xi = np.hypot(np.abs(z), c)
-    s = np.ones_like(xi)  # sin(xi)/xi, 1 at xi = 0
-    np.divide(np.sin(xi), xi, out=s, where=xi != 0.0)
+    s = _sinc(xi)
     return np.cos(xi) + 1j * c * s, -1j * z * s
 
 
-def no_ordering(z: complex, lam: float, gamma: float, t: float) -> np.ndarray:
-    """exp(-i Omega_lam) of `no_ordering_column` as the rotation exp(-i xi n.sigma), n = Omega_lam / xi.
+def no_ordering(z, lam, gamma, t) -> np.ndarray:
+    """exp(-i Omega_lam): `su2` of `no_ordering_column`, a matrix per entry of z and t.
 
     In the rotating frame one kick gives P2 = sin^2 a and a kick-antikick
     pair sin^2(2 a sin(gamma T_s)); in the bare frame a running strength
     alpha gives P2 = (alpha sin(xi)/xi)^2, xi = sqrt(alpha^2 + (gamma t)^2).
     """
-    c = (1.0 - lam) * gamma * t
-    xi = math.hypot(z.real, z.imag, c)
-    r = xi or 1.0  # at xi = 0, sin(xi) = 0 and any axis gives the identity
-    return _rotation(math.cos(xi), -math.sin(xi), z.real / r, z.imag / r, -c / r)
+    return su2(*no_ordering_column(z, lam, gamma, t))
 
 
-def kick_sequence_propagator(
-    kicks: Sequence[tuple[float, float]], gamma: float, t: float
-) -> np.ndarray:
+def kick_sequence_propagator(kicks: Sequence[tuple], gamma, t) -> np.ndarray:
     """Exact evolution from 0 to t through ideal kicks (alpha_k, T_k).
 
-    The kicks must be time-ordered inside [0, t): 0 <= T_1 <= T_2 <= ... < t.
-    Free evolution e^{i gamma dt sigma_z} and each kick e^{-i alpha_k sigma_x}
-    are composed right to left in SU(2) form: each factor and the running
-    product are [[p, -q*], [q, p*]], so only (p, q) is carried.  One kick
-    gives [[e^{i gamma t} cos a, -i e^{i gamma (t - 2 T)} sin a], ...]; a
+    The kicks must be time-ordered inside [0, t): 0 <= T_1 <= T_2 <= ... < t,
+    in every entry when alpha_k, T_k, gamma or t are arrays.  Free evolution
+    e^{i gamma dt sigma_z} and each kick e^{-i alpha_k sigma_x} are composed
+    right to left in SU(2) form: each factor and the running product are
+    [[p, -q*], [q, p*]], so only (p, q) is carried.  One kick gives
+    [[e^{i gamma t} cos a, -i e^{i gamma (t - 2 T)} sin a], ...]; a
     kick-antikick pair gives P2 = sin^2(gamma T_s) sin^2(2 alpha).
     """
     p, q = 1.0 + 0.0j, 0.0j
     last = 0.0
     for alpha, tk in kicks:
-        if not last <= tk < t:
+        if not np.all((last <= tk) & (tk < t)):
             raise ValueError("kicks must be time-ordered inside [0, t)")
-        f = complex(math.cos(gamma * (tk - last)), math.sin(gamma * (tk - last)))
-        c, s = math.cos(alpha), math.sin(alpha)
+        f = _phase(gamma * (tk - last))
+        c, s = np.cos(alpha), np.sin(alpha)
         # free factor (f, 0), then the kick (c, -i s)
-        p, q = c * f * p - 1j * s * f.conjugate() * q, c * f.conjugate() * q - 1j * s * f * p
+        p, q = c * f * p - 1j * s * np.conj(f) * q, c * np.conj(f) * q - 1j * s * f * p
         last = tk
-    f = complex(math.cos(gamma * (t - last)), math.sin(gamma * (t - last)))
-    p, q = f * p, f.conjugate() * q
-    return np.array([[p, -q.conjugate()], [q, p.conjugate()]])
+    f = _phase(gamma * (t - last))
+    return su2(f * p, np.conj(f) * q)
 
 
-def rectangular_propagator(
-    alpha: float, beta: float, gamma: float, t_kick: float, t: float
-) -> np.ndarray:
+def rectangular_propagator(alpha, beta, gamma, t_kick, t) -> np.ndarray:
     """Exact evolution for a rectangular pulse of area alpha centered at t_kick.
 
     beta = gamma tau encodes the width.  With a' = sqrt(alpha^2 + beta^2):
@@ -156,17 +159,10 @@ def rectangular_propagator(
     Valid when the pulse lies inside [0, t]; reduces to the kicked form at
     beta = 0.
     """
-    ap = math.hypot(alpha, beta)
-    s = _sin_over(ap)
-    c = math.cos(ap)
-    pt = complex(math.cos(gamma * t - beta), math.sin(gamma * t - beta))
-    pk = complex(math.cos(gamma * (t - 2.0 * t_kick)), math.sin(gamma * (t - 2.0 * t_kick)))
-    return np.array(
-        [
-            [pt * (c + 1j * beta * s), -1j * pk * alpha * s],
-            [-1j * alpha * s / pk, (c - 1j * beta * s) / pt],
-        ]
-    )
+    ap = np.hypot(alpha, beta)
+    s = _sinc(ap)
+    pt, pk = _phase(gamma * t - beta), _phase(gamma * (t - 2.0 * t_kick))
+    return su2(pt * (np.cos(ap) + 1j * beta * s), -1j * alpha * s * np.conj(pk))
 
 
 def kick_correction_shape_factor(alpha: float, shape: PulseShape) -> float:
@@ -178,7 +174,7 @@ def kick_correction_shape_factor(alpha: float, shape: PulseShape) -> float:
     computed by adaptive quadrature of cos(alpha erf s) - cos(alpha).
     """
     if shape is PulseShape.RECTANGULAR:
-        return _sin_over(alpha) - math.cos(alpha)
+        return float(_sinc(alpha)) - math.cos(alpha)
     if shape is PulseShape.GAUSSIAN:
         from scipy.integrate import quad
 
@@ -282,11 +278,8 @@ def adiabatic_propagator(
     phase = adiabatic_phase(pulses, params, t)
     fp, fm = phase.phi_plus, phase.phi_minus
     ct, st = math.cos(phase.theta), math.sin(phase.theta)
-    matrix = np.array(
-        [
-            [ct * math.cos(fm) + 1j * st * math.cos(fp), ct * math.sin(fm) - 1j * st * math.sin(fp)],
-            [-ct * math.sin(fm) - 1j * st * math.sin(fp), ct * math.cos(fm) - 1j * st * math.cos(fp)],
-        ]
+    matrix = su2(
+        ct * math.cos(fm) + 1j * st * math.cos(fp), -ct * math.sin(fm) - 1j * st * math.sin(fp)
     )
     return AdiabaticResult(matrix=matrix, validity_ratio=_adiabatic_ratio(pulses, params, t))
 
@@ -321,31 +314,41 @@ class FloquetResult:
 
     The one-period matrix has eigenvalues e^{+i chi} and e^{-i chi};
     eigenvectors are listed in that order, normalized with their first
-    significant component made real and positive.
+    significant component made real and positive.  For array input every
+    field holds one entry per point: chi (...,), each eigenvector (..., 2)
+    and one_period (..., 2, 2).
     """
 
-    chi: float
+    chi: float | np.ndarray
     eigenvectors: tuple[np.ndarray, np.ndarray]
     one_period: np.ndarray
 
 
-def floquet_eigenphases(alpha: float, gamma_period: float) -> FloquetResult:
-    """Eigenphases of one period of a periodically kicked system.
+def floquet_eigenphases(alpha, gamma_period) -> FloquetResult:
+    """Eigenphases and eigenvectors of one period of a periodically kicked system.
 
-    The period consists of a kick of strength alpha followed by free
-    evolution accumulating phase gamma_period, so
-    chi = arccos(cos alpha cos gamma_period) on the principal branch.
+    The period is a kick of strength alpha followed by free evolution
+    accumulating phase gamma_period: M = cos(chi) 1 + i sin(chi) n.sigma with
+    chi = arccos(cos alpha cos gamma_period) on the principal branch and
+    sin(chi) n = (-cos(gamma_period) sin(alpha), sin(gamma_period) sin(alpha),
+    sin(gamma_period) cos(alpha)).  The +1 eigenvector of n.sigma, that of
+    e^{+i chi}, is (1 + n_z, n_+) or (conj n_+, 1 - n_z), n_+ = n_x + i n_y,
+    whichever has no cancellation; `su2` completes it with the orthogonal
+    -1 eigenvector.  Where M = +-1 any basis is valid, and n = z gives the
+    standard one.
     """
     one_period = pauli_exponential(gamma_period, Z_AXIS) @ pauli_exponential(-alpha, X_AXIS)
-    chi = math.acos(max(-1.0, min(1.0, math.cos(alpha) * math.cos(gamma_period))))
-    eigvals, eigvecs = np.linalg.eig(one_period)
-    target = complex(math.cos(chi), math.sin(chi))
-    plus = int(np.argmin(np.abs(eigvals - target)))
-    ordered = []
-    for idx in (plus, 1 - plus):
-        vec = eigvecs[:, idx]
-        vec = vec / np.linalg.norm(vec)
-        lead = vec[0] if abs(vec[0]) > 1e-12 else vec[1]
-        vec = vec * (abs(lead) / lead)
-        ordered.append(vec)
-    return FloquetResult(chi=chi, eigenvectors=(ordered[0], ordered[1]), one_period=one_period)
+    cg, sg, ca, sa = np.cos(gamma_period), np.sin(gamma_period), np.cos(alpha), np.sin(alpha)
+    chi = np.arccos(np.clip(ca * cg, -1.0, 1.0))
+    mx, my, mz = -cg * sa, sg * sa, sg * ca
+    r = np.sqrt(mx * mx + my * my + mz * mz)  # sin(chi), 0 only where M = +-1
+    safe = np.where(r > 0.0, r, 1.0)
+    nz, n_plus = np.where(r > 0.0, mz / safe, 1.0), (mx + 1j * my) / safe
+    k = 1.0 + np.abs(nz)
+    up, norm = nz >= 0.0, np.hypot(k, np.abs(n_plus))
+    vectors = su2(np.where(up, k, np.conj(n_plus)) / norm, np.where(up, n_plus, k) / norm)
+    # columns v+ and v-, each with its first significant component made real and positive
+    lead = np.where(np.abs(vectors[..., 0, :]) > 1e-12, vectors[..., 0, :], vectors[..., 1, :])
+    vectors *= (np.conj(lead) / np.abs(lead))[..., None, :]
+    v_plus, v_minus = vectors[..., 0], vectors[..., 1]
+    return FloquetResult(chi=chi, eigenvectors=(v_plus, v_minus), one_period=one_period)

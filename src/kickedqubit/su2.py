@@ -1,22 +1,24 @@
-"""2x2 complex algebra on the Pauli basis: the Pauli matrices, rotations
-exp(i phi n.sigma), unitarity and norm defects, occupation probabilities.
+"""2x2 complex algebra on the Pauli basis: the Pauli matrices, the SU(2)
+builder, rotations exp(i phi n.sigma), unitarity and norm defects,
+occupation probabilities.
 
 States are length-2 complex ndarrays (amplitudes of the two basis
-states); propagators are 2x2 complex ndarrays.  Inside, each function
-works on Python complex scalars and builds at most one ndarray for its
-result, because numpy dispatch costs far more than the arithmetic on a
-2x2 matrix; numpy arrays appear only at the API boundary.  The
-largest-absolute-entry norm is used for all matrix defect measurements,
-and a NaN entry gives a NaN defect, which fails every `not defect <= tol`
-guard.  The one numeric no-ordering route, `evolve.no_ordering_numeric`,
-serves the bare (lam = 0) and rotating (lam = 1) frames alike; it
-exponentiates through numpy's `eigh` (a spectral decomposition), not with
-`pauli_exponential`, so it shares no code with the closed form
-`propagators.no_ordering` it checks.
+states); propagators are 2x2 complex ndarrays.  `su2`,
+`pauli_exponential` and every closed form in `propagators` broadcast over
+array parameters: a scalar call returns one (2, 2) matrix and an array
+call a (..., 2, 2) stack, one matrix per entry; `unitarity_defect` and
+`probabilities` take either.  The closed forms compute the pair (p, q) of
+each matrix and build it with `su2`; `pauli_exponential` writes its four
+entries directly (see its docstring).  The largest-absolute-entry norm is
+used for all matrix defect measurements, and a NaN entry gives a NaN
+defect, which fails every `not defect <= tol` guard.  The one numeric
+no-ordering route, `evolve.no_ordering_numeric`, serves the bare
+(lam = 0) and rotating (lam = 1) frames alike; it exponentiates through
+numpy's `eigh` (a spectral decomposition), not with `pauli_exponential`,
+so it shares no code with the closed form `propagators.no_ordering` it
+checks.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,35 +37,51 @@ class NonUnitaryError(ValueError):
     """A matrix that must be unitary failed the unitarity check."""
 
 
-def pauli_exponential(phi: float, axis) -> np.ndarray:
-    """exp(i phi n.sigma) = cos(phi) 1 + i sin(phi) n.sigma for a unit 3-vector n."""
+def su2(p, q) -> np.ndarray:
+    """[[p, -q*], [q, p*]] for each broadcast pair (p, q): shape (..., 2, 2).
+
+    Written 0.0 - conj(q), not -conj(q), so that a zero q completes to +0.
+    """
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=complex), np.asarray(q, dtype=complex))
+    m = np.empty(p.shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1] = p, 0.0 - np.conj(q)
+    m[..., 1, 0], m[..., 1, 1] = q, np.conj(p)
+    return m
+
+
+def pauli_exponential(phi, axis) -> np.ndarray:
+    """exp(i phi n.sigma) = cos(phi) 1 + i sin(phi) n.sigma for unit 3-vectors n.
+
+    phi broadcasts against the rows of an axis of shape (..., 3).  Each
+    entry is written from its own term of the sum rather than through
+    `su2`: the upper right one, i sin(phi) (nx - i ny), keeps signed zeros
+    that no function of the lower left one can reproduce.
+    """
     try:
-        nx, ny, nz = axis
+        n = np.asarray(axis, dtype=float)
     except (TypeError, ValueError):
         raise ValueError("axis must be a 3-vector") from None
-    nx, ny, nz = float(nx), float(ny), float(nz)
-    if not abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-12:
-        raise ValueError(f"axis must have unit norm to 1e-12, got {axis!r}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
-    return _rotation(math.cos(phi), math.sin(phi), nx, ny, nz)
+    if n.shape[-1:] != (3,):
+        raise ValueError("axis must be a 3-vector")
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    bad = ~(np.abs(np.sqrt(nx * nx + ny * ny + nz * nz) - 1.0) <= 1e-12)
+    if bad.any():  # a stack names its first bad row
+        shown = axis if n.ndim == 1 else n[bad][0]
+        raise ValueError(f"axis must have unit norm to 1e-12, got {shown!r}")
+    bad = ~np.isfinite(phi)
+    if bad.any():
+        shown = phi if np.ndim(phi) == 0 else np.asarray(phi)[bad][0]
+        raise ValueError(f"phi must be finite, got {shown!r}")
+    c, s = np.cos(phi), np.sin(phi)
+    m = np.empty(np.broadcast_shapes(np.shape(c), nx.shape) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1] = c + 1j * s * nz, 1j * s * (nx - 1j * ny)
+    m[..., 1, 0], m[..., 1, 1] = 1j * s * (nx + 1j * ny), c - 1j * s * nz
+    return m
 
 
-def _rotation(c: float, s: float, nx: float, ny: float, nz: float) -> np.ndarray:
-    """c 1 + i s n.sigma, unchecked: exp(i phi n.sigma) for c, s = cos, sin of phi and |n| = 1."""
-    return np.array([[c + 1j * s * nz, 1j * s * (nx - 1j * ny)],
-                     [1j * s * (nx + 1j * ny), c - 1j * s * nz]])
-
-
-def unitarity_defect(m: np.ndarray) -> float:
-    """max |(M^dag M - 1)_ij|, NaN if any entry is NaN."""
-    (a, b), (c, d) = m.tolist()
-    # (M^dag M)_10 is the conjugate of (M^dag M)_01, so one off-diagonal term covers both
-    d00 = abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0)
-    d11 = abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0)
-    d01 = abs(a.conjugate() * b + c.conjugate() * d)
-    # max() keeps or drops a NaN depending on where it sits
-    return math.nan if math.isnan(d00 + d11 + d01) else max(d00, d11, d01)
+def unitarity_defect(m) -> float:
+    """max |(M^dag M - 1)_ij| over a matrix or a stack of them, NaN if any entry is NaN."""
+    return max_abs_diff(np.conj(np.swapaxes(m, -1, -2)) @ m, IDENTITY)
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -75,13 +93,14 @@ def norm_defect(state: np.ndarray) -> float:
     return abs(float(np.sum(np.abs(state) ** 2)) - 1.0)
 
 
-def probabilities(u: np.ndarray, initial) -> tuple[float, float]:
-    """Occupation probabilities (P1, P2) after applying the propagator u.
+def probabilities(u, initial):
+    """Occupation probabilities (P1, P2) after applying u, a matrix or a stack.
 
-    Requires u unitary to 1e-8; P1 + P2 is then conserved to the same level.
+    Requires every matrix unitary to 1e-8; P1 + P2 is then conserved to the
+    same level.  A stack gives one array of each.
     """
     defect = unitarity_defect(u)
     if not defect <= 1e-8:
         raise NonUnitaryError(f"propagator is not unitary (defect {defect:.3e})")
-    a = u @ np.asarray(initial, dtype=complex)
-    return float(abs(a[0]) ** 2), float(abs(a[1]) ** 2)
+    p1, p2 = np.moveaxis(np.abs(u @ np.asarray(initial, dtype=complex)) ** 2, -1, 0)
+    return p1, p2

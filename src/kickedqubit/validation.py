@@ -6,11 +6,10 @@ exponential, eigenphase formula vs numerical eigenvalues, ...), or fits a
 predicted scaling law.  The CLI `validate` command runs the whole list;
 the slow RK4-based checks are skipped in quick mode.
 
-The random-draw checks whose verdict is a worst matrix difference run in
-array passes of CHUNK samples: one rng call per parameter, one call of
-the API under test per sample, and one numpy reduction per quantity over
-the stacked matrices.  The checks that read probabilities or run RK4 stay
-per matrix.
+The random-draw checks on closed forms run in array passes of CHUNK
+samples: one rng call per parameter, one call of each API under test,
+which returns a stack of matrices, and one numpy reduction per quantity.
+The checks that run quadrature or RK4 stay per sample.
 """
 from __future__ import annotations
 
@@ -46,10 +45,10 @@ from .su2 import (
 )
 
 #: Samples per array pass of a random check: each pass draws its parameters
-#: with one rng call per parameter and reduces its stacked matrices with one
-#: numpy call per quantity.  At most 4096 2x2 matrices (propagator-unitarity's
-#: eight a draw) are alive at once; 1024 samples raised validate's peak RSS by
-#: about 2 MB and ran no faster.
+#: with one rng call per parameter, calls each API once, and reduces the
+#: returned stacks with one numpy call per quantity.  At most 4096 2x2
+#: matrices (propagator-unitarity's eight a draw) are alive at once; 1024
+#: samples raised validate's peak RSS by about 2 MB and ran no faster.
 CHUNK = 512
 
 
@@ -74,16 +73,6 @@ def _keep_worst(worst: float, x: float) -> float:
     return x if x > worst or math.isnan(x) else worst
 
 
-def _rows(*columns: np.ndarray):
-    """One tuple of Python floats per sample from a chunk's equal-length draws."""
-    return zip(*(c.tolist() for c in columns))
-
-
-def _stack_unitarity(m: np.ndarray) -> float:
-    """max |(M^dag M - 1)_ij| over a stack of 2x2 matrices, NaN if any entry is NaN."""
-    return max_abs_diff(np.conj(np.swapaxes(m, -1, -2)) @ m, IDENTITY)
-
-
 def _by_angle(z: np.ndarray) -> np.ndarray:
     """Each row of z sorted by the angle of its entries."""
     return np.take_along_axis(z, np.argsort(np.angle(z), axis=1, kind="stable"), axis=1)
@@ -102,14 +91,10 @@ def check_pauli_algebra(rng: np.random.Generator, samples: int) -> CheckResult:
         psis = rng.uniform(-10.0, 10.0, n)
         axes = rng.normal(size=(n, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        u, v, w = [], [], []
-        for phi, psi, axis in _rows(phis, psis, axes):
-            u.append(pauli_exponential(phi, axis))
-            v.append(pauli_exponential(psi, axis))
-            w.append(pauli_exponential(phi + psi, axis))
-        u, v, w = np.array(u), np.array(v), np.array(w)
-        worst_u = _keep_worst(worst_u, _stack_unitarity(u))
-        worst_det = _keep_worst(worst_det, float(np.max(np.abs(np.linalg.det(u) - 1.0))))
+        u, v, w = (pauli_exponential(x, axes) for x in (phis, psis, phis + psis))
+        worst_u = _keep_worst(worst_u, unitarity_defect(u))
+        with np.errstate(invalid="ignore"):  # a NaN determinant fails the check below
+            worst_det = _keep_worst(worst_det, float(np.max(np.abs(np.linalg.det(u) - 1.0))))
         worst_comp = _keep_worst(worst_comp, max_abs_diff(v @ u, w))
     ok = worst_u <= 1e-12 and worst_det <= 1e-12 and worst_comp <= 1e-12
     return _result(
@@ -130,20 +115,17 @@ def check_propagator_unitarity(rng: np.random.Generator, samples: int) -> CheckR
         t2s = t1s + rng.uniform(0.0, 10.0, n)
         ts = t2s + rng.uniform(0.1, 10.0, n)
         a_effs = alphas * np.exp(-betas * betas)
-        mats = []
-        draws = _rows(alphas, betas, gammas, t1s, t2s, ts, a_effs)
-        for alpha, beta, gamma, t1, t2, t, a_eff in draws:
-            mats += (
-                prop.free_propagator(SystemParams(gamma), t),
-                prop.degenerate_propagator(alpha),
-                prop.no_ordering(alpha, 0.0, gamma, t),
-                _rotating(((a_eff, t1),), gamma, t),
-                _rotating(((a_eff, t1), (-a_eff, t2)), gamma, t),
-                prop.kick_sequence_propagator(((alpha, t1),), gamma, t),
-                prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t),
-                prop.rectangular_propagator(alpha, beta, gamma, t1, t),
-            )
-        worst = _keep_worst(worst, _stack_unitarity(np.array(mats)))
+        mats = (
+            prop.free_propagator(gammas, ts),
+            prop.degenerate_propagator(alphas),
+            prop.no_ordering(alphas, 0.0, gammas, ts),
+            _rotating(((a_effs, t1s),), gammas, ts),
+            _rotating(((a_effs, t1s), (-a_effs, t2s)), gammas, ts),
+            prop.kick_sequence_propagator(((alphas, t1s),), gammas, ts),
+            prop.kick_sequence_propagator(((alphas, t1s), (-alphas, t2s)), gammas, ts),
+            prop.rectangular_propagator(alphas, betas, gammas, t1s, ts),
+        )
+        worst = _keep_worst(worst, unitarity_defect(np.stack(mats)))
     return _result("propagator-unitarity", worst <= 1e-10, f"worst defect {worst:.1e}")
 
 
@@ -156,11 +138,11 @@ def check_limit_web(offset: float = 1e-6, tol: float = 1e-5) -> CheckResult:
     )
     diffs["bare-average -> free"] = max_abs_diff(
         prop.no_ordering(offset, 0.0, gamma, t),
-        prop.free_propagator(SystemParams(gamma), t),
+        prop.free_propagator(gamma, t),
     )
     diffs["kick-antikick -> free"] = max_abs_diff(
         prop.kick_sequence_propagator(((alpha, 1.0), (-alpha, 1.0 + offset)), gamma, t),
-        prop.free_propagator(SystemParams(gamma), t),
+        prop.free_propagator(gamma, t),
     )
     diffs["rectangular -> kicked"] = max_abs_diff(
         prop.rectangular_propagator(alpha, offset, gamma, 1.0, t),
@@ -178,7 +160,7 @@ def check_limit_web(offset: float = 1e-6, tol: float = 1e-5) -> CheckResult:
         [gaussian(offset, 0.5, 4.0)], SystemParams(gamma), 8.0
     )
     diffs["adiabatic -> free"] = max_abs_diff(
-        adia2.matrix, prop.free_propagator(SystemParams(gamma), 8.0)
+        adia2.matrix, prop.free_propagator(gamma, 8.0)
     )
     worst_name, worst = max(diffs.items(), key=lambda kv: kv[1])
     return _result(
@@ -200,14 +182,10 @@ def check_interaction_kick_identity(rng: np.random.Generator, samples: int) -> C
         gammas = rng.uniform(0.0, 2.0, n)
         tks = rng.uniform(0.0, 8.0, n)
         ts = tks + rng.uniform(0.01, 8.0, n)
-        frame, kicked, rotating = [], [], []
-        for alpha, gamma, tk, t in _rows(alphas, gammas, tks, ts):
-            kick = ((alpha, tk),)
-            frame.append(pauli_exponential(-gamma * t, Z_AXIS))
-            kicked.append(prop.kick_sequence_propagator(kick, gamma, t))
-            rotating.append(_rotating(kick, gamma, t))
-        rotated = np.array(frame) @ np.array(kicked)
-        worst = _keep_worst(worst, max_abs_diff(rotated, np.array(rotating)))
+        kick = ((alphas, tks),)
+        kicked = prop.kick_sequence_propagator(kick, gammas, ts)
+        rotated = pauli_exponential(-gammas * ts, Z_AXIS) @ kicked
+        worst = _keep_worst(worst, max_abs_diff(rotated, _rotating(kick, gammas, ts)))
     return _result("interaction-kick-identity", worst <= 1e-12, f"worst {worst:.1e}")
 
 
@@ -230,30 +208,29 @@ def check_schrodinger_double_zero(rng: np.random.Generator, samples: int) -> Che
 def check_closed_form_consistency(rng: np.random.Generator, samples: int) -> CheckResult:
     """Probability formulas against the matrices they summarize, to 1e-12."""
     worst = 0.0
-    for _ in range(samples):
-        alpha = rng.uniform(-3.0, 3.0)
-        beta = rng.uniform(0.0, 1.5)
-        gamma = rng.uniform(0.01, 2.0)
-        tk = rng.uniform(0.0, 5.0)
-        tf = tk + rng.uniform(0.01, 10.0)
-        a_eff = alpha * math.exp(-beta * beta)
-        single = p2_closed_forms_single(alpha, beta, gamma * tf)
-        _, p2 = probabilities(prop.kick_sequence_propagator(((alpha, tk),), gamma, tf), (1.0, 0.0))
-        worst = max(worst, abs(p2 - single.exact_kick))
-        _, p2 = probabilities(prop.no_ordering(alpha, 0.0, gamma, tf), (1.0, 0.0))
-        worst = max(worst, abs(p2 - single.no_ordering_schrodinger))
-        _, p2 = probabilities(_rotating(((a_eff, tk),), gamma, tf), (1.0, 0.0))
-        worst = max(worst, abs(p2 - single.no_ordering_interaction))
-        t1 = rng.uniform(0.0, 4.0)
-        t2 = t1 + rng.uniform(0.0, 8.0)
-        t = t2 + rng.uniform(0.01, 5.0)
-        double = p2_closed_forms_double(alpha, beta, gamma * (t2 - t1))
-        pair = ((alpha, t1), (-alpha, t2))
-        _, p2 = probabilities(prop.kick_sequence_propagator(pair, gamma, t), (1.0, 0.0))
-        worst = max(worst, abs(p2 - double.exact_kick))
-        pair = ((a_eff, t1), (-a_eff, t2))
-        _, p2 = probabilities(_rotating(pair, gamma, t), (1.0, 0.0))
-        worst = max(worst, abs(p2 - double.no_ordering_interaction))
+    for n in _chunks(samples):
+        alphas = rng.uniform(-3.0, 3.0, n)
+        betas = rng.uniform(0.0, 1.5, n)
+        gammas = rng.uniform(0.01, 2.0, n)
+        tks = rng.uniform(0.0, 5.0, n)
+        tfs = tks + rng.uniform(0.01, 10.0, n)
+        t1s = rng.uniform(0.0, 4.0, n)
+        t2s = t1s + rng.uniform(0.0, 8.0, n)
+        ts = t2s + rng.uniform(0.01, 5.0, n)
+        a_effs = alphas * np.exp(-betas * betas)
+        single = p2_closed_forms_single(alphas, betas, gammas * tfs)
+        double = p2_closed_forms_double(alphas, betas, gammas * (t2s - t1s))
+        pair, pair_eff = ((alphas, t1s), (-alphas, t2s)), ((a_effs, t1s), (-a_effs, t2s))
+        cases = (
+            (prop.kick_sequence_propagator(((alphas, tks),), gammas, tfs), single.exact_kick),
+            (prop.no_ordering(alphas, 0.0, gammas, tfs), single.no_ordering_schrodinger),
+            (_rotating(((a_effs, tks),), gammas, tfs), single.no_ordering_interaction),
+            (prop.kick_sequence_propagator(pair, gammas, ts), double.exact_kick),
+            (_rotating(pair_eff, gammas, ts), double.no_ordering_interaction),
+        )
+        for u, p2 in cases:
+            _, p2_matrix = probabilities(u, (1.0, 0.0))
+            worst = _keep_worst(worst, float(np.max(np.abs(p2_matrix - p2))))
     return _result("closed-form-consistency", worst <= 1e-12, f"worst {worst:.1e}")
 
 
@@ -291,16 +268,11 @@ def check_floquet_grid(n: int) -> CheckResult:
     axis = np.linspace(0.0, math.pi, n)
     alphas, gts = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     for start in range(0, n * n, CHUNK):
-        stop = start + CHUNK
-        res = [
-            prop.floquet_eigenphases(alpha, gt)
-            for alpha, gt in _rows(alphas[start:stop], gts[start:stop])
-        ]
-        chis = np.array([r.chi for r in res])
-        one_period = np.array([r.one_period for r in res])
+        res = prop.floquet_eigenphases(alphas[start : start + CHUNK], gts[start : start + CHUNK])
+        chis, one_period = res.chi, res.one_period
         # eigvals refuses a non-finite matrix, so such a matrix gets NaN eigenvalues
         finite = np.isfinite(one_period).all(axis=(1, 2))
-        eigvals = np.full((len(res), 2), complex(math.nan, math.nan))
+        eigvals = np.full((chis.size, 2), complex(math.nan, math.nan))
         eigvals[finite] = np.linalg.eigvals(one_period[finite])
         chi_num = np.max(np.abs(np.angle(eigvals)), axis=1)
         worst = _keep_worst(worst, float(np.max(np.abs(chi_num - chis))))
@@ -322,19 +294,18 @@ def check_time_reversal(rng: np.random.Generator, samples: int) -> CheckResult:
         t2s = t1s + rng.uniform(0.1, 4.0, n)
         ts = t2s + rng.uniform(0.1, 4.0, n)
         betas = rng.uniform(0.0, 1.0, n)
-        fwd, rev = [], []
-        draws = _rows(alphas, gammas, tks, t_singles, t1s, t2s, ts, betas)
-        for alpha, gamma, tk, t_single, t1, t2, t, beta in draws:
-            fwd.append(prop.kick_sequence_propagator(((alpha, tk),), gamma, t_single))
-            rev.append(prop.kick_sequence_propagator(((-alpha, t_single - tk),), -gamma, t_single))
-            # the reverse run: inverse kicks in mirrored order, under -gamma
-            fwd.append(prop.kick_sequence_propagator(((alpha, t1), (-alpha, t2)), gamma, t))
-            rev.append(prop.kick_sequence_propagator(((alpha, t - t2), (-alpha, t - t1)), -gamma, t))
-            fwd.append(prop.no_ordering(alpha, 0.0, gamma, 1.0))
-            rev.append(prop.no_ordering(-alpha, 0.0, -gamma, 1.0))
-            fwd.append(prop.rectangular_propagator(alpha, beta, gamma, tk, t))
-            rev.append(prop.rectangular_propagator(-alpha, -beta, -gamma, t - tk, t))
-        worst = _keep_worst(worst, max_abs_diff(np.array(rev) @ np.array(fwd), IDENTITY))
+        # each reverse run: inverse kicks in mirrored order, under -gamma
+        pairs = (
+            (prop.kick_sequence_propagator(((alphas, tks),), gammas, t_singles),
+             prop.kick_sequence_propagator(((-alphas, t_singles - tks),), -gammas, t_singles)),
+            (prop.kick_sequence_propagator(((alphas, t1s), (-alphas, t2s)), gammas, ts),
+             prop.kick_sequence_propagator(((alphas, ts - t2s), (-alphas, ts - t1s)), -gammas, ts)),
+            (prop.no_ordering(alphas, 0.0, gammas, 1.0), prop.no_ordering(-alphas, 0.0, -gammas, 1.0)),
+            (prop.rectangular_propagator(alphas, betas, gammas, tks, ts),
+             prop.rectangular_propagator(-alphas, -betas, -gammas, ts - tks, ts)),
+        )
+        for fwd, rev in pairs:
+            worst = _keep_worst(worst, max_abs_diff(rev @ fwd, IDENTITY))
     return _result("time-reversal", worst <= 1e-10, f"worst {worst:.1e}")
 
 

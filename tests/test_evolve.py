@@ -361,7 +361,7 @@ class TestRk4Propagator:
     def test_free_matches_closed_form(self):
         params = unit_system()
         u = rk4_propagator([], params, 0.0, 2.0, IntegratorConfig(dt=0.002))
-        assert max_abs_diff(u, prop.free_propagator(params, 2.0)) < 1e-10
+        assert max_abs_diff(u, prop.free_propagator(params.gamma, 2.0)) < 1e-10
 
     def test_linearity(self):
         rng = np.random.default_rng(4)

@@ -33,15 +33,15 @@ from kickedqubit.su2 import (
 
 class TestFreeAndDegenerate:
     def test_free_at_t_zero(self):
-        assert max_abs_diff(prop.free_propagator(unit_system(), 0.0), IDENTITY) == 0.0
+        assert max_abs_diff(prop.free_propagator(1.0, 0.0), IDENTITY) == 0.0
 
     def test_free_half_period_is_minus_identity(self):
-        u = prop.free_propagator(unit_system(), math.pi)
+        u = prop.free_propagator(1.0, math.pi)
         assert max_abs_diff(u, -IDENTITY) < 1e-15
 
     def test_free_never_transfers(self):
         for t in (0.3, 2.0, 11.0):
-            p1, p2 = probabilities(prop.free_propagator(unit_system(), t), (1.0, 0.0))
+            p1, p2 = probabilities(prop.free_propagator(1.0, t), (1.0, 0.0))
             assert p1 == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_full_transfer(self):
@@ -71,7 +71,7 @@ class TestNoOrderingSchrodinger:
 
     def test_reduces_to_free(self):
         u = _bare(0.0, 1.3)
-        assert max_abs_diff(u, prop.free_propagator(SystemParams(1.0), 1.3)) < 1e-15
+        assert max_abs_diff(u, prop.free_propagator(1.0, 1.3)) < 1e-15
 
     def test_transfer_zero_at_full_rotation(self):
         # alpha = pi/2 with gamma t = sqrt(3)/2 pi makes xi = pi
@@ -189,7 +189,7 @@ class TestKickAntikick:
 
     def test_coalescing_kicks_give_free_evolution(self):
         u = prop.kick_sequence_propagator(((1.3, 1.0), (-1.3, 1.0)), 0.8, 5.0)
-        assert max_abs_diff(u, prop.free_propagator(SystemParams(0.8), 5.0)) < 1e-14
+        assert max_abs_diff(u, prop.free_propagator(0.8, 5.0)) < 1e-14
 
     def test_requires_time_after_second_kick(self):
         with pytest.raises(ValueError):
@@ -262,10 +262,10 @@ class TestKickSequence:
         t = kicks[-1][1] + dt_after
         product, last = IDENTITY, 0.0
         for alpha, tk in kicks:
-            free = prop.free_propagator(SystemParams(abs(gamma)), tk - last)
+            free = prop.free_propagator(abs(gamma), tk - last)
             product = prop.degenerate_propagator(alpha) @ free @ product
             last = tk
-        product = prop.free_propagator(SystemParams(abs(gamma)), t - last) @ product
+        product = prop.free_propagator(abs(gamma), t - last) @ product
         u = prop.kick_sequence_propagator(kicks, gamma, t)
         assert max_abs_diff(u, _flip(product, gamma)) <= 1e-13
 
@@ -290,7 +290,7 @@ class TestKickSequence:
 
     def test_no_kicks_is_free_evolution(self):
         u = prop.kick_sequence_propagator((), 0.8, 5.0)
-        assert max_abs_diff(u, prop.free_propagator(SystemParams(0.8), 5.0)) < 1e-15
+        assert max_abs_diff(u, prop.free_propagator(0.8, 5.0)) < 1e-15
         assert max_abs_diff(_rotating((), 0.8), IDENTITY) == 0.0
 
     @pytest.mark.parametrize(
@@ -314,7 +314,7 @@ class TestRectangular:
 
     def test_alpha_zero_is_free(self):
         u = prop.rectangular_propagator(0.0, 0.4, 0.8, 2.0, 5.0)
-        assert max_abs_diff(u, prop.free_propagator(SystemParams(0.8), 5.0)) < 1e-14
+        assert max_abs_diff(u, prop.free_propagator(0.8, 5.0)) < 1e-14
 
     def test_matches_rk4(self):
         alpha = beta = 0.5
@@ -404,7 +404,7 @@ class TestCommutatorCorrection:
 class TestAdiabatic:
     def test_no_coupling_gives_free(self):
         res = prop.adiabatic_propagator([], unit_system(), 4.0)
-        assert max_abs_diff(res.matrix, prop.free_propagator(unit_system(), 4.0)) < 1e-12
+        assert max_abs_diff(res.matrix, prop.free_propagator(1.0, 4.0)) < 1e-12
         assert res.validity_ratio == 0.0
 
     def test_degenerate_constant_coupling(self):
@@ -520,14 +520,14 @@ class TestLimitWeb:
     def test_bare_average_to_free(self):
         d = max_abs_diff(
             prop.no_ordering(self.OFFSET, 0.0, 0.8, 3.0),
-            prop.free_propagator(SystemParams(0.8), 3.0),
+            prop.free_propagator(0.8, 3.0),
         )
         assert d < self.TOL
 
     def test_kick_antikick_to_free(self):
         d = max_abs_diff(
             prop.kick_sequence_propagator(((1.1, 1.0), (-1.1, 1.0 + self.OFFSET)), 0.8, 3.0),
-            prop.free_propagator(SystemParams(0.8), 3.0),
+            prop.free_propagator(0.8, 3.0),
         )
         assert d < self.TOL
 
@@ -547,7 +547,7 @@ class TestLimitWeb:
 
     def test_adiabatic_to_free(self):
         res = prop.adiabatic_propagator([gaussian(self.OFFSET, 0.5, 4.0)], SystemParams(0.8), 8.0)
-        assert max_abs_diff(res.matrix, prop.free_propagator(SystemParams(0.8), 8.0)) < self.TOL
+        assert max_abs_diff(res.matrix, prop.free_propagator(0.8, 8.0)) < self.TOL
 
 
 def test_unitarity_random_sweep():

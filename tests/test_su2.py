@@ -17,6 +17,7 @@ from kickedqubit.su2 import (
     max_abs_diff,
     pauli_exponential,
     probabilities,
+    su2,
     unitarity_defect,
 )
 
@@ -218,3 +219,40 @@ def test_pauli_exponential_matches_expm():
     expected = expm(-1j * (c0 * IDENTITY + c[0] * SIGMA_X + c[1] * SIGMA_Y + c[2] * SIGMA_Z))
     u = np.exp(-1j * c0) * pauli_exponential(-m, tuple((c / m).tolist()))
     assert max_abs_diff(u, expected) < 1e-14
+
+
+def test_unitarity_defect_of_a_stack_is_the_worst_of_its_matrices():
+    rng = np.random.default_rng(3)
+    mats = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
+    mats[:32] = pauli_exponential(rng.uniform(-3.0, 3.0, 32), X_AXIS)
+    for stack in (mats[:32], mats[32:]):
+        want = max(reference_unitarity_defect(m) for m in stack)
+        assert unitarity_defect(stack) == pytest.approx(want, rel=1e-14, abs=1e-15)
+    mats[40, 1, 0] = math.nan
+    assert math.isnan(unitarity_defect(mats))
+
+
+def test_probabilities_of_a_stack_match_each_matrix():
+    rng = np.random.default_rng(4)
+    phis, axes = rng.uniform(-5.0, 5.0, 20), rng.normal(size=(20, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    stack = pauli_exponential(phis, axes)
+    p1, p2 = probabilities(stack, (1.0, 0.0))
+    assert p1.shape == p2.shape == (20,)
+    for k in range(20):
+        assert (p1[k], p2[k]) == probabilities(stack[k], (1.0, 0.0))
+    stack[7] *= 1.5
+    with pytest.raises(NonUnitaryError):
+        probabilities(stack, (1.0, 0.0))
+
+
+def test_su2_builds_the_pair_form_with_a_positive_zero_completion():
+    u = su2(0.6 + 0.0j, 0.0j)
+    assert u.shape == (2, 2)
+    assert u[0, 1].real == 0.0 and math.copysign(1.0, u[0, 1].real) == 1.0
+    p, q = np.array([0.6, 0.8j]), np.array([0.8j, 0.6])
+    stack = su2(p, q)
+    assert stack.shape == (2, 2, 2)
+    for k in range(2):
+        assert np.array_equal(stack[k], [[p[k], -np.conj(q[k])], [q[k], np.conj(p[k])]])
+    assert unitarity_defect(stack) < 1e-15

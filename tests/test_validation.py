@@ -6,7 +6,6 @@ import pytest
 
 from kickedqubit import propagators as prop
 from kickedqubit import validation
-from kickedqubit.su2 import unitarity_defect
 
 # every check_* attribute of the module, in run_validation's order; perfbench
 # wraps each check_* attribute as one op of its validate workload
@@ -29,38 +28,53 @@ CHECKS = (
 )
 QUICK_CHECKS = CHECKS[:11] + ("check_rectangular_vs_rk4",)
 
-NAN = np.full((2, 2), math.nan, dtype=complex)
+
+def _nan_matrix(stack):
+    """The stack with its first entry, a matrix or a probability, all NaN."""
+    stack = stack.copy()
+    stack[0] = math.nan
+    return stack
 
 
 def _nan_floquet(res):
-    return dataclasses.replace(res, one_period=NAN)
+    return dataclasses.replace(res, one_period=_nan_matrix(res.one_period))
+
+
+def _nan_probability(forms):
+    return forms._replace(exact_kick=_nan_matrix(forms.exact_kick))
 
 
 # (check, its arguments, the module and name of the API it calls, calls per
-# sample, and what the poisoned call returns in place of the real result)
+# array pass, and what the poisoned call returns in place of the real stack)
 ARRAY_PASSES = {
     "pauli-algebra": (
-        validation.check_pauli_algebra, 5, validation, "pauli_exponential", 3, lambda u: NAN
+        validation.check_pauli_algebra, 5, validation, "pauli_exponential", 3, _nan_matrix
     ),
     "propagator-unitarity": (
-        validation.check_propagator_unitarity, 5, prop, "kick_sequence_propagator", 2, lambda u: NAN
+        validation.check_propagator_unitarity, 5, prop, "kick_sequence_propagator", 2, _nan_matrix
     ),
     "interaction-kick-identity": (
         validation.check_interaction_kick_identity, 5, prop, "kick_sequence_propagator", 1,
-        lambda u: NAN,
+        _nan_matrix,
+    ),
+    "closed-form-consistency": (
+        validation.check_closed_form_consistency, 5, validation, "p2_closed_forms_single", 1,
+        _nan_probability,
     ),
     "time-reversal": (
-        validation.check_time_reversal, 5, prop, "kick_sequence_propagator", 4, lambda u: NAN
+        validation.check_time_reversal, 5, prop, "kick_sequence_propagator", 4, _nan_matrix
     ),
     "floquet-grid": (validation.check_floquet_grid, 3, prop, "floquet_eigenphases", 1, _nan_floquet),
 }
 
 
+@pytest.mark.filterwarnings("error")  # the NaN fails the check without a numpy warning
 @pytest.mark.parametrize("name", list(ARRAY_PASSES))
 def test_array_pass_fails_on_a_nan_matrix(monkeypatch, name):
-    # one NaN matrix in the second array pass, after a pass with a finite worst
-    # and before another, must fail the check rather than be dropped by a max
-    check, size, module, attr, per_sample, poison = ARRAY_PASSES[name]
+    # one NaN matrix in the stack of the second array pass, after a pass with a
+    # finite worst and before another, must fail the check rather than be
+    # dropped by a max
+    check, size, module, attr, per_pass, poison = ARRAY_PASSES[name]
     monkeypatch.setattr(validation, "CHUNK", 2)
     real = getattr(module, attr)
     calls = []
@@ -68,26 +82,14 @@ def test_array_pass_fails_on_a_nan_matrix(monkeypatch, name):
     def nan_once(*args):
         calls.append(args)
         out = real(*args)
-        return poison(out) if len(calls) == 2 * per_sample + 1 else out
+        return poison(out) if len(calls) == per_pass + 1 else out
 
     monkeypatch.setattr(module, attr, nan_once)
     res = check(size) if name == "floquet-grid" else check(np.random.default_rng(0), size)
-    assert len(calls) > 2 * per_sample + 1  # a third pass ran after the poisoned one
+    assert len(calls) > 2 * per_pass  # a third pass ran after the poisoned one
     assert res.name == name
     assert not res.passed
     assert "nan" in res.detail
-
-
-def test_stack_unitarity_matches_the_scalar_defect():
-    rng = np.random.default_rng(3)
-    mats = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
-    mats[:32] = [prop.kick_sequence_propagator(((a, 1.0),), g, 2.0)
-                 for a, g in rng.uniform(-3.0, 3.0, size=(32, 2)).tolist()]
-    for stack in (mats[:32], mats[32:]):
-        want = max(unitarity_defect(m) for m in stack)
-        assert validation._stack_unitarity(stack) == pytest.approx(want, rel=1e-14, abs=1e-15)
-    mats[40, 1, 0] = math.nan
-    assert math.isnan(validation._stack_unitarity(mats))
 
 
 def test_validate_exposes_exactly_the_checks_it_runs(monkeypatch):
