@@ -4,7 +4,8 @@ The bundled scenarios (fig1 .. fig5_right) are the reference experiments
 for a hydrogen 2s-2p system driven by gaussian pulses: single-pulse and
 double-pulse population transfer versus time, pulse width, observation
 time, and pulse separation.  Each returns a SweepSeries ready for CSV
-emission.
+emission.  `SCENARIOS` is their data: for each name, the overrides it
+accepts and their defaults, read and checked in one place.
 """
 from __future__ import annotations
 
@@ -111,34 +112,69 @@ def error_scaling_fit(series: SweepSeries) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), resid)
 
 
-SCENARIO_NAMES = (
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4_left",
-    "fig4_right",
-    "fig5_left",
-    "fig5_right",
-)
-
 _TIME_POINTS = 400  # linear grids (time and separation axes)
 _SWEEP_POINTS = 200  # logarithmic tau grids
+_RABI_TIME = hydrogen_2s2p().rabi_time
+_TAUS = (1.0, 10.0, 100.0)
+
+# Each scenario's overrides and their defaults.  None marks a default derived
+# from other values: fig4_right t_f = t_k + 2000 ps, fig5 ts_max = 2 Rabi
+# times.  A tuple default takes a tuple, and n_points a whole number.  Where
+# taus is a key, tau stands for taus = (tau,).
+SCENARIOS: dict[str, dict[str, Any]] = {
+    "fig1": {"taus": _TAUS, "alpha": math.pi / 2, "t_k": 150.0, "t_f": 300.0,
+             "rabi_time": _RABI_TIME, "n_points": _TIME_POINTS},
+    "fig2": {"taus": _TAUS, "alpha": math.pi / 2, "t1": 100.0, "t2": 586.0, "t_f": 700.0,
+             "rabi_time": _RABI_TIME, "n_points": _TIME_POINTS},
+    "fig3": {"taus": _TAUS, "alpha": math.pi / 4, "t1": 100.0, "t2": 586.0, "t_f": 700.0,
+             "rabi_time": _RABI_TIME, "n_points": _TIME_POINTS},
+    "fig4_left": {"alpha": math.pi / 2, "t_k": 150.0, "observation_times": (200.0, 300.0, 500.0),
+                  "tau_min": 1.0, "tau_max": 300.0, "rabi_time": _RABI_TIME, "n_points": _SWEEP_POINTS},
+    "fig4_right": {"alpha": math.pi / 2, "tau": 10.0, "t_k": 150.0, "t_f": None,
+                   "rabi_time": _RABI_TIME, "n_points": _TIME_POINTS},
+    "fig5_left": {"alphas": (math.pi / 2, 3 * math.pi / 8, math.pi / 4), "tau": 10.0, "t1": 100.0,
+                  "ts_max": None, "rabi_time": _RABI_TIME, "n_points": _TIME_POINTS},
+    "fig5_right": {"alphas": (math.pi / 2, 3 * math.pi / 8, math.pi / 4), "tau": 100.0, "t1": 100.0,
+                   "ts_max": None, "rabi_time": _RABI_TIME, "n_points": _TIME_POINTS},
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+# lower bounds that need no other value; the scans check the rest
+_POSITIVE = {"tau", "taus", "tau_min", "tau_max"}  # > 0
+_NON_NEGATIVE = {"t_k", "t1", "t2", "observation_times"}  # >= 0
 
 
-def _alpha_label(alpha: float) -> str:
-    return f"alpha{alpha / math.pi:.4g}pi"
-
-
-def _system(overrides: dict) -> SystemParams:
-    if "rabi_time" in overrides:
-        return SystemParams.from_rabi_time(float(overrides["rabi_time"]))
-    return hydrogen_2s2p()
-
-
-def _check_keys(overrides: dict, allowed: set[str], name: str) -> None:
-    unknown = set(overrides) - allowed
+def _parameters(name: str, overrides: dict | None) -> dict[str, Any]:
+    """SCENARIOS[name] with the overrides converted and checked, plus its SystemParams as "params"."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    defaults = SCENARIOS[name]
+    given = dict(overrides or {})
+    # tau stands for taus = (tau,), unless taus is given too
+    alias = {"tau"} if "taus" in defaults and "taus" not in given else set()
+    unknown = set(given) - set(defaults) - alias
     if unknown:
         raise ValueError(f"scenario {name!r} does not accept overrides {sorted(unknown)}")
+    p = dict(defaults)
+    n_points = given.pop("n_points", p["n_points"])
+    if not (isinstance(n_points, numbers.Real) and n_points % 1 == 0):
+        raise ValueError(f"n_points must be a whole number, got {n_points!r}")
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
+    if n_points > MAX_RK4_STEPS:
+        raise ValueError(f"n_points must be at most {MAX_RK4_STEPS:.0e}, got {n_points}")
+    p["n_points"] = int(n_points)
+    for key, value in given.items():
+        many = isinstance(defaults.get(key), tuple)
+        values = tuple(float(x) for x in value) if many else (float(value),)
+        if key in _POSITIVE | _NON_NEGATIVE:
+            for x in values:
+                _bounded(key, x, 0.0, strict=key in _POSITIVE)
+        if key in alias:
+            key, many = "taus", True
+        p[key] = values if many else values[0]
+    p["params"] = SystemParams.from_rabi_time(p["rabi_time"])
+    return p
 
 
 def _bounded(key: str, value: float, low: float, *, strict: bool = False, low_label: str = "") -> float:
@@ -177,50 +213,31 @@ def no_ordering_p2_columns(
     return p[0, 1], p[1, 1]
 
 
+
+
 def scenario(
     name: str, overrides: dict | None = None, cfg: IntegratorConfig | None = None
 ) -> SweepSeries:
     """Build one of the bundled reference experiments.
 
-    Overridable physics parameters: tau/taus, alpha/alphas, t_k, t1, t2,
-    t_f, rabi_time; grid controls: n_points, observation_times, ts_max,
-    tau_min, tau_max.
+    SCENARIOS[name] lists the overrides it accepts and their defaults; any
+    other key raises ValueError.
     """
-    overrides = dict(overrides or {})
-    n_points = overrides.get("n_points", 2)
-    if not (isinstance(n_points, numbers.Real) and n_points % 1 == 0):
-        raise ValueError(f"n_points must be a whole number, got {n_points!r}")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    if n_points > MAX_RK4_STEPS:
-        raise ValueError(f"n_points must be at most {MAX_RK4_STEPS:.0e}, got {n_points}")
+    p = _parameters(name, overrides)
     if name in ("fig1", "fig2", "fig3"):
-        return _time_scan(name, overrides, cfg)
+        return _time_scan(name, p, cfg)
     if name == "fig4_left":
-        return _width_scan(overrides, cfg)
+        return _width_scan(p, cfg)
     if name == "fig4_right":
-        return _observation_scan(overrides, cfg)
-    if name in ("fig5_left", "fig5_right"):
-        return _separation_scan(name, overrides, cfg)
-    raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+        return _observation_scan(p, cfg)
+    return _separation_scan(p, cfg)
 
 
-def _time_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
+def _time_scan(name: str, p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     """P2(t) for a single pulse (fig1) or a kick-antikick pair (fig2, fig3)."""
-    _check_keys(
-        overrides,
-        {"tau", "taus", "alpha", "t_k", "t1", "t2", "t_f", "rabi_time", "n_points"},
-        name,
-    )
-    params = _system(overrides)
-    single = name == "fig1"
-    alpha = float(overrides.get("alpha", math.pi / 4 if name == "fig3" else math.pi / 2))
-    t_f = _bounded("t_f", float(overrides.get("t_f", 300.0 if single else 700.0)), 0.0)
-    n = int(overrides.get("n_points", _TIME_POINTS))
-    key = "tau" if "tau" in overrides else "taus"
-    given = (overrides["tau"],) if "tau" in overrides else overrides.get("taus", (1.0, 10.0, 100.0))
-    taus = tuple(_bounded(key, float(x), 0.0, strict=True) for x in given)
-    times = np.linspace(0.0, t_f, n)
+    params, alpha, taus = p["params"], p["alpha"], p["taus"]
+    t_f = _bounded("t_f", p["t_f"], 0.0)
+    times = np.linspace(0.0, t_f, p["n_points"])
     columns: dict[str, np.ndarray] = {}
     meta: dict[str, Any] = {
         "alpha_rad": alpha,
@@ -228,16 +245,13 @@ def _time_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> Swee
         "t_f_ps": t_f,
         "taus_ps": taus,
     }
-    if single:
-        t_k = _bounded("t_k", float(overrides.get("t_k", 150.0)), 0.0)
-        meta["t_k_ps"] = t_k
-        pulse_sets = {tau: [gaussian(alpha, tau, t_k)] for tau in taus}
+    if name == "fig1":
+        meta["t_k_ps"] = p["t_k"]
+        pulse_sets = {tau: [gaussian(alpha, tau, p["t_k"])] for tau in taus}
     else:
-        t1 = _bounded("t1", float(overrides.get("t1", 100.0)), 0.0)
-        t2 = _bounded("t2", float(overrides.get("t2", 586.0)), 0.0)
-        meta["t1_ps"], meta["t2_ps"] = t1, t2
+        meta["t1_ps"], meta["t2_ps"] = p["t1"], p["t2"]
         pulse_sets = {
-            tau: [gaussian(alpha, tau, t1), gaussian(-alpha, tau, t2)] for tau in taus
+            tau: [gaussian(alpha, tau, p["t1"]), gaussian(-alpha, tau, p["t2"])] for tau in taus
         }
     for tau, pulses in pulse_sets.items():
         columns[f"P2_tau{tau:g}"] = rk4_evolve(
@@ -247,29 +261,14 @@ def _time_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> Swee
     return SweepSeries("t_ps", times, columns, meta)
 
 
-def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
+def _width_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     """Single-pulse P2 against pulse width, at several observation times."""
-    _check_keys(
-        overrides,
-        {"alpha", "t_k", "rabi_time", "n_points", "observation_times", "tau_min", "tau_max"},
-        "fig4_left",
-    )
-    params = _system(overrides)
-    alpha = float(overrides.get("alpha", math.pi / 2))
-    t_k = _bounded("t_k", float(overrides.get("t_k", 150.0)), 0.0)
+    params, alpha, t_k, n = p["params"], p["alpha"], p["t_k"], p["n_points"]
     # the observation times are a reporting choice, recorded in the metadata
-    obs = tuple(
-        _bounded("observation_times", float(x), 0.0)
-        for x in overrides.get("observation_times", (200.0, 300.0, 500.0))
-    )
+    obs = p["observation_times"]
     if len(set(obs)) != len(obs):
         raise ValueError(f"observation_times must not repeat, got {obs}")
-    n = int(overrides.get("n_points", _SWEEP_POINTS))
-    taus = np.geomspace(
-        _bounded("tau_min", float(overrides.get("tau_min", 1.0)), 0.0, strict=True),
-        _bounded("tau_max", float(overrides.get("tau_max", 300.0)), 0.0, strict=True),
-        n,
-    )
+    taus = np.geomspace(p["tau_min"], p["tau_max"], n)
     g = params.gamma
     marks = np.array(sorted(obs))
     # one row per tau, one column per sorted observation time
@@ -305,22 +304,14 @@ def _width_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     )
 
 
-def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
+def _observation_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     """Single-pulse P2 against the observation time, from the pulse midpoint on."""
-    _check_keys(
-        overrides,
-        {"alpha", "tau", "t_k", "t_f", "rabi_time", "n_points"},
-        "fig4_right",
-    )
-    params = _system(overrides)
-    alpha = float(overrides.get("alpha", math.pi / 2))
-    tau = _bounded("tau", float(overrides.get("tau", 10.0)), 0.0, strict=True)
-    t_k = _bounded("t_k", float(overrides.get("t_k", 150.0)), 0.0)
-    t_max = _bounded("t_f", float(overrides.get("t_f", t_k + 2000.0)), t_k, low_label=f"t_k = {t_k:g}")
-    n = int(overrides.get("n_points", _TIME_POINTS))
+    params, alpha, tau, t_k = p["params"], p["alpha"], p["tau"], p["t_k"]
+    t_f = t_k + 2000.0 if p["t_f"] is None else p["t_f"]
+    t_max = _bounded("t_f", t_f, t_k, low_label=f"t_k = {t_k:g}")
     g = params.gamma
     beta = g * tau
-    tfs = np.linspace(t_k, t_max, n)
+    tfs = np.linspace(t_k, t_max, p["n_points"])
     pulses = [gaussian(alpha, tau, t_k)]
     series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, t_max, cfg, record_times=tfs)
     noto_s_run, noto_i_num = no_ordering_p2_columns(pulses, params, 0.0, tfs, cfg)
@@ -346,28 +337,17 @@ def _observation_scan(overrides: dict, cfg: IntegratorConfig | None) -> SweepSer
     )
 
 
-def _separation_scan(name: str, overrides: dict, cfg: IntegratorConfig | None) -> SweepSeries:
+def _separation_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     """Kick-antikick P2 against the pulse separation, several strengths."""
-    _check_keys(
-        overrides,
-        {"alphas", "tau", "t1", "rabi_time", "n_points", "ts_max"},
-        name,
-    )
-    params = _system(overrides)
-    tau = float(overrides.get("tau", 10.0 if name == "fig5_left" else 100.0))
-    tau = _bounded("tau", tau, 0.0, strict=True)
-    t1 = _bounded("t1", float(overrides.get("t1", 100.0)), 0.0)
-    alphas = tuple(
-        float(x) for x in overrides.get("alphas", (math.pi / 2, 3 * math.pi / 8, math.pi / 4))
-    )
-    n = int(overrides.get("n_points", _TIME_POINTS))
-    ts_max = _bounded("ts_max", float(overrides.get("ts_max", 2.0 * params.rabi_time)), 0.0)
+    params, tau, t1, alphas, n = p["params"], p["tau"], p["t1"], p["alphas"], p["n_points"]
+    ts_max = 2.0 * params.rabi_time if p["ts_max"] is None else p["ts_max"]
+    ts_max = _bounded("ts_max", ts_max, 0.0)
     g = params.gamma
     beta = g * tau
     seps = np.linspace(0.0, ts_max, n)
     cols: dict[str, np.ndarray] = {}
     for alpha in alphas:
-        label = _alpha_label(alpha)
+        label = f"alpha{alpha / math.pi:.4g}pi"
         exact = np.empty(n)
         for i, ts in enumerate(seps):
             t2 = t1 + float(ts)

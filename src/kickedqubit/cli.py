@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, propagators
-from .analysis import SCENARIO_NAMES, SweepSeries, no_ordering_p2_columns, scenario
+from .analysis import SCENARIO_NAMES, SCENARIOS, SweepSeries, no_ordering_p2_columns, scenario
 from .evolve import MAX_RK4_STEPS, IntegratorConfig, check_step_budget, rk4_evolve
 from .pulses import (
     Pulse,
@@ -198,15 +198,20 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
+# a key's kind is the type of its SCENARIOS defaults: tuple, int (n_points), or float
+_OVERRIDE_KINDS = {key: type(value) for row in SCENARIOS.values() for key, value in row.items()}
+
+
 def _parse_override(item: str):
     key, sep, value = item.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"override {item!r} is not key=value")
     key = key.strip()
     value = value.strip()
-    convert = parse_angle if key in {"alpha", "alphas"} else int if key == "n_points" else float
+    kind = _OVERRIDE_KINDS.get(key)
+    convert = parse_angle if key in {"alpha", "alphas"} else int if kind is int else float
     try:
-        if key in {"taus", "alphas", "observation_times"}:
+        if kind is tuple:
             return key, tuple(convert(v) for v in value.split(":"))
         return key, convert(value)
     except (ValueError, argparse.ArgumentTypeError):
@@ -316,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="run bundled scenarios and write one CSV panel each")
     p.add_argument("name", nargs="+", choices=SCENARIO_NAMES)
     p.add_argument("--set", type=_parse_override, action="append", metavar="KEY=VALUE",
-                   help="override scenario parameters (tau=, alpha=, t_k=, t1=, t2=, t_f=, ...)")
+                   help="override a scenario parameter (repeatable; lists split on ':'): "
+                   f"{', '.join(sorted(_OVERRIDE_KINDS))}; README lists each scenario's keys")
     p.add_argument("--rabi-time", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--outdir", default=".")

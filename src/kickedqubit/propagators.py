@@ -51,7 +51,7 @@ from .pulses import (
     envelope_array,
     integrated_strength,
 )
-from .su2 import X_AXIS, Z_AXIS, pauli_exponential, su2
+from .su2 import X_AXIS, Z_AXIS, _require_finite, pauli_exponential, su2
 
 
 def _sinc(x):
@@ -129,16 +129,19 @@ def kick_sequence_propagator(kicks: Sequence[tuple], gamma, t) -> np.ndarray:
     """Exact evolution from 0 to t through ideal kicks (alpha_k, T_k).
 
     The kicks must be time-ordered inside [0, t): 0 <= T_1 <= T_2 <= ... < t,
-    in every entry when alpha_k, T_k, gamma or t are arrays.  Free evolution
-    e^{i gamma dt sigma_z} and each kick e^{-i alpha_k sigma_x} are composed
-    right to left in SU(2) form: each factor and the running product are
-    [[p, -q*], [q, p*]], so only (p, q) is carried.  One kick gives
+    in every entry when alpha_k, T_k, gamma or t are arrays, and alpha_k,
+    gamma and t must be finite.  Free evolution e^{i gamma dt sigma_z} and
+    each kick e^{-i alpha_k sigma_x} are composed right to left in SU(2)
+    form: each factor and the running product are [[p, -q*], [q, p*]], so
+    only (p, q) is carried.  One kick gives
     [[e^{i gamma t} cos a, -i e^{i gamma (t - 2 T)} sin a], ...]; a
     kick-antikick pair gives P2 = sin^2(gamma T_s) sin^2(2 alpha).
     """
+    _require_finite(gamma=gamma, t=t)
     p, q = 1.0 + 0.0j, 0.0j
     last = 0.0
     for alpha, tk in kicks:
+        _require_finite(alpha_k=alpha)
         if not np.all((last <= tk) & (tk < t)):
             raise ValueError("kicks must be time-ordered inside [0, t)")
         f = _phase(gamma * (tk - last))
@@ -157,8 +160,9 @@ def rectangular_propagator(alpha, beta, gamma, t_kick, t) -> np.ndarray:
     diagonal e^{+-(i gamma t - i beta)} (cos a' +- i beta sin(a')/a'),
     off-diagonal -i e^{+-i gamma (t - 2 t_kick)} alpha sin(a')/a'.
     Valid when the pulse lies inside [0, t]; reduces to the kicked form at
-    beta = 0.
+    beta = 0.  Every argument must be finite.
     """
+    _require_finite(alpha=alpha, beta=beta, gamma=gamma, t_kick=t_kick, t=t)
     ap = np.hypot(alpha, beta)
     s = _sinc(ap)
     pt, pk = _phase(gamma * t - beta), _phase(gamma * (t - 2.0 * t_kick))

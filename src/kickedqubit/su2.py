@@ -49,6 +49,15 @@ def su2(p, q) -> np.ndarray:
     return m
 
 
+def _require_finite(**args) -> None:
+    """ValueError naming the first argument with a NaN or infinite entry; a stack names that entry."""
+    for name, x in args.items():
+        bad = ~np.isfinite(x)
+        if bad.any():
+            shown = x if np.ndim(x) == 0 else np.asarray(x)[bad][0]
+            raise ValueError(f"{name} must be finite, got {shown!r}")
+
+
 def pauli_exponential(phi, axis) -> np.ndarray:
     """exp(i phi n.sigma) = cos(phi) 1 + i sin(phi) n.sigma for unit 3-vectors n.
 
@@ -68,10 +77,7 @@ def pauli_exponential(phi, axis) -> np.ndarray:
     if bad.any():  # a stack names its first bad row
         shown = axis if n.ndim == 1 else n[bad][0]
         raise ValueError(f"axis must have unit norm to 1e-12, got {shown!r}")
-    bad = ~np.isfinite(phi)
-    if bad.any():
-        shown = phi if np.ndim(phi) == 0 else np.asarray(phi)[bad][0]
-        raise ValueError(f"phi must be finite, got {shown!r}")
+    _require_finite(phi=phi)
     c, s = np.cos(phi), np.sin(phi)
     m = np.empty(np.broadcast_shapes(np.shape(c), nx.shape) + (2, 2), dtype=complex)
     m[..., 0, 0], m[..., 0, 1] = c + 1j * s * nz, 1j * s * (nx - 1j * ny)

@@ -1,11 +1,12 @@
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kickedqubit import analysis, evolve
+from kickedqubit import __version__, analysis, cli, evolve
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import (
     SCENARIO_NAMES,
@@ -126,6 +127,17 @@ class TestScenarios:
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             scenario("fig1", {"bananas": 1.0})
+        # keys another scenario uses, and tau given with taus, are not ignored
+        for name, overrides, rejected in [
+            ("fig1", {"t1": 50.0}, "t1"),
+            ("fig1", {"t2": 500.0}, "t2"),
+            ("fig2", {"t_k": 5.0}, "t_k"),
+            ("fig3", {"t_k": 5.0}, "t_k"),
+            ("fig1", {"tau": 5.0, "taus": (1.0, 2.0)}, "tau"),
+        ]:
+            message = f"scenario {name!r} does not accept overrides [{rejected!r}]"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                scenario(name, {"n_points": 3, **overrides})
 
     @pytest.mark.parametrize("n_points", [2.7, math.nan, math.inf, "3"])
     def test_point_count_must_be_a_whole_number(self, n_points):
@@ -271,7 +283,7 @@ def test_benchmark_hooks_keep_their_shape(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4_right"])
-def test_scenario_matches_reference_panel(name):
+def test_scenario_matches_reference_panel(name, capsys):
     # the fast panels against the committed out/figures references
     series = scenario(name)
     header, expected = _read_panel(name)
@@ -279,6 +291,12 @@ def test_scenario_matches_reference_panel(name):
     got = np.column_stack([series.values, *series.columns.values()])
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= 1e-10
+    # and the CLI's metadata lines, but for the version line the panels predate
+    assert cli.main(["figure", name, "--out", "-"]) == 0
+    meta = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+    text = (REFERENCE_PANELS / f"{name}.csv").read_text()
+    assert meta[-1] == f"# kickedqubit {__version__}"
+    assert meta[:-1] == [line for line in text.splitlines() if line.startswith("#")]
 
 
 def test_width_scan_matches_reference_panel():

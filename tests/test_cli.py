@@ -449,15 +449,22 @@ class TestFigure:
             # checked before any grid is allocated
             ("fig1", "n_points=10000001", "n_points must be at most 1e+07, got 10000001"),
             ("fig4_left", "n_points=100000000000", "n_points must be at most 1e+07, got 100000000000"),
+            # a key the scenario does not use; a space separates two overrides
+            ("fig1", "t1=50", "scenario 'fig1' does not accept overrides ['t1']"),
+            ("fig1", "t2=500", "scenario 'fig1' does not accept overrides ['t2']"),
+            ("fig2", "t_k=5", "scenario 'fig2' does not accept overrides ['t_k']"),
+            ("fig3", "t_k=5", "scenario 'fig3' does not accept overrides ['t_k']"),
+            ("fig2", "tau=5 taus=1:10", "scenario 'fig2' does not accept overrides ['tau']"),
         ],
     )
     def test_bad_grid_override_is_exit_1(self, capsys, name, override, message):
+        sets = [arg for item in override.split(" ") for arg in ("--set", item)]
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
             # the last --set wins, so the override comes after n_points=3
             code, out, err = run_cli(
-                capsys, "figure", name, "--set", "n_points=3", "--set", override, "--out", "-",
+                capsys, "figure", name, "--set", "n_points=3", *sets, "--out", "-",
             )
         assert time.perf_counter() - start < 1.0
         assert code == 1

@@ -6,6 +6,7 @@ independent routes in the way tests/test_su2.py keeps
 `reference_pauli_exponential`.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,31 @@ def test_floquet_fields_have_one_entry_per_point():
 def test_one_bad_kick_in_a_batch_raises(t2):
     with pytest.raises(ValueError, match="kicks must be time-ordered inside"):
         prop.kick_sequence_propagator(((1.0, np.ones(3)), (-1.0, t2)), 0.7, np.full(3, 5.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda x: prop.kick_sequence_propagator(((x, 1.0),), 1.0, 2.0), "alpha_k"),
+        (lambda x: prop.kick_sequence_propagator(((1.0, 0.5), (x, 1.0)), 1.0, 2.0), "alpha_k"),
+        (lambda x: prop.kick_sequence_propagator(((1.0, 1.0),), x, 2.0), "gamma"),
+        (lambda x: prop.kick_sequence_propagator(((1.0, 1.0),), 1.0, np.array([2.0, x])), "t"),
+        (lambda x: prop.rectangular_propagator(x, 0.1, 1.0, 1.0, 2.0), "alpha"),
+        (lambda x: prop.rectangular_propagator(1.0, np.array([0.1, x, 0.2]), 1.0, 1.0, 2.0), "beta"),
+        (lambda x: prop.rectangular_propagator(1.0, 0.1, x, 1.0, 2.0), "gamma"),
+        (lambda x: prop.rectangular_propagator(1.0, 0.1, 1.0, x, 2.0), "t_kick"),
+        (lambda x: prop.rectangular_propagator(1.0, 0.1, 1.0, 1.0, x), "t"),
+    ],
+    ids=["kick", "second-kick", "kick-gamma", "kick-t-row", "rect-alpha", "rect-beta-row",
+         "rect-gamma", "rect-t_kick", "rect-t"],
+)
+def test_non_finite_input_names_the_argument(build, name, bad):
+    # a clean ValueError, not numpy's invalid-value warning and a NaN matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got .*{bad!r}"):
+            build(bad)
 
 
 def test_one_bad_axis_row_or_angle_raises():
