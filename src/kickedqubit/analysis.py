@@ -185,6 +185,16 @@ def _bounded(key: str, value: float, low: float, *, strict: bool = False, low_la
     return value
 
 
+def _column_labels(key: str, values: tuple, label) -> list[str]:
+    """label(x) for each swept value x; ValueError if two values share a label."""
+    labels = [label(x) for x in values]
+    for i, text in enumerate(labels):
+        j = labels.index(text)
+        if j < i:
+            raise ValueError(f"{key} {values[j]!r} and {values[i]!r} share the column label {text!r}")
+    return labels
+
+
 def no_ordering_p2_columns(
     pulses: PulseSequence,
     params: SystemParams,
@@ -237,6 +247,7 @@ def _time_scan(name: str, p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     """P2(t) for a single pulse (fig1) or a kick-antikick pair (fig2, fig3)."""
     params, alpha, taus = p["params"], p["alpha"], p["taus"]
     t_f = _bounded("t_f", p["t_f"], 0.0)
+    labels = _column_labels("taus", taus, lambda tau: f"P2_tau{tau:g}")
     times = np.linspace(0.0, t_f, p["n_points"])
     columns: dict[str, np.ndarray] = {}
     meta: dict[str, Any] = {
@@ -247,14 +258,12 @@ def _time_scan(name: str, p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     }
     if name == "fig1":
         meta["t_k_ps"] = p["t_k"]
-        pulse_sets = {tau: [gaussian(alpha, tau, p["t_k"])] for tau in taus}
+        pulse_sets = [[gaussian(alpha, tau, p["t_k"])] for tau in taus]
     else:
         meta["t1_ps"], meta["t2_ps"] = p["t1"], p["t2"]
-        pulse_sets = {
-            tau: [gaussian(alpha, tau, p["t1"]), gaussian(-alpha, tau, p["t2"])] for tau in taus
-        }
-    for tau, pulses in pulse_sets.items():
-        columns[f"P2_tau{tau:g}"] = rk4_evolve(
+        pulse_sets = [[gaussian(alpha, tau, p["t1"]), gaussian(-alpha, tau, p["t2"])] for tau in taus]
+    for label, pulses in zip(labels, pulse_sets):
+        columns[label] = rk4_evolve(
             pulses, params, (1.0, 0.0), 0.0, t_f, cfg, record_times=times
         ).p2
     meta["max_time_ps"] = t_f
@@ -344,10 +353,10 @@ def _separation_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     ts_max = _bounded("ts_max", ts_max, 0.0)
     g = params.gamma
     beta = g * tau
+    labels = _column_labels("alphas", alphas, lambda alpha: f"alpha{alpha / math.pi:.4g}pi")
     seps = np.linspace(0.0, ts_max, n)
     cols: dict[str, np.ndarray] = {}
-    for alpha in alphas:
-        label = f"alpha{alpha / math.pi:.4g}pi"
+    for label, alpha in zip(labels, alphas):
         exact = np.empty(n)
         for i, ts in enumerate(seps):
             t2 = t1 + float(ts)

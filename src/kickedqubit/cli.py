@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, propagators
-from .analysis import SCENARIO_NAMES, SCENARIOS, SweepSeries, no_ordering_p2_columns, scenario
+from .analysis import (
+    SCENARIO_NAMES,
+    SCENARIOS,
+    SweepSeries,
+    _parameters,
+    no_ordering_p2_columns,
+    scenario,
+)
 from .evolve import MAX_RK4_STEPS, IntegratorConfig, check_step_budget, rk4_evolve
 from .pulses import (
     Pulse,
@@ -224,8 +231,12 @@ def _cmd_figure(args) -> int:
     overrides = dict(args.set or [])
     if args.rabi_time is not None:
         overrides["rabi_time"] = args.rabi_time
+    # every panel is built, each scenario's overrides checked first, before any is
+    # written, so that a bad value for a later name leaves no partial output
     for name in args.name:
-        series = scenario(name, overrides, IntegratorConfig(dt=args.dt))
+        _parameters(name, overrides)
+    panels = [(name, scenario(name, overrides, IntegratorConfig(dt=args.dt))) for name in args.name]
+    for name, series in panels:
         total = float(series.metadata.get("max_time_ps", 0.0))
         if total > LIFETIME_WARNING_PS:
             sys.stderr.write(

@@ -17,8 +17,10 @@ get, as arrays, a step count n = max(1, ceil(length / dt)), a step and a
 rectangular coupling.  Compose: each segment becomes one SU(2) map
 [[1 + d, -q*], [q, 1 + d*]], identity kept apart, times the exact map
 exp(-i alpha sigma_x) of a kick at its end.  `_block_map`, the one
-composer, writes each RK4 step as such a map, calling the envelope closure
-at its start, midpoint and end, and multiplies a row's maps pairwise; a
+composer, writes each RK4 step as such a map and multiplies a row's maps
+pairwise.  Only a sequence with a gaussian has an envelope closure, called
+at each step's start, midpoint and end; rectangles and kicks alone enter
+through the rectangular coupling and the kick maps, with no closure.  A
 segment of SMALL or more steps runs through `_rk4_span` block by block,
 shorter ones grouped by step count as the rows of one call.  Prefix
 products: a Hillis-Steele scan over a chunk's maps (`_prefix_maps`) gives
@@ -103,9 +105,10 @@ class TimeSeries:
 def _rk4_span(v, v_const: float, gamma: float, t0: float, t1: float, n: int):
     """The map (d, q) of n uniform RK4 steps, a _block_map row per block of at most BLOCK.
 
-    v is the smooth part of the coupling; v_const carries the rectangular
-    contribution, constant within a segment, so that evaluations at the
-    segment boundaries never see the wrong side of a discontinuity.
+    v is the smooth part of the coupling, None if there is none; v_const
+    carries the rectangular contribution, constant within a segment, so that
+    evaluations at the segment boundaries never see the wrong side of a
+    discontinuity.
     """
     t, h, c = np.array([t0]), np.array([(t1 - t0) / n]), np.array([v_const], dtype=float)
     d = q = 0j
@@ -166,16 +169,20 @@ def _block_map(v, v_const, ig: complex, t, h, m: int):
     """m RK4 steps of h[r] from t[r] as one map per row r, multiplied pairwise.
 
     Every row is composed as it would be alone, and v is called three times
-    per step, row by row.  The identity is kept apart: rounding 1 + d at
-    every step would repeat the same error over a stretch of equal steps.
+    per step, row by row; with v None the coupling is v_const alone.  The
+    identity is kept apart: rounding 1 + d at every step would repeat the
+    same error over a stretch of equal steps.
     Returns the arrays (d, q, the time after each row's last step).
     """
     rows, h = t.size, h[:, None]
     times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
-    tk = times[:, :m]
-    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=2)
-    iv = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size)
-    iv = 1j * (iv.reshape(grid.shape) + v_const[:, None, None])
+    if v is None:  # a zero closure's bits: 0.0 + c == c, and v_const holds no -0.0
+        iv = np.broadcast_to(1j * v_const[:, None, None], (rows, m, 3))
+    else:
+        tk = times[:, :m]
+        grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=2)
+        iv = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size)
+        iv = 1j * (iv.reshape(grid.shape) + v_const[:, None, None])
     with np.errstate(over="ignore", invalid="ignore"):  # the norm guard rejects a NaN
         d, q = _step_map(ig, h, iv[..., 0], iv[..., 1], iv[..., 2])
         # pairwise product, later steps on the left, over the flat rows; an odd
@@ -246,7 +253,7 @@ def rk4_evolve(
         raise ValueError("record times must be non-decreasing")
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
     rects = [(p.peak, *p.window()) for p in pulses if p.shape is PulseShape.RECTANGULAR]
-    v = envelope(smooth) if smooth else (lambda _t: 0.0)
+    v = envelope(smooth) if smooth else None
 
     # kicks (summed at a shared time) and rectangular edges are breakpoints
     kicks = [p for p in pulses if p.shape is PulseShape.IDEAL_KICK and t0 <= p.center <= t1]

@@ -373,6 +373,26 @@ class TestFigure:
             _, single, _ = run_cli(capsys, "figure", name, "--set", "n_points=3", "--out", "-")
             assert (tmp_path / f"{name}.csv").read_text() == single
 
+    @pytest.mark.parametrize("names, override, message, built", [
+        # an override a scenario does not accept fails before any panel is built
+        (("fig1", "fig2"), "t_k=100", "scenario 'fig2' does not accept overrides ['t_k']", []),
+        (("fig1", "fig4_right"), "t_f=100", "t_f must be finite and >= t_k = 150, got 100",
+         ["fig1", "fig4_right"]),
+    ])
+    def test_a_bad_later_scenario_writes_no_panel(
+        self, tmp_path, capsys, monkeypatch, names, override, message, built
+    ):
+        # fig1 accepts the override; the second name refuses it
+        calls, build = [], cli.scenario
+        monkeypatch.setattr(cli, "scenario", lambda name, *args: calls.append(name) or build(name, *args))
+        code, out, err = run_cli(
+            capsys, "figure", *names, "--set", override, "--set", "n_points=3",
+            "--outdir", str(tmp_path / "d"),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert calls == built
+        assert not list(tmp_path.glob("**/*.csv"))
+
     def test_out_with_several_names_is_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "figure", "fig1", "fig2", "--out", "-")
         assert code == 1
@@ -455,6 +475,11 @@ class TestFigure:
             ("fig2", "t_k=5", "scenario 'fig2' does not accept overrides ['t_k']"),
             ("fig3", "t_k=5", "scenario 'fig3' does not accept overrides ['t_k']"),
             ("fig2", "tau=5 taus=1:10", "scenario 'fig2' does not accept overrides ['tau']"),
+            # distinct or repeated sweep values that would write one column
+            ("fig1", "taus=1:1.0000001", "taus 1.0 and 1.0000001 share the column label 'P2_tau1'"),
+            ("fig1", "taus=10:10", "taus 10.0 and 10.0 share the column label 'P2_tau10'"),
+            ("fig5_left", "alphas=pi/4:0.78539817",
+             "alphas 0.7853981633974483 and 0.78539817 share the column label 'alpha0.25pi'"),
         ],
     )
     def test_bad_grid_override_is_exit_1(self, capsys, name, override, message):

@@ -338,6 +338,71 @@ def test_batched_plan_matches_per_segment_spans(pulses, t0, span, fractions, dt,
     assert np.max(np.abs(series.states - expected), initial=0.0) <= 1e-13
 
 
+_RECT_OR_KICK = st.one_of(
+    st.builds(rectangular, _STRENGTH, st.floats(0.1, 1.0), _START),
+    st.builds(ideal_kick, _STRENGTH, _START),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_RECT_OR_KICK, max_size=4),
+    st.floats(0.1, 1.0),
+    _START,
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), max_size=10),
+    st.floats(0.0, 2.0),
+)
+def test_rectangles_and_kicks_step_as_with_a_zero_gaussian(pulses, tau, center, t0, fractions, gamma):
+    # a zero-strength gaussian adds only the envelope closure, whose 0.0 enters
+    # as 0.0 + c == c: the closure-free run agrees bit for bit, signed zeros included
+    t1 = t0 + 3.0
+    marks = sorted(t0 + 3.0 * f for f in fractions) + [t1]
+    cfg = IntegratorConfig(dt=0.01, unitarity_tolerance=math.inf)
+
+    def states(sequence):
+        series = rk4_evolve(sequence, SystemParams(gamma), (1.0, 0.0), t0, t1, cfg, record_times=marks)
+        return series.states.tobytes()
+
+    assert states(pulses) == states([*pulses, gaussian(0.0, tau, center)])
+
+
+def test_rectangles_and_kicks_build_no_envelope(monkeypatch):
+    def refuse(_pulses):
+        raise AssertionError("envelope built for a sequence without a gaussian")
+
+    monkeypatch.setattr(evolve, "envelope", refuse)
+    pulses = [rectangular(0.7, 0.5, 1.0), ideal_kick(0.3, 2.0)]
+    with mock.patch.object(evolve, "_block_map", wraps=evolve._block_map) as block_map:
+        series = rk4_evolve(pulses, unit_system(), (1.0, 0.0), 0.0, 3.0, IntegratorConfig(dt=0.01),
+                            record_times=[0.5, 1.0, 1.001, 2.0, 3.0])
+    # long spans and short rows alike take their coupling from v_const alone
+    assert block_map.call_count > 1
+    assert all(call.args[0] is None for call in block_map.call_args_list)
+    exact = (prop.free_propagator(1.0, 1.0) @ prop.degenerate_propagator(0.3)
+             @ prop.rectangular_propagator(0.7, 0.5, 1.0, 1.0, 2.0))
+    assert np.max(np.abs(series.final_state() - exact[:, 0])) < 1e-8
+
+
+def test_a_gaussian_pair_calls_its_closure_three_times_a_step(monkeypatch):
+    # long spans and short rows alike: start, midpoint and end of every step
+    calls = [0]
+
+    def counted(pulses):
+        v = envelope(pulses)
+
+        def w(t):
+            calls[0] += 1
+            return v(t)
+
+        return w
+
+    monkeypatch.setattr(evolve, "envelope", counted)
+    pair = [gaussian(math.pi / 2, 10.0, 100.0), gaussian(-math.pi / 2, 10.0, 300.0)]
+    series = rk4_evolve(pair, HYDROGEN, (1.0, 0.0), 0.0, 400.0, record_times=[150.0, 150.1, 400.0])
+    assert calls[0] == 3 * series.steps > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_PULSE, max_size=4), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 4.0), max_size=20))
 def test_array_integrated_strength_matches_the_scalar_calls(pulses, t0, offsets):
