@@ -16,7 +16,8 @@ Shapes, all with signed integrated strength alpha = int v dt:
 rate, its window, its value over an array of times, and its integral over
 any interval.  The sequence helpers below (`envelope`, `envelope_array`,
 `integrated_strength`) and the integrator and closed forms elsewhere read
-from it.
+from it.  `envelope`'s scalar closure is the pulse loop written out once
+per shape signature and compiled once; a rectangle adds its amp directly.
 
 Pointwise evaluation (`Pulse.value`, `envelope`, `envelope_array`) is
 exactly zero outside each pulse's `window()`, edges included in the window.
@@ -29,6 +30,7 @@ Overlapping pulses in a sequence add linearly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -171,26 +173,36 @@ def unit_system() -> SystemParams:
 def envelope(pulses: PulseSequence) -> Callable[[float], float]:
     """Fast scalar v(t) closure for the integrator (kicks rejected).
 
-    A rectangle is the inv_tau = 0 case of the gaussian term, as
-    amp * exp(-0.0) == amp; gaussians are summed first, in sequence order.
+    The closure is the pulse loop written out for this sequence's shape
+    signature: each term adds only inside its window, a gaussian as
+    amp * exp(-u * u) with u = (t - c) * inv_tau, a rectangle as amp.
+    Gaussians are summed first, in sequence order, then rectangles.
     """
     ordered = sorted(pulses, key=lambda p: p.shape is not PulseShape.GAUSSIAN)
-    # a kick raises in Pulse.peak
-    terms = [
-        (p.peak, *p.window(), p.center, 1.0 / p.tau if p.shape is PulseShape.GAUSSIAN else 0.0)
-        for p in ordered
-    ]
-    exp = math.exp
+    smooth = tuple(p.shape is PulseShape.GAUSSIAN for p in ordered)
+    values: list[float] = []
+    for p, gauss in zip(ordered, smooth):
+        values += (p.peak, *p.window())  # a kick raises in Pulse.peak
+        if gauss:
+            values += (p.center, 1.0 / p.tau)
+    return _envelope_factory(smooth)(math.exp, *values)
 
-    def v(t: float) -> float:
-        total = 0.0
-        for amp, lo, hi, c, inv_tau in terms:
-            if lo <= t <= hi:
-                u = (t - c) * inv_tau
-                total += amp * exp(-u * u)
-        return total
 
-    return v
+@functools.cache
+def _envelope_factory(smooth: tuple[bool, ...]):
+    """Factory of the closure for one signature (True: gaussian), compiled once.
+
+    The source holds term indices only; every pulse value is an argument.
+    """
+    names, body = ["exp"], ["    def v(t):", "        total = 0.0"]
+    for k, gauss in enumerate(smooth):
+        names += [f"a{k}", f"lo{k}", f"hi{k}", *([f"c{k}", f"k{k}"] if gauss else [])]
+        add = f"u = (t - c{k}) * k{k}; total += a{k} * exp(-u * u)" if gauss else f"total += a{k}"
+        body.append(f"        if lo{k} <= t <= hi{k}: {add}")
+    source = [f"def factory({', '.join(names)}):", *body, "        return total", "    return v"]
+    namespace: dict = {}
+    exec("\n".join(source), namespace)
+    return namespace["factory"]
 
 
 def envelope_array(pulses: PulseSequence, times: np.ndarray) -> np.ndarray:

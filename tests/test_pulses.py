@@ -82,6 +82,8 @@ class TestPulseEvaluation:
     def test_kick_not_evaluable(self):
         with pytest.raises(PulseEvaluationError):
             envelope([ideal_kick(1.0, 0.0)])
+        with pytest.raises(PulseEvaluationError):  # after the gaussians in summation order
+            envelope([gaussian(1.0, 2.0, 5.0), ideal_kick(1.0, 0.0), rectangular(0.5, 1.0, 3.0)])
 
     @pytest.mark.parametrize("make", [gaussian, rectangular])
     def test_overflowing_peak_rejected(self, make):
@@ -121,17 +123,14 @@ def reference_envelope(pulses):
     return v
 
 
-finite_pulses = st.lists(
-    st.builds(
-        lambda make, alpha, tau, center: make(alpha, tau, center),
-        st.sampled_from([gaussian, rectangular]),
-        st.floats(-3.0, 3.0),
-        st.floats(0.05, 5.0),
-        st.floats(-20.0, 20.0),
-    ),
-    min_size=1,
-    max_size=4,
+finite_pulse = st.builds(
+    lambda make, alpha, tau, center: make(alpha, tau, center),
+    st.sampled_from([gaussian, rectangular]),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+    st.floats(0.05, 5.0),
+    st.floats(-20.0, 20.0),
 )
+finite_pulses = st.lists(finite_pulse, min_size=1, max_size=4)
 
 
 @st.composite
@@ -175,6 +174,50 @@ def test_envelope_matches_the_untruncated_closure(case):
             assert envelope([p])(t) == (p.peak if _inside(p, t) else 0.0)
     array = envelope_array(pulses, np.array([t]))[0]
     assert abs(array - got) <= 1e-15 * max(1.0, scale)
+
+
+# The closure as one loop over (amp, lo, hi, c, inv_tau) terms, a rectangle
+# being inv_tau = 0, before it was written out per shape signature: the
+# reference for bit-for-bit agreement.
+def loop_envelope(pulses):
+    ordered = sorted(pulses, key=lambda p: p.shape is not PulseShape.GAUSSIAN)
+    terms = [
+        (p.peak, *p.window(), p.center, 1.0 / p.tau if p.shape is PulseShape.GAUSSIAN else 0.0)
+        for p in ordered
+    ]
+
+    def v(t):
+        total = 0.0
+        for amp, lo, hi, c, inv_tau in terms:
+            if lo <= t <= hi:
+                u = (t - c) * inv_tau
+                total += amp * math.exp(-u * u)
+        return total
+
+    return v
+
+
+@given(st.lists(finite_pulse, max_size=4), st.lists(st.floats(-60.0, 60.0), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_envelope_is_the_term_loop_bit_for_bit(pulses, times):
+    # random times, every center and edge, and the floats either side of each edge
+    edges = [x for p in pulses for x in p.window()]
+    times += [p.center for p in pulses] + edges
+    times += [math.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)]
+    got, want = envelope(pulses), loop_envelope(pulses)
+    for t in times:
+        assert got(t).hex() == want(t).hex()  # value and sign of zero
+
+
+def test_one_compiled_closure_per_shape_signature():
+    pair = envelope([gaussian(1.0, 2.0, 5.0), gaussian(-0.5, 1.0, 9.0)])
+    other_pair = envelope([gaussian(0.3, 4.0, -2.0), gaussian(2.0, 0.5, 40.0)])
+    mixed = envelope([gaussian(1.0, 2.0, 5.0), rectangular(0.5, 1.0, 9.0)])
+    assert other_pair.__code__ is pair.__code__
+    assert mixed.__code__ is not pair.__code__
+    # a compile per call would give each closure a code object of its own
+    closures = [envelope([gaussian(0.1, 1.0 + k, k), gaussian(-1.0, 2.0, 3.0)]) for k in range(400)]
+    assert all(v.__code__ is pair.__code__ for v in closures)
 
 
 class TestIntegratedStrength:
