@@ -47,9 +47,7 @@ def p2_closed_forms_single(alpha, beta, gamma_tf) -> KickProbabilities:
     rotating frame, no ordering: sin^2(alpha e^{-beta^2})
     """
     alpha, beta, gamma_tf = np.broadcast_arrays(alpha, beta, gamma_tf)
-    xi = np.hypot(alpha, gamma_tf)
-    with np.errstate(divide="ignore", invalid="ignore"):  # xi = 0 takes the limit 1
-        amp = alpha * np.where(xi > 1e-12, np.sin(xi) / xi, 1.0)
+    amp = alpha * propagators._sinc(np.hypot(alpha, gamma_tf))
     return KickProbabilities(
         exact_kick=np.sin(alpha) ** 2,
         no_ordering_schrodinger=amp * amp,
@@ -89,27 +87,23 @@ class SweepSeries:
 
 class ScalingFit(NamedTuple):
     slope: float
-    intercept: float
     residual: float
 
 
-def error_scaling_fit(series: SweepSeries) -> ScalingFit:
-    """Least-squares slope of log(observable) against log(parameter).
+def error_scaling_fit(x, y) -> ScalingFit:
+    """Least-squares slope of log(y) against log(x).
 
-    The series must have exactly one column.  The residual is the RMS
-    misfit in log space.  Requires at least three strictly positive points.
+    The residual is the RMS misfit in log space.  Requires at least three
+    strictly positive points.
     """
-    if len(series.columns) != 1:
-        raise ValueError(f"need a series with one column, got {len(series.columns)}")
-    x = np.asarray(series.values, dtype=float)
-    y = np.asarray(next(iter(series.columns.values())), dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 3:
         raise ValueError("need at least three points to fit a slope")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("log-log fit needs strictly positive values")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     resid = float(np.sqrt(np.mean((np.log(y) - (slope * np.log(x) + intercept)) ** 2)))
-    return ScalingFit(float(slope), float(intercept), resid)
+    return ScalingFit(float(slope), resid)
 
 
 _TIME_POINTS = 400  # linear grids (time and separation axes)

@@ -69,6 +69,13 @@ def parse_angle(text: str) -> float:
     return value
 
 
+def parse_seed(text: str) -> int:
+    """A random seed: a whole number >= 0, as numpy's generators take it."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 _SHAPE_ALIASES = {
     "gaussian": PulseShape.GAUSSIAN,
     "rectangular": PulseShape.RECTANGULAR,
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
     p.add_argument("--quick", action="store_true", help="reduced sweeps, skips RK4-heavy checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("floquet", help="eigenphases of a periodically kicked system")
@@ -367,7 +374,7 @@ def main(argv=None) -> int:
     except NonUnitaryError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:  # OSError: --out or --outdir
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -22,8 +22,7 @@ Validity domains:
   a_k = alpha_k e^{-beta_k^2}.  `kick_sequence_propagator` and
   `kick_integral` accept any finite gamma, negative included.
 * rectangular form: exact for a rectangular pulse fully inside [0, t].
-* adiabatic form: slowly varying v(t); a validity ratio is reported, not
-  enforced.
+* adiabatic form: slowly varying v(t).
 
 Every closed form here broadcasts over array parameters: scalar input
 gives one (2, 2) matrix and array input a (..., 2, 2) stack, built by
@@ -48,7 +47,6 @@ from .pulses import (
     PulseShape,
     SystemParams,
     envelope,
-    envelope_array,
     integrated_strength,
 )
 from .su2 import X_AXIS, Z_AXIS, _require_finite, pauli_exponential, su2
@@ -221,27 +219,6 @@ class AdiabaticPhase:
     phi_0: float
     phi_t: float
 
-    @property
-    def phi_plus(self) -> float:
-        return 0.5 * (self.phi_t + self.phi_0)
-
-    @property
-    def phi_minus(self) -> float:
-        return 0.5 * (self.phi_t - self.phi_0)
-
-
-@dataclass(frozen=True)
-class AdiabaticResult:
-    """Adiabatic propagator and the worst validity ratio.
-
-    validity_ratio is max over sampled times of
-    hbar |dV/dt| Delta_E / Omega^3; the approximation is trustworthy when
-    it is much smaller than one.  It is reported, never enforced.
-    """
-
-    matrix: np.ndarray
-    validity_ratio: float
-
 
 def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> AdiabaticPhase:
     """Accumulated dressed phase and endpoint mixing angles (adaptive quadrature)."""
@@ -270,46 +247,18 @@ def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> Ad
     return AdiabaticPhase(theta=theta, phi_0=math.atan2(v(0.0), gamma), phi_t=math.atan2(v(t), gamma))
 
 
-def adiabatic_propagator(
-    pulses: PulseSequence, params: SystemParams, t: float
-) -> AdiabaticResult:
+def adiabatic_propagator(pulses: PulseSequence, params: SystemParams, t: float) -> np.ndarray:
     """Evolution for a slowly varying coupling.
 
     Built from the instantaneous splitting Omega(t')/hbar =
     2 sqrt(gamma^2 + v^2), the accumulated phase theta = int Omega/2hbar,
-    and the mixing angles phi(t') = atan(v/gamma) at the endpoints.
+    and the mixing angles phi(t') = atan(v/gamma) at the endpoints, through
+    their half sum and half difference.
     """
     phase = adiabatic_phase(pulses, params, t)
-    fp, fm = phase.phi_plus, phase.phi_minus
+    fp, fm = 0.5 * (phase.phi_t + phase.phi_0), 0.5 * (phase.phi_t - phase.phi_0)
     ct, st = math.cos(phase.theta), math.sin(phase.theta)
-    matrix = su2(
-        ct * math.cos(fm) + 1j * st * math.cos(fp), -ct * math.sin(fm) - 1j * st * math.sin(fp)
-    )
-    return AdiabaticResult(matrix=matrix, validity_ratio=_adiabatic_ratio(pulses, params, t))
-
-
-def _adiabatic_ratio(pulses: PulseSequence, params: SystemParams, t: float) -> float:
-    """Worst gamma |dv/dt| / (4 Omega^3) of the summed coupling over each gaussian's window."""
-    gamma = params.gamma
-    if gamma == 0.0:
-        return 0.0  # H = v(t) sigma_x commutes with itself at all times
-    if any(p.shape is PulseShape.RECTANGULAR and p.alpha != 0.0 for p in pulses):
-        return math.inf  # discontinuous edges: infinitely fast variation
-    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
-    worst = 0.0
-    for p in smooth:
-        lo, hi = max(p.window()[0], 0.0), min(p.window()[1], t)
-        if hi <= lo:
-            continue
-        x = np.linspace(lo, hi, 401)
-        vx = envelope_array(smooth, x)
-        vdot = np.abs(sum(q.value(x) * 2.0 * (x - q.center) / (q.tau * q.tau) for q in smooth))
-        omega_sq = gamma * gamma + vx * vx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = gamma * vdot / (4.0 * omega_sq**1.5)
-        ratio = np.nan_to_num(ratio, nan=math.inf, posinf=math.inf)
-        worst = max(worst, float(np.max(ratio)) if ratio.size else 0.0)
-    return worst
+    return su2(ct * math.cos(fm) + 1j * st * math.cos(fp), -ct * math.sin(fm) - 1j * st * math.sin(fp))
 
 
 @dataclass(frozen=True)

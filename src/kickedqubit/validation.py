@@ -21,7 +21,6 @@ import numpy as np
 from . import propagators as prop
 from .analysis import (
     ScalingFit,
-    SweepSeries,
     error_scaling_fit,
     p2_closed_forms_double,
     p2_closed_forms_single,
@@ -129,9 +128,10 @@ def check_propagator_unitarity(rng: np.random.Generator, samples: int) -> CheckR
     return _result("propagator-unitarity", worst <= 1e-10, f"worst defect {worst:.1e}")
 
 
-def check_limit_web(offset: float = 1e-6, tol: float = 1e-5) -> CheckResult:
+def check_limit_web() -> CheckResult:
     """Six limit reductions between propagators at a small parameter offset."""
     alpha, gamma, t = 1.1, 0.8, 3.0
+    offset, tol = 1e-6, 1e-5  # the small parameter, and the tolerance on every reduction
     diffs = {}
     diffs["bare-average -> degenerate"] = max_abs_diff(
         prop.no_ordering(alpha, 0.0, offset, 1.0), prop.degenerate_propagator(alpha)
@@ -149,18 +149,14 @@ def check_limit_web(offset: float = 1e-6, tol: float = 1e-5) -> CheckResult:
         prop.kick_sequence_propagator(((alpha, 1.0),), gamma, t),
     )
     # adiabatic, degenerate side: gamma -> 0 at constant coupling
-    adia = prop.adiabatic_propagator(
-        [rectangular(0.3, 4.0, 2.0)], SystemParams(offset), 4.0
-    )
     diffs["adiabatic -> degenerate"] = max_abs_diff(
-        adia.matrix, prop.degenerate_propagator(0.3)
+        prop.adiabatic_propagator([rectangular(0.3, 4.0, 2.0)], SystemParams(offset), 4.0),
+        prop.degenerate_propagator(0.3),
     )
     # adiabatic, free side: vanishing coupling at fixed splitting
-    adia2 = prop.adiabatic_propagator(
-        [gaussian(offset, 0.5, 4.0)], SystemParams(gamma), 8.0
-    )
     diffs["adiabatic -> free"] = max_abs_diff(
-        adia2.matrix, prop.free_propagator(gamma, 8.0)
+        prop.adiabatic_propagator([gaussian(offset, 0.5, 4.0)], SystemParams(gamma), 8.0),
+        prop.free_propagator(gamma, 8.0),
     )
     worst_name, worst = max(diffs.items(), key=lambda kv: kv[1])
     return _result(
@@ -326,12 +322,8 @@ def check_perturbative_onset() -> CheckResult:
         diff = u_i - _rotating(pair, gamma, t)
         full.append(float(np.max(np.abs(diff))))
         offdiag.append(float(max(abs(diff[0, 1]), abs(diff[1, 0]))))
-    fit_full = error_scaling_fit(
-        SweepSeries("alpha", alphas, {"diff": np.array(full)})
-    )
-    fit_off = error_scaling_fit(
-        SweepSeries("alpha", alphas, {"diff": np.array(offdiag)})
-    )
+    fit_full = error_scaling_fit(alphas, full)
+    fit_off = error_scaling_fit(alphas, offdiag)
     ok = fit_full.slope >= 2.0 - 0.05 and fit_off.slope >= 3.0 - 0.05
     return _result(
         "perturbative-onset",
@@ -350,7 +342,7 @@ def check_rect_correction_residual() -> CheckResult:
             prop.kick_sequence_propagator(((alpha, tk),), gamma, t)
         delta -= prop.kick_correction_leading(alpha, float(beta), gamma, t, PulseShape.RECTANGULAR)
         resid.append(float(np.max(np.abs(delta))))
-    fit = error_scaling_fit(SweepSeries("beta", betas, {"resid": np.array(resid)}))
+    fit = error_scaling_fit(betas, resid)
     return _result(
         "rect-correction-residual",
         abs(fit.slope - 2.0) <= 0.2,
@@ -360,14 +352,14 @@ def check_rect_correction_residual() -> CheckResult:
 
 def check_kicked_error_scaling() -> CheckResult:
     """RK4 transfer error of the kicked approximation grows as (tau/T)^2."""
-    fit, _ = kicked_error_scaling_fit()
+    fit, _, _ = kicked_error_scaling_fit()
     return _result(
         "kicked-error-scaling", abs(fit.slope - 2.0) <= 0.1, f"slope {fit.slope:.3f} (want 2.0 +- 0.1)"
     )
 
 
-def kicked_error_scaling_fit(n_points: int = 8) -> tuple[ScalingFit, SweepSeries]:
-    """Kicked-limit P2 error against tau / T on n_points widths; the fit and its points."""
+def kicked_error_scaling_fit(n_points: int = 8) -> tuple[ScalingFit, np.ndarray, np.ndarray]:
+    """Kicked-limit P2 error against tau / T on n_points widths: the fit, the ratios and the errors."""
     params = hydrogen_2s2p()
     alpha, tk, tf = math.pi / 2, 150.0, 300.0
     ratios = np.geomspace(1e-3, 3e-2, n_points)
@@ -377,8 +369,7 @@ def kicked_error_scaling_fit(n_points: int = 8) -> tuple[ScalingFit, SweepSeries
         u = rk4_propagator([gaussian(alpha, tau, tk)], params, 0.0, tf)
         _, p2 = probabilities(u, (1.0, 0.0))
         errs[i] = abs(p2 - math.sin(alpha) ** 2)
-    series = SweepSeries("tau_over_T", ratios, {"p2_error": errs})
-    return error_scaling_fit(series), series
+    return error_scaling_fit(ratios, errs), ratios, errs
 
 
 def check_rk4_order() -> CheckResult:
@@ -392,28 +383,23 @@ def check_rk4_order() -> CheckResult:
     )
 
 
-def rk4_order_fit(dts=(1.6, 0.8, 0.4, 0.2)) -> tuple[ScalingFit, SweepSeries, float]:
+def rk4_order_fit(dts=(1.6, 0.8, 0.4, 0.2)) -> tuple[ScalingFit, np.ndarray, float]:
     """dt ladder on the single-pulse transfer scenario, against a fine reference.
 
-    Returns the fit, its points, and the unitarity defect at the default step.
+    Returns the fit, the error at each dt, and the unitarity defect at the
+    default step.
     """
     params = hydrogen_2s2p()
     pulses = [gaussian(math.pi / 2, 10.0, 150.0)]
     ref = rk4_propagator(pulses, params, 0.0, 300.0, IntegratorConfig(dt=0.0125))
     dts = np.array(dts, dtype=float)
-    errs = np.array(
-        [
-            max_abs_diff(
-                rk4_propagator(pulses, params, 0.0, 300.0,
-                               IntegratorConfig(dt=float(dt), unitarity_tolerance=1e-4)),
-                ref,
-            )
-            for dt in dts
-        ]
-    )
-    series = SweepSeries("dt", dts, {"err": errs})
+    errs = np.array([
+        max_abs_diff(rk4_propagator(pulses, params, 0.0, 300.0,
+                                    IntegratorConfig(dt=float(dt), unitarity_tolerance=1e-4)), ref)
+        for dt in dts
+    ])
     u_default = rk4_propagator(pulses, params, 0.0, 300.0)
-    return error_scaling_fit(series), series, unitarity_defect(u_default)
+    return error_scaling_fit(dts, errs), errs, unitarity_defect(u_default)
 
 
 def check_rectangular_vs_rk4(rng: np.random.Generator, samples: int) -> CheckResult:

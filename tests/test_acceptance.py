@@ -60,7 +60,7 @@ def test_03_kick_antikick_transfer():
 
 
 def test_04_kicked_error_scaling():
-    fit, _ = validation.kicked_error_scaling_fit()
+    fit, _, _ = validation.kicked_error_scaling_fit()
     ok = abs(fit.slope - 2.0) <= 0.1
     assert verdict(4, ok, f"log-log slope {fit.slope:.3f} (want 2.0 +- 0.1)")
 
@@ -74,7 +74,7 @@ def test_05_closed_form_consistency():
 
 
 def test_06_limit_web():
-    res = validation.check_limit_web(offset=1e-6, tol=1e-5)
+    res = validation.check_limit_web()
     assert verdict(6, res.passed, res.detail)
 
 

@@ -10,7 +10,6 @@ from kickedqubit import __version__, analysis, cli, evolve
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import (
     SCENARIO_NAMES,
-    SweepSeries,
     error_scaling_fit,
     p2_closed_forms_double,
     p2_closed_forms_single,
@@ -92,28 +91,17 @@ class TestTimeOrderingReport:
 class TestScalingFit:
     def test_exact_quadratic(self):
         x = np.geomspace(0.1, 10.0, 9)
-        fit = error_scaling_fit(SweepSeries("x", x, {"y": x**2}))
+        fit = error_scaling_fit(x, x**2)
         assert fit.slope == pytest.approx(2.0, abs=1e-12)
         assert fit.residual < 1e-12
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            error_scaling_fit(SweepSeries("x", np.array([1.0, 2.0]), {"y": np.array([1.0, 2.0])}))
+            error_scaling_fit([1.0, 2.0], [1.0, 2.0])
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
-            error_scaling_fit(
-                SweepSeries("x", np.array([1.0, 2.0, 3.0]), {"y": np.array([1.0, 0.0, 2.0])})
-            )
-
-    def test_fits_exactly_one_column(self):
-        x = np.array([1.0, 2.0, 4.0])
-        two = SweepSeries("x", x, {"a": x, "b": x**2})
-        with pytest.raises(ValueError, match="one column"):
-            error_scaling_fit(two)
-        with pytest.raises(ValueError, match="one column"):
-            error_scaling_fit(SweepSeries("x", x, {}))
-        assert error_scaling_fit(SweepSeries("x", x, {"b": x**2})).slope == pytest.approx(2.0)
+            error_scaling_fit([1.0, 2.0, 3.0], [1.0, 0.0, 2.0])
 
 
 QUICK = IntegratorConfig()

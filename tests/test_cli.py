@@ -627,3 +627,23 @@ class TestValidate:
         assert code == 2
         verdicts = dict(line.split()[:2] for line in out.splitlines()[:-1])
         assert verdicts["numeric-no-ordering"] == "FAIL"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("figure", "fig1", "--set", "n_points=2", "--out", "{missing}"), "No such file or directory"),
+    (("figure", "fig1", "--set", "n_points=2", "--outdir", "{file}"), "File exists"),
+    (("propagate", "--pulse", "kick:alpha=1,center=1", "--t1", "2", "--samples", "2", "--out", "{missing}"),
+     "No such file or directory"),
+    (("floquet", "--alpha", "1", "--gamma", "1", "--period", "1", "--out", "{missing}"),
+     "No such file or directory"),
+    (("validate", "--seed", "-1"), "argument --seed: seed must be a whole number >= 0, got '-1'"),
+    (("validate", "--seed", "1.5"), "argument --seed: seed must be a whole number >= 0, got '1.5'"),
+], ids=["figure-out", "figure-outdir-is-a-file", "propagate-out", "floquet-out", "negative-seed",
+        "fractional-seed"])
+def test_bad_output_path_or_seed_is_clean_exit_1(tmp_path, capsys, argv, message):
+    (tmp_path / "file").write_text("")
+    paths = {"missing": str(tmp_path / "missing" / "x.csv"), "file": str(tmp_path / "file")}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: ") and message in err
+    assert (tmp_path / "file").read_text() == ""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kickedqubit import evolve
 from kickedqubit import propagators as prop
-from kickedqubit.analysis import SweepSeries, error_scaling_fit, no_ordering_p2_columns
+from kickedqubit.analysis import error_scaling_fit, no_ordering_p2_columns
 from kickedqubit.evolve import (
     IntegratorConfig,
     interaction_integral,
@@ -453,7 +453,7 @@ class TestRk4Propagator:
         for tau in taus:
             u = rk4_propagator([gaussian(math.pi / 2, tau, 150.0)], params, 0.0, 300.0)
             errs.append(max_abs_diff(u, target))
-        fit = error_scaling_fit(SweepSeries("tau", np.array(taus), {"err": np.array(errs)}))
+        fit = error_scaling_fit(taus, errs)
         assert fit.slope == pytest.approx(1.0, abs=0.1)
 
     def test_unitary_to_tolerance(self):
@@ -560,7 +560,7 @@ class TestConvergence:
             )
             for dt in dts
         ])
-        fit = error_scaling_fit(SweepSeries("dt", dts, {"err": errs}))
+        fit = error_scaling_fit(dts, errs)
         assert fit.slope == pytest.approx(4.0, abs=0.2)
 
 

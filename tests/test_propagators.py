@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kickedqubit import propagators as prop
-from kickedqubit.analysis import SweepSeries, error_scaling_fit
+from kickedqubit.analysis import error_scaling_fit
 from kickedqubit.evolve import IntegratorConfig, no_ordering_numeric, rk4_propagator
 from kickedqubit.pulses import (
     PulseShape,
@@ -352,7 +352,7 @@ class TestKickCorrections:
                 - prop.kick_correction_leading(alpha, float(beta), gamma, t, PulseShape.RECTANGULAR)
             )
             resid.append(float(np.max(np.abs(delta))))
-        fit = error_scaling_fit(SweepSeries("beta", betas, {"resid": np.array(resid)}))
+        fit = error_scaling_fit(betas, resid)
         assert fit.slope == pytest.approx(2.0, abs=0.2)
 
     def test_gaussian_leading_correction_vs_rk4(self):
@@ -403,15 +403,14 @@ class TestCommutatorCorrection:
 
 class TestAdiabatic:
     def test_no_coupling_gives_free(self):
-        res = prop.adiabatic_propagator([], unit_system(), 4.0)
-        assert max_abs_diff(res.matrix, prop.free_propagator(1.0, 4.0)) < 1e-12
-        assert res.validity_ratio == 0.0
+        u = prop.adiabatic_propagator([], unit_system(), 4.0)
+        assert max_abs_diff(u, prop.free_propagator(1.0, 4.0)) < 1e-12
 
     def test_degenerate_constant_coupling(self):
         # splitting zero: reduces to a pure strength rotation
         pulse = [gaussian(0.4, 1.0, 10.0)]
-        res = prop.adiabatic_propagator(pulse, SystemParams(0.0), 20.0)
-        assert max_abs_diff(res.matrix, prop.degenerate_propagator(0.4)) < 1e-9
+        u = prop.adiabatic_propagator(pulse, SystemParams(0.0), 20.0)
+        assert max_abs_diff(u, prop.degenerate_propagator(0.4)) < 1e-9
 
     @pytest.mark.parametrize(
         "pulses, t, alpha",
@@ -427,9 +426,8 @@ class TestAdiabatic:
         ],
     )
     def test_degenerate_is_the_signed_strength_rotation(self, pulses, t, alpha):
-        res = prop.adiabatic_propagator(pulses, SystemParams(0.0), t)
-        assert max_abs_diff(res.matrix, prop.degenerate_propagator(alpha)) < 1e-12
-        assert res.validity_ratio == 0.0
+        u = prop.adiabatic_propagator(pulses, SystemParams(0.0), t)
+        assert max_abs_diff(u, prop.degenerate_propagator(alpha)) < 1e-12
 
     def test_degenerate_theta_is_not_monotone(self):
         pair = [gaussian(1.0, 5.0, 50.0), gaussian(-1.0, 5.0, 60.0)]
@@ -441,21 +439,10 @@ class TestAdiabatic:
     def test_deep_adiabatic_matches_rk4(self):
         params = unit_system()
         pulse = [gaussian(0.05, 5.0, 40.0)]  # alpha = 0.05, beta = 5
-        res = prop.adiabatic_propagator(pulse, params, 80.0)
+        u = prop.adiabatic_propagator(pulse, params, 80.0)
         u_num = rk4_propagator(pulse, params, 0.0, 80.0, IntegratorConfig(dt=0.02))
-        assert max_abs_diff(res.matrix, u_num) < 1e-2
-        assert res.validity_ratio < 1e-3
-        assert unitarity_defect(res.matrix) < 1e-12
-
-    def test_validity_ratio_judges_the_summed_coupling(self):
-        # equal and opposite pulses cancel: v(t) is zero everywhere
-        pair = [gaussian(1.0, 5.0, 50.0), gaussian(-1.0, 5.0, 50.0)]
-        for params in (unit_system(), SystemParams(0.0)):
-            assert prop.adiabatic_propagator(pair, params, 100.0).validity_ratio == 0.0
-
-    def test_validity_ratio_flags_fast_pulses(self):
-        fast = prop.adiabatic_propagator([gaussian(1.0, 0.05, 1.0)], unit_system(), 2.0)
-        assert fast.validity_ratio > 1.0
+        assert max_abs_diff(u, u_num) < 1e-2
+        assert unitarity_defect(u) < 1e-12
 
     def test_theta_monotone(self):
         params = unit_system()
@@ -469,8 +456,6 @@ class TestAdiabatic:
         expected = math.atan2(0.15, 1.0)
         assert phase.phi_0 == pytest.approx(expected, rel=1e-12)
         assert phase.phi_t == pytest.approx(expected, rel=1e-12)
-        assert phase.phi_minus == 0.0
-        assert phase.phi_plus == pytest.approx(expected, rel=1e-12)
 
 
 class TestFloquet:
@@ -540,14 +525,12 @@ class TestLimitWeb:
 
     def test_adiabatic_to_degenerate(self):
         # constant coupling over the whole window, splitting offset from zero
-        res = prop.adiabatic_propagator(
-            [rectangular(0.3, 4.0, 2.0)], SystemParams(self.OFFSET), 4.0
-        )
-        assert max_abs_diff(res.matrix, prop.degenerate_propagator(0.3)) < self.TOL
+        u = prop.adiabatic_propagator([rectangular(0.3, 4.0, 2.0)], SystemParams(self.OFFSET), 4.0)
+        assert max_abs_diff(u, prop.degenerate_propagator(0.3)) < self.TOL
 
     def test_adiabatic_to_free(self):
-        res = prop.adiabatic_propagator([gaussian(self.OFFSET, 0.5, 4.0)], SystemParams(0.8), 8.0)
-        assert max_abs_diff(res.matrix, prop.free_propagator(0.8, 8.0)) < self.TOL
+        u = prop.adiabatic_propagator([gaussian(self.OFFSET, 0.5, 4.0)], SystemParams(0.8), 8.0)
+        assert max_abs_diff(u, prop.free_propagator(0.8, 8.0)) < self.TOL
 
 
 def test_unitarity_random_sweep():
@@ -583,8 +566,8 @@ def test_perturbative_ordering_onset_in_rotating_frame():
         diff = u_i - _rotating(pair, gamma)
         full.append(float(np.max(np.abs(diff))))
         offdiag.append(float(max(abs(diff[0, 1]), abs(diff[1, 0]))))
-    assert error_scaling_fit(SweepSeries("a", alphas, {"d": np.array(full)})).slope >= 1.95
-    assert error_scaling_fit(SweepSeries("a", alphas, {"d": np.array(offdiag)})).slope >= 2.95
+    assert error_scaling_fit(alphas, full).slope >= 1.95
+    assert error_scaling_fit(alphas, offdiag).slope >= 2.95
 
 
 def test_time_reversal_composition():
