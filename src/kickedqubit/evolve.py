@@ -20,7 +20,8 @@ exp(-i alpha sigma_x) of a kick at its end.  `_block_map`, the one
 composer, writes each RK4 step as such a map and multiplies a row's maps
 pairwise.  Only a sequence with a gaussian has an envelope closure, called
 at each step's start, midpoint and end; rectangles and kicks alone enter
-through the rectangular coupling and the kick maps, with no closure.  A
+through the rectangular coupling and the kick maps, with no closure, and
+then a segment's steps are all one map, whose product takes log2 m passes.  A
 segment of SMALL or more steps runs through `_rk4_span` block by block,
 shorter ones grouped by step count as the rows of one call.  Prefix
 products: a Hillis-Steele scan over a chunk's maps (`_prefix_maps`) gives
@@ -32,9 +33,9 @@ This module also provides the numeric "no time ordering" evolution,
 It exponentiates the Hermitian exponent through its spectral
 decomposition (numpy's `eigh`), not through the closed rotation; the
 exponent comes from `interaction_integral`, which integrates each pulse
-window by QUADPACK's Fourier-weighted QAWO rule at frequency 2 lam gamma.
-scipy is imported inside that quadrature, so the integrator's import
-stays numpy-only.
+window by `pulses.gauss_legendre`, a composite Gauss-Legendre rule with
+panels enough for the phase at frequency 2 lam gamma.  The module needs
+numpy only.
 `interaction_integral_series` is the cheap cumulative trapezoid behind the
 rotating-frame no-ordering CSV column.
 """
@@ -51,6 +52,7 @@ from .pulses import (
     SystemParams,
     envelope,
     envelope_array,
+    gauss_legendre,
 )
 from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, su2, unitarity_defect
 
@@ -169,7 +171,10 @@ def _block_map(v, v_const, ig: complex, t, h, m: int):
     """m RK4 steps of h[r] from t[r] as one map per row r, multiplied pairwise.
 
     Every row is composed as it would be alone, and v is called three times
-    per step, row by row; with v None the coupling is v_const alone.  The
+    per step, row by row.  With v None the coupling is v_const alone, so a
+    row's steps are one map a: each level of the pairwise product holds
+    copies of a and one last entry b, and log2 m passes over (rows,) arrays
+    give the bits of the general product, with no m-long array of maps.  The
     identity is kept apart: rounding 1 + d at every step would repeat the
     same error over a stretch of equal steps.
     Returns the arrays (d, q, the time after each row's last step).
@@ -177,12 +182,18 @@ def _block_map(v, v_const, ig: complex, t, h, m: int):
     rows, h = t.size, h[:, None]
     times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
     if v is None:  # a zero closure's bits: 0.0 + c == c, and v_const holds no -0.0
-        iv = np.broadcast_to(1j * v_const[:, None, None], (rows, m, 3))
-    else:
-        tk = times[:, :m]
-        grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=2)
-        iv = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size)
-        iv = 1j * (iv.reshape(grid.shape) + v_const[:, None, None])
+        # width w: an odd one pads b with the identity, an even one pairs b with a
+        iv, one, w = 1j * v_const, np.zeros(rows, dtype=complex), m
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = b = _step_map(ig, h[:, 0], iv, iv, iv)
+            while w > 1:
+                b = _compose(one, one, *b) if w % 2 else _compose(*b, *a)
+                a, w = _compose(*a, *a), (w + 1) // 2
+        return (*b, times[:, m])
+    tk = times[:, :m]
+    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=2)
+    iv = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size)
+    iv = 1j * (iv.reshape(grid.shape) + v_const[:, None, None])
     with np.errstate(over="ignore", invalid="ignore"):  # the norm guard rejects a NaN
         d, q = _step_map(ig, h, iv[..., 0], iv[..., 1], iv[..., 2])
         # pairwise product, later steps on the left, over the flat rows; an odd
@@ -344,13 +355,11 @@ def interaction_integral(
     """z_lam = int_0^t v(t') e^{2 i lam gamma t'} dt', the no-ordering exponent of frame lam.
 
     Kicks contribute exact jumps alpha e^{2 i lam gamma t_kick}.  Each
-    finite pulse's window, clipped to [0, t], is integrated by QUADPACK's
-    QAWO routine (scipy's quad with weight 'cos' and 'sin' at frequency
-    2 lam gamma), which builds the oscillating factor into its rule.  At
-    frequency 0, the bare frame, only the cosine half is integrated.
+    finite pulse's window, clipped to [0, t] and split at the pulse center,
+    is integrated by `pulses.gauss_legendre` at frequency 2 lam gamma, with
+    panels enough for the phase over the window.  At frequency 0, the bare
+    frame, the imaginary part is exactly 0.
     """
-    from scipy.integrate import quad
-
     w = 2.0 * lam * params.gamma
     z = 0.0 + 0.0j
     for p in pulses:
@@ -362,10 +371,8 @@ def interaction_integral(
         lo, hi = max(lo, 0.0), min(hi, t)
         if hi <= lo:
             continue
-        v = envelope([p])
-        re = quad(v, lo, hi, weight="cos", wvar=w)[0]
-        im = quad(v, lo, hi, weight="sin", wvar=w)[0] if w else 0.0  # quad gives 0.0 at w = 0
-        z += complex(re, im)
+        points = [lo, p.center, hi] if lo < p.center < hi else [lo, hi]
+        z += gauss_legendre(lambda x: p.value(x) * np.exp(1j * w * x), points, w)[0]
     return z
 
 

@@ -30,9 +30,9 @@ gives one (2, 2) matrix and array input a (..., 2, 2) stack, built by
 degenerate forms by `su2.pauli_exponential`).  So `validate`, the scans
 and `floquet` make one call per array pass, not one per sample.
 
-The closed forms need numpy only.  scipy's `quad` is imported inside the
-two quadrature routes (`kick_correction_shape_factor` for a gaussian, and
-`adiabatic_phase`), so importing this module does not load scipy.
+The module needs numpy only.  Its two quadrature routes, the gaussian
+`kick_correction_shape_factor` and `adiabatic_phase`, use the composite
+Gauss-Legendre rule `pulses.gauss_legendre`.
 """
 from __future__ import annotations
 
@@ -47,6 +47,8 @@ from .pulses import (
     PulseShape,
     SystemParams,
     envelope,
+    envelope_array,
+    gauss_legendre,
     integrated_strength,
 )
 from .su2 import X_AXIS, Z_AXIS, _require_finite, pauli_exponential, su2
@@ -173,23 +175,17 @@ def kick_correction_shape_factor(alpha: float, shape: PulseShape) -> float:
     g(alpha) = (2/tau) int dt [cos^2(A(t)) - cos^2(alpha/2)] where A(t) is
     the coupling integrated from the pulse center.  Rectangular pulses give
     sin(alpha)/alpha - cos(alpha) in closed form; the gaussian factor is
-    computed by adaptive quadrature of cos(alpha erf s) - cos(alpha).
+    the integral of cos(alpha erf s) - cos(alpha) over [-9, 9] (erf(9) is
+    1.0), by `pulses.gauss_legendre` with math.erf at its nodes.
     """
     if shape is PulseShape.RECTANGULAR:
         return float(_sinc(alpha)) - math.cos(alpha)
     if shape is PulseShape.GAUSSIAN:
-        from scipy.integrate import quad
-
         # 2 [cos^2((alpha/2) erf s) - cos^2(alpha/2)] = cos(alpha erf s) - cos(alpha)
-        val, _ = quad(
-            lambda s: math.cos(alpha * math.erf(s)) - math.cos(alpha),
-            -9.0,
-            9.0,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return val
+        def integrand(s):
+            return np.cos(alpha * np.fromiter(map(math.erf, s.tolist()), float, s.size)) - math.cos(alpha)
+
+        return gauss_legendre(integrand, [-9.0, 0.0, 9.0])[0]
     raise ValueError("shape factor defined for rectangular and gaussian pulses")
 
 
@@ -221,7 +217,11 @@ class AdiabaticPhase:
 
 
 def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> AdiabaticPhase:
-    """Accumulated dressed phase and endpoint mixing angles (adaptive quadrature)."""
+    """Accumulated dressed phase and endpoint mixing angles.
+
+    theta is `pulses.gauss_legendre` over sqrt(gamma^2 + v^2), split at every
+    pulse window edge and center inside (0, t).
+    """
     gamma = params.gamma
     v = envelope(pulses)
     if gamma == 0.0:
@@ -229,20 +229,12 @@ def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> Ad
         # whether or not v underflows to 0 at the endpoints
         theta = integrated_strength(pulses, 0.0, t) if t >= 0.0 else -integrated_strength(pulses, t, 0.0)
         return AdiabaticPhase(theta=theta, phi_0=0.5 * math.pi, phi_t=0.5 * math.pi)
-    from scipy.integrate import quad
-
     breakpoints = sorted(
         {x for p in pulses for x in p.window() if 0.0 < x < t}
         | {p.center for p in pulses if 0.0 < p.center < t}
     )
-    theta, _ = quad(
-        lambda x: math.sqrt(gamma * gamma + v(x) ** 2),
-        0.0,
-        t,
-        points=breakpoints or None,
-        epsrel=1e-10,
-        epsabs=1e-13,
-        limit=400,
+    theta, _ = gauss_legendre(
+        lambda x: np.sqrt(gamma * gamma + envelope_array(pulses, x) ** 2), [0.0, *breakpoints, t]
     )
     return AdiabaticPhase(theta=theta, phi_0=math.atan2(v(0.0), gamma), phi_t=math.atan2(v(t), gamma))
 

@@ -1,11 +1,10 @@
-"""scipy stays off the cold path.
+"""scipy stays out of the package.
 
-The CLI's propagate, figure and floquet commands need numpy only; scipy is
-imported inside the routes that use it (the quadrature closed forms in
-`propagators`, and the QAWO quadrature in `evolve`, which
-`no_ordering_numeric` exponentiates with numpy's `eigh`).  Each
-check runs in a fresh interpreter, because the test modules import scipy
-themselves.
+Every CLI command needs numpy only: the quadratures behind `validate` (the
+independent z_lam of `evolve.interaction_integral`, `propagators.adiabatic_phase`
+and the gaussian `kick_correction_shape_factor`) use `pulses.gauss_legendre`,
+whose nodes come from `numpy.polynomial` on first use.  Each check runs in a
+fresh interpreter, because the test modules import scipy themselves.
 """
 import cmath
 import json
@@ -50,15 +49,33 @@ def test_cli_commands_load_no_scipy():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [cli.main(argv) for argv in calls]
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        print(json.dumps({"codes": codes, "scipy": loaded}))
+        print(json.dumps({"codes": codes, "scipy": loaded, "legendre": "numpy.polynomial" in sys.modules}))
         """
     )
     assert result["codes"] == [0, 0, 0]
     # in particular no scipy.integrate, scipy.linalg or scipy.special
     assert result["scipy"] == []
+    # the quadrature nodes are built on first use, and these commands never integrate
+    assert result["legendre"] is False
 
 
-# values of the lazily importing routes, as they were with scipy imported at module level
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_validate_loads_no_scipy(quick):
+    result = run_fresh(
+        f"""
+        import contextlib, io, json, sys
+        from kickedqubit import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["validate", *{["--quick"] if quick else []!r}])
+        print(json.dumps({{"code": code, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}}))
+        """
+    )
+    assert result == {"code": 0, "scipy": []}
+
+
+# the quadrature routes' values, frozen from scipy's adaptive quad (QUADPACK) before
+# the composite Gauss-Legendre rule replaced it
 SHAPE_FACTORS = {
     0.3: 0.0711128643308277,
     math.pi / 4: 0.46008755457441813,
@@ -75,8 +92,8 @@ NO_ORDERING_EXPM = [
 
 
 @pytest.fixture(scope="module")
-def lazy_routes() -> dict:
-    """Each scipy route called first in a fresh interpreter."""
+def first_calls() -> dict:
+    """Each quadrature route, and the eigh exponential, called first in a fresh interpreter."""
     return run_fresh(
         f"""
         import json, math
@@ -100,20 +117,20 @@ def lazy_routes() -> dict:
     )
 
 
-def test_interaction_integral(lazy_routes):
+def test_interaction_integral(first_calls):
     # a completed gaussian: a e^{-beta^2} e^{2 i gamma T}, with beta = gamma tau = 0.1
-    z = complex(*lazy_routes["interaction"])
+    z = complex(*first_calls["interaction"])
     assert abs(z - 0.7 * math.exp(-0.01) * cmath.exp(2j * 1.0)) < 1e-13
 
 
-def test_adiabatic_phase(lazy_routes):
-    assert lazy_routes["adiabatic"] == pytest.approx(ADIABATIC_PHASE, rel=1e-15)
+def test_adiabatic_phase(first_calls):
+    assert first_calls["adiabatic"] == pytest.approx(ADIABATIC_PHASE, rel=1e-15)
 
 
-def test_gaussian_shape_factor(lazy_routes):
-    # math.erf in the integrand: within a few 1e-16 relative of scipy.special.erf's result
-    assert lazy_routes["shape"] == pytest.approx(list(SHAPE_FACTORS.values()), rel=4e-16)
+def test_gaussian_shape_factor(first_calls):
+    # math.erf and math.cos(alpha) round alike at every node of either rule: a few 1e-16 relative
+    assert first_calls["shape"] == pytest.approx(list(SHAPE_FACTORS.values()), rel=4e-16)
 
 
-def test_no_ordering_numeric_bare_frame(lazy_routes):
-    assert lazy_routes["expm"] == [pytest.approx(e, rel=1e-15, abs=1e-15) for e in NO_ORDERING_EXPM]
+def test_no_ordering_numeric_bare_frame(first_calls):
+    assert first_calls["expm"] == [pytest.approx(e, rel=1e-15, abs=1e-15) for e in NO_ORDERING_EXPM]

@@ -208,6 +208,30 @@ def test_rows_compose_as_each_row_alone(pulses, k, rows, gamma):
     assert together == alone
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, evolve.BLOCK),
+        st.integers(0, evolve.BLOCK // 2 - 1).map(lambda k: 2 * k + 1),
+        st.sampled_from([2**k for k in range(13)]),
+    ),
+    st.lists(
+        # v_const is a sum started at +0.0, so it never holds -0.0: x + 0.0 maps -0.0 to 0.0
+        st.tuples(st.floats(-100.0, 100.0), st.floats(1e-6, 1.0), st.floats(-3.0, 3.0).map(lambda x: x + 0.0)),
+        min_size=1, max_size=4,
+    ),
+    st.floats(-2.0, 2.0),
+)
+def test_constant_coupling_block_is_the_pairwise_tree(m, rows, gamma):
+    # with no closure a row's m steps are one repeated map, composed in log2 m
+    # passes; the zero closure runs the general pairwise product on the same
+    # couplings (0.0 + c == c), so the two give the same bits
+    t, h, c = (np.array(x) for x in zip(*rows))
+    fast = evolve._block_map(None, c, 1j * gamma, t, h, m)
+    tree = evolve._block_map(lambda _t: 0.0, c, 1j * gamma, t, h, m)
+    assert [x.tobytes() for x in fast] == [x.tobytes() for x in tree]
+
+
 def _applied(d, q, a1, a2):
     """The state (a1, a2) after the map (d, q), as rk4_evolve applies it."""
     d, q = evolve._compose(d, q, a1 - 1.0, a2)

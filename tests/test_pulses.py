@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from kickedqubit import propagators as prop
@@ -15,6 +16,7 @@ from kickedqubit.pulses import (
     SystemParams,
     envelope,
     envelope_array,
+    gauss_legendre,
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
@@ -400,3 +402,57 @@ class TestAveragedSchrodinger:
         u0 = no_ordering_numeric([gaussian(1.0, 1.0, 50.0)], unit_system(), 10.0, 0.0)
         assert max_abs_diff(u0, prop.free_propagator(1.0, 10.0)) < 1e-12
 
+
+
+class TestGaussLegendre:
+    """The composite rule, and its three routes against scipy's adaptive quad."""
+
+    def test_polynomials_are_exact(self):
+        # 24 nodes a panel integrate degree 47 exactly, on any break points
+        value, error = gauss_legendre(lambda x: 7.0 * x**6 - 2.0 * x, [-1.0, 0.5, 2.0])
+        assert value == pytest.approx(2.0**7 + 1.0 - (4.0 - 1.0), rel=1e-15)
+        assert error <= 1e-13
+
+    def test_reversed_span_changes_sign(self):
+        forward = gauss_legendre(np.cos, [0.0, 1.0, 3.0])[0]
+        assert gauss_legendre(np.cos, [3.0, 1.0, 0.0])[0] == pytest.approx(-forward, rel=1e-15)
+        assert gauss_legendre(np.cos, [2.0, 2.0]) == (0.0, 0.0)
+
+    def test_panels_grow_with_the_phase(self):
+        # 500 periods of e^{i omega x} over one interval
+        omega, span = 1000.0 * math.pi, 1.0
+        value, error = gauss_legendre(lambda x: np.exp(1j * omega * x + 0.5j), [0.0, span], omega)
+        exact = (np.exp(1j * omega * span) - 1.0) * np.exp(0.5j) / (1j * omega)
+        assert abs(value - exact) <= 1e-15 and error <= 1e-14
+
+    def test_gaussian_shape_factor_matches_quad(self):
+        for alpha in np.linspace(0.05, 3.0, 40).tolist():
+            ref, _ = quad(lambda s: math.cos(alpha * math.erf(s)) - math.cos(alpha), -9.0, 9.0,
+                          epsabs=1e-13, epsrel=1e-12, limit=200)
+            g = prop.kick_correction_shape_factor(alpha, PulseShape.GAUSSIAN)
+            assert abs(g - ref) <= 1e-14
+
+    def test_adiabatic_theta_matches_quad(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            gamma, tau, t = rng.uniform(0.05, 2.0), rng.uniform(0.5, 20.0), rng.uniform(1.0, 100.0)
+            pulses = [gaussian(rng.uniform(-3.0, 3.0), tau, rng.uniform(0.0, 50.0))]
+            v = envelope(pulses)
+            points = sorted({x for p in pulses for x in (*p.window(), p.center) if 0.0 < x < t})
+            ref, _ = quad(lambda x: math.sqrt(gamma * gamma + v(x) ** 2), 0.0, t,
+                          points=points or None, epsabs=0.0, epsrel=1e-13, limit=400)
+            theta = prop.adiabatic_phase(pulses, SystemParams(gamma), t).theta
+            assert abs(theta / ref - 1.0) <= 1e-12
+
+    def test_interaction_integral_matches_quad(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            params, lam, t = SystemParams(rng.uniform(0.0, 2.0)), rng.uniform(0.0, 1.0), rng.uniform(1.0, 60.0)
+            pulse = gaussian(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0), rng.uniform(-10.0, 60.0))
+            w, v = 2.0 * lam * params.gamma, envelope([pulse])
+            lo, hi = max(pulse.window()[0], 0.0), min(pulse.window()[1], t)  # clipped to [0, t]
+            ref = 0j
+            if hi > lo:
+                parts = (quad(v, lo, hi, weight=weight, wvar=w, epsabs=1e-15)[0] for weight in ("cos", "sin"))
+                ref = complex(*parts)
+            assert abs(interaction_integral([pulse], params, t, lam) - ref) <= 1e-12
