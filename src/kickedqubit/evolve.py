@@ -177,10 +177,10 @@ def _block_map(v, v_const, ig: complex, t, h, m: int):
     give the bits of the general product, with no m-long array of maps.  The
     identity is kept apart: rounding 1 + d at every step would repeat the
     same error over a stretch of equal steps.
-    Returns the arrays (d, q, the time after each row's last step).
+    Returns the arrays (d, q, the time after each row's last step); with v
+    None no time is read, so none is built and the third entry is None.
     """
-    rows, h = t.size, h[:, None]
-    times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
+    rows, h = h.size, h[:, None]
     if v is None:  # a zero closure's bits: 0.0 + c == c, and v_const holds no -0.0
         # width w: an odd one pads b with the identity, an even one pairs b with a
         iv, one, w = 1j * v_const, np.zeros(rows, dtype=complex), m
@@ -189,7 +189,8 @@ def _block_map(v, v_const, ig: complex, t, h, m: int):
             while w > 1:
                 b = _compose(one, one, *b) if w % 2 else _compose(*b, *a)
                 a, w = _compose(*a, *a), (w + 1) // 2
-        return (*b, times[:, m])
+        return (*b, None)
+    times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
     tk = times[:, :m]
     grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=2)
     iv = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size)

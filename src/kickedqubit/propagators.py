@@ -46,7 +46,6 @@ from .pulses import (
     PulseSequence,
     PulseShape,
     SystemParams,
-    envelope,
     envelope_array,
     gauss_legendre,
     integrated_strength,
@@ -223,7 +222,7 @@ def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> Ad
     pulse window edge and center inside (0, t).
     """
     gamma = params.gamma
-    v = envelope(pulses)
+    v0, vt = envelope_array(pulses, [0.0, t]).tolist()  # a kick raises here, on either branch
     if gamma == 0.0:
         # H = v sigma_x commutes with itself: exactly exp(-i theta sigma_x),
         # whether or not v underflows to 0 at the endpoints
@@ -236,7 +235,7 @@ def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> Ad
     theta, _ = gauss_legendre(
         lambda x: np.sqrt(gamma * gamma + envelope_array(pulses, x) ** 2), [0.0, *breakpoints, t]
     )
-    return AdiabaticPhase(theta=theta, phi_0=math.atan2(v(0.0), gamma), phi_t=math.atan2(v(t), gamma))
+    return AdiabaticPhase(theta=theta, phi_0=math.atan2(v0, gamma), phi_t=math.atan2(vt, gamma))
 
 
 def adiabatic_propagator(pulses: PulseSequence, params: SystemParams, t: float) -> np.ndarray:

@@ -16,8 +16,9 @@ Shapes, all with signed integrated strength alpha = int v dt:
 rate, its window, its value over an array of times, and its integral over
 any interval.  The sequence helpers below (`envelope`, `envelope_array`,
 `integrated_strength`) and the integrator and closed forms elsewhere read
-from it.  `envelope`'s scalar closure is the pulse loop written out once
-per shape signature and compiled once; a rectangle adds its amp directly.
+from it.  `envelope` is the RK4 kernel's scalar closure of a gaussian
+sequence, the pulse loop written out once per gaussian count and compiled
+once; every other pointwise value reads `Pulse.value`.
 `gauss_legendre` is the package's one quadrature, a composite rule whose
 nodes `numpy.polynomial` builds on first use, so importing stays numpy-only
 and light.
@@ -50,7 +51,7 @@ GAUSSIAN_WINDOW = 6.0
 
 
 class PulseEvaluationError(ValueError):
-    """Pointwise evaluation requested for a delta-function pulse."""
+    """A pulse evaluated pointwise where it cannot be: a kick, or a non-gaussian in `envelope`."""
 
 
 class PulseShape(Enum):
@@ -174,34 +175,31 @@ def unit_system() -> SystemParams:
 
 
 def envelope(pulses: PulseSequence) -> Callable[[float], float]:
-    """Fast scalar v(t) closure for the integrator (kicks rejected).
+    """Fast scalar v(t) closure of a gaussian sequence, for the RK4 kernel.
 
-    The closure is the pulse loop written out for this sequence's shape
-    signature: each term adds only inside its window, a gaussian as
-    amp * exp(-u * u) with u = (t - c) * inv_tau, a rectangle as amp.
-    Gaussians are summed first, in sequence order, then rectangles.
+    The closure is the pulse loop written out for this many gaussians: each
+    term adds amp * exp(-u * u), u = (t - c) * inv_tau, only inside its
+    window, in sequence order.  Any other shape raises PulseEvaluationError:
+    the kernel takes a rectangle as a constant coupling and a kick as a map.
     """
-    ordered = sorted(pulses, key=lambda p: p.shape is not PulseShape.GAUSSIAN)
-    smooth = tuple(p.shape is PulseShape.GAUSSIAN for p in ordered)
     values: list[float] = []
-    for p, gauss in zip(ordered, smooth):
-        values += (p.peak, *p.window())  # a kick raises in Pulse.peak
-        if gauss:
-            values += (p.center, 1.0 / p.tau)
-    return _envelope_factory(smooth)(math.exp, *values)
+    for p in pulses:
+        if p.shape is not PulseShape.GAUSSIAN:
+            raise PulseEvaluationError(f"the scalar envelope takes gaussians only, got {p.shape.value}")
+        values += (p.peak, *p.window(), p.center, 1.0 / p.tau)
+    return _envelope_factory(len(pulses))(math.exp, *values)
 
 
 @functools.cache
-def _envelope_factory(smooth: tuple[bool, ...]):
-    """Factory of the closure for one signature (True: gaussian), compiled once.
+def _envelope_factory(count: int):
+    """Factory of the closure for count gaussians, compiled once.
 
     The source holds term indices only; every pulse value is an argument.
     """
     names, body = ["exp"], ["    def v(t):", "        total = 0.0"]
-    for k, gauss in enumerate(smooth):
-        names += [f"a{k}", f"lo{k}", f"hi{k}", *([f"c{k}", f"k{k}"] if gauss else [])]
-        add = f"u = (t - c{k}) * k{k}; total += a{k} * exp(-u * u)" if gauss else f"total += a{k}"
-        body.append(f"        if lo{k} <= t <= hi{k}: {add}")
+    for k in range(count):
+        names += [f"a{k}", f"lo{k}", f"hi{k}", f"c{k}", f"k{k}"]
+        body.append(f"        if lo{k} <= t <= hi{k}: u = (t - c{k}) * k{k}; total += a{k} * exp(-u * u)")
     source = [f"def factory({', '.join(names)}):", *body, "        return total", "    return v"]
     namespace: dict = {}
     exec("\n".join(source), namespace)

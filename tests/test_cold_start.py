@@ -124,12 +124,12 @@ def test_interaction_integral(first_calls):
 
 
 def test_adiabatic_phase(first_calls):
-    assert first_calls["adiabatic"] == pytest.approx(ADIABATIC_PHASE, rel=1e-15)
+    assert first_calls["adiabatic"] == pytest.approx(ADIABATIC_PHASE, rel=1e-15, abs=0.0)
 
 
 def test_gaussian_shape_factor(first_calls):
     # math.erf and math.cos(alpha) round alike at every node of either rule: a few 1e-16 relative
-    assert first_calls["shape"] == pytest.approx(list(SHAPE_FACTORS.values()), rel=4e-16)
+    assert first_calls["shape"] == pytest.approx(list(SHAPE_FACTORS.values()), rel=4e-16, abs=0.0)
 
 
 def test_no_ordering_numeric_bare_frame(first_calls):

@@ -10,6 +10,7 @@ from kickedqubit import propagators as prop
 from kickedqubit.analysis import error_scaling_fit
 from kickedqubit.evolve import IntegratorConfig, no_ordering_numeric, rk4_propagator
 from kickedqubit.pulses import (
+    PulseEvaluationError,
     PulseShape,
     SystemParams,
     gaussian,
@@ -456,6 +457,13 @@ class TestAdiabatic:
         expected = math.atan2(0.15, 1.0)
         assert phase.phi_0 == pytest.approx(expected, rel=1e-12)
         assert phase.phi_t == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_kick_rejected_at_any_splitting(self, gamma):
+        # a kick has no mixing angle; gamma = 0 needs no angle either, yet rejects it too
+        pulses = [gaussian(0.4, 1.0, 10.0), ideal_kick(0.3, 5.0)]
+        with pytest.raises(PulseEvaluationError):
+            prop.adiabatic_phase(pulses, SystemParams(gamma), 20.0)
 
 
 class TestFloquet:

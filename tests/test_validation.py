@@ -93,6 +93,50 @@ def test_array_pass_fails_on_a_nan_matrix(monkeypatch, name):
     assert "nan" in res.detail
 
 
+def _nan_field(field):
+    return lambda forms: forms._replace(**{field: math.nan})
+
+
+# (check, its sample count or None, the validation attribute it calls, the
+# call to poison, and what that call returns in place of the real value)
+PER_SAMPLE = {
+    "numeric-no-ordering": (
+        validation.check_numeric_no_ordering, 3, "no_ordering_numeric", 4, _nan_matrix
+    ),
+    "rectangular-vs-rk4": (validation.check_rectangular_vs_rk4, 3, "rk4_propagator", 2, _nan_matrix),
+    "consistency-triangle-closed-vs-matrix": (
+        validation.check_consistency_triangle, None, "p2_closed_forms_single", 2,
+        _nan_field("no_ordering_interaction"),
+    ),
+    "consistency-triangle-rk4-ratio": (
+        validation.check_consistency_triangle, None, "p2_closed_forms_single", 2,
+        _nan_field("exact_kick"),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(PER_SAMPLE))
+def test_per_sample_check_fails_on_a_nan(monkeypatch, case):
+    # one NaN sample, after a sample with a finite worst and before another,
+    # must fail the check rather than be dropped by a max
+    check, samples, attr, poisoned, poison = PER_SAMPLE[case]
+    real = getattr(validation, attr)
+    calls = []
+
+    def nan_once(*args):
+        calls.append(args)
+        out = real(*args)
+        return poison(out) if len(calls) == poisoned else out
+
+    monkeypatch.setattr(validation, attr, nan_once)
+    res = check() if samples is None else check(np.random.default_rng(0), samples)
+    assert len(calls) > poisoned  # a later sample ran after the poisoned one
+    assert case.startswith(res.name)
+    assert not res.passed
+    assert "nan" in res.detail
+
+
 def test_validate_exposes_exactly_the_checks_it_runs(monkeypatch):
     # a 16th check_* attribute, a private helper included, would be a 16th perfbench op
     assert sorted(n for n in vars(validation) if n.startswith("check_")) == sorted(CHECKS)
