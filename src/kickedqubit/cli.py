@@ -154,12 +154,17 @@ def _write_csv(path: str | None, meta: list[str], header: list[str], rows) -> No
         Path(path).write_text(text, newline="")
 
 
-def _warn_scales(pulses, params: SystemParams, total_time: float, preset_label: str) -> None:
-    if "hydrogen" in preset_label and total_time > LIFETIME_WARNING_PS:
+def _warn_lifetime(total_time: float) -> None:
+    if total_time > LIFETIME_WARNING_PS:
         sys.stderr.write(
             f"warning: simulated span {total_time:g} ps exceeds the 2p lifetime "
             f"scale {LIFETIME_WARNING_PS:g} ps; dissipation is not modeled\n"
         )
+
+
+def _warn_scales(pulses, total_time: float, preset_label: str) -> None:
+    if "hydrogen" in preset_label:
+        _warn_lifetime(total_time)
     for p in pulses:
         if p.shape is not PulseShape.IDEAL_KICK and p.tau < MIN_TAU_WARNING_PS:
             sys.stderr.write(
@@ -178,7 +183,7 @@ def _cmd_propagate(args) -> int:
         raise ValueError("--t0, --t1 and --dt must be finite")
     if args.t0 < 0.0 or args.t1 < args.t0 or any(p.center < 0.0 for p in pulses):
         raise ValueError("times must be non-negative with t1 >= t0")
-    _warn_scales(pulses, params, args.t1 - args.t0, preset_label)
+    _warn_scales(pulses, args.t1 - args.t0, preset_label)
     cfg = IntegratorConfig(dt=args.dt)
     # rk4_evolve's own bound, applied before the sample grid exists
     check_step_budget(pulses, params, args.t0, args.t1, cfg, args.samples, "lower --samples")
@@ -236,20 +241,13 @@ def _cmd_figure(args) -> int:
     if args.out is not None and len(args.name) > 1:
         raise ValueError(f"--out names one file, got {len(args.name)} scenarios; use --outdir")
     overrides = dict(args.set or [])
-    if args.rabi_time is not None:
-        overrides["rabi_time"] = args.rabi_time
     # every panel is built, each scenario's overrides checked first, before any is
     # written, so that a bad value for a later name leaves no partial output
     for name in args.name:
         _parameters(name, overrides)
     panels = [(name, scenario(name, overrides, IntegratorConfig(dt=args.dt))) for name in args.name]
     for name, series in panels:
-        total = float(series.metadata.get("max_time_ps", 0.0))
-        if total > LIFETIME_WARNING_PS:
-            sys.stderr.write(
-                f"warning: span {total:g} ps exceeds the 2p lifetime scale "
-                f"{LIFETIME_WARNING_PS:g} ps; dissipation is not modeled\n"
-            )
+        _warn_lifetime(float(series.metadata.get("max_time_ps", 0.0)))
         out = args.out
         if out is None:
             out = str(Path(args.outdir) / f"{name}.csv")
@@ -341,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", type=_parse_override, action="append", metavar="KEY=VALUE",
                    help="override a scenario parameter (repeatable; lists split on ':'): "
                    f"{', '.join(sorted(_OVERRIDE_KINDS))}; README lists each scenario's keys")
-    p.add_argument("--rabi-time", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--outdir", default=".")
     p.add_argument("--out", default=None, help="CSV path for a single scenario (overrides --outdir)")

@@ -33,9 +33,9 @@ This module also provides the numeric "no time ordering" evolution,
 It exponentiates the Hermitian exponent through its spectral
 decomposition (numpy's `eigh`), not through the closed rotation; the
 exponent comes from `interaction_integral`, which integrates each pulse
-window by `pulses.gauss_legendre`, a composite Gauss-Legendre rule with
-panels enough for the phase at frequency 2 lam gamma.  The module needs
-numpy only.
+window by `pulses.gauss_legendre`, one composite Gauss-Legendre rule with
+two panels for each pi of phase at frequency 2 lam gamma, which returns
+its value alone.  The module needs numpy only.
 `interaction_integral_series` is the cheap cumulative trapezoid behind the
 rotating-frame no-ordering CSV column.
 """
@@ -358,8 +358,8 @@ def interaction_integral(
     Kicks contribute exact jumps alpha e^{2 i lam gamma t_kick}.  Each
     finite pulse's window, clipped to [0, t] and split at the pulse center,
     is integrated by `pulses.gauss_legendre` at frequency 2 lam gamma, with
-    panels enough for the phase over the window.  At frequency 0, the bare
-    frame, the imaginary part is exactly 0.
+    two panels for each pi of phase over the window.  At frequency 0, the
+    bare frame, the imaginary part is exactly 0.
     """
     w = 2.0 * lam * params.gamma
     z = 0.0 + 0.0j
@@ -373,7 +373,7 @@ def interaction_integral(
         if hi <= lo:
             continue
         points = [lo, p.center, hi] if lo < p.center < hi else [lo, hi]
-        z += gauss_legendre(lambda x: p.value(x) * np.exp(1j * w * x), points, w)[0]
+        z += gauss_legendre(lambda x: p.value(x) * np.exp(1j * w * x), points, w)
     return z
 
 

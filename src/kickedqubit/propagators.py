@@ -31,8 +31,8 @@ degenerate forms by `su2.pauli_exponential`).  So `validate`, the scans
 and `floquet` make one call per array pass, not one per sample.
 
 The module needs numpy only.  Its two quadrature routes, the gaussian
-`kick_correction_shape_factor` and `adiabatic_phase`, use the composite
-Gauss-Legendre rule `pulses.gauss_legendre`.
+`kick_correction_shape_factor` and `adiabatic_phase`, read the one value
+of the composite Gauss-Legendre rule `pulses.gauss_legendre`.
 """
 from __future__ import annotations
 
@@ -48,6 +48,7 @@ from .pulses import (
     SystemParams,
     envelope_array,
     gauss_legendre,
+    gaussian,
     integrated_strength,
 )
 from .su2 import X_AXIS, Z_AXIS, _require_finite, pauli_exponential, su2
@@ -174,17 +175,17 @@ def kick_correction_shape_factor(alpha: float, shape: PulseShape) -> float:
     g(alpha) = (2/tau) int dt [cos^2(A(t)) - cos^2(alpha/2)] where A(t) is
     the coupling integrated from the pulse center.  Rectangular pulses give
     sin(alpha)/alpha - cos(alpha) in closed form; the gaussian factor is
-    the integral of cos(alpha erf s) - cos(alpha) over [-9, 9] (erf(9) is
-    1.0), by `pulses.gauss_legendre` with math.erf at its nodes.
+    `pulses.gauss_legendre` of cos(2 A(s)) - cos(alpha) over [-9, 9], with A
+    from `Pulse.integral` of a unit-width gaussian (erf(9) is 1.0).  alpha
+    must be finite.
     """
+    _require_finite(alpha=alpha)
     if shape is PulseShape.RECTANGULAR:
         return float(_sinc(alpha)) - math.cos(alpha)
     if shape is PulseShape.GAUSSIAN:
-        # 2 [cos^2((alpha/2) erf s) - cos^2(alpha/2)] = cos(alpha erf s) - cos(alpha)
-        def integrand(s):
-            return np.cos(alpha * np.fromiter(map(math.erf, s.tolist()), float, s.size)) - math.cos(alpha)
-
-        return gauss_legendre(integrand, [-9.0, 0.0, 9.0])[0]
+        # 2 [cos^2(A) - cos^2(alpha/2)] = cos(2 A) - cos(alpha)
+        unit, cos_alpha = gaussian(alpha, 1.0, 0.0), math.cos(alpha)
+        return gauss_legendre(lambda s: np.cos(2.0 * unit.integral(0.0, s)) - cos_alpha, [-9.0, 0.0, 9.0])
     raise ValueError("shape factor defined for rectangular and gaussian pulses")
 
 
@@ -193,8 +194,9 @@ def kick_correction_leading(
 ) -> np.ndarray:
     """Leading O(beta) error of the kicked approximation for a narrow pulse.
 
-    i beta g(alpha) diag(e^{i gamma t}, -e^{-i gamma t}).
+    i beta g(alpha) diag(e^{i gamma t}, -e^{-i gamma t}); the numbers must be finite.
     """
+    _require_finite(alpha=alpha, beta=beta, gamma=gamma, t=t)
     g = kick_correction_shape_factor(alpha, shape)
     ph = complex(math.cos(gamma * t), math.sin(gamma * t))
     return 1j * beta * g * np.array([[ph, 0.0], [0.0, -1.0 / ph]])
@@ -232,7 +234,7 @@ def adiabatic_phase(pulses: PulseSequence, params: SystemParams, t: float) -> Ad
         {x for p in pulses for x in p.window() if 0.0 < x < t}
         | {p.center for p in pulses if 0.0 < p.center < t}
     )
-    theta, _ = gauss_legendre(
+    theta = gauss_legendre(
         lambda x: np.sqrt(gamma * gamma + envelope_array(pulses, x) ** 2), [0.0, *breakpoints, t]
     )
     return AdiabaticPhase(theta=theta, phi_0=math.atan2(v0, gamma), phi_t=math.atan2(vt, gamma))

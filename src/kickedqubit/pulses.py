@@ -19,9 +19,10 @@ any interval.  The sequence helpers below (`envelope`, `envelope_array`,
 from it.  `envelope` is the RK4 kernel's scalar closure of a gaussian
 sequence, the pulse loop written out once per gaussian count and compiled
 once; every other pointwise value reads `Pulse.value`.
-`gauss_legendre` is the package's one quadrature, a composite rule whose
-nodes `numpy.polynomial` builds on first use, so importing stays numpy-only
-and light.
+`gauss_legendre` is one composite Gauss-Legendre rule with one value; its
+nodes come from `numpy.polynomial` on first use, so importing stays light.
+The package's other quadrature, `evolve.interaction_integral_series`, is a
+cumulative trapezoid.
 
 Pointwise evaluation (`Pulse.value`, `envelope`, `envelope_array`) is
 exactly zero outside each pulse's `window()`, edges included in the window.
@@ -216,9 +217,9 @@ def envelope_array(pulses: PulseSequence, times: np.ndarray) -> np.ndarray:
 
 
 #: The composite Gauss-Legendre rule of `gauss_legendre`: GL_NODES nodes a
-#: panel, GL_PANELS panels an interval plus one for each pi of phase omega (hi - lo).
+#: panel, GL_PANELS panels an interval plus two for each pi of phase omega (hi - lo).
 GL_NODES = 24
-GL_PANELS = 6
+GL_PANELS = 12
 
 
 @functools.cache
@@ -234,26 +235,22 @@ def gauss_legendre(f, points, omega: float = 0.0):
 
     Each interval between consecutive break points is cut into k equal
     panels of GL_NODES nodes (Golub & Welsch, Math. Comp. 23, 221 (1969)),
-    with k = GL_PANELS + ceil(|omega| (hi - lo) / pi), so that an integrand
-    oscillating at angular frequency omega has at least a panel per half
-    period.  f maps a 1-D array of times to values there, float or complex.
-    The points run either way; a descending list integrates with the
-    opposite sign.  Returns (I_2k, |I_k - I_2k|): the rule on 2k panels and
-    its distance from the rule on k.
+    with k = GL_PANELS + 2 ceil(|omega| (hi - lo) / pi), so that an integrand
+    oscillating at angular frequency omega has at least two panels per half
+    period.  f maps a 1-D array of times to values there, float or complex,
+    and is called once.  The points run either way; a descending list
+    integrates with the opposite sign.  No error estimate is returned: no
+    caller has a tolerance to hold one to.
     """
     x, w = _legendre_rule()
     points = np.asarray(points, dtype=float)
     lo, hi = points[:-1], points[1:]
-    k = GL_PANELS + np.ceil(abs(omega) * np.abs(hi - lo) / math.pi).astype(np.int64)
-    # both rules in one pass: every interval in k panels, then in 2k
-    k, lo, hi = np.concatenate([k, 2 * k]), np.tile(lo, 2), np.tile(hi, 2)
+    k = GL_PANELS + 2 * np.ceil(abs(omega) * np.abs(hi - lo) / math.pi).astype(np.int64)
     half = np.repeat(0.5 * (hi - lo) / k, k)  # half-width of each panel
     j = np.arange(half.size) - np.repeat(np.cumsum(k) - k, k)  # panel index in its interval
     mid = np.repeat(lo, k) + (2 * j + 1) * half
     panels = f((mid[:, None] + half[:, None] * x).ravel()).reshape(half.size, x.size) @ w * half
-    split = half.size // 3
-    coarse, fine = np.sum(panels[:split]).item(), np.sum(panels[split:]).item()
-    return fine, abs(fine - coarse)
+    return np.sum(panels).item()
 
 
 def integrated_strength(pulses: PulseSequence, t0: float, t1):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kickedqubit import propagators as prop
+from kickedqubit.pulses import PulseShape
 from kickedqubit.su2 import X_AXIS, Z_AXIS, pauli_exponential
 
 
@@ -170,9 +171,16 @@ def test_one_bad_kick_in_a_batch_raises(t2):
         (lambda x: prop.rectangular_propagator(1.0, 0.1, x, 1.0, 2.0), "gamma"),
         (lambda x: prop.rectangular_propagator(1.0, 0.1, 1.0, x, 2.0), "t_kick"),
         (lambda x: prop.rectangular_propagator(1.0, 0.1, 1.0, 1.0, x), "t"),
+        (lambda x: prop.kick_correction_shape_factor(x, PulseShape.GAUSSIAN), "alpha"),
+        (lambda x: prop.kick_correction_shape_factor(x, PulseShape.RECTANGULAR), "alpha"),
+        (lambda x: prop.kick_correction_leading(x, 0.1, 1.0, 2.0, PulseShape.GAUSSIAN), "alpha"),
+        (lambda x: prop.kick_correction_leading(1.0, x, 1.0, 2.0, PulseShape.GAUSSIAN), "beta"),
+        (lambda x: prop.kick_correction_leading(1.0, 0.1, x, 2.0, PulseShape.GAUSSIAN), "gamma"),
+        (lambda x: prop.kick_correction_leading(1.0, 0.1, 1.0, x, PulseShape.GAUSSIAN), "t"),
     ],
     ids=["kick", "second-kick", "kick-gamma", "kick-t-row", "rect-alpha", "rect-beta-row",
-         "rect-gamma", "rect-t_kick", "rect-t"],
+         "rect-gamma", "rect-t_kick", "rect-t", "shape-gaussian", "shape-rect", "leading-alpha",
+         "leading-beta", "leading-gamma", "leading-t"],
 )
 def test_non_finite_input_names_the_argument(build, name, bad):
     # a clean ValueError, not numpy's invalid-value warning and a NaN matrix

@@ -414,21 +414,20 @@ class TestGaussLegendre:
 
     def test_polynomials_are_exact(self):
         # 24 nodes a panel integrate degree 47 exactly, on any break points
-        value, error = gauss_legendre(lambda x: 7.0 * x**6 - 2.0 * x, [-1.0, 0.5, 2.0])
+        value = gauss_legendre(lambda x: 7.0 * x**6 - 2.0 * x, [-1.0, 0.5, 2.0])
         assert value == pytest.approx(2.0**7 + 1.0 - (4.0 - 1.0), rel=1e-15)
-        assert error <= 1e-13
 
     def test_reversed_span_changes_sign(self):
-        forward = gauss_legendre(np.cos, [0.0, 1.0, 3.0])[0]
-        assert gauss_legendre(np.cos, [3.0, 1.0, 0.0])[0] == pytest.approx(-forward, rel=1e-15)
-        assert gauss_legendre(np.cos, [2.0, 2.0]) == (0.0, 0.0)
+        forward = gauss_legendre(np.cos, [0.0, 1.0, 3.0])
+        assert gauss_legendre(np.cos, [3.0, 1.0, 0.0]) == pytest.approx(-forward, rel=1e-15)
+        assert gauss_legendre(np.cos, [2.0, 2.0]) == 0.0
 
     def test_panels_grow_with_the_phase(self):
         # 500 periods of e^{i omega x} over one interval
         omega, span = 1000.0 * math.pi, 1.0
-        value, error = gauss_legendre(lambda x: np.exp(1j * omega * x + 0.5j), [0.0, span], omega)
+        value = gauss_legendre(lambda x: np.exp(1j * omega * x + 0.5j), [0.0, span], omega)
         exact = (np.exp(1j * omega * span) - 1.0) * np.exp(0.5j) / (1j * omega)
-        assert abs(value - exact) <= 1e-15 and error <= 1e-14
+        assert abs(value - exact) <= 1e-15
 
     def test_gaussian_shape_factor_matches_quad(self):
         for alpha in np.linspace(0.05, 3.0, 40).tolist():
