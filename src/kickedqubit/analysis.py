@@ -10,7 +10,6 @@ accepts and their defaults, read and checked in one place.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -113,8 +112,8 @@ _TAUS = (1.0, 10.0, 100.0)
 
 # Each scenario's overrides and their defaults.  None marks a default derived
 # from other values: fig4_right t_f = t_k + 2000 ps, fig5 ts_max = 2 Rabi
-# times.  A tuple default takes a tuple, and n_points a whole number.  Where
-# taus is a key, tau stands for taus = (tau,).
+# times.  A tuple default takes one or more numbers, any other key one, and
+# n_points a whole one.  Where taus is a key, tau stands for taus = (tau,).
 SCENARIOS: dict[str, dict[str, Any]] = {
     "fig1": {"taus": _TAUS, "alpha": math.pi / 2, "t_k": 150.0, "t_f": 300.0,
              "rabi_time": _RABI_TIME, "n_points": _TIME_POINTS},
@@ -139,7 +138,12 @@ _NON_NEGATIVE = {"t_k", "t1", "t2", "observation_times"}  # >= 0
 
 
 def _parameters(name: str, overrides: dict | None) -> dict[str, Any]:
-    """SCENARIOS[name] with the overrides converted and checked, plus its SystemParams as "params"."""
+    """SCENARIOS[name] with the overrides converted and checked, plus its SystemParams as "params".
+
+    The one reader of overrides, CLI and API alike: np.ravel makes each value
+    floats, a tuple for a list key (one number is a one-entry list), one float
+    for any other key, an int for n_points; each refusal names the key.
+    """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     defaults = SCENARIOS[name]
@@ -150,17 +154,23 @@ def _parameters(name: str, overrides: dict | None) -> dict[str, Any]:
     if unknown:
         raise ValueError(f"scenario {name!r} does not accept overrides {sorted(unknown)}")
     p = dict(defaults)
-    n_points = given.pop("n_points", p["n_points"])
-    if not (isinstance(n_points, numbers.Real) and n_points % 1 == 0):
-        raise ValueError(f"n_points must be a whole number, got {n_points!r}")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    if n_points > MAX_RK4_STEPS:
-        raise ValueError(f"n_points must be at most {MAX_RK4_STEPS:.0e}, got {n_points}")
-    p["n_points"] = int(n_points)
     for key, value in given.items():
+        array = np.ravel(value)
+        if array.dtype.kind not in "iuf":  # np.ravel("3") holds the string
+            raise ValueError(f"{key} must be {'a whole number' if key == 'n_points' else 'numeric'}, got {value!r}")
+        values = tuple(array.astype(float).tolist())
         many = isinstance(defaults.get(key), tuple)
-        values = tuple(float(x) for x in value) if many else (float(value),)
+        if len(values) != 1 and not (many and values):
+            raise ValueError(f"{key} takes {'one or more values' if many else 'one value'}, got {len(values)}")
+        if key == "n_points":
+            n = values[0]
+            if not n % 1 == 0:
+                raise ValueError(f"n_points must be a whole number, got {n!r}")
+            if n < 2:
+                raise ValueError("n_points must be at least 2")
+            if n > MAX_RK4_STEPS:
+                raise ValueError(f"n_points must be at most {MAX_RK4_STEPS:.0e}, got {n:.0f}")
+            values = (int(n),)
         if key in _POSITIVE | _NON_NEGATIVE:
             for x in values:
                 _bounded(key, x, 0.0, strict=key in _POSITIVE)

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 numerical or validation failure.
 All output is deterministic CSV (17 significant digits, '\\n' endings,
 metadata lines prefixed '#'); nothing is read from the environment.
+The CLI only lexes: a `--set` value becomes floats and a `--pulse` spec a
+`Pulse`; `analysis._parameters` and `Pulse` decide what they accept.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from . import __version__, propagators
 from .analysis import (
     SCENARIO_NAMES,
     SCENARIOS,
-    SweepSeries,
     _parameters,
     no_ordering_p2_columns,
     scenario,
@@ -28,10 +29,7 @@ from .pulses import (
     Pulse,
     PulseShape,
     SystemParams,
-    gaussian,
     hydrogen_2s2p,
-    ideal_kick,
-    rectangular,
     unit_system,
 )
 from .su2 import NonUnitaryError
@@ -51,11 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str) -> float:
-    """Angles in radians, with 'pi' shorthand: 'pi/2', '-3pi/8', '0.75'."""
+    """Angles in radians, with 'pi' shorthand: 'pi/2', '-3pi/8', '.5pi', '0.75'."""
     s = text.strip().lower().replace(" ", "")
-    m = re.fullmatch(r"(-?)(\d+\.?\d*)?pi(?:/(\d+\.?\d*))?", s)
+    m = re.fullmatch(r"([+-]?)(\d+\.?\d*|\.\d+)?pi(?:/(\d+\.?\d*|\.\d+))?", s)
     if m:
-        sign = -1.0 if m.group(1) else 1.0
+        sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
         value = sign * num * math.pi / den if den else math.nan
@@ -76,17 +74,13 @@ def parse_seed(text: str) -> int:
     return int(text)
 
 
-_SHAPE_ALIASES = {
-    "gaussian": PulseShape.GAUSSIAN,
-    "rectangular": PulseShape.RECTANGULAR,
-    "rect": PulseShape.RECTANGULAR,
-    "kick": PulseShape.IDEAL_KICK,
-    "ideal_kick": PulseShape.IDEAL_KICK,
-}
+# each shape's value (the spelling '# pulses' writes), its lower-case name, and 'rect'
+_SHAPE_ALIASES = {alias: s for s in PulseShape for alias in (s.value, s.name.lower())}
+_SHAPE_ALIASES["rect"] = PulseShape.RECTANGULAR
 
 
 def parse_pulse(text: str) -> Pulse:
-    """Pulse flag grammar: shape:alpha=<rad>,tau=<ps>,center=<ps>."""
+    """Pulse flag grammar: shape:alpha=<rad>,tau=<ps>,center=<ps>; a kick's tau is 0 or left out."""
     try:
         shape_part, _, params_part = text.partition(":")
         shape = _SHAPE_ALIASES[shape_part.strip().lower()]
@@ -98,17 +92,13 @@ def parse_pulse(text: str) -> Pulse:
             if key.strip() in fields:
                 raise ValueError(f"repeated field {key.strip()!r}")
             fields[key.strip()] = value.strip()
-        alpha = parse_angle(fields.pop("alpha"))
-        center = float(fields.pop("center"))
         if shape is PulseShape.IDEAL_KICK:
-            fields.pop("tau", None)
-            pulse = ideal_kick(alpha, center)
-        else:
-            tau = float(fields.pop("tau"))
-            pulse = gaussian(alpha, tau, center) if shape is PulseShape.GAUSSIAN else rectangular(alpha, tau, center)
+            fields.setdefault("tau", "0")  # '# pulses' writes tau=0 for a kick
+        alpha = parse_angle(fields.pop("alpha"))
+        center, tau = float(fields.pop("center")), float(fields.pop("tau"))
         if fields:
             raise KeyError(", ".join(fields))
-        return pulse
+        return Pulse(shape, alpha, tau, center)
     except argparse.ArgumentTypeError:
         raise
     except (KeyError, ValueError) as exc:
@@ -217,24 +207,22 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-# a key's kind is the type of its SCENARIOS defaults: tuple, int (n_points), or float
-_OVERRIDE_KINDS = {key: type(value) for row in SCENARIOS.values() for key, value in row.items()}
+def _parse_override(item: str) -> tuple[str, float | tuple[float, ...]]:
+    """KEY=VALUE as (key, one float or a tuple of them); alpha(s) take 'pi' fractions.
 
-
-def _parse_override(item: str):
+    Which keys a scenario takes, and how many values each, analysis._parameters decides.
+    """
     key, sep, value = item.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"override {item!r} is not key=value")
     key = key.strip()
     value = value.strip()
-    kind = _OVERRIDE_KINDS.get(key)
-    convert = parse_angle if key in {"alpha", "alphas"} else int if kind is int else float
+    convert = parse_angle if key in {"alpha", "alphas"} else float
     try:
-        if kind is tuple:
-            return key, tuple(convert(v) for v in value.split(":"))
-        return key, convert(value)
+        values = tuple(convert(v) for v in value.split(":"))
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"bad value {value!r} for override {key!r}") from None
+    return key, values if len(values) > 1 else values[0]
 
 
 def _cmd_figure(args) -> int:
@@ -252,19 +240,10 @@ def _cmd_figure(args) -> int:
         if out is None:
             out = str(Path(args.outdir) / f"{name}.csv")
             Path(args.outdir).mkdir(parents=True, exist_ok=True)
-        _write_series(out, name, series)
+        meta = [f"scenario {name}", *(f"{key}={value}" for key, value in sorted(series.metadata.items()))]
+        rows = zip(series.values, *series.columns.values())
+        _write_csv(out, meta, [series.parameter, *series.columns], rows)
     return 0
-
-
-def _write_series(path: str | None, name: str, series: SweepSeries) -> None:
-    labels = list(series.columns)
-    meta = [f"scenario {name}"]
-    for key in sorted(series.metadata):
-        meta.append(f"{key}={series.metadata[key]}")
-    header = [series.parameter] + labels
-    cols = [series.values] + [series.columns[label] for label in labels]
-    rows = zip(*cols)
-    _write_csv(path, meta, header, rows)
 
 
 def _cmd_validate(args) -> int:
@@ -338,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="+", choices=SCENARIO_NAMES)
     p.add_argument("--set", type=_parse_override, action="append", metavar="KEY=VALUE",
                    help="override a scenario parameter (repeatable; lists split on ':'): "
-                   f"{', '.join(sorted(_OVERRIDE_KINDS))}; README lists each scenario's keys")
+                   f"{', '.join(sorted({k for row in SCENARIOS.values() for k in row}))}; "
+                   "README lists each scenario's keys")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--outdir", default=".")
     p.add_argument("--out", default=None, help="CSV path for a single scenario (overrides --outdir)")

@@ -63,7 +63,7 @@ class PulseShape(Enum):
 
 @dataclass(frozen=True)
 class Pulse:
-    """One pulse: shape, signed strength alpha (rad), width tau (ps), center (ps)."""
+    """One pulse: shape, signed strength alpha (rad), width tau (ps; 0 for a kick), center (ps)."""
 
     shape: PulseShape
     alpha: float
@@ -73,6 +73,8 @@ class Pulse:
     def __post_init__(self):
         if self.shape is not PulseShape.IDEAL_KICK and not self.tau > 0.0:
             raise ValueError("finite pulse shapes need tau > 0")
+        if self.shape is PulseShape.IDEAL_KICK and self.tau != 0.0:
+            raise ValueError(f"a kick has no width, got tau={self.tau:g}")
         for name in ("alpha", "tau", "center"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -10,6 +10,7 @@ from kickedqubit import __version__, analysis, cli, evolve
 from kickedqubit import propagators as prop
 from kickedqubit.analysis import (
     SCENARIO_NAMES,
+    _parameters,
     error_scaling_fit,
     p2_closed_forms_double,
     p2_closed_forms_single,
@@ -131,6 +132,34 @@ class TestScenarios:
     def test_point_count_must_be_a_whole_number(self, n_points):
         with pytest.raises(ValueError, match="n_points must be a whole number"):
             scenario("fig1", {"n_points": n_points, "taus": (10.0,)})
+
+    @pytest.mark.parametrize("taus", [5, 5.0, np.int64(5), [5], np.array([[5.0]])])
+    def test_one_number_is_a_one_entry_list(self, taus):
+        # every value goes through np.ravel to floats, from the API as from --set
+        assert _parameters("fig1", {"taus": taus})["taus"] == (5.0,)
+        built = scenario("fig1", {"taus": taus, "n_points": 3})
+        listed = scenario("fig1", {"taus": (5.0,), "n_points": 3})
+        assert built.metadata == listed.metadata
+        assert list(built.columns) == list(listed.columns) == ["P2_tau5"]
+        assert np.array_equal(built.columns["P2_tau5"], listed.columns["P2_tau5"])
+
+    @pytest.mark.parametrize("n_points", [1e1, np.float64(10.0), np.int32(10), (10,)])
+    def test_point_count_is_an_int(self, n_points):
+        n = _parameters("fig1", {"n_points": n_points})["n_points"]
+        assert type(n) is int and n == 10
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"alpha": (1.0, 2.0)}, "alpha takes one value, got 2"),
+        ({"t_k": []}, "t_k takes one value, got 0"),
+        ({"taus": ()}, "taus takes one or more values, got 0"),
+        ({"t_k": "150"}, "t_k must be numeric, got '150'"),
+        ({"taus": [1.0, "x"]}, "taus must be numeric, got [1.0, 'x']"),
+        ({"alpha": 1j}, "alpha must be numeric, got 1j"),
+        ({"n_points": 1e8}, "n_points must be at most 1e+07, got 100000000"),
+    ])
+    def test_bad_override_value_names_the_key(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            scenario("fig1", overrides)
 
     def test_names_exported(self):
         assert set(SCENARIO_NAMES) == {

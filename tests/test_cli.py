@@ -1,3 +1,4 @@
+import argparse
 import math
 import time
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from kickedqubit import __version__, cli, evolve
-from kickedqubit.pulses import PulseShape
+from kickedqubit.pulses import PulseShape, SystemParams
 
 REFERENCE_PANELS = Path(__file__).resolve().parents[1] / "out" / "figures"
 
@@ -43,8 +44,16 @@ class TestParsing:
         assert cli.parse_angle("-3pi/8") == pytest.approx(-3 * math.pi / 8)
         assert cli.parse_angle("2pi") == pytest.approx(2 * math.pi)
         assert cli.parse_angle("0.75") == 0.75
-        with pytest.raises(Exception):
-            cli.parse_angle("two pi")
+        # every sign and number form float takes, in the pi form too
+        assert cli.parse_angle("+1.5") == 1.5
+        assert cli.parse_angle(".5") == 0.5
+        assert cli.parse_angle("+pi/2") == math.pi / 2
+        assert cli.parse_angle(".5pi") == 0.5 * math.pi
+        assert cli.parse_angle("pi/.5") == math.pi / 0.5
+        assert cli.parse_angle("-2.pi/4.") == -math.pi / 2
+        for text in ("two pi", "+-pi", "pi/", "1..5pi", "."):
+            with pytest.raises(argparse.ArgumentTypeError, match="cannot parse angle"):
+                cli.parse_angle(text)
 
     def test_angle_parser_rejects_non_finite(self):
         for text in ("nan", "-inf", "1e400", "pi/0"):
@@ -61,6 +70,25 @@ class TestParsing:
         assert p.shape is PulseShape.RECTANGULAR
         with pytest.raises(Exception):
             cli.parse_pulse("gaussian:alpha=1")  # missing tau/center
+
+    @pytest.mark.parametrize("spelling, shape", [
+        ("gaussian", PulseShape.GAUSSIAN), ("GAUSSIAN", PulseShape.GAUSSIAN),
+        ("rectangular", PulseShape.RECTANGULAR), ("rect", PulseShape.RECTANGULAR),
+        ("kick", PulseShape.IDEAL_KICK), ("ideal_kick", PulseShape.IDEAL_KICK),
+    ])
+    def test_every_shape_spelling(self, spelling, shape):
+        tau = "0" if shape is PulseShape.IDEAL_KICK else "2"
+        p = cli.parse_pulse(f"{spelling}:alpha=1,tau={tau},center=3")
+        assert (p.shape, p.alpha, p.tau, p.center) == (shape, 1.0, float(tau), 3.0)
+
+    def test_kick_takes_no_width(self):
+        # '# pulses' writes tau=0 for a kick, so that spelling reads back
+        assert cli.parse_pulse("kick:alpha=1,center=2,tau=0") == cli.parse_pulse("kick:alpha=1,center=2")
+        for tau, reason in (("abc", "could not convert"), ("5", "a kick has no width, got tau=5"),
+                            ("nan", "got tau=nan"), ("-1e-300", "got tau=-1e-300")):
+            spec = f"kick:alpha=1,center=2,tau={tau}"
+            with pytest.raises(argparse.ArgumentTypeError, match=f"bad pulse spec {spec!r}.*{reason}"):
+                cli.parse_pulse(spec)
 
 
 class TestPropagate:
@@ -262,6 +290,31 @@ class TestPropagate:
             assert rows.shape == (samples, 9)
             assert np.max(np.abs(rows[:: (samples - 1) // 399, 2] - expected)) <= tol
 
+    def test_pulses_line_reads_back_as_pulse_flags(self, capsys):
+        # '# pulses' spells each shape as --pulse does, so feeding it back
+        # rebuilds the run byte for byte
+        window = ("propagate", "--preset", "unit", "--t1", "4", "--samples", "9")
+        specs = ("gaussian:alpha=pi/2,tau=0.3,center=1", "rect:alpha=-0.4,tau=0.5,center=2",
+                 "kick:alpha=pi/3,center=3")
+        code, out, _ = run_cli(capsys, *window, *(arg for spec in specs for arg in ("--pulse", spec)))
+        assert code == 0
+        (line,) = [line for line in out.splitlines() if line.startswith("# pulses ")]
+        flags = [arg for spec in line[len("# pulses "):].split("; ") for arg in ("--pulse", spec)]
+        assert len(flags) == 2 * len(specs)
+        code, again, _ = run_cli(capsys, *window, *flags)
+        assert code == 0
+        assert again == out
+
+    def test_delta_e_ev_is_the_splitting_in_ev(self, capsys):
+        tail = ("--pulse", "gaussian:alpha=pi/2,tau=10,center=150", "--t1", "300", "--samples", "7")
+        code, out, _ = run_cli(capsys, "propagate", "--delta-e-ev", "4.37e-6", *tail)
+        assert code == 0
+        gamma = SystemParams.from_delta_e_ev(4.37e-6).gamma
+        assert out.startswith(f"# system delta_e_ev=4.37e-06 gamma_rad_per_ps={gamma:.17g}\n")
+        code, by_gamma, _ = run_cli(capsys, "propagate", "--gamma", repr(gamma), *tail)
+        assert code == 0
+        assert data_rows(by_gamma) == data_rows(out)
+
     def test_bad_pulse_spec_is_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "propagate", "--pulse", "blob:alpha=1", "--t1", "3")
         assert code == 1
@@ -363,6 +416,16 @@ class TestFigure:
         last = text.strip().splitlines()[-1].split(",")
         assert float(last[0]) == 300.0
         assert float(last[1]) == pytest.approx(0.99768, abs=1e-4)
+
+    def test_point_count_takes_any_whole_number(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "fig1", "--set", "n_points=1e1", "--set", "tau=10",
+                               "--out", "-")
+        assert code == 0
+        rows = data_rows(out)
+        assert len(rows) == 10
+        _, plain, _ = run_cli(capsys, "figure", "fig1", "--set", "n_points=10", "--set", "tau=10",
+                              "--out", "-")
+        assert plain == out
 
     def test_several_names_write_one_panel_each(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -468,6 +531,12 @@ class TestFigure:
             # checked before any grid is allocated
             ("fig1", "n_points=10000001", "n_points must be at most 1e+07, got 10000001"),
             ("fig4_left", "n_points=100000000000", "n_points must be at most 1e+07, got 100000000000"),
+            ("fig1", "n_points=2.5", "n_points must be a whole number, got 2.5"),
+            # a key whose default is one value takes one value
+            ("fig1", "alpha=1:2", "alpha takes one value, got 2"),
+            ("fig4_right", "t_f=200:300", "t_f takes one value, got 2"),
+            ("fig2", "tau=1:10", "tau takes one value, got 2"),
+            ("fig1", "n_points=3:4", "n_points takes one value, got 2"),
             # a key the scenario does not use; a space separates two overrides
             ("fig1", "t1=50", "scenario 'fig1' does not accept overrides ['t1']"),
             ("fig1", "t2=500", "scenario 'fig1' does not accept overrides ['t2']"),
@@ -496,7 +565,6 @@ class TestFigure:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("override, key, value", [
-        ("n_points=2.5", "n_points", "2.5"),
         ("taus=", "taus", ""),
         ("alphas=pi/2:x", "alphas", "pi/2:x"),
     ])

@@ -98,6 +98,19 @@ class TestRk4Evolve:
             rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0,
                        IntegratorConfig(dt=10.0), record_times=[300.0])
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 0.5])
+    def test_norm_drift_is_relative_to_the_start(self, scale):
+        # a state off norm 1 used to switch the check off: from (2, 0) a 5.7 %
+        # drift went unreported
+        with pytest.raises(NonUnitaryError, match=r"norm drifted by 5\.74\de-02"):
+            rk4_evolve([gaussian(math.pi / 2, 1.0, 3.0)], unit_system(), (scale, 0.0), 0.0, 6.0,
+                       IntegratorConfig(dt=0.9), record_times=[6.0])
+
+    def test_zero_state_has_no_norm_to_check(self):
+        series = rk4_evolve([gaussian(math.pi / 2, 1.0, 3.0)], unit_system(), (0.0, 0.0), 0.0, 6.0,
+                            IntegratorConfig(dt=0.9), record_times=[6.0])
+        assert not np.any(series.final_state())
+
     def test_nan_state_raises(self):
         # a finite peak whose RK4 stages overflow, so the state goes NaN;
         # a NaN norm defect must not pass

@@ -11,6 +11,7 @@ from kickedqubit import propagators as prop
 from kickedqubit.evolve import interaction_integral, no_ordering_numeric
 from kickedqubit.pulses import (
     HBAR_EV_PS,
+    Pulse,
     PulseEvaluationError,
     PulseShape,
     SystemParams,
@@ -94,6 +95,11 @@ class TestPulseEvaluation:
         # alpha / tau overflows to inf; envelope would give inf * 0 = nan everywhere
         with pytest.raises(ValueError, match="finite peak"):
             make(1e300, 1e-300, 1.0)
+
+    @pytest.mark.parametrize("tau", [5.0, -1e-300, math.nan])
+    def test_kick_has_no_width(self, tau):
+        with pytest.raises(ValueError, match="a kick has no width, got tau="):
+            Pulse(PulseShape.IDEAL_KICK, 1.0, tau, 0.0)
 
     def test_overlapping_pulses_add(self):
         p = [gaussian(1.0, 2.0, 5.0), gaussian(-1.0, 2.0, 5.0)]
