@@ -531,7 +531,6 @@ class TestFigure:
             # checked before any grid is allocated
             ("fig1", "n_points=10000001", "n_points must be at most 1e+07, got 10000001"),
             ("fig4_left", "n_points=100000000000", "n_points must be at most 1e+07, got 100000000000"),
-            ("fig1", "n_points=2.5", "n_points must be a whole number, got 2.5"),
             # a key whose default is one value takes one value
             ("fig1", "alpha=1:2", "alpha takes one value, got 2"),
             ("fig4_right", "t_f=200:300", "t_f takes one value, got 2"),
@@ -565,6 +564,7 @@ class TestFigure:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("override, key, value", [
+        ("n_points=2.5", "n_points", "2.5"),
         ("taus=", "taus", ""),
         ("alphas=pi/2:x", "alphas", "pi/2:x"),
     ])
@@ -572,7 +572,11 @@ class TestFigure:
         code, out, err = run_cli(capsys, "figure", "fig1", "--set", override, "--out", "-")
         assert code == 1
         assert out == ""
-        assert err.endswith(f"error: argument --set: bad value {value!r} for override {key!r}\n")
+        if key == "n_points":
+            # lexes as a number; the scenario's parameter check refuses it
+            assert err == f"error: {key} must be a whole number, got {value}\n"
+        else:
+            assert err.endswith(f"error: argument --set: bad value {value!r} for override {key!r}\n")
 
     def test_numerical_failure_is_exit_2(self, capsys):
         # a step far too coarse for tau = 10 ps: the norm drifts, as in propagate
