@@ -155,7 +155,10 @@ def _parameters(name: str, overrides: dict | None) -> dict[str, Any]:
         raise ValueError(f"scenario {name!r} does not accept overrides {sorted(unknown)}")
     p = dict(defaults)
     for key, value in given.items():
-        array = np.ravel(value)
+        try:
+            array = np.ravel(value)
+        except ValueError:  # ragged nesting, such as [[1.0], [2.0, 3.0]]
+            array = np.ravel(None)  # an object array, refused below
         if array.dtype.kind not in "iuf":  # np.ravel("3") holds the string
             raise ValueError(f"{key} must be {'a whole number' if key == 'n_points' else 'numeric'}, got {value!r}")
         values = tuple(array.astype(float).tolist())

@@ -9,6 +9,7 @@ The CLI only lexes: a `--set` value becomes floats and a `--pulse` spec a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import re
 import sys
@@ -37,6 +38,7 @@ from .validation import run_validation
 
 LIFETIME_WARNING_PS = 1600.0  # 2p lifetime scale; dissipation matters beyond this
 MIN_TAU_WARNING_PS = 1e-3  # narrower pulses couple to levels outside the pair
+CSV_CHUNK = 2048  # CSV rows formatted and written at a time
 
 _PRESETS = {"hydrogen-2s2p": hydrogen_2s2p, "unit": unit_system}
 
@@ -130,18 +132,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str | None, meta: list[str], header: list[str], rows) -> None:
-    lines = [f"# {m}" for m in meta]
-    lines.append(f"# kickedqubit {__version__}")
-    lines.append(",".join(header))
-    # one %-template per row; "%.17g" % x is the same text as _fmt(x)
-    template = ",".join(["%.17g"] * len(header))
-    lines.extend(template % tuple(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, newline="")
+def _write_csv(path: str | None, meta: list[str], header: list[str], columns) -> None:
+    """Write the '#' lines, the header and the rows of the 1-D float columns, to stdout or path."""
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as out:
+        out.write("".join(f"# {m}\n" for m in [*meta, f"kickedqubit {__version__}"]) + ",".join(header) + "\n")
+        # CSV_CHUNK rows a write, formatted by one %-template over one flat list of
+        # floats, so no tuple or string is made per row; "%.17g" % x is the text of _fmt(x)
+        row = "%.17g," * (len(columns) - 1) + "%.17g\n"
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            block = np.column_stack([c[start:start + CSV_CHUNK] for c in columns])
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _warn_lifetime(total_time: float) -> None:
@@ -184,10 +184,6 @@ def _cmd_propagate(args) -> int:
     u12 = 0.0 - np.conj(u21)  # SU(2) completion; 0.0 - keeps a zero at +0
     p1, p2 = np.abs(u11) ** 2, np.abs(u21) ** 2
     norm_defect = float(np.max(np.abs(p1 + p2 - 1.0)))
-    rows = zip(
-        times.tolist(), p1.tolist(), p2.tolist(), noto_s.tolist(), noto_i.tolist(),
-        u11.real.tolist(), u11.imag.tolist(), u12.real.tolist(), u12.imag.tolist(),
-    )
     meta = [
         f"system {preset_label} gamma_rad_per_ps={_fmt(params.gamma)}",
         "pulses " + "; ".join(
@@ -203,7 +199,8 @@ def _cmd_propagate(args) -> int:
         "t_ps", "P1", "P2", "P2_noTO_schrodinger", "P2_noTO_interaction",
         "ReU11", "ImU11", "ReU12", "ImU12",
     ]
-    _write_csv(args.out, meta, header, rows)
+    columns = [times, p1, p2, noto_s, noto_i, u11.real, u11.imag, u12.real, u12.imag]
+    _write_csv(args.out, meta, header, columns)
     return 0
 
 
@@ -241,8 +238,8 @@ def _cmd_figure(args) -> int:
             out = str(Path(args.outdir) / f"{name}.csv")
             Path(args.outdir).mkdir(parents=True, exist_ok=True)
         meta = [f"scenario {name}", *(f"{key}={value}" for key, value in sorted(series.metadata.items()))]
-        rows = zip(series.values, *series.columns.values())
-        _write_csv(out, meta, [series.parameter, *series.columns], rows)
+        columns = [series.values, *series.columns.values()]
+        _write_csv(out, meta, [series.parameter, *series.columns], columns)
     return 0
 
 
@@ -283,7 +280,6 @@ def _cmd_floquet(args) -> int:
     res = propagators.floquet_eigenphases(args.alpha, gts)
     v_plus, v_minus = res.eigenvectors
     parts = [f(v[:, i]) for v in (v_plus, v_minus) for i in (0, 1) for f in (np.real, np.imag)]
-    rows = zip(*(c.tolist() for c in [gts, res.chi, *parts]))
     meta = [
         f"system {preset_label} gamma_rad_per_ps={_fmt(params.gamma)}",
         f"alpha_rad={_fmt(args.alpha)}",
@@ -293,7 +289,7 @@ def _cmd_floquet(args) -> int:
         "Re_vplus_1", "Im_vplus_1", "Re_vplus_2", "Im_vplus_2",
         "Re_vminus_1", "Im_vminus_1", "Re_vminus_2", "Im_vminus_2",
     ]
-    _write_csv(args.out, meta, header, rows)
+    _write_csv(args.out, meta, header, [gts, res.chi, *parts])
     return 0
 
 

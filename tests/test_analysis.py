@@ -156,6 +156,7 @@ class TestScenarios:
         ({"taus": [1.0, "x"]}, "taus must be numeric, got [1.0, 'x']"),
         ({"alpha": 1j}, "alpha must be numeric, got 1j"),
         ({"n_points": 1e8}, "n_points must be at most 1e+07, got 100000000"),
+        ({"taus": [[1.0], [2.0, 3.0]], "n_points": 3}, "taus must be numeric, got [[1.0], [2.0, 3.0]]"),
     ])
     def test_bad_override_value_names_the_key(self, overrides, message):
         with pytest.raises(ValueError, match=re.escape(message) + "$"):

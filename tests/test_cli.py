@@ -1,6 +1,8 @@
 import argparse
 import math
+import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -28,14 +30,39 @@ def data_rows(out: str) -> list[list[str]]:
 def test_csv_writer_matches_per_value_format(capsys):
     values = [
         0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e-300, 1.0000000000000004,
-        -1.0000000000000004, -123.45600000000002, 1e300, 7,
+        -1.0000000000000004, -123.45600000000002, 1e300, -1e300, 7, np.float64(0.1),
+        math.nan, math.inf, -math.inf,
     ]
-    rows = [values, values[::-1], [np.float64(x) for x in values]]
-    header = [f"c{i}" for i in range(len(values))]
-    cli._write_csv(None, ["meta"], header, rows)
-    expected = ["# meta", f"# kickedqubit {__version__}", ",".join(header)]
-    expected += [",".join(f"{x:.17g}" for x in row) for row in rows]
-    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+    header = ["a", "b", "c", "n"]
+    # no rows, exactly one chunk, and one row past a chunk boundary
+    for n in (0, cli.CSV_CHUNK, cli.CSV_CHUNK + 1):
+        columns = [np.resize(np.roll(values, k), n) for k in range(3)] + [np.arange(n)]
+        cli._write_csv(None, ["meta"], header, columns)
+        expected = ["# meta", f"# kickedqubit {__version__}", ",".join(header)]
+        expected += [",".join(f"{x:.17g}" for x in row) for row in zip(*columns)]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def test_csv_writer_memory_is_one_chunk(monkeypatch):
+    """Writing 9 columns of 100000 rows holds about one chunk of text, not the file."""
+
+    class CharCounter:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    sink = CharCounter()
+    columns = [np.linspace(-1.0, 1.0, 100_000) * (k + 1) for k in range(9)]
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._write_csv(None, ["meta"], [f"c{k}" for k in range(9)], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 9 * 100_000 * 10
+    assert peak < 8e6, f"writer peak {peak / 1e6:.1f} MB"
 
 
 class TestParsing:
@@ -126,6 +153,14 @@ class TestPropagate:
         text = target.read_bytes()
         assert b"\r" not in text
         assert text.decode().startswith("# system preset=hydrogen-2s2p")
+
+    def test_file_output_is_the_printed_bytes(self, tmp_path, capsys):
+        target = tmp_path / "run.csv"
+        args = (*self.ARGS[:-1], str(cli.CSV_CHUNK + 1))  # more rows than one chunk
+        code, printed, _ = run_cli(capsys, *args, "--out", "-")
+        assert code == 0
+        assert run_cli(capsys, *args, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == printed.encode()
 
     def test_degenerate_kick_steps_population(self, capsys):
         code, out, _ = run_cli(
