@@ -24,7 +24,7 @@ from .pulses import (
     hydrogen_2s2p,
     integrated_strength,
 )
-from .su2 import NonUnitaryError
+from .su2 import UNITARITY_TOLERANCE, NonUnitaryError
 
 
 class KickProbabilities(NamedTuple):
@@ -203,20 +203,18 @@ def _column_labels(key: str, values: tuple, label) -> list[str]:
 
 
 def no_ordering_p2_columns(
-    pulses: PulseSequence,
-    params: SystemParams,
-    t0: float,
-    times: np.ndarray,
-    cfg: IntegratorConfig | None,
+    pulses: PulseSequence, params: SystemParams, t0: float, times: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """P2 from t0 to each time without time ordering: (bare frame, rotating frame).
 
     Both read P2 off one array call of propagators.no_ordering_column each:
     the bare frame (lam = 0) with the running strength int_{t0}^t v dt, the
-    rotating frame (lam = 1) with z = int_{t0}^t v(t') e^{2 i gamma t'} dt'.
+    rotating frame (lam = 1) with z = int_{t0}^t v(t') e^{2 i gamma t'} dt',
+    a trapezoid at half the RK4 step dt of the trajectory these columns
+    accompany (its `TimeSeries.dt`).
     """
     times = np.asarray(times, dtype=float)
-    zs = integrated_strength(pulses, t0, times), interaction_integral_series(pulses, params, t0, times, cfg)
+    zs = integrated_strength(pulses, t0, times), interaction_integral_series(pulses, params, t0, times, dt)
     with np.errstate(invalid="ignore"):  # the guard below rejects a NaN
         p = np.array([
             [np.abs(u) ** 2 for u in propagators.no_ordering_column(z, lam, params.gamma, times - t0)]
@@ -225,7 +223,7 @@ def no_ordering_p2_columns(
     # one guard over both frames: for the SU(2) form this column check is the full
     # unitarity defect, and a NaN fails it
     defect = np.max(np.abs(p[:, 0] + p[:, 1] - 1.0), initial=0.0)
-    if not defect <= 1e-8:
+    if not defect <= UNITARITY_TOLERANCE:
         raise NonUnitaryError(f"no-ordering propagator is not unitary (defect {defect:.3e})")
     return p[0, 1], p[1, 1]
 
@@ -291,10 +289,9 @@ def _width_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     exact, noto_s_run, noto_i_num = (np.empty((n, marks.size)) for _ in range(3))
     for i, tau in enumerate(taus):
         pulses = [gaussian(alpha, tau, t_k)]
-        exact[i] = rk4_evolve(
-            pulses, params, (1.0, 0.0), 0.0, float(marks[-1]), cfg, record_times=marks
-        ).p2
-        noto_s_run[i], noto_i_num[i] = no_ordering_p2_columns(pulses, params, 0.0, marks, cfg)
+        series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, float(marks[-1]), cfg, record_times=marks)
+        exact[i] = series.p2
+        noto_s_run[i], noto_i_num[i] = no_ordering_p2_columns(pulses, params, 0.0, marks, series.dt)
     beta = g * taus
     cols: dict[str, np.ndarray] = {}
     for tf in obs:
@@ -330,7 +327,7 @@ def _observation_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     tfs = np.linspace(t_k, t_max, p["n_points"])
     pulses = [gaussian(alpha, tau, t_k)]
     series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, t_max, cfg, record_times=tfs)
-    noto_s_run, noto_i_num = no_ordering_p2_columns(pulses, params, 0.0, tfs, cfg)
+    noto_s_run, noto_i_num = no_ordering_p2_columns(pulses, params, 0.0, tfs, series.dt)
     closed = p2_closed_forms_single(alpha, beta, g * tfs)
     cols = {
         "P2": series.p2,

@@ -168,9 +168,8 @@ def _cmd_propagate(args) -> int:
     pulses = list(args.pulse)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    given = [args.t0, args.t1] + ([] if args.dt is None else [args.dt])
-    if not all(math.isfinite(x) for x in given):
-        raise ValueError("--t0, --t1 and --dt must be finite")
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise ValueError("--t0, --t1 and --dt must be finite")  # check_step_budget refuses a bad --dt
     if args.t0 < 0.0 or args.t1 < args.t0 or any(p.center < 0.0 for p in pulses):
         raise ValueError("times must be non-negative with t1 >= t0")
     _warn_scales(pulses, args.t1 - args.t0, preset_label)
@@ -179,7 +178,7 @@ def _cmd_propagate(args) -> int:
     check_step_budget(pulses, params, args.t0, args.t1, cfg, args.samples, "lower --samples")
     times = np.linspace(args.t0, args.t1, args.samples)
     series = rk4_evolve(pulses, params, (1.0, 0.0), args.t0, args.t1, cfg, record_times=times)
-    noto_s, noto_i = no_ordering_p2_columns(pulses, params, args.t0, times, cfg)
+    noto_s, noto_i = no_ordering_p2_columns(pulses, params, args.t0, times, series.dt)
     u11, u21 = series.states[:, 0], series.states[:, 1]
     u12 = 0.0 - np.conj(u21)  # SU(2) completion; 0.0 - keeps a zero at +0
     p1, p2 = np.abs(u11) ** 2, np.abs(u21) ** 2

@@ -37,7 +37,8 @@ window by `pulses.gauss_legendre`, one composite Gauss-Legendre rule with
 two panels for each pi of phase at frequency 2 lam gamma, which returns
 its value alone.  The module needs numpy only.
 `interaction_integral_series` is the cheap cumulative trapezoid behind the
-rotating-frame no-ordering CSV column.
+rotating-frame no-ordering CSV column, at half the RK4 step that
+`check_step_budget` resolved for the trajectory it accompanies.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ from .pulses import (
     envelope_array,
     gauss_legendre,
 )
-from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, NonUnitaryError, norm_defect, su2, unitarity_defect
+from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARITY_TOLERANCE, NonUnitaryError, norm_defect, su2, unitarity_defect
 
 #: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping
 #: (with a gaussian pair about 20 s of work).  It also caps scenario
@@ -70,20 +71,8 @@ BLOCK = 4096
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    dt: float | None = None  # fixed step in ps; None = resolve pulse and Rabi scales
-    unitarity_tolerance: float = 1e-8
-
-    def resolve_dt(self, pulses: PulseSequence, params: SystemParams, span: float) -> float:
-        if self.dt is not None:
-            if not (self.dt > 0.0 and math.isfinite(self.dt)):
-                raise ValueError("dt must be positive and finite")
-            return self.dt
-        candidates = [p.tau / 50.0 for p in pulses if p.shape is not PulseShape.IDEAL_KICK]
-        if math.isfinite(params.rabi_time):
-            candidates.append(params.rabi_time / 2000.0)
-        if not candidates:
-            candidates.append(span / 1000.0)
-        return min(candidates)
+    dt: float | None = None  # fixed step in ps; None: check_step_budget resolves it
+    unitarity_tolerance: float = UNITARITY_TOLERANCE
 
 
 @dataclass
@@ -213,12 +202,22 @@ def check_step_budget(
     pulses: PulseSequence, params: SystemParams, t0: float, t1: float, cfg: IntegratorConfig,
     records: int, fewer: str = "record fewer times",
 ) -> float:
-    """The resolved dt, once [t0, t1] with this many record times fits MAX_RK4_STEPS.
+    """The RK4 step of cfg, once [t0, t1] with this many record times fits MAX_RK4_STEPS.
 
-    Each stop after t0 can round one segment up by a step: t1, each record
-    time, and at most two a pulse (a kick, a rectangle's edges).
+    A given cfg.dt must be positive and finite.  None resolves to the
+    smallest of tau / 50 over the finite pulses and the Rabi time / 2000,
+    else to a thousandth of the span.  Each stop after t0 can round one
+    segment up by a step: t1, each record time, and at most two a pulse (a
+    kick, a rectangle's edges).
     """
-    dt = cfg.resolve_dt(pulses, params, max(t1 - t0, 1e-12))
+    dt = cfg.dt
+    if dt is None:
+        candidates = [p.tau / 50.0 for p in pulses if p.shape is not PulseShape.IDEAL_KICK]
+        if math.isfinite(params.rabi_time):
+            candidates.append(params.rabi_time / 2000.0)
+        dt = min(candidates or [max(t1 - t0, 1e-12) / 1000.0])
+    elif not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
     span_steps = (t1 - t0) / dt
     if not span_steps <= MAX_RK4_STEPS:
         raise ValueError(
@@ -255,12 +254,12 @@ def rk4_evolve(
     dt.  A run that check_step_budget refuses raises ValueError before any
     stepping.
     """
-    if t1 < t0:
+    if not t1 >= t0:  # refuses a NaN end
         raise ValueError("t1 must be >= t0")
     cfg = cfg or IntegratorConfig()
     times = np.asarray(record_times, dtype=float)
     dt = check_step_budget(pulses, params, t0, t1, cfg, times.size)
-    if times.size and (times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12):
+    if not ((t0 - 1e-12 <= times) & (times <= t1 + 1e-12)).all():  # and a NaN time
         raise ValueError("record times must lie inside [t0, t1]")
     if np.any(np.diff(times) < 0.0):
         raise ValueError("record times must be non-decreasing")
@@ -395,30 +394,21 @@ def no_ordering_numeric(
 
 
 def interaction_integral_series(
-    pulses: PulseSequence,
-    params: SystemParams,
-    t0: float,
-    times: np.ndarray,
-    cfg: IntegratorConfig | None = None,
+    pulses: PulseSequence, params: SystemParams, t0: float, times: np.ndarray, dt: float
 ) -> np.ndarray:
     """Cumulative int_{t0}^t v(t') e^{2 i gamma t'} dt' at each requested time t >= t0.
 
-    Trapezoid on a fine grid that includes the requested times; meant for
-    emitting whole no-ordering columns cheaply.  Kicks at or after t0 enter
-    as steps.
+    Trapezoid at half the RK4 step dt (a trajectory's resolved `TimeSeries.dt`)
+    on a grid that includes the requested times; meant for emitting whole
+    no-ordering columns cheaply.  Kicks at or after t0 enter as steps.
     """
-    cfg = cfg or IntegratorConfig()
     times = np.asarray(times, dtype=float)
-    t_max = float(times[-1]) if times.size else t0
+    t_max = float(times.max(initial=t0))  # times in any order
     smooth = [p for p in pulses if p.shape is not PulseShape.IDEAL_KICK]
-    dt = cfg.resolve_dt(pulses, params, max(t_max - t0, 1e-12)) / 2.0
-    grid = np.unique(np.concatenate([np.arange(t0, t_max, dt), times, [t0]]))
-    if smooth:
-        vals = envelope_array(smooth, grid) * np.exp(2j * params.gamma * grid)
-        increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-        cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
-    else:
-        cumulative = np.zeros_like(grid, dtype=complex)
+    grid = np.unique(np.concatenate([np.arange(t0, t_max, dt / 2.0), times, [t0]]))
+    vals = envelope_array(smooth, grid) * np.exp(2j * params.gamma * grid)
+    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
+    cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     idx = np.searchsorted(grid, times)
     out = cumulative[idx]
     for p in pulses:

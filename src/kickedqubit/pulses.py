@@ -262,7 +262,7 @@ def integrated_strength(pulses: PulseSequence, t0: float, t1):
     window (boundaries inclusive).  t1 may be a 1-D array of end times, as
     in Pulse.integral.
     """
-    if np.any(t1 < t0):
+    if not np.all(t1 >= t0):  # refuses a NaN
         raise ValueError("t1 must be >= t0")
     total = np.zeros(t1.size) if isinstance(t1, np.ndarray) else 0.0
     for p in pulses:

@@ -31,6 +31,8 @@ for _m in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
+#: The unitarity and norm defect every propagator and integrated state must hold to.
+UNITARITY_TOLERANCE = 1e-8
 
 
 class NonUnitaryError(ValueError):
@@ -102,11 +104,11 @@ def norm_defect(state: np.ndarray) -> float:
 def probabilities(u, initial):
     """Occupation probabilities (P1, P2) after applying u, a matrix or a stack.
 
-    Requires every matrix unitary to 1e-8; P1 + P2 is then conserved to the
-    same level.  A stack gives one array of each.
+    Requires every matrix unitary to UNITARITY_TOLERANCE; P1 + P2 is then
+    conserved to the same level.  A stack gives one array of each.
     """
     defect = unitarity_defect(u)
-    if not defect <= 1e-8:
+    if not defect <= UNITARITY_TOLERANCE:
         raise NonUnitaryError(f"propagator is not unitary (defect {defect:.3e})")
     p1, p2 = np.moveaxis(np.abs(u @ np.asarray(initial, dtype=complex)) ** 2, -1, 0)
     return p1, p2

@@ -17,7 +17,7 @@ from kickedqubit.analysis import (
     scenario,
 )
 from kickedqubit.evolve import IntegratorConfig
-from kickedqubit.pulses import hydrogen_2s2p, unit_system
+from kickedqubit.pulses import gaussian, hydrogen_2s2p, unit_system
 from kickedqubit.su2 import NonUnitaryError, Z_AXIS, max_abs_diff, pauli_exponential, probabilities
 
 
@@ -280,8 +280,30 @@ def test_no_ordering_columns_reject_a_nan_row(monkeypatch, frame):
     monkeypatch.setattr(analysis, name, bad_at_two)
     with pytest.raises(NonUnitaryError):
         analysis.no_ordering_p2_columns(
-            [], unit_system(), 0.0, np.array([1.0, 2.0, 3.0]), None
+            [], unit_system(), 0.0, np.array([1.0, 2.0, 3.0]), 0.01
         )
+
+
+@pytest.mark.parametrize("times", [[1.0, math.nan], [math.nan, 1.0], [math.nan]],
+                         ids=["nan-last", "nan-first", "nan-alone"])
+def test_no_ordering_columns_refuse_a_nan_time(times):
+    # a trailing NaN used to leak numpy's "arange: cannot compute length"
+    with pytest.raises(ValueError, match="^t1 must be >= t0$"):
+        analysis.no_ordering_p2_columns(
+            [gaussian(1.0, 1.0, 0.5)], unit_system(), 0.0, np.array(times), 0.01
+        )
+
+
+def test_no_ordering_columns_take_times_in_any_order():
+    # the trapezoid's grid used to end at the last time, not the latest: an
+    # early time last left the later rows with a rotating-frame P2 of 0
+    pulses, params = [gaussian(1.0, 10.0, 150.0)], hydrogen_2s2p()
+    times = np.array([50.0, 300.0, 150.0])
+    order = np.argsort(times)
+    shuffled = analysis.no_ordering_p2_columns(pulses, params, 0.0, times, 0.2)
+    ordered = analysis.no_ordering_p2_columns(pulses, params, 0.0, times[order], 0.2)
+    for a, b in zip(shuffled, ordered):
+        assert np.array_equal(a[order], b)
 
 
 def test_benchmark_hooks_keep_their_shape(monkeypatch):

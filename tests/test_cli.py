@@ -197,13 +197,15 @@ class TestPropagate:
 
     @pytest.mark.parametrize("bad", [
         ("--samples", "0"), ("--samples", "-3"), ("--t1", "nan"), ("--t0", "inf"),
-        ("--t0", "nan"), ("--dt", "nan"), ("--dt", "inf"),
+        ("--t0", "nan"), ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-1"),
     ])
     def test_degenerate_input_is_clean_exit_1(self, capsys, bad):
         code, out, err = run_cli(capsys, *self.ARGS, *bad)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "arange" not in err
+        if bad[0] == "--dt":  # evolve.check_step_budget's check, the one for every command
+            assert err == "error: dt must be positive and finite\n"
 
     def test_t0_after_pulse_all_columns_agree(self, capsys):
         # a pulse that is over before t0 must leave every P2 column at zero
@@ -361,6 +363,13 @@ class TestPropagate:
         assert out == ""
         assert err.endswith(f"error: argument --pulse: bad pulse spec {spec!r} "
                             "(want shape:alpha=...,tau=...,center=...): repeated field 'center'\n")
+
+    def test_unknown_pulse_field_is_exit_1(self, capsys):
+        spec = "gaussian:alpha=1,tau=1,center=5,foo=2"
+        code, out, err = run_cli(capsys, "propagate", "--pulse", spec, "--t1", "3")
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --pulse: bad pulse spec {spec!r} "
+                            "(want shape:alpha=...,tau=...,center=...): 'foo'\n")
 
     @pytest.mark.parametrize("shape", ["gaussian", "rect"])
     def test_overflowing_peak_is_exit_1(self, capsys, shape):
@@ -612,6 +621,16 @@ class TestFigure:
             assert err == f"error: {key} must be a whole number, got {value}\n"
         else:
             assert err.endswith(f"error: argument --set: bad value {value!r} for override {key!r}\n")
+
+    def test_override_without_value_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "figure", "fig1", "--set", "n_points", "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument --set: override 'n_points' is not key=value\n")
+
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_bad_dt_is_exit_1(self, capsys, dt):
+        code, out, err = run_cli(capsys, "figure", "fig1", "--dt", dt, "--set", "n_points=3", "--out", "-")
+        assert (code, out, err) == (1, "", "error: dt must be positive and finite\n")
 
     def test_numerical_failure_is_exit_2(self, capsys):
         # a step far too coarse for tau = 10 ps: the norm drifts, as in propagate

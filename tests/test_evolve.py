@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from kickedqubit import propagators as prop
 from kickedqubit.analysis import error_scaling_fit, no_ordering_p2_columns
 from kickedqubit.evolve import (
     IntegratorConfig,
+    check_step_budget,
     interaction_integral,
     interaction_integral_series,
     no_ordering_numeric,
@@ -93,6 +95,26 @@ class TestRk4Evolve:
             rk4_evolve([], unit_system(), (1.0, 0.0), 0.0, 2.0, record_times=times)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("t0, t1, marks, message", [
+        (0.0, 10.0, [math.nan, 1.0, 3.0], "record times must lie inside"),
+        (0.0, 10.0, [1.0, math.nan, 3.0], "record times must lie inside"),
+        (0.0, 10.0, [1.0, 3.0, math.nan], "record times must lie inside"),
+        (0.0, 10.0, [math.nan], "record times must lie inside"),
+        (0.0, 10.0, [1.0, 11.0, 3.0], "record times must lie inside"),
+        (math.nan, 10.0, [1.0], "t1 must be >= t0"),
+        (0.0, math.nan, [1.0], "t1 must be >= t0"),
+        (5.0, 4.0, [4.5], "t1 must be >= t0"),
+        (0.0, 10.0, [1.0, 3.0, 2.0], "record times must be non-decreasing"),
+    ], ids=["nan-first", "nan-middle", "nan-last", "nan-alone", "outside-middle",
+            "nan-t0", "nan-t1", "t1-before-t0", "decreasing"])
+    def test_bad_times_are_refused(self, t0, t1, marks, message):
+        # a NaN record time used to give a row at t = nan and a negative step count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                rk4_evolve([gaussian(1.0, 1.0, 5.0)], unit_system(), (1.0, 0.0), t0, t1,
+                           record_times=marks)
+
     def test_coarse_step_raises(self):
         with pytest.raises(NonUnitaryError):
             rk4_evolve(FIG1_PULSE, HYDROGEN, (1.0, 0.0), 0.0, 300.0,
@@ -168,12 +190,12 @@ def test_completed_column_matches_direct_integration(pulses, t0, span):
 @example(pulses=[ideal_kick(40.0, 1.0)], t0=0.0, offsets=[2.0, 4.0], gamma=300.0)  # large xi
 def test_columns_match_the_matrix_route(pulses, t0, offsets, gamma):
     # each row of the array columns is the P2 of the scalar matrix, in both frames
-    params, cfg = SystemParams(gamma), IntegratorConfig(dt=0.01)
+    params, dt = SystemParams(gamma), 0.01
     times = np.array(sorted(t0 + x for x in offsets + offsets[:2]))  # with repeats
-    columns = no_ordering_p2_columns(pulses, params, t0, times, cfg)
+    columns = no_ordering_p2_columns(pulses, params, t0, times, dt)
     zs = (
         integrated_strength(pulses, t0, times),
-        interaction_integral_series(pulses, params, t0, times, cfg),
+        interaction_integral_series(pulses, params, t0, times, dt),
     )
     for lam, column, z in zip((0.0, 1.0), columns, zs):
         for p2, zk, t in zip(column.tolist(), z.tolist(), (times - t0).tolist()):
@@ -581,7 +603,8 @@ class TestNoOrderingNumeric:
         params = HYDROGEN
         pulses = [gaussian(1.0, 10.0, 100.0), gaussian(-1.0, 10.0, 300.0)]
         times = np.array([50.0, 150.0, 350.0, 500.0])
-        series_vals = interaction_integral_series(pulses, params, 0.0, times)
+        dt = check_step_budget(pulses, params, 0.0, 500.0, IntegratorConfig(), times.size)
+        series_vals = interaction_integral_series(pulses, params, 0.0, times, dt)
         for t, val in zip(times, series_vals):
             assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < 1e-7
 
@@ -604,7 +627,9 @@ class TestConvergence:
 
 
 def test_default_dt_rule():
-    cfg = IntegratorConfig()
-    assert cfg.resolve_dt(FIG1_PULSE, HYDROGEN, 300.0) == pytest.approx(10.0 / 50.0)
-    assert cfg.resolve_dt([gaussian(1.0, 1000.0, 0.0)], HYDROGEN, 300.0) == pytest.approx(972.0 / 2000.0)
-    assert cfg.resolve_dt([], SystemParams(0.0), 300.0) == pytest.approx(0.3)
+    def resolved(pulses, params):
+        return check_step_budget(pulses, params, 0.0, 300.0, IntegratorConfig(), 0)
+
+    assert resolved(FIG1_PULSE, HYDROGEN) == pytest.approx(10.0 / 50.0)
+    assert resolved([gaussian(1.0, 1000.0, 0.0)], HYDROGEN) == pytest.approx(972.0 / 2000.0)
+    assert resolved([], SystemParams(0.0)) == pytest.approx(0.3)

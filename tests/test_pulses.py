@@ -96,6 +96,12 @@ class TestPulseEvaluation:
         with pytest.raises(ValueError, match="finite peak"):
             make(1e300, 1e-300, 1.0)
 
+    @pytest.mark.parametrize("make", [gaussian, rectangular])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_finite_pulse_needs_a_width(self, make, tau):
+        with pytest.raises(ValueError, match=r"^finite pulse shapes need tau > 0$"):
+            make(1.0, tau, 5.0)
+
     @pytest.mark.parametrize("tau", [5.0, -1e-300, math.nan])
     def test_kick_has_no_width(self, tau):
         with pytest.raises(ValueError, match="a kick has no width, got tau="):
