@@ -169,7 +169,7 @@ def _cmd_propagate(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
-        raise ValueError("--t0, --t1 and --dt must be finite")  # check_step_budget refuses a bad --dt
+        raise ValueError("--t0 and --t1 must be finite")  # check_step_budget refuses a bad --dt
     if args.t0 < 0.0 or args.t1 < args.t0 or any(p.center < 0.0 for p in pulses):
         raise ValueError("times must be non-negative with t1 >= t0")
     _warn_scales(pulses, args.t1 - args.t0, preset_label)

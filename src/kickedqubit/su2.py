@@ -7,9 +7,10 @@ states); propagators are 2x2 complex ndarrays.  `su2`,
 `pauli_exponential` and every closed form in `propagators` broadcast over
 array parameters: a scalar call returns one (2, 2) matrix and an array
 call a (..., 2, 2) stack, one matrix per entry; `unitarity_defect` and
-`probabilities` take either.  The closed forms compute the pair (p, q) of
-each matrix and build it with `su2`; `pauli_exponential` writes its four
-entries directly (see its docstring).  The largest-absolute-entry norm is
+`probabilities` take either, and read the four entries of each matrix
+elementwise.  The closed forms compute the pair (p, q) of each matrix and
+build it with `su2`; `pauli_exponential` writes its four entries directly
+(see its docstring).  The largest-absolute-entry norm is
 used for all matrix defect measurements, and a NaN entry gives a NaN
 defect, which fails every `not defect <= tol` guard.  The one numeric
 no-ordering route, `evolve.no_ordering_numeric`, serves the bare
@@ -88,8 +89,17 @@ def pauli_exponential(phi, axis) -> np.ndarray:
 
 
 def unitarity_defect(m) -> float:
-    """max |(M^dag M - 1)_ij| over a matrix or a stack of them, NaN if any entry is NaN."""
-    return max_abs_diff(np.conj(np.swapaxes(m, -1, -2)) @ m, IDENTITY)
+    """max |(M^dag M - 1)_ij| over a matrix or a stack of them, NaN if any entry is NaN.
+
+    Of M = [[a, b], [c, d]]: |a|^2 + |c|^2 - 1, |b|^2 + |d|^2 - 1 and
+    a* b + c* d, elementwise; each entry enters a* b + c* d, so a NaN shows.
+    """
+    m = np.asarray(m)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    col0 = a.real * a.real + a.imag * a.imag + (c.real * c.real + c.imag * c.imag) - 1.0
+    col1 = b.real * b.real + b.imag * b.imag + (d.real * d.real + d.imag * d.imag) - 1.0
+    off = np.abs(np.conj(a) * b + np.conj(c) * d)
+    return float(np.maximum(np.maximum(np.abs(col0), np.abs(col1)), off).max())
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -110,5 +120,6 @@ def probabilities(u, initial):
     defect = unitarity_defect(u)
     if not defect <= UNITARITY_TOLERANCE:
         raise NonUnitaryError(f"propagator is not unitary (defect {defect:.3e})")
-    p1, p2 = np.moveaxis(np.abs(u @ np.asarray(initial, dtype=complex)) ** 2, -1, 0)
+    u, (x1, x2) = np.asarray(u), np.asarray(initial, dtype=complex)
+    p1, p2 = np.moveaxis(np.abs(u[..., 0] * x1 + u[..., 1] * x2) ** 2, -1, 0)
     return p1, p2

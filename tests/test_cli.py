@@ -207,6 +207,16 @@ class TestPropagate:
         if bad[0] == "--dt":  # evolve.check_step_budget's check, the one for every command
             assert err == "error: dt must be positive and finite\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t0", "nan", "--t0 and --t1 must be finite"),
+        ("--t1", "inf", "--t0 and --t1 must be finite"),
+        ("--dt", "nan", "dt must be positive and finite"),
+    ])
+    def test_non_finite_time_message_names_what_was_checked(self, capsys, flag, value, message):
+        # propagate checks --t0 and --t1 itself; check_step_budget owns the --dt check
+        code, out, err = run_cli(capsys, *self.ARGS, flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_t0_after_pulse_all_columns_agree(self, capsys):
         # a pulse that is over before t0 must leave every P2 column at zero
         code, out, _ = run_cli(

@@ -399,6 +399,39 @@ def test_batched_plan_matches_per_segment_spans(pulses, t0, span, fractions, dt,
     assert np.max(np.abs(series.states - expected), initial=0.0) <= 1e-13
 
 
+def _per_block_map(v_const, gamma, t0, t1, n):
+    """The map of n constant-coupling steps over [t0, t1] as BLOCK-step _block_map calls, left-folded."""
+    h, d, q = (t1 - t0) / n, 0j, 0j
+    for start in range(0, n, evolve.BLOCK):
+        m = min(evolve.BLOCK, n - start)
+        db, qb, _ = evolve._block_map(None, np.array([v_const]), 1j * gamma, np.array([t0]), np.array([h]), m)
+        d, q = evolve._compose(complex(db[0]), complex(qb[0]), d, q)
+    return d, q
+
+
+def test_long_constant_coupling_segments_match_the_exact_propagator():
+    # a rectangle then a kick, every segment over 2 BLOCK steps, so each runs
+    # through _rk4_span: within RK4 error of the rectangular propagator times
+    # the kick, and within rounding of a per-BLOCK product built here
+    gamma, dt, t1 = 0.7, 2e-4, 8.0
+    rect, kick = rectangular(0.8, 2.0, 3.0), ideal_kick(0.5, 6.0)
+    cfg = IntegratorConfig(dt=dt)
+    series = rk4_evolve([rect, kick], SystemParams(gamma), (1.0, 0.0), 0.0, t1, cfg, record_times=[t1])
+    stops = [0.0, *rect.window(), kick.center, t1]
+    assert min(np.diff(stops)) > 2 * evolve.BLOCK * dt
+    exact = prop.free_propagator(gamma, t1 - kick.center) @ prop.degenerate_propagator(kick.alpha) \
+        @ prop.rectangular_propagator(rect.alpha, gamma * rect.tau, gamma, rect.center, kick.center)
+    assert np.max(np.abs(series.final_state() - exact[:, 0])) <= 1e-10
+    u = np.eye(2, dtype=complex)
+    for lo, hi in zip(stops, stops[1:]):
+        v_const = rect.peak if lo == rect.window()[0] else 0.0
+        d, q = _per_block_map(v_const, gamma, lo, hi, math.ceil((hi - lo) / dt))
+        u = np.array([[1.0 + d, -q.conjugate()], [q, 1.0 + d.conjugate()]]) @ u
+        if hi == kick.center:
+            u = prop.degenerate_propagator(kick.alpha) @ u
+    assert np.max(np.abs(series.final_state() - u[:, 0])) <= 1e-13
+
+
 _RECT_OR_KICK = st.one_of(
     st.builds(rectangular, _STRENGTH, st.floats(0.1, 1.0), _START),
     st.builds(ideal_kick, _STRENGTH, _START),

@@ -70,18 +70,20 @@ def test_pauli_exponential_matches_the_numpy_route_bit_for_bit(phi, n, as_array)
     assert u.tobytes() == ref.tobytes()
 
 
+_unitaries = st.tuples(angles, axes, st.floats(-math.pi, math.pi)).map(
+    lambda a: complex(math.cos(a[2]), math.sin(a[2])) * pauli_exponential(a[0], a[1])
+)
+
+
 def _random_matrices():
     """Unitary, slightly perturbed and far-from-unitary 2x2 matrices."""
     complex_entries = st.tuples(*(st.floats(-3.0, 3.0) for _ in range(8))).map(
         lambda x: np.array(x[:4]).reshape(2, 2) + 1j * np.array(x[4:]).reshape(2, 2)
     )
-    unitary = st.tuples(angles, axes, st.floats(-math.pi, math.pi)).map(
-        lambda a: complex(math.cos(a[2]), math.sin(a[2])) * pauli_exponential(a[0], a[1])
-    )
-    perturbed = st.tuples(unitary, complex_entries, st.floats(1e-12, 1e-3)).map(
+    perturbed = st.tuples(_unitaries, complex_entries, st.floats(1e-12, 1e-3)).map(
         lambda a: a[0] + a[2] * a[1]
     )
-    return st.one_of(unitary, perturbed, complex_entries)
+    return st.one_of(_unitaries, perturbed, complex_entries)
 
 
 @given(_random_matrices())
@@ -244,6 +246,46 @@ def test_probabilities_of_a_stack_match_each_matrix():
     stack[7] *= 1.5
     with pytest.raises(NonUnitaryError):
         probabilities(stack, (1.0, 0.0))
+
+
+def _stacks(matrices):
+    """(a, b, 2, 2) stacks of the given matrices, a in 1..3 and b in 1..5."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(
+        lambda ab: st.lists(matrices, min_size=ab[0] * ab[1], max_size=ab[0] * ab[1]).map(
+            lambda ms: np.stack(ms).reshape(*ab, 2, 2)
+        )
+    )
+
+
+@given(_stacks(_random_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_unitarity_defect_of_any_stack_is_its_worst_matrix(stack):
+    want = max(reference_unitarity_defect(m) for m in stack.reshape(-1, 2, 2))
+    for shaped in (stack, stack.reshape(-1, 2, 2)):
+        assert abs(unitarity_defect(shaped) - want) <= 4 * np.finfo(float).eps * max(1.0, want)
+
+
+@given(_stacks(_random_matrices()), st.integers(0, 59),
+       st.sampled_from([complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.inf)]))
+@settings(max_examples=100, deadline=None)
+def test_unitarity_defect_of_a_stack_is_nan_when_any_entry_is_nan(stack, k, bad):
+    stack = stack.copy()
+    stack.flat[k % stack.size] = bad
+    for shaped in (stack, stack.reshape(-1, 2, 2)):
+        with np.errstate(invalid="ignore"):  # an infinite part makes inf * 0, as in a matmul
+            assert math.isnan(unitarity_defect(shaped))
+
+
+@given(_stacks(_unitaries), st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (0.28 - 0.96j, 0.0)]))
+@settings(max_examples=100, deadline=None)
+def test_probabilities_of_a_2d_stack_match_each_matrix_bit_for_bit(stack, initial):
+    p1, p2 = probabilities(stack, initial)
+    assert p1.shape == p2.shape == stack.shape[:2]
+    ref = np.abs(stack @ np.asarray(initial, dtype=complex)) ** 2  # the matmul route
+    assert np.max(np.abs(np.stack([p1, p2], axis=-1) - ref)) <= 4 * np.finfo(float).eps
+    for i, j in np.ndindex(*stack.shape[:2]):
+        one = probabilities(stack[i, j], initial)
+        assert (p1[i, j].tobytes(), p2[i, j].tobytes()) == (one[0].tobytes(), one[1].tobytes())
 
 
 def test_su2_builds_the_pair_form_with_a_positive_zero_completion():
