@@ -17,13 +17,14 @@ get, as arrays, a step count n = max(1, ceil(length / dt)), a step and a
 rectangular coupling.  Compose: each segment becomes one SU(2) map
 [[1 + d, -q*], [q, 1 + d*]], identity kept apart, times the exact map
 exp(-i alpha sigma_x) of a kick at its end.  `_block_map`, the one
-composer, writes each RK4 step as such a map and multiplies a row's maps
-pairwise.  Only a sequence with a gaussian has an envelope closure, called
-at each step's start, midpoint and end; rectangles and kicks alone enter
-through the rectangular coupling and the kick maps, with no closure, and
-then a segment's steps are all one map, whose product takes log2 m passes.  A
-segment of SMALL or more steps runs through `_rk4_span` block by block,
-shorter ones grouped by step count as the rows of one call.  Prefix
+composer, writes each RK4 step as such a map, the four stages multiplied
+out into one real polynomial for each part of d and q (`_step_map`), and
+multiplies a row's maps pairwise.  Only a sequence with a gaussian has an
+envelope closure, called at each step's start, midpoint and end; rectangles
+and kicks alone enter through the rectangular coupling and the kick maps,
+with no closure, and then a segment's steps are all one map, whose product
+takes log2 m passes.  A segment of SMALL or more steps runs through
+`_rk4_span` block by block, shorter ones grouped by step count as rows.  Prefix
 products: a Hillis-Steele scan over a chunk's maps (`_prefix_maps`) gives
 the state at every segment end, with no Python loop per segment or row.
 
@@ -63,8 +64,8 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARITY_TOLERANCE, NonUnitaryError
 MAX_RK4_STEPS = 10_000_000
 #: A segment of at least SMALL steps runs alone through _rk4_span (where
 #: perfbench's tracer counts steps) in blocks of up to BLOCK steps; shorter
-#: ones are grouped by step count into _block_map calls of up to BLOCK
-#: steps, BLOCK // 2 segments a chunk, so that every array stays small.
+#: ones are grouped by step count into _block_map calls, of up to BLOCK
+#: steps with a closure, BLOCK // 2 segments a chunk, so every array stays small.
 SMALL = 64
 BLOCK = 4096
 
@@ -105,7 +106,7 @@ def _rk4_span(v, v_const: float, gamma: float, t0: float, t1: float, n: int):
     d = q = 0j
     while n > 0:
         m = min(n, BLOCK)
-        db, qb, t = _block_map(v, c, 1j * gamma, t, h, m)
+        db, qb, t = _block_map(v, c, gamma, t, h, m)
         d, q = _compose(complex(db[0]), complex(qb[0]), d, q)
         n -= m
     return d, q
@@ -129,34 +130,30 @@ def _prefix_maps(d, q):
     return d, q
 
 
-def _step_map(ig, h, ivt, ivm, ive):
+def _step_map(g, h, vt, vm, ve):
     """One RK4 step as the map [[1 + d, -q*], [q, 1 + d*]]; returns (d, q).
 
-    The matrix is a real combination of 1 and i sigma_{x,y,z}, so the step
-    run on the column (1, 0) gives it whole.  ivt, ivm and ive are i v at the
-    step's start, midpoint and end, one per step; h broadcasts against them.
+    The step of da/dt = A(t) a, A = i (g sigma_z - v sigma_x), with A1, A2
+    and A3 at the step's start, midpoint and end, multiplies out to
+    1 + (h/6)(A1 + 4 A2 + A3) + (h^2/6)(A2 A1 + A2^2 + A3 A2)
+    + (h^3/12)(A2^2 A1 + A3 A2^2) + (h^4/24) A3 A2^2 A1, and A2^2 = -s with
+    s = g^2 + vm^2, so each of Re d, Im d, Re q and Im q is one real
+    polynomial in g, h and the couplings vt, vm and ve, written straight
+    into the parts of two complex arrays.  The identity stays apart: Re d
+    is never formed as 1 + d.  g is a float; h broadcasts against vt, vm, ve.
     """
-    # complex copies, (x, 0), of the float 0.5 h, h / 6 and h keep numpy off its
-    # slower float-by-complex loops (a complex h / 6.0 would round differently)
-    half, sixth, h, mig = 0.5 * h + 0j, h / 6.0 + 0j, h + 0j, -ig
-    k1a = ig
-    k1b = -ivt
-    x1 = 1.0 + half * k1a
-    x2 = half * k1b
-    k2a = ig * x1 - ivm * x2
-    k2b = mig * x2 - ivm * x1
-    x1 = 1.0 + half * k2a
-    x2 = half * k2b
-    k3a = ig * x1 - ivm * x2
-    k3b = mig * x2 - ivm * x1
-    x1 = 1.0 + h * k3a
-    x2 = h * k3b
-    k4a = ig * x1 - ive * x2
-    k4b = mig * x2 - ive * x1
-    return sixth * (k1a + 2.0 * (k2a + k3a) + k4a), sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+    g2, h2, e = g * g, h * h, vt + ve
+    hs = h2 * (g2 + vm * vm)  # h^2 s
+    d = np.empty(np.broadcast(h, vt, vm, ve).shape, complex)
+    q = np.empty_like(d)
+    d.real = h2 * (hs * (g2 + vt * ve) / 24.0 - (3.0 * g2 + vm * (e + vm)) / 6.0)
+    d.imag = h * g * (1.0 - hs / 6.0)
+    q.imag = h * (hs * e / 12.0 - (e + 4.0 * vm) / 6.0)
+    q.real = g * (ve - vt) * h2 * (1.0 / 6.0 - hs / 24.0)
+    return d, q
 
 
-def _block_map(v, v_const, ig: complex, t, h, m: int):
+def _block_map(v, v_const, gamma: float, t, h, m: int):
     """m RK4 steps of h[r] from t[r] as one map per row r, multiplied pairwise.
 
     Every row is composed as it would be alone, and v is called three times
@@ -172,20 +169,20 @@ def _block_map(v, v_const, ig: complex, t, h, m: int):
     rows, h = h.size, h[:, None]
     if v is None:  # a zero closure's bits: 0.0 + c == c, and v_const holds no -0.0
         # width w: an odd one pads b with the identity, an even one pairs b with a
-        iv, one, w = 1j * v_const, np.zeros(rows, dtype=complex), m
+        one, w = np.zeros(rows, dtype=complex), m
         with np.errstate(over="ignore", invalid="ignore"):
-            a = b = _step_map(ig, h[:, 0], iv, iv, iv)
+            a = b = _step_map(gamma, h[:, 0], v_const, v_const, v_const)
             while w > 1:
                 b = _compose(one, one, *b) if w % 2 else _compose(*b, *a)
                 a, w = _compose(*a, *a), (w + 1) // 2
         return (*b, None)
     times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
-    tk = times[:, :m]
-    grid = np.stack([tk, tk + 0.5 * h, tk + h], axis=2)
-    iv = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size)
-    iv = 1j * (iv.reshape(grid.shape) + v_const[:, None, None])
+    tk = times[:, :m]  # each step's end, times[:, 1:], is tk + h bit for bit
+    grid = np.stack([tk, tk + 0.5 * h, times[:, 1:]], axis=2)
+    vs = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size).reshape(grid.shape)
+    vs += v_const[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # the norm guard rejects a NaN
-        d, q = _step_map(ig, h, iv[..., 0], iv[..., 1], iv[..., 2])
+        d, q = _step_map(gamma, h, vs[..., 0], vs[..., 1], vs[..., 2])
         # pairwise product, later steps on the left, over the flat rows; an odd
         # width w gets an identity column, whose products are exact
         d, q, w = d.ravel(), q.ravel(), m
@@ -294,12 +291,14 @@ def rk4_evolve(
     for s in range(0, hi.size, BLOCK // 2):
         a, b, m, c = (x[s : s + BLOCK // 2] for x in (lo, hi, n, v_const))
         d, q, h = np.empty(m.size, complex), np.empty(m.size, complex), (b - a) / m
-        # short rows of k steps, up to BLOCK steps a call (np.unique would load numpy.ma)
+        # short rows of k steps, up to BLOCK steps a call (np.unique would load numpy.ma);
+        # with no closure a row holds no array of steps, so one call takes them all
         for k in sorted(k for k in set(m.tolist()) if k < SMALL):
             same = np.flatnonzero(m == k)
-            for r in range(0, same.size, BLOCK // k):
-                i = same[r : r + BLOCK // k]
-                d[i], q[i], _ = _block_map(v, c[i], 1j * params.gamma, a[i], h[i], k)
+            width = same.size if v is None else BLOCK // k
+            for r in range(0, same.size, width):
+                i = same[r : r + width]
+                d[i], q[i], _ = _block_map(v, c[i], params.gamma, a[i], h[i], k)
         for i in np.flatnonzero(m >= SMALL).tolist():
             ci, ai, bi, mi = (x[i].item() for x in (c, a, b, m))
             d[i], q[i] = _rk4_span(v, ci, params.gamma, ai, bi, mi)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -231,12 +232,12 @@ def test_rows_compose_as_each_row_alone(pulses, k, rows, gamma):
         calls.append(x)
         return shape(x)
 
-    together = [x.tolist() for x in evolve._block_map(v, c, 1j * gamma, t, h, k)]
+    together = [x.tolist() for x in evolve._block_map(v, c, gamma, t, h, k)]
     together_calls, calls[:] = calls[:], []
     alone = [[], [], []]
     for r in range(t.size):
         one = slice(r, r + 1)
-        for out, x in zip(alone, evolve._block_map(v, c[one], 1j * gamma, t[one], h[one], k)):
+        for out, x in zip(alone, evolve._block_map(v, c[one], gamma, t[one], h[one], k)):
             out += x.tolist()
     assert len(together_calls) == 3 * k * t.size
     assert together_calls == calls
@@ -263,10 +264,83 @@ def test_constant_coupling_block_is_the_pairwise_tree(m, rows, gamma):
     # couplings (0.0 + c == c), so the two give the same bits.  With no closure
     # nothing reads a time, so no end time is returned
     t, h, c = (np.array(x) for x in zip(*rows))
-    fast = evolve._block_map(None, c, 1j * gamma, t, h, m)
-    tree = evolve._block_map(lambda _t: 0.0, c, 1j * gamma, t, h, m)
+    fast = evolve._block_map(None, c, gamma, t, h, m)
+    tree = evolve._block_map(lambda _t: 0.0, c, gamma, t, h, m)
     assert fast[2] is None
     assert [x.tobytes() for x in fast[:2]] == [x.tobytes() for x in tree[:2]]
+
+
+def _stagewise_step(g, h, vt, vm, ve):
+    """One RK4 step run stage by stage (k1 .. k4) on the column (1, 0), in complex arithmetic: (d, q)."""
+    ig, ivt, ivm, ive = 1j * g, 1j * vt, 1j * vm, 1j * ve
+    half, sixth, h, mig = 0.5 * h + 0j, h / 6.0 + 0j, h + 0j, -ig
+    k1a, k1b = ig, -ivt
+    x1, x2 = 1.0 + half * k1a, half * k1b
+    k2a, k2b = ig * x1 - ivm * x2, mig * x2 - ivm * x1
+    x1, x2 = 1.0 + half * k2a, half * k2b
+    k3a, k3b = ig * x1 - ivm * x2, mig * x2 - ivm * x1
+    x1, x2 = 1.0 + h * k3a, h * k3b
+    k4a, k4b = ig * x1 - ive * x2, mig * x2 - ive * x1
+    return sixth * (k1a + 2.0 * (k2a + k3a) + k4a), sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+
+
+_COUPLING = st.floats(-5.0, 5.0)
+
+
+def _rows_of_steps(shape):
+    """h as (rows, 1) and vt, vm, ve as (rows, m), nested lists."""
+    rows, m = shape
+    block = st.lists(st.lists(_COUPLING, min_size=m, max_size=m), min_size=rows, max_size=rows)
+    return st.tuples(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows), block, block, block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _COUPLING,
+    st.floats(0.0, 1.0),
+    st.one_of(
+        st.tuples(_COUPLING, _COUPLING, _COUPLING),
+        st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(_rows_of_steps),
+    ),
+)
+def test_step_map_is_the_stagewise_rk4_step(g, h, couplings):
+    # the closed real expansion agrees with the k1 .. k4 stages within
+    # 8 eps (1 + h w)^4, w the largest coupling magnitude
+    if len(couplings) == 4:
+        h, *couplings = couplings
+        h = np.array(h)[:, None]
+    vt, vm, ve = (np.array(x) for x in couplings)
+    d, q = evolve._step_map(g, h, vt, vm, ve)
+    d_ref, q_ref = _stagewise_step(g, h, vt, vm, ve)
+    w = np.maximum.reduce([np.full_like(vt, abs(g)), abs(vt), abs(vm), abs(ve)])
+    bound = 8.0 * np.finfo(float).eps * (1.0 + h * w) ** 4
+    assert d.shape == q.shape == np.broadcast(h, vt).shape
+    assert np.all(abs(d - d_ref) <= bound)
+    assert np.all(abs(q - q_ref) <= bound)
+
+
+@pytest.mark.parametrize("h", [0.0, 1e-3, 0.7, np.array([[0.1], [2.0]])])
+def test_step_map_without_coupling_is_exactly_the_identity(h):
+    zero = np.zeros(np.broadcast(h, np.zeros((1, 5))).shape)
+    d, q = evolve._step_map(0.0, h, zero, zero, zero)
+    assert np.all(d == 0.0) and np.all(q == 0.0)
+
+
+def test_one_block_row_stays_small():
+    # one 4096-step row of a gaussian pair: the grid, the envelope values and
+    # the real step expansion, about 600 KB at peak; the complex stage-by-stage
+    # step held about 1.1 MB, enough heap that freeing it let glibc return
+    # pages that the next block faulted in again
+    v = envelope([gaussian(math.pi / 2, 10.0, 100.0), gaussian(-math.pi / 2, 10.0, 110.0)])
+    args = (v, np.zeros(1), HYDROGEN.gamma, np.array([60.0]), np.array([0.02]), evolve.BLOCK)
+    evolve._block_map(*args)
+    tracemalloc.start()
+    try:
+        evolve._block_map(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 800 * 1024
 
 
 def _applied(d, q, a1, a2):
@@ -284,7 +358,7 @@ def _as_rows(v, v_const, gamma, a1, a2, t0, t1, n):
     """_rk4_span's n steps over [t0, t1], as the first of three rows of one call."""
     c = np.array([v_const, -2.0 * v_const, 3.0 * v_const])
     t, h = np.array([t0, t0 + 1.0, t0 - 1.0]), np.full(3, (t1 - t0) / n)
-    d, q, _ = evolve._block_map(v, c, 1j * gamma, t, h, n)
+    d, q, _ = evolve._block_map(v, c, gamma, t, h, n)
     return _applied(complex(d[0]), complex(q[0]), a1, a2)
 
 
@@ -342,6 +416,31 @@ def test_grouped_short_segments_stay_within_a_block():
     assert series.steps == sum(sizes) == 200 * k
     assert max(sizes) == evolve.BLOCK // k * k
     assert all(size <= evolve.BLOCK for size in sizes)
+
+
+def test_closure_free_short_rows_share_one_call_per_step_count():
+    # a rectangle and a kick cut by 3201 record times into segments of 63 steps:
+    # with no closure a row holds no array of steps, so each chunk of BLOCK // 2
+    # segments makes one call per step count, and the rows come out bit for bit
+    # as in calls of at most BLOCK // 63 rows each
+    pulses = [rectangular(0.5, 0.1, 0.1), ideal_kick(0.3, 0.05)]
+    marks, cfg, block_map = np.linspace(0.0, 0.2, 3201), IntegratorConfig(dt=1e-6), evolve._block_map
+
+    def states():
+        return rk4_evolve(pulses, unit_system(), (1.0, 0.0), 0.0, 0.2, cfg, record_times=marks).states
+
+    def in_block_rows(v, c, gamma, t, h, m):
+        assert v is None
+        w = evolve.BLOCK // m
+        parts = [block_map(v, c[r : r + w], gamma, t[r : r + w], h[r : r + w], m) for r in range(0, h.size, w)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), None
+
+    with mock.patch.object(evolve, "_block_map", wraps=block_map) as grouped:
+        together = states()
+    with mock.patch.object(evolve, "_block_map", wraps=in_block_rows):
+        apart = states()
+    assert grouped.call_count <= 4
+    assert together.tobytes() == apart.tobytes()
 
 
 def _sequential_reference(pulses, params, t0, t1, dt, marks):
@@ -404,7 +503,7 @@ def _per_block_map(v_const, gamma, t0, t1, n):
     h, d, q = (t1 - t0) / n, 0j, 0j
     for start in range(0, n, evolve.BLOCK):
         m = min(evolve.BLOCK, n - start)
-        db, qb, _ = evolve._block_map(None, np.array([v_const]), 1j * gamma, np.array([t0]), np.array([h]), m)
+        db, qb, _ = evolve._block_map(None, np.array([v_const]), gamma, np.array([t0]), np.array([h]), m)
         d, q = evolve._compose(complex(db[0]), complex(qb[0]), d, q)
     return d, q
 
