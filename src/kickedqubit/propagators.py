@@ -261,13 +261,11 @@ class FloquetResult:
     The one-period matrix has eigenvalues e^{+i chi} and e^{-i chi};
     eigenvectors are listed in that order, normalized with their first
     significant component made real and positive.  For array input every
-    field holds one entry per point: chi (...,), each eigenvector (..., 2)
-    and one_period (..., 2, 2).
+    field holds one entry per point: chi (...,) and each eigenvector (..., 2).
     """
 
     chi: float | np.ndarray
     eigenvectors: tuple[np.ndarray, np.ndarray]
-    one_period: np.ndarray
 
 
 def floquet_eigenphases(alpha, gamma_period) -> FloquetResult:
@@ -283,7 +281,7 @@ def floquet_eigenphases(alpha, gamma_period) -> FloquetResult:
     -1 eigenvector.  Where M = +-1 any basis is valid, and n = z gives the
     standard one.
     """
-    one_period = pauli_exponential(gamma_period, Z_AXIS) @ pauli_exponential(-alpha, X_AXIS)
+    _require_finite(alpha=alpha, gamma_period=gamma_period)
     cg, sg, ca, sa = np.cos(gamma_period), np.sin(gamma_period), np.cos(alpha), np.sin(alpha)
     chi = np.arccos(np.clip(ca * cg, -1.0, 1.0))
     mx, my, mz = -cg * sa, sg * sa, sg * ca
@@ -297,4 +295,4 @@ def floquet_eigenphases(alpha, gamma_period) -> FloquetResult:
     lead = np.where(np.abs(vectors[..., 0, :]) > 1e-12, vectors[..., 0, :], vectors[..., 1, :])
     vectors *= (np.conj(lead) / np.abs(lead))[..., None, :]
     v_plus, v_minus = vectors[..., 0], vectors[..., 1]
-    return FloquetResult(chi=chi, eigenvectors=(v_plus, v_minus), one_period=one_period)
+    return FloquetResult(chi=chi, eigenvectors=(v_plus, v_minus))

@@ -36,6 +36,7 @@ from .pulses import (
 )
 from .su2 import (
     IDENTITY,
+    X_AXIS,
     Z_AXIS,
     max_abs_diff,
     pauli_exponential,
@@ -258,23 +259,30 @@ def check_numeric_no_ordering(rng: np.random.Generator, samples: int) -> CheckRe
 
 
 def check_floquet_grid(n: int) -> CheckResult:
-    """Eigenphase formula against numerical eigenvalues on an (alpha, gamma T) grid."""
-    worst = 0.0
+    """Floquet chi and eigenvectors against M = e^{i gamma T sigma_z} e^{-i alpha sigma_x}.
+
+    M, built here, is the documented period: a kick, then free evolution.  On an
+    (alpha, gamma T) grid chi must match eigvals(M), and each eigenvector must
+    satisfy M v = e^{+-i chi} v, which the swapped order fails.
+    """
+    worst_value = worst_vector = 0.0
     axis = np.linspace(0.0, math.pi, n)
     alphas, gts = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     for start in range(0, n * n, CHUNK):
-        res = prop.floquet_eigenphases(alphas[start : start + CHUNK], gts[start : start + CHUNK])
-        chis, one_period = res.chi, res.one_period
-        # eigvals refuses a non-finite matrix, so such a matrix gets NaN eigenvalues
-        finite = np.isfinite(one_period).all(axis=(1, 2))
-        eigvals = np.full((chis.size, 2), complex(math.nan, math.nan))
-        eigvals[finite] = np.linalg.eigvals(one_period[finite])
+        alpha, gt = alphas[start : start + CHUNK], gts[start : start + CHUNK]
+        res = prop.floquet_eigenphases(alpha, gt)
+        period = pauli_exponential(gt, Z_AXIS) @ pauli_exponential(-alpha, X_AXIS)
+        eigvals = np.linalg.eigvals(period)
         chi_num = np.max(np.abs(np.angle(eigvals)), axis=1)
-        worst = _keep_worst(worst, float(np.max(np.abs(chi_num - chis))))
-        expected = np.exp(1j * np.outer(chis, (-1.0, 1.0)))
-        recon = np.abs(_by_angle(eigvals) - _by_angle(expected))
-        worst = _keep_worst(worst, float(np.max(recon)))
-    return _result("floquet-grid", worst <= 1e-10, f"worst {worst:.1e} on {n}x{n} grid")
+        worst_value = _keep_worst(worst_value, float(np.max(np.abs(chi_num - res.chi))))
+        plus, minus = np.exp(1j * res.chi), np.exp(-1j * res.chi)
+        recon = np.abs(_by_angle(eigvals) - _by_angle(np.column_stack((minus, plus))))
+        worst_value = _keep_worst(worst_value, float(np.max(recon)))
+        for v, lam in zip(res.eigenvectors, (plus, minus)):
+            residual = np.einsum("nij,nj->ni", period, v) - lam[:, None] * v
+            worst_vector = _keep_worst(worst_vector, float(np.max(np.abs(residual))))
+    detail = f"eigenvalue worst {worst_value:.1e}, eigenvector worst {worst_vector:.1e} on {n}x{n} grid"
+    return _result("floquet-grid", worst_value <= 1e-10 and worst_vector <= 1e-10, detail)
 
 
 def check_time_reversal(rng: np.random.Generator, samples: int) -> CheckResult:

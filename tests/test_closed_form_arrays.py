@@ -6,6 +6,7 @@ independent routes in the way tests/test_su2.py keeps
 `reference_pauli_exponential`.
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_no_ordering_matches_the_rotation_reference(draws):
         lambda x: prop.no_ordering(prop.kick_integral(((x, 0.5), (-x, 1.5)), 1.0, 0.7), 1.0, 0.7, 2.0),
         lambda x: prop.kick_sequence_propagator(((x, 0.5), (-x, 1.5)), 0.7, 2.0),
         lambda x: prop.rectangular_propagator(x, 0.3, 0.7, 1.0, 2.0),
-        lambda x: prop.floquet_eigenphases(x, 0.7).one_period,
+        lambda x: np.stack(prop.floquet_eigenphases(x, 0.7).eigenvectors, axis=-1),
     ],
 )
 def test_scalar_gives_a_matrix_and_an_array_gives_a_stack(build):
@@ -143,6 +144,19 @@ def test_floquet_fields_have_one_entry_per_point():
     assert [v.shape for v in res.eigenvectors] == [(5, 2), (5, 2)]
     one = prop.floquet_eigenphases(1.1, 0.7)
     assert np.ndim(one.chi) == 0 and one.eigenvectors[0].shape == (2,)
+
+
+def test_floquet_builds_no_one_period_stack():
+    # chi and the two eigenvectors peak at about 25 MB on 100000 points; a
+    # (..., 2, 2) one-period product on top of them reaches about 31 MB
+    gts = np.linspace(0.0, 3.0, 100_000)
+    tracemalloc.start()
+    try:
+        prop.floquet_eigenphases(1.0, gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6, f"floquet_eigenphases peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize(
@@ -177,10 +191,12 @@ def test_one_bad_kick_in_a_batch_raises(t2):
         (lambda x: prop.kick_correction_leading(1.0, x, 1.0, 2.0, PulseShape.GAUSSIAN), "beta"),
         (lambda x: prop.kick_correction_leading(1.0, 0.1, x, 2.0, PulseShape.GAUSSIAN), "gamma"),
         (lambda x: prop.kick_correction_leading(1.0, 0.1, 1.0, x, PulseShape.GAUSSIAN), "t"),
+        (lambda x: prop.floquet_eigenphases(x, 0.7), "alpha"),
+        (lambda x: prop.floquet_eigenphases(1.0, np.array([0.7, x])), "gamma_period"),
     ],
     ids=["kick", "second-kick", "kick-gamma", "kick-t-row", "rect-alpha", "rect-beta-row",
          "rect-gamma", "rect-t_kick", "rect-t", "shape-gaussian", "shape-rect", "leading-alpha",
-         "leading-beta", "leading-gamma", "leading-t"],
+         "leading-beta", "leading-gamma", "leading-t", "floquet-alpha", "floquet-period-row"],
 )
 def test_non_finite_input_names_the_argument(build, name, bad):
     # a clean ValueError, not numpy's invalid-value warning and a NaN matrix
@@ -228,10 +244,11 @@ def _phase_fixed(v):
 def test_closed_form_floquet_vectors():
     alphas, gts = _floquet_points()
     res = prop.floquet_eigenphases(alphas, gts)
+    one_period = pauli_exponential(gts, Z_AXIS) @ pauli_exponential(-alphas, X_AXIS)
     v_plus, v_minus = res.eigenvectors
     for v, sign in ((v_plus, 1.0), (v_minus, -1.0)):
         lam = np.exp(sign * 1j * res.chi)[:, None]
-        assert np.max(np.abs(np.einsum("nij,nj->ni", res.one_period, v) - lam * v)) <= 1e-12
+        assert np.max(np.abs(np.einsum("nij,nj->ni", one_period, v) - lam * v)) <= 1e-12
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
         lead = np.where(np.abs(v[:, 0]) > 1e-12, v[:, 0], v[:, 1])
         assert np.all(lead.real > 0.0)
@@ -239,7 +256,7 @@ def test_closed_form_floquet_vectors():
     assert np.max(np.abs(np.sum(np.conj(v_plus) * v_minus, axis=1))) <= 1e-12
     compared = 0
     for k in np.flatnonzero(np.sin(res.chi) >= 1e-6).tolist():
-        eigvals, eigvecs = np.linalg.eig(res.one_period[k])
+        eigvals, eigvecs = np.linalg.eig(one_period[k])
         plus = int(np.argmin(np.abs(eigvals - np.exp(1j * res.chi[k]))))
         assert np.max(np.abs(_phase_fixed(eigvecs[:, plus]) - v_plus[k])) <= 1e-12
         assert np.max(np.abs(_phase_fixed(eigvecs[:, 1 - plus]) - v_minus[k])) <= 1e-12

@@ -7,6 +7,7 @@ import pytest
 from kickedqubit import evolve, validation
 from kickedqubit import propagators as prop
 from kickedqubit.pulses import PulseShape
+from kickedqubit.su2 import X_AXIS, pauli_exponential
 
 # every check_* attribute of the module, in run_validation's order; perfbench
 # wraps each check_* attribute as one op of its validate workload
@@ -31,14 +32,14 @@ QUICK_CHECKS = CHECKS[:11] + ("check_rectangular_vs_rk4",)
 
 
 def _nan_matrix(stack):
-    """The stack with its first entry, a matrix or a probability, all NaN."""
+    """The stack with its first entry, a matrix, a probability or a phase, all NaN."""
     stack = stack.copy()
     stack[0] = math.nan
     return stack
 
 
 def _nan_floquet(res):
-    return dataclasses.replace(res, one_period=_nan_matrix(res.one_period))
+    return dataclasses.replace(res, chi=_nan_matrix(res.chi))
 
 
 def _nan_probability(forms):
@@ -188,8 +189,24 @@ def _replaced(field, change):
     return wrap
 
 
+def _swapped_period(real):
+    """floquet_eigenphases with the eigenvectors of free evolution followed by the kick.
+
+    K F = K (F K) K^-1 for the kick K, so its eigenvectors are K v+- and its
+    eigenvalues those of the documented period F K.
+    """
+    def faulty(alpha, gamma_period):
+        res = real(alpha, gamma_period)
+        kick = pauli_exponential(-alpha, X_AXIS)
+        vectors = tuple(np.einsum("nij,nj->ni", kick, v) for v in res.eigenvectors)
+        return dataclasses.replace(res, eigenvectors=vectors)
+
+    return faulty
+
+
 # (module, attribute, the fault as a wrapper of the real function, the checks
-# that must FAIL); each fault is small next to the value it perturbs
+# that must FAIL); each fault is small next to the value it perturbs, but for
+# the swapped period, whose eigenvalues are exactly those of the right one
 FAULTS = [
     pytest.param(
         prop, "kick_sequence_propagator",
@@ -216,6 +233,8 @@ FAULTS = [
         ("floquet-grid",),
         id="floquet-chi",
     ),
+    pytest.param(prop, "floquet_eigenphases", _swapped_period, ("floquet-grid",),
+                 id="floquet-swapped-period"),
     pytest.param(
         prop, "adiabatic_phase",
         _replaced("theta", lambda theta: theta * (1 + 1e-5)),
