@@ -19,12 +19,15 @@ rectangular coupling.  Compose: each segment becomes one SU(2) map
 exp(-i alpha sigma_x) of a kick at its end.  `_block_map`, the one
 composer, writes each RK4 step as such a map, the four stages multiplied
 out into one real polynomial for each part of d and q (`_step_map`), and
-multiplies a row's maps pairwise.  Only a sequence with a gaussian has an
-envelope closure, called at each step's start, midpoint and end; rectangles
-and kicks alone enter through the rectangular coupling and the kick maps,
-with no closure, and then a segment's steps are all one map, whose product
+multiplies a row's maps pairwise.  Only a sequence with a gaussian has a
+smooth coupling, a function of the grid of each step's start, midpoint and
+end; rectangles and kicks alone enter through the rectangular coupling and
+the kick maps, and then a segment's steps are all one map, whose product
 takes log2 m passes.  A segment of SMALL or more steps runs through
-`_rk4_span` block by block, shorter ones grouped by step count as rows.  Prefix
+`_rk4_span` block by block, and reads the scalar closure `pulses.envelope`
+point by point (kept only for the benchmark's count of its calls; see
+`_rk4_span`); shorter ones are grouped by step count as rows and read
+`envelope_array`, one call a group.  Prefix
 products: a Hillis-Steele scan over a chunk's maps (`_prefix_maps`) gives
 the state at every segment end, with no Python loop per segment or row.
 
@@ -63,9 +66,10 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARITY_TOLERANCE, NonUnitaryError
 #: n_points and floquet COUNT.
 MAX_RK4_STEPS = 10_000_000
 #: A segment of at least SMALL steps runs alone through _rk4_span (where
-#: perfbench's tracer counts steps) in blocks of up to BLOCK steps; shorter
-#: ones are grouped by step count into _block_map calls, of up to BLOCK
-#: steps with a closure, BLOCK // 2 segments a chunk, so every array stays small.
+#: perfbench's tracer counts steps and the scalar closure is evaluated) in
+#: blocks of up to BLOCK steps; shorter ones are grouped by step count into
+#: _block_map calls that evaluate envelope_array once, of up to BLOCK steps
+#: with a gaussian, BLOCK // 2 segments a chunk, so every array stays small.
 SMALL = 64
 BLOCK = 4096
 
@@ -97,16 +101,25 @@ class TimeSeries:
 def _rk4_span(v, v_const: float, gamma: float, t0: float, t1: float, n: int):
     """The map (d, q) of n uniform RK4 steps, a _block_map row per block of at most BLOCK.
 
-    v is the smooth part of the coupling, None if there is none; v_const
-    carries the rectangular contribution, constant within a segment, so that
-    evaluations at the segment boundaries never see the wrong side of a
-    discontinuity.
+    v is the smooth part of the coupling as a scalar closure, None if there
+    is none; v_const carries the rectangular contribution, constant within a
+    segment, so that evaluations at the segment boundaries never see the
+    wrong side of a discontinuity.
     """
+    # The scalar closure, called three times a step in grid order, stays here
+    # only because perfbench pins it: test_counts_repeat_exactly_between_traced_runs
+    # asserts pulses.envelope.evals == 3 * steps on sep-overlap, and
+    # run.envelope_ns_per_eval times it.  Once those count evaluation points
+    # (ROADMAP item 1), passing envelope_array here is a one-argument change
+    # (item 2) and the closure goes (item 14).
+    coupling = None if v is None else (
+        lambda grid: np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size).reshape(grid.shape)
+    )
     t, h, c = np.array([t0]), np.array([(t1 - t0) / n]), np.array([v_const], dtype=float)
     d = q = 0j
     while n > 0:
         m = min(n, BLOCK)
-        db, qb, t = _block_map(v, c, gamma, t, h, m)
+        db, qb, t = _block_map(coupling, c, gamma, t, h, m)
         d, q = _compose(complex(db[0]), complex(qb[0]), d, q)
         n -= m
     return d, q
@@ -156,13 +169,14 @@ def _step_map(g, h, vt, vm, ve):
 def _block_map(v, v_const, gamma: float, t, h, m: int):
     """m RK4 steps of h[r] from t[r] as one map per row r, multiplied pairwise.
 
-    Every row is composed as it would be alone, and v is called three times
-    per step, row by row.  With v None the coupling is v_const alone, so a
-    row's steps are one map a: each level of the pairwise product holds
-    copies of a and one last entry b, and log2 m passes over (rows,) arrays
-    give the bits of the general product, with no m-long array of maps.  The
-    identity is kept apart: rounding 1 + d at every step would repeat the
-    same error over a stretch of equal steps.
+    v maps the (rows, m, 3) grid of each step's start, midpoint and end to
+    a new array of the smooth coupling there, in one call, and v_const is
+    added into it; every row is composed as it would be alone.  With v None the coupling
+    is v_const alone, so a row's steps are one map a: each level of the
+    pairwise product holds copies of a and one last entry b, and log2 m
+    passes over (rows,) arrays give the bits of the general product, with no
+    m-long array of maps.  The identity is kept apart: rounding 1 + d at
+    every step would repeat the same error over a stretch of equal steps.
     Returns the arrays (d, q, the time after each row's last step); with v
     None no time is read, so none is built and the third entry is None.
     """
@@ -179,7 +193,7 @@ def _block_map(v, v_const, gamma: float, t, h, m: int):
     times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
     tk = times[:, :m]  # each step's end, times[:, 1:], is tk + h bit for bit
     grid = np.stack([tk, tk + 0.5 * h, times[:, 1:]], axis=2)
-    vs = np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size).reshape(grid.shape)
+    vs = v(grid)
     vs += v_const[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # the norm guard rejects a NaN
         d, q = _step_map(gamma, h, vs[..., 0], vs[..., 1], vs[..., 2])
@@ -193,6 +207,16 @@ def _block_map(v, v_const, gamma: float, t, h, m: int):
             d, q = _compose(d[1::2], q[1::2], d[0::2], q[0::2])
             w //= 2
     return d, q, times[:, m]
+
+
+def _stops(*parts):
+    """The distinct values of the parts, ascending, in one numpy sort.
+
+    The same floats as np.array(sorted(set(chain(*parts)))): a stable sort
+    keeps the first of equal values (0.0 before a later -0.0) in front.
+    """
+    s = np.sort(np.concatenate(parts), kind="stable")
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def check_step_budget(
@@ -262,15 +286,17 @@ def rk4_evolve(
         raise ValueError("record times must be non-decreasing")
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
     rects = [(p.peak, *p.window()) for p in pulses if p.shape is PulseShape.RECTANGULAR]
+    # long spans take the scalar closure (see _rk4_span), short rows the array envelope
     v = envelope(smooth) if smooth else None
+    v_rows = (lambda grid: envelope_array(smooth, grid)) if smooth else None
 
     # kicks (summed at a shared time) and rectangular edges are breakpoints
     kicks = [p for p in pulses if p.shape is PulseShape.IDEAL_KICK and t0 <= p.center <= t1]
     edges = [e for _, lo, hi in rects for e in (lo, hi) if t0 < e < t1]
-    marks = np.clip(times, t0, t1).tolist()
+    marks = np.clip(times, t0, t1)
 
     # plan: one uniform-step segment between each pair of consecutive stops
-    stops = np.array(sorted({t0, t1, *(p.center for p in kicks), *edges, *marks}))
+    stops = _stops([t0, t1], [p.center for p in kicks], edges, marks)
     lo, hi = stops[:-1], stops[1:]
     n = np.maximum(1, np.ceil((hi - lo) / dt)).astype(np.int64)
     v_const = np.zeros(n.size)
@@ -292,13 +318,13 @@ def rk4_evolve(
         a, b, m, c = (x[s : s + BLOCK // 2] for x in (lo, hi, n, v_const))
         d, q, h = np.empty(m.size, complex), np.empty(m.size, complex), (b - a) / m
         # short rows of k steps, up to BLOCK steps a call (np.unique would load numpy.ma);
-        # with no closure a row holds no array of steps, so one call takes them all
+        # with no envelope a row holds no array of steps, so one call takes them all
         for k in sorted(k for k in set(m.tolist()) if k < SMALL):
             same = np.flatnonzero(m == k)
-            width = same.size if v is None else BLOCK // k
+            width = same.size if v_rows is None else BLOCK // k
             for r in range(0, same.size, width):
                 i = same[r : r + width]
-                d[i], q[i], _ = _block_map(v, c[i], params.gamma, a[i], h[i], k)
+                d[i], q[i], _ = _block_map(v_rows, c[i], params.gamma, a[i], h[i], k)
         for i in np.flatnonzero(m >= SMALL).tolist():
             ci, ai, bi, mi = (x[i].item() for x in (c, a, b, m))
             d[i], q[i] = _rk4_span(v, ci, params.gamma, ai, bi, mi)

@@ -16,16 +16,18 @@ Shapes, all with signed integrated strength alpha = int v dt:
 rate, its window, its value over an array of times, and its integral over
 any interval.  The sequence helpers below (`envelope`, `envelope_array`,
 `integrated_strength`) and the integrator and closed forms elsewhere read
-from it.  `envelope` is the RK4 kernel's scalar closure of a gaussian
-sequence, the pulse loop written out once per gaussian count and compiled
-once; every other pointwise value reads `Pulse.value`.
+from it.  `envelope` is the scalar closure of a gaussian sequence that
+the RK4 kernel's long segments read (see `evolve._rk4_span`), the pulse
+loop written out once per gaussian count and compiled once; every other
+pointwise value, the kernel's short rows included, reads `Pulse.value`.
 `gauss_legendre` is one composite Gauss-Legendre rule with one value; its
 nodes come from `numpy.polynomial` on first use, so importing stays light.
 The package's other quadrature, `evolve.interaction_integral_series`, is a
 cumulative trapezoid.
 
 Pointwise evaluation (`Pulse.value`, `envelope`, `envelope_array`) is
-exactly zero outside each pulse's `window()`, edges included in the window.
+exactly zero outside each pulse's `window()`, edges included in the window;
+`Pulse.value` evaluates only the times inside it.
 `integral` stays analytic over the untruncated gaussian; the gap to the
 truncated value is at most alpha erfc(6) / 2.
 
@@ -104,10 +106,15 @@ class Pulse:
         return (self.center - half, self.center + half)
 
     def value(self, t: np.ndarray) -> np.ndarray:
-        """v(t) over an array of times, zero outside the window (kicks rejected)."""
+        """v(t) over an array of times, zero outside the window (kicks rejected).
+
+        Only times inside the window are evaluated, so far ones overflow nothing.
+        """
         lo, hi = self.window()
-        u = (t - self.center) / self.tau if self.shape is PulseShape.GAUSSIAN else 0.0
-        return np.where((t >= lo) & (t <= hi), self.peak * np.exp(-u * u), 0.0)
+        inside, out = (t >= lo) & (t <= hi), np.zeros(t.shape)
+        u = (t[inside] - self.center) / self.tau if self.shape is PulseShape.GAUSSIAN else 0.0
+        out[inside] = self.peak * np.exp(-u * u)
+        return out
 
     def integral(self, t0: float, t1):
         """int_{t0}^{t1} v dt for t0 <= t1; a kick counts fully when t0 <= T_k <= t1.
@@ -178,7 +185,7 @@ def unit_system() -> SystemParams:
 
 
 def envelope(pulses: PulseSequence) -> Callable[[float], float]:
-    """Fast scalar v(t) closure of a gaussian sequence, for the RK4 kernel.
+    """Fast scalar v(t) closure of a gaussian sequence, for the RK4 kernel's long segments.
 
     The closure is the pulse loop written out for this many gaussians: each
     term adds amp * exp(-u * u), u = (t - c) * inv_tau, only inside its

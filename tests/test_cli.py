@@ -286,21 +286,19 @@ class TestPropagate:
             assert abs(x - y) <= 4 * math.ulp(max(abs(x), abs(y)))
 
     def test_metadata_counts_the_integrated_steps(self, capsys, monkeypatch):
-        # each step calls the envelope closure three times, and each of the 399
-        # segments between samples takes max(1, ceil(length / dt)) steps
-        calls = [0]
-        real = evolve.envelope
+        # each step is evaluated at three points, on whichever route its segment
+        # takes, and each of the 399 segments between samples takes
+        # max(1, ceil(length / dt)) steps
+        points, block_map = [0], evolve._block_map
 
-        def counting(pulses):
-            v = real(pulses)
+        def counting(v, *args):
+            def counted(grid):
+                points[0] += grid.size
+                return v(grid)
 
-            def counted(t):
-                calls[0] += 1
-                return v(t)
+            return block_map(None if v is None else counted, *args)
 
-            return counted
-
-        monkeypatch.setattr(evolve, "envelope", counting)
+        monkeypatch.setattr(evolve, "_block_map", counting)
         code, out, _ = run_cli(
             capsys, "propagate", "--preset", "hydrogen-2s2p",
             "--pulse", "gaussian:alpha=pi/2,tau=10,center=100",
@@ -316,7 +314,7 @@ class TestPropagate:
         times = np.linspace(0.0, 700.0, 400).tolist()
         planned = sum(max(1, math.ceil((b - a) / dt)) for a, b in zip(times, times[1:]))
         assert meta["segments"] == "399"
-        assert int(meta["rk4_steps"]) == calls[0] / 3 == planned
+        assert int(meta["rk4_steps"]) == points[0] / 3 == planned
 
     def test_fig2_pair_matches_reference_panel(self, capsys):
         lines = (REFERENCE_PANELS / "fig2.csv").read_text().splitlines()

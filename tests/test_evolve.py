@@ -25,6 +25,7 @@ from kickedqubit.pulses import (
     PulseShape,
     SystemParams,
     envelope,
+    envelope_array,
     gaussian,
     hydrogen_2s2p,
     ideal_kick,
@@ -210,6 +211,18 @@ _SPAN_STEPS = st.sampled_from(
 )
 
 
+def _pointwise(v):
+    """The scalar closure v as the coupling of a time array, called in grid order, as _rk4_span passes it."""
+    return lambda grid: np.fromiter(map(v, grid.ravel().tolist()), float, count=grid.size).reshape(grid.shape)
+
+
+def _coupling(smooth, route):
+    """The coupling of a time array for these gaussians: the short rows' or _rk4_span's."""
+    if route == "array":
+        return lambda grid: envelope_array(smooth, grid)
+    return _pointwise(envelope(smooth) if smooth else (lambda _t: 0.0))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(_PULSE, min_size=1, max_size=3),
@@ -222,26 +235,48 @@ _SPAN_STEPS = st.sampled_from(
 )
 def test_rows_compose_as_each_row_alone(pulses, k, rows, gamma):
     # one call over rows (t0, span, rectangular coupling) of k steps gives each
-    # row's map and end time bit for bit as that row alone, with the same calls
-    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
-    shape = envelope(smooth) if smooth else (lambda _t: 0.0)
+    # row's map and end time bit for bit as that row alone, on either route;
+    # its one coupling call reads the rows' grids, one after another
     t, span, c = (np.array(x) for x in zip(*rows))
-    h, calls = span / k, []
+    h = span / k
+    for route in ("array", "pointwise"):
+        shape, grids = _coupling([p for p in pulses if p.shape is PulseShape.GAUSSIAN], route), []
 
-    def v(x):
-        calls.append(x)
-        return shape(x)
+        def v(grid):
+            grids.append(grid.copy())
+            return shape(grid)
 
-    together = [x.tolist() for x in evolve._block_map(v, c, gamma, t, h, k)]
-    together_calls, calls[:] = calls[:], []
-    alone = [[], [], []]
-    for r in range(t.size):
-        one = slice(r, r + 1)
-        for out, x in zip(alone, evolve._block_map(v, c[one], gamma, t[one], h[one], k)):
-            out += x.tolist()
-    assert len(together_calls) == 3 * k * t.size
-    assert together_calls == calls
-    assert together == alone
+        together = [x.tolist() for x in evolve._block_map(v, c, gamma, t, h, k)]
+        together_grids, grids[:] = grids[:], []
+        alone = [[], [], []]
+        for r in range(t.size):
+            one = slice(r, r + 1)
+            for out, x in zip(alone, evolve._block_map(v, c[one], gamma, t[one], h[one], k)):
+                out += x.tolist()
+        assert len(together_grids) == 1 and together_grids[0].shape == (t.size, k, 3)
+        assert together_grids[0].tobytes() == np.concatenate(grids).tobytes()
+        assert together == alone
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.builds(gaussian, _STRENGTH, st.floats(0.1, 1.0), _START), min_size=1, max_size=2),
+    st.integers(1, evolve.SMALL - 1),
+    st.lists(
+        st.tuples(st.floats(0.0, 3.0), st.floats(1e-3, 0.02), st.one_of(st.just(0.0), st.floats(-2.0, 2.0))),
+        min_size=1, max_size=4,
+    ),
+    st.floats(-2.0, 2.0),
+)
+def test_array_and_pointwise_couplings_agree(smooth, k, rows, gamma):
+    # the same rows (t0, step, rectangular coupling) through envelope_array, as
+    # short rows run, and through the scalar closure, as _rk4_span runs
+    t, h, c = (np.array(x) for x in zip(*rows))
+    array = evolve._block_map(_coupling(smooth, "array"), c, gamma, t, h, k)
+    pointwise = evolve._block_map(_coupling(smooth, "pointwise"), c, gamma, t, h, k)
+    for x, y in zip(array[:2], pointwise[:2]):
+        assert np.max(np.abs(x - y)) <= 1e-14
+    assert array[2].tobytes() == pointwise[2].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,13 +294,13 @@ def test_rows_compose_as_each_row_alone(pulses, k, rows, gamma):
     st.floats(-2.0, 2.0),
 )
 def test_constant_coupling_block_is_the_pairwise_tree(m, rows, gamma):
-    # with no closure a row's m steps are one repeated map, composed in log2 m
-    # passes; the zero closure runs the general pairwise product on the same
-    # couplings (0.0 + c == c), so the two give the same bits.  With no closure
-    # nothing reads a time, so no end time is returned
+    # with no coupling function a row's m steps are one repeated map, composed
+    # in log2 m passes; a zero coupling runs the general pairwise product on the
+    # same couplings (0.0 + c == c), so the two give the same bits.  With no
+    # coupling function nothing reads a time, so no end time is returned
     t, h, c = (np.array(x) for x in zip(*rows))
     fast = evolve._block_map(None, c, gamma, t, h, m)
-    tree = evolve._block_map(lambda _t: 0.0, c, gamma, t, h, m)
+    tree = evolve._block_map(lambda grid: np.zeros(grid.shape), c, gamma, t, h, m)
     assert fast[2] is None
     assert [x.tobytes() for x in fast[:2]] == [x.tobytes() for x in tree[:2]]
 
@@ -327,20 +362,22 @@ def test_step_map_without_coupling_is_exactly_the_identity(h):
 
 
 def test_one_block_row_stays_small():
-    # one 4096-step row of a gaussian pair: the grid, the envelope values and
-    # the real step expansion, about 600 KB at peak; the complex stage-by-stage
-    # step held about 1.1 MB, enough heap that freeing it let glibc return
-    # pages that the next block faulted in again
-    v = envelope([gaussian(math.pi / 2, 10.0, 100.0), gaussian(-math.pi / 2, 10.0, 110.0)])
-    args = (v, np.zeros(1), HYDROGEN.gamma, np.array([60.0]), np.array([0.02]), evolve.BLOCK)
-    evolve._block_map(*args)
-    tracemalloc.start()
-    try:
+    # one 4096-step row of a gaussian pair, on either route: the grid, the
+    # envelope values and the real step expansion, about 600 KB at peak; the
+    # complex stage-by-stage step held about 1.1 MB, enough heap that freeing
+    # it let glibc return pages that the next block faulted in again
+    pair = [gaussian(math.pi / 2, 10.0, 100.0), gaussian(-math.pi / 2, 10.0, 110.0)]
+    for route in ("array", "pointwise"):
+        args = (_coupling(pair, route), np.zeros(1), HYDROGEN.gamma, np.array([60.0]), np.array([0.02]),
+                evolve.BLOCK)
         evolve._block_map(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 800 * 1024
+        tracemalloc.start()
+        try:
+            evolve._block_map(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 800 * 1024, route
 
 
 def _applied(d, q, a1, a2):
@@ -358,7 +395,7 @@ def _as_rows(v, v_const, gamma, a1, a2, t0, t1, n):
     """_rk4_span's n steps over [t0, t1], as the first of three rows of one call."""
     c = np.array([v_const, -2.0 * v_const, 3.0 * v_const])
     t, h = np.array([t0, t0 + 1.0, t0 - 1.0]), np.full(3, (t1 - t0) / n)
-    d, q, _ = evolve._block_map(v, c, gamma, t, h, n)
+    d, q, _ = evolve._block_map(_pointwise(v), c, gamma, t, h, n)
     return _applied(complex(d[0]), complex(q[0]), a1, a2)
 
 
@@ -560,6 +597,32 @@ def test_rectangles_and_kicks_step_as_with_a_zero_gaussian(pulses, tau, center, 
     assert states(pulses) == states([*pulses, gaussian(0.0, tau, center)])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(_RECT_OR_KICK, st.builds(ideal_kick, _STRENGTH, st.just(0.0))), max_size=4),
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(0.0, 3.0),
+    st.lists(st.floats(0.0, 1.0), max_size=12),
+    st.lists(st.sampled_from([-1e-12, -5e-13, -0.0, 0.0, 5e-13, 1e-12]), max_size=4),
+)
+def test_stops_are_the_sorted_set(pulses, t0, span, fractions, nudges):
+    # record times that repeat, fall on kicks and rectangle edges, and lie
+    # within the 1e-12 clip of either end: the planned stops are the floats
+    # (signed zeros included) of the sorted set they were built from before
+    t1 = t0 + span
+    breaks = [t for p in pulses for t in {p.window()[0], p.center, p.window()[1]} if t0 <= t <= t1]
+    ends = [t0 + x for x in nudges[::2]] + [t1 + x for x in nudges[1::2]]
+    marks = [t0 + f * span for f in fractions] + breaks + ends
+    marks = np.sort(np.clip(marks + marks[::2], t0, t1))
+    kicks = [p.center for p in pulses if p.shape is PulseShape.IDEAL_KICK and t0 <= p.center <= t1]
+    edges = [e for p in pulses if p.shape is PulseShape.RECTANGULAR for e in p.window() if t0 < e < t1]
+    before = np.array(sorted({t0, t1, *kicks, *edges, *marks.tolist()}))
+    assert evolve._stops([t0, t1], kicks, edges, marks).tobytes() == before.tobytes()
+    cfg = IntegratorConfig(dt=1.0, unitarity_tolerance=math.inf)
+    series = rk4_evolve(pulses, unit_system(), (1.0, 0.0), t0, t1, cfg, record_times=marks)
+    assert series.segments == before.size - 1
+
+
 def test_rectangles_and_kicks_build_no_envelope(monkeypatch):
     def refuse(_pulses):
         raise AssertionError("envelope built for a sequence without a gaussian")
@@ -577,9 +640,18 @@ def test_rectangles_and_kicks_build_no_envelope(monkeypatch):
     assert np.max(np.abs(series.final_state() - exact[:, 0])) < 1e-8
 
 
-def test_a_gaussian_pair_calls_its_closure_three_times_a_step(monkeypatch):
-    # long spans and short rows alike: start, midpoint and end of every step
-    calls = [0]
+def test_a_gaussian_pair_is_evaluated_three_times_a_step(monkeypatch):
+    # long spans (the scalar closure) and short rows (envelope_array) alike:
+    # start, midpoint and end of every step, counted as the grid points that
+    # each _block_map coupling is given
+    points, calls, block_map = [0], [0], evolve._block_map
+
+    def counted_points(v, *args):
+        def w(grid):
+            points[0] += grid.size
+            return v(grid)
+
+        return block_map(None if v is None else w, *args)
 
     def counted(pulses):
         v = envelope(pulses)
@@ -590,10 +662,12 @@ def test_a_gaussian_pair_calls_its_closure_three_times_a_step(monkeypatch):
 
         return w
 
+    monkeypatch.setattr(evolve, "_block_map", counted_points)
     monkeypatch.setattr(evolve, "envelope", counted)
     pair = [gaussian(math.pi / 2, 10.0, 100.0), gaussian(-math.pi / 2, 10.0, 300.0)]
     series = rk4_evolve(pair, HYDROGEN, (1.0, 0.0), 0.0, 400.0, record_times=[150.0, 150.1, 400.0])
-    assert calls[0] == 3 * series.steps > 0
+    assert points[0] == 3 * series.steps > 0
+    assert 0 < calls[0] < points[0]  # both routes ran
 
 
 @settings(max_examples=40, deadline=None)

@@ -107,6 +107,12 @@ class TestPulseEvaluation:
         with pytest.raises(ValueError, match="a kick has no width, got tau="):
             Pulse(PulseShape.IDEAL_KICK, 1.0, tau, 0.0)
 
+    def test_narrow_gaussian_far_from_the_grid_overflows_nothing(self):
+        # u = (t - center) / tau reaches 5e160 at t = 0, whose square overflows;
+        # only the times inside the window are evaluated (a RuntimeWarning fails here)
+        g = gaussian(1e-170, 1e-160, 5.0)
+        assert envelope_array([g], [0.0, 5.0, 6.0]).tolist() == [0.0, g.peak, 0.0]
+
     def test_overlapping_pulses_add(self):
         p = [gaussian(1.0, 2.0, 5.0), gaussian(-1.0, 2.0, 5.0)]
         assert envelope(p)(4.0) == 0.0
