@@ -210,8 +210,8 @@ def no_ordering_p2_columns(
     Both read P2 off one array call of propagators.no_ordering_column each:
     the bare frame (lam = 0) with the running strength int_{t0}^t v dt, the
     rotating frame (lam = 1) with z = int_{t0}^t v(t') e^{2 i gamma t'} dt',
-    a trapezoid at half the RK4 step dt of the trajectory these columns
-    accompany (its `TimeSeries.dt`).
+    exact for kicks and rectangles and, for gaussians, a trapezoid at half the
+    RK4 step dt of the trajectory these columns accompany (its `TimeSeries.dt`).
     """
     times = np.asarray(times, dtype=float)
     zs = integrated_strength(pulses, t0, times), interaction_integral_series(pulses, params, t0, times, dt)

@@ -243,7 +243,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = run_validation(quick=args.quick, seed=args.seed)
+    results = run_validation(seed=args.seed)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
-    p.add_argument("--quick", action="store_true", help="reduced sweeps, skips RK4-heavy checks")
     p.add_argument("--seed", type=parse_seed, default=0)
     p.set_defaults(func=_cmd_validate)
 

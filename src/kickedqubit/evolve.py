@@ -40,9 +40,9 @@ exponent comes from `interaction_integral`, which integrates each pulse
 window by `pulses.gauss_legendre`, one composite Gauss-Legendre rule with
 two panels for each pi of phase at frequency 2 lam gamma, which returns
 its value alone.  The module needs numpy only.
-`interaction_integral_series` is the cheap cumulative trapezoid behind the
-rotating-frame no-ordering CSV column, at half the RK4 step that
-`check_step_budget` resolved for the trajectory it accompanies.
+`interaction_integral_series`, behind the rotating-frame no-ordering CSV
+column, takes kicks and rectangles exactly and gaussians by a trapezoid at
+half the RK4 step that `check_step_budget` resolved for the trajectory.
 """
 from __future__ import annotations
 
@@ -417,22 +417,27 @@ def interaction_integral_series(
 ) -> np.ndarray:
     """Cumulative int_{t0}^t v(t') e^{2 i gamma t'} dt' at each requested time t >= t0.
 
-    Trapezoid at half the RK4 step dt (a trajectory's resolved `TimeSeries.dt`)
-    on a grid that includes the requested times; meant for emitting whole
-    no-ordering columns cheaply.  Kicks at or after t0 enter as steps.
+    Kicks at or after t0 enter as exact steps, rectangles as the exact integral
+    of each window clipped to [t0, t]; gaussians by trapezoid at half the RK4
+    step dt (a trajectory's resolved `TimeSeries.dt`) on a grid that includes
+    the requested times, which makes whole no-ordering columns cheap.
     """
     times = np.asarray(times, dtype=float)
+    g = params.gamma
     t_max = float(times.max(initial=t0))  # times in any order
-    smooth = [p for p in pulses if p.shape is not PulseShape.IDEAL_KICK]
-    grid = np.unique(np.concatenate([np.arange(t0, t_max, dt / 2.0), times, [t0]]))
-    vals = envelope_array(smooth, grid) * np.exp(2j * params.gamma * grid)
+    smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
+    grid = _stops(np.arange(t0, t_max, dt / 2.0), times, [t0])
+    vals = envelope_array(smooth, grid) * np.exp(2j * g * grid)
     increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
     cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
     idx = np.searchsorted(grid, times)
     out = cumulative[idx]
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK and p.center >= t0:
-            jump = p.alpha * np.exp(2j * params.gamma * p.center)
-            out = out + np.where(times >= p.center, jump, 0.0)
+            out = out + np.where(times >= p.center, p.alpha * np.exp(2j * g * p.center), 0.0)
+        elif p.shape is PulseShape.RECTANGULAR:  # peak int_a^b e^{2 i g t} dt; np.sinc(0) = 1
+            a, b = max(p.window()[0], t0), np.minimum(p.window()[1], times)
+            w = np.maximum(b - a, 0.0)
+            out = out + p.peak * w * np.exp(1j * g * (a + b)) * np.sinc(g * w / math.pi)
     return out
 

@@ -23,7 +23,7 @@ pointwise value, the kernel's short rows included, reads `Pulse.value`.
 `gauss_legendre` is one composite Gauss-Legendre rule with one value; its
 nodes come from `numpy.polynomial` on first use, so importing stays light.
 The package's other quadrature, `evolve.interaction_integral_series`, is a
-cumulative trapezoid.
+cumulative trapezoid over the gaussians.
 
 Pointwise evaluation (`Pulse.value`, `envelope`, `envelope_array`) is
 exactly zero outside each pulse's `window()`, edges included in the window;

@@ -3,8 +3,8 @@
 Each check pits one implementation path against another that shares no
 code with it (closed form vs RK4, closed form vs quadrature plus matrix
 exponential, eigenphase formula vs numerical eigenvalues, ...), or fits a
-predicted scaling law.  The CLI `validate` command runs the whole list;
-the slow RK4-based checks are skipped in quick mode.
+predicted scaling law.  `validate` runs the one list, `run_validation(seed)`:
+each check at a fixed size, every random draw from one generator of that seed.
 
 The random-draw checks on closed forms run in array passes of CHUNK
 samples: one rng call per parameter, one call of each API under test,
@@ -83,10 +83,10 @@ def _rotating(kicks, gamma: float, t: float):
     return prop.no_ordering(prop.kick_integral(kicks, 1.0, gamma), 1.0, gamma, t)
 
 
-def check_pauli_algebra(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_pauli_algebra(rng: np.random.Generator) -> CheckResult:
     """Random rotations: unitarity, unit determinant, same-axis composition."""
     worst_u = worst_det = worst_comp = 0.0
-    for n in _chunks(samples):
+    for n in _chunks(10000):
         phis = rng.uniform(-10.0, 10.0, n)
         psis = rng.uniform(-10.0, 10.0, n)
         axes = rng.normal(size=(n, 3))
@@ -104,10 +104,10 @@ def check_pauli_algebra(rng: np.random.Generator, samples: int) -> CheckResult:
     )
 
 
-def check_propagator_unitarity(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_propagator_unitarity(rng: np.random.Generator) -> CheckResult:
     """All closed-form propagators stay unitary across random parameters."""
     worst = 0.0
-    for n in _chunks(samples):
+    for n in _chunks(10000):
         alphas = rng.uniform(-6.0, 6.0, n)
         betas = rng.uniform(0.0, 2.0, n)
         gammas = rng.uniform(0.0, 2.0, n)
@@ -167,14 +167,14 @@ def check_limit_web() -> CheckResult:
     )
 
 
-def check_interaction_kick_identity(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_interaction_kick_identity(rng: np.random.Generator) -> CheckResult:
     """Rotating the exact kicked propagator removes all ordering content.
 
     exp(i H0 t / hbar) U_kick equals the beta = 0 rotating-frame average
     form exactly, so their difference must sit at rounding level.
     """
     worst = 0.0
-    for n in _chunks(samples):
+    for n in _chunks(1000):
         alphas = rng.uniform(-4.0, 4.0, n)
         gammas = rng.uniform(0.0, 2.0, n)
         tks = rng.uniform(0.0, 8.0, n)
@@ -186,10 +186,10 @@ def check_interaction_kick_identity(rng: np.random.Generator, samples: int) -> C
     return _result("interaction-kick-identity", worst <= 1e-12, f"worst {worst:.1e}")
 
 
-def check_schrodinger_double_zero(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_schrodinger_double_zero(rng: np.random.Generator) -> CheckResult:
     """Bare-frame average evolution of a kick-antikick pair never transfers."""
     u0 = []
-    for _ in range(samples):
+    for _ in range(500):
         alpha = rng.uniform(0.1, 3.0)
         gamma = rng.uniform(0.01, 2.0)
         t1 = rng.uniform(0.0, 5.0)
@@ -201,10 +201,10 @@ def check_schrodinger_double_zero(rng: np.random.Generator, samples: int) -> Che
     return _result("schrodinger-double-zero", worst <= 1e-12, f"worst P2 {worst:.1e}")
 
 
-def check_closed_form_consistency(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_closed_form_consistency(rng: np.random.Generator) -> CheckResult:
     """Probability formulas against the matrices they summarize, to 1e-12."""
     worst = 0.0
-    for n in _chunks(samples):
+    for n in _chunks(1000):
         alphas = rng.uniform(-3.0, 3.0, n)
         betas = rng.uniform(0.0, 1.5, n)
         gammas = rng.uniform(0.01, 2.0, n)
@@ -230,12 +230,12 @@ def check_closed_form_consistency(rng: np.random.Generator, samples: int) -> Che
     return _result("closed-form-consistency", worst <= 1e-12, f"worst {worst:.1e}")
 
 
-def check_numeric_no_ordering(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_numeric_no_ordering(rng: np.random.Generator) -> CheckResult:
     """Closed no-ordering forms against the quadrature + eigh route, narrow pulses."""
     params = hydrogen_2s2p()
     g = params.gamma
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(25):
         alpha = rng.uniform(0.3, 2.5)
         beta = rng.uniform(0.005, 0.05)
         tau = beta / g
@@ -258,13 +258,14 @@ def check_numeric_no_ordering(rng: np.random.Generator, samples: int) -> CheckRe
     return _result("numeric-no-ordering", worst <= 1e-8, f"worst {worst:.1e}")
 
 
-def check_floquet_grid(n: int) -> CheckResult:
+def check_floquet_grid() -> CheckResult:
     """Floquet chi and eigenvectors against M = e^{i gamma T sigma_z} e^{-i alpha sigma_x}.
 
     M, built here, is the documented period: a kick, then free evolution.  On an
     (alpha, gamma T) grid chi must match eigvals(M), and each eigenvector must
     satisfy M v = e^{+-i chi} v, which the swapped order fails.
     """
+    n = 50  # grid points per axis
     worst_value = worst_vector = 0.0
     axis = np.linspace(0.0, math.pi, n)
     alphas, gts = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
@@ -285,10 +286,10 @@ def check_floquet_grid(n: int) -> CheckResult:
     return _result("floquet-grid", worst_value <= 1e-10 and worst_vector <= 1e-10, detail)
 
 
-def check_time_reversal(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_time_reversal(rng: np.random.Generator) -> CheckResult:
     """Propagating forward then with mirrored, sign-reversed arguments gives 1."""
     worst = 0.0
-    for n in _chunks(samples):
+    for n in _chunks(1000):
         alphas = rng.uniform(-3.0, 3.0, n)
         gammas = rng.uniform(0.0, 2.0, n)
         tks = rng.uniform(0.1, 5.0, n)
@@ -409,10 +410,10 @@ def rk4_order_fit(dts=(1.6, 0.8, 0.4, 0.2)) -> tuple[ScalingFit, np.ndarray, flo
     return error_scaling_fit(dts, errs), errs, unitarity_defect(u_default)
 
 
-def check_rectangular_vs_rk4(rng: np.random.Generator, samples: int) -> CheckResult:
+def check_rectangular_vs_rk4(rng: np.random.Generator) -> CheckResult:
     """Exact rectangular propagator against RK4 at dt = tau / 1e4."""
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         alpha = rng.uniform(-1.0, 1.0)
         beta = rng.uniform(0.01, 1.0)
         gamma = rng.uniform(0.2, 1.5)
@@ -459,28 +460,22 @@ def check_consistency_triangle() -> CheckResult:
     )
 
 
-def run_validation(quick: bool = False, seed: int = 0) -> list[CheckResult]:
+def run_validation(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    results = [
-        check_pauli_algebra(rng, 1000 if quick else 10000),
-        check_propagator_unitarity(rng, 1000 if quick else 10000),
+    return [
+        check_pauli_algebra(rng),
+        check_propagator_unitarity(rng),
         check_limit_web(),
-        check_interaction_kick_identity(rng, 200 if quick else 1000),
-        check_schrodinger_double_zero(rng, 100 if quick else 500),
-        check_closed_form_consistency(rng, 200 if quick else 1000),
-        check_numeric_no_ordering(rng, 3 if quick else 25),
-        check_floquet_grid(12 if quick else 50),
-        check_time_reversal(rng, 200 if quick else 1000),
+        check_interaction_kick_identity(rng),
+        check_schrodinger_double_zero(rng),
+        check_closed_form_consistency(rng),
+        check_numeric_no_ordering(rng),
+        check_floquet_grid(),
+        check_time_reversal(rng),
         check_perturbative_onset(),
         check_rect_correction_residual(),
+        check_kicked_error_scaling(),
+        check_rk4_order(),
+        check_rectangular_vs_rk4(rng),
+        check_consistency_triangle(),
     ]
-    if quick:
-        results.append(check_rectangular_vs_rk4(rng, 3))
-    else:
-        results += [
-            check_kicked_error_scaling(),
-            check_rk4_order(),
-            check_rectangular_vs_rk4(rng, 20),
-            check_consistency_triangle(),
-        ]
-    return results

@@ -67,8 +67,8 @@ def test_04_kicked_error_scaling():
 
 def test_05_closed_form_consistency():
     rng = np.random.default_rng(0)
-    exact = validation.check_closed_form_consistency(rng, 1000)
-    numeric = validation.check_numeric_no_ordering(rng, 25)
+    exact = validation.check_closed_form_consistency(rng)
+    numeric = validation.check_numeric_no_ordering(rng)
     ok = exact.passed and numeric.passed
     assert verdict(5, ok, f"{exact.detail} (tol 1e-12); numeric: {numeric.detail} (tol 1e-8)")
 
@@ -80,7 +80,7 @@ def test_06_limit_web():
 
 def test_07_interaction_kick_identity():
     rng = np.random.default_rng(1)
-    res = validation.check_interaction_kick_identity(rng, 1000)
+    res = validation.check_interaction_kick_identity(rng)
     assert verdict(7, res.passed, res.detail + " (tol 1e-12)")
 
 
@@ -93,7 +93,7 @@ def test_08_schrodinger_double_zero():
         worst_analytic = max(worst_analytic, abs(u0[1, 0]))
         assert p2_closed_forms_double(alpha, 0.1, gamma * ts).no_ordering_schrodinger == 0.0
     rng = np.random.default_rng(2)
-    numeric = validation.check_schrodinger_double_zero(rng, 500)
+    numeric = validation.check_schrodinger_double_zero(rng)
     ok = worst_analytic == 0.0 and numeric.passed
     assert verdict(
         8, ok, f"analytic off-diagonal {worst_analytic:.1e} (exact); numeric {numeric.detail}"
@@ -102,14 +102,14 @@ def test_08_schrodinger_double_zero():
 
 def test_09_rectangular_vs_rk4():
     rng = np.random.default_rng(3)
-    agree = validation.check_rectangular_vs_rk4(rng, 20)
+    agree = validation.check_rectangular_vs_rk4(rng)
     resid = validation.check_rect_correction_residual()
     ok = agree.passed and resid.passed
     assert verdict(9, ok, f"{agree.detail} (tol 1e-8); residual {resid.detail}")
 
 
 def test_10_floquet_grid():
-    res = validation.check_floquet_grid(50)
+    res = validation.check_floquet_grid()
     assert verdict(10, res.passed, res.detail + " (tol 1e-10)")
 
 

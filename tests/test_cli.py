@@ -728,11 +728,11 @@ class TestFloquet:
 
 
 class TestValidate:
-    def test_quick_passes_within_budget(self, capsys):
+    def test_passes_within_budget(self, capsys):
         import time
 
         start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "validate", "--quick", "--seed", "0")
+        code, out, _ = run_cli(capsys, "validate", "--seed", "0")
         elapsed = time.perf_counter() - start
         assert code == 0
         assert "PASS" in out
@@ -749,7 +749,7 @@ class TestValidate:
             return u.conj()  # flips the off-diagonal phase sign
 
         monkeypatch.setattr("kickedqubit.validation.prop.no_ordering", tampered)
-        code, out, _ = run_cli(capsys, "validate", "--quick")
+        code, out, _ = run_cli(capsys, "validate")
         assert code == 2
         assert "FAIL" in out
 
@@ -757,7 +757,7 @@ class TestValidate:
         good = evolve.interaction_integral
         # conjugating z flips the phase of every window's contribution
         monkeypatch.setattr(evolve, "interaction_integral", lambda *args: good(*args).conjugate())
-        code, out, _ = run_cli(capsys, "validate", "--quick")
+        code, out, _ = run_cli(capsys, "validate")
         assert code == 2
         verdicts = dict(line.split()[:2] for line in out.splitlines()[:-1])
         assert verdicts["numeric-no-ordering"] == "FAIL"

@@ -49,29 +49,32 @@ def test_cli_commands_load_no_scipy():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [cli.main(argv) for argv in calls]
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        print(json.dumps({"codes": codes, "scipy": loaded, "legendre": "numpy.polynomial" in sys.modules}))
+        print(json.dumps({"codes": codes, "scipy": loaded, "legendre": "numpy.polynomial" in sys.modules,
+                          "ma": "numpy.ma" in sys.modules}))
         """
     )
     assert result["codes"] == [0, 0, 0]
     # in particular no scipy.integrate, scipy.linalg or scipy.special
     assert result["scipy"] == []
+    # np.unique would import numpy.ma on first use; evolve._stops sorts without it
+    assert result["ma"] is False
     # the quadrature nodes are built on first use, and these commands never integrate
     assert result["legendre"] is False
 
 
-@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
-def test_validate_loads_no_scipy(quick):
+def test_validate_loads_no_scipy():
     result = run_fresh(
-        f"""
+        """
         import contextlib, io, json, sys
         from kickedqubit import cli
 
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["validate", *{["--quick"] if quick else []!r}])
-        print(json.dumps({{"code": code, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}}))
+            code = cli.main(["validate"])
+        scipy = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        print(json.dumps({"code": code, "scipy": scipy, "ma": "numpy.ma" in sys.modules}))
         """
     )
-    assert result == {"code": 0, "scipy": []}
+    assert result == {"code": 0, "scipy": [], "ma": False}
 
 
 # the quadrature routes' values, frozen from scipy's adaptive quad (QUADPACK) before

@@ -807,12 +807,17 @@ class TestNoOrderingNumeric:
 
     def test_integral_series_matches_single_time_quadrature(self):
         params = HYDROGEN
-        pulses = [gaussian(1.0, 10.0, 100.0), gaussian(-1.0, 10.0, 300.0)]
         times = np.array([50.0, 150.0, 350.0, 500.0])
-        dt = check_step_budget(pulses, params, 0.0, 500.0, IntegratorConfig(), times.size)
-        series_vals = interaction_integral_series(pulses, params, 0.0, times, dt)
-        for t, val in zip(times, series_vals):
-            assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < 1e-7
+        # gaussians by trapezoid; rectangles exactly, one clipped at t0 = 0 and
+        # one at t = 150 that ends inside [0, 500]
+        for pulses, tol in (
+            ([gaussian(1.0, 10.0, 100.0), gaussian(-1.0, 10.0, 300.0)], 1e-7),
+            ([rectangular(1.0, 20.0, 5.0), rectangular(-1.0, 40.0, 140.0)], 1e-12),
+        ):
+            dt = check_step_budget(pulses, params, 0.0, 500.0, IntegratorConfig(), times.size)
+            series_vals = interaction_integral_series(pulses, params, 0.0, times, dt)
+            for t, val in zip(times, series_vals):
+                assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < tol
 
 
 class TestConvergence:

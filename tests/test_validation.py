@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -28,7 +29,11 @@ CHECKS = (
     "check_rectangular_vs_rk4",
     "check_consistency_triangle",
 )
-QUICK_CHECKS = CHECKS[:11] + ("check_rectangular_vs_rk4",)
+
+
+def _run(check):
+    """Call a check_* function, with a seed-0 generator if it draws one."""
+    return check(np.random.default_rng(0)) if "rng" in inspect.signature(check).parameters else check()
 
 
 def _nan_matrix(stack):
@@ -46,27 +51,22 @@ def _nan_probability(forms):
     return forms._replace(exact_kick=_nan_matrix(forms.exact_kick))
 
 
-# (check, its arguments, the module and name of the API it calls, calls per
-# array pass, and what the poisoned call returns in place of the real stack)
+# (check, the module and name of the API it calls, calls per array pass, and
+# what the poisoned call returns in place of the real stack)
 ARRAY_PASSES = {
-    "pauli-algebra": (
-        validation.check_pauli_algebra, 5, validation, "pauli_exponential", 3, _nan_matrix
-    ),
+    "pauli-algebra": (validation.check_pauli_algebra, validation, "pauli_exponential", 3, _nan_matrix),
     "propagator-unitarity": (
-        validation.check_propagator_unitarity, 5, prop, "kick_sequence_propagator", 2, _nan_matrix
+        validation.check_propagator_unitarity, prop, "kick_sequence_propagator", 2, _nan_matrix
     ),
     "interaction-kick-identity": (
-        validation.check_interaction_kick_identity, 5, prop, "kick_sequence_propagator", 1,
-        _nan_matrix,
+        validation.check_interaction_kick_identity, prop, "kick_sequence_propagator", 1, _nan_matrix
     ),
     "closed-form-consistency": (
-        validation.check_closed_form_consistency, 5, validation, "p2_closed_forms_single", 1,
+        validation.check_closed_form_consistency, validation, "p2_closed_forms_single", 1,
         _nan_probability,
     ),
-    "time-reversal": (
-        validation.check_time_reversal, 5, prop, "kick_sequence_propagator", 4, _nan_matrix
-    ),
-    "floquet-grid": (validation.check_floquet_grid, 3, prop, "floquet_eigenphases", 1, _nan_floquet),
+    "time-reversal": (validation.check_time_reversal, prop, "kick_sequence_propagator", 4, _nan_matrix),
+    "floquet-grid": (validation.check_floquet_grid, prop, "floquet_eigenphases", 1, _nan_floquet),
 }
 
 
@@ -76,8 +76,8 @@ def test_array_pass_fails_on_a_nan_matrix(monkeypatch, name):
     # one NaN matrix in the stack of the second array pass, after a pass with a
     # finite worst and before another, must fail the check rather than be
     # dropped by a max
-    check, size, module, attr, per_pass, poison = ARRAY_PASSES[name]
-    monkeypatch.setattr(validation, "CHUNK", 2)
+    check, module, attr, per_pass, poison = ARRAY_PASSES[name]
+    monkeypatch.setattr(validation, "CHUNK", 300)  # four or more passes: the fewest samples are 1000
     real = getattr(module, attr)
     calls = []
 
@@ -87,7 +87,7 @@ def test_array_pass_fails_on_a_nan_matrix(monkeypatch, name):
         return poison(out) if len(calls) == per_pass + 1 else out
 
     monkeypatch.setattr(module, attr, nan_once)
-    res = check(size) if name == "floquet-grid" else check(np.random.default_rng(0), size)
+    res = _run(check)
     assert len(calls) > 2 * per_pass  # a third pass ran after the poisoned one
     assert res.name == name
     assert not res.passed
@@ -98,20 +98,17 @@ def _nan_field(field):
     return lambda forms: forms._replace(**{field: math.nan})
 
 
-# (check, its sample count or None, the validation attribute it calls, the
-# call to poison, and what that call returns in place of the real value)
+# (check, the validation attribute it calls, the call to poison, and what
+# that call returns in place of the real value)
 PER_SAMPLE = {
-    "numeric-no-ordering": (
-        validation.check_numeric_no_ordering, 3, "no_ordering_numeric", 4, _nan_matrix
-    ),
-    "rectangular-vs-rk4": (validation.check_rectangular_vs_rk4, 3, "rk4_propagator", 2, _nan_matrix),
+    "numeric-no-ordering": (validation.check_numeric_no_ordering, "no_ordering_numeric", 4, _nan_matrix),
+    "rectangular-vs-rk4": (validation.check_rectangular_vs_rk4, "rk4_propagator", 2, _nan_matrix),
     "consistency-triangle-closed-vs-matrix": (
-        validation.check_consistency_triangle, None, "p2_closed_forms_single", 2,
+        validation.check_consistency_triangle, "p2_closed_forms_single", 2,
         _nan_field("no_ordering_interaction"),
     ),
     "consistency-triangle-rk4-ratio": (
-        validation.check_consistency_triangle, None, "p2_closed_forms_single", 2,
-        _nan_field("exact_kick"),
+        validation.check_consistency_triangle, "p2_closed_forms_single", 2, _nan_field("exact_kick"),
     ),
 }
 
@@ -121,7 +118,7 @@ PER_SAMPLE = {
 def test_per_sample_check_fails_on_a_nan(monkeypatch, case):
     # one NaN sample, after a sample with a finite worst and before another,
     # must fail the check rather than be dropped by a max
-    check, samples, attr, poisoned, poison = PER_SAMPLE[case]
+    check, attr, poisoned, poison = PER_SAMPLE[case]
     real = getattr(validation, attr)
     calls = []
 
@@ -131,7 +128,7 @@ def test_per_sample_check_fails_on_a_nan(monkeypatch, case):
         return poison(out) if len(calls) == poisoned else out
 
     monkeypatch.setattr(validation, attr, nan_once)
-    res = check() if samples is None else check(np.random.default_rng(0), samples)
+    res = _run(check)
     assert len(calls) > poisoned  # a later sample ran after the poisoned one
     assert case.startswith(res.name)
     assert not res.passed
@@ -148,11 +145,8 @@ def test_validate_exposes_exactly_the_checks_it_runs(monkeypatch):
             return validation.CheckResult(_name, True, "")
 
         monkeypatch.setattr(validation, name, stub)
-    validation.run_validation(quick=False)
+    validation.run_validation()
     assert called == list(CHECKS)
-    called.clear()
-    validation.run_validation(quick=True)
-    assert called == list(QUICK_CHECKS)
 
 
 def _label(check: str) -> str:
@@ -266,10 +260,10 @@ FAULTS = [
 
 @pytest.mark.parametrize("module, attr, fault, caught", FAULTS)
 def test_fault_is_caught(monkeypatch, module, attr, fault, caught):
-    # only the named checks run, at --quick sizes and seed 0; the rest are stubbed
+    # only the named checks run, at seed 0; the rest are stubbed
     for name in CHECKS:
         if _label(name) not in caught:
             monkeypatch.setattr(validation, name, _passing(name))
     monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
-    verdicts = {r.name: r.passed for r in validation.run_validation(quick=True, seed=0)}
+    verdicts = {r.name: r.passed for r in validation.run_validation(seed=0)}
     assert {name: verdicts.get(name) for name in caught} == dict.fromkeys(caught, False)
