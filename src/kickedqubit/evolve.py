@@ -34,15 +34,18 @@ the state at every segment end, with no Python loop per segment or row.
 This module also provides the numeric "no time ordering" evolution,
 `no_ordering_numeric`, an independent cross-check of the closed form in
 `propagators` for either frame: lam = 0 (bare) or lam = 1 (rotating).
-It exponentiates the Hermitian exponent through its spectral
-decomposition (numpy's `eigh`), not through the closed rotation; the
-exponent comes from `interaction_integral`, which integrates each pulse
-window by `pulses.gauss_legendre`, one composite Gauss-Legendre rule with
-two panels for each pi of phase at frequency 2 lam gamma, which returns
-its value alone.  The module needs numpy only.
-`interaction_integral_series`, behind the rotating-frame no-ordering CSV
-column, takes kicks and rectangles exactly and gaussians by a trapezoid at
-half the RK4 step that `check_step_budget` resolved for the trajectory.
+It is two parts.  The exponent comes from `interaction_integral`, one
+sample at a time, which integrates each pulse window by
+`pulses.gauss_legendre`, one composite Gauss-Legendre rule with two panels
+for each pi of phase at frequency 2 lam gamma, which returns its value
+alone.  `spectral_exponential` exponentiates the Hermitian exponent through
+its spectral decomposition (numpy's `eigh`), not through the closed
+rotation, and takes a whole stack of exponents in one `eigh` call, so
+`validate` exponentiates each pass of samples at once.  The module needs
+numpy only.  `interaction_integral_series`, behind the rotating-frame
+no-ordering CSV column, takes kicks and rectangles exactly and gaussians by
+a trapezoid at half the RK4 step that `check_step_budget` resolved for the
+trajectory; without a gaussian it builds no grid.
 """
 from __future__ import annotations
 
@@ -397,19 +400,30 @@ def interaction_integral(
     return z
 
 
+def spectral_exponential(z, c) -> np.ndarray:
+    """exp(-i Omega), Omega = Re z sigma_x + Im z sigma_y - c sigma_z, for each broadcast (z, c).
+
+    Omega is Hermitian, so with Omega = V diag(w) V^dag the exponential is
+    V diag(e^{-i w}) V^dag: one `eigh` call and one matmul for a whole stack,
+    a scalar pair giving one (2, 2) matrix and arrays a (..., 2, 2) stack.
+    Each matrix of a stack has the bits of its own scalar call, and a NaN
+    entry gives a NaN matrix.
+    """
+    z, c = np.asarray(z, dtype=complex)[..., None, None], np.asarray(c, dtype=float)[..., None, None]
+    w, v = np.linalg.eigh(z.real * SIGMA_X + z.imag * SIGMA_Y - c * SIGMA_Z)
+    return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def no_ordering_numeric(
     pulses: PulseSequence, params: SystemParams, t: float, lam: float
 ) -> np.ndarray:
     """exp(-i Omega_lam), Omega_lam = Re z sigma_x + Im z sigma_y - (1 - lam) gamma t sigma_z.
 
     z is interaction_integral's quadrature of frame lam: lam = 0 is the bare
-    frame, lam = 1 the rotating frame.  Omega_lam is Hermitian, so with
-    Omega_lam = V diag(w) V^dag the exponential is V diag(e^{-i w}) V^dag.
+    frame, lam = 1 the rotating frame; `spectral_exponential` exponentiates.
     """
     z = interaction_integral(pulses, params, t, lam)
-    c = (1.0 - lam) * params.gamma * t
-    w, v = np.linalg.eigh(z.real * SIGMA_X + z.imag * SIGMA_Y - c * SIGMA_Z)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return spectral_exponential(z, (1.0 - lam) * params.gamma * t)
 
 
 def interaction_integral_series(
@@ -424,14 +438,15 @@ def interaction_integral_series(
     """
     times = np.asarray(times, dtype=float)
     g = params.gamma
-    t_max = float(times.max(initial=t0))  # times in any order
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
-    grid = _stops(np.arange(t0, t_max, dt / 2.0), times, [t0])
-    vals = envelope_array(smooth, grid) * np.exp(2j * g * grid)
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-    cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
-    idx = np.searchsorted(grid, times)
-    out = cumulative[idx]
+    out = np.zeros(times.shape, complex)  # with no gaussian no grid is built
+    if smooth:
+        t_max = float(times.max(initial=t0))  # times in any order
+        grid = _stops(np.arange(t0, t_max, dt / 2.0), times, [t0])
+        vals = envelope_array(smooth, grid) * np.exp(2j * g * grid)
+        increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
+        cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
+        out = cumulative[np.searchsorted(grid, times)]
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK and p.center >= t0:
             out = out + np.where(times >= p.center, p.alpha * np.exp(2j * g * p.center), 0.0)

@@ -9,7 +9,12 @@ each check at a fixed size, every random draw from one generator of that seed.
 The random-draw checks on closed forms run in array passes of CHUNK
 samples: one rng call per parameter, one call of each API under test,
 which returns a stack of matrices, and one numpy reduction per quantity.
-The checks that run quadrature or RK4 stay per sample.
+RK4 and the quadrature stay per sample: the two no-ordering checks draw
+and integrate z_lam sample by sample, then exponentiate each frame's stack
+with one `evolve.spectral_exponential` call and compare it with one call
+of the closed form.  A check that reads P2 from a matrix that is not
+unitary (a NaN one included) reports FAIL with a NaN worst; it does not
+raise out of `validate`.
 """
 from __future__ import annotations
 
@@ -25,7 +30,8 @@ from .analysis import (
     p2_closed_forms_double,
     p2_closed_forms_single,
 )
-from .evolve import IntegratorConfig, no_ordering_numeric, rk4_propagator
+from . import evolve
+from .evolve import IntegratorConfig, rk4_propagator
 from .pulses import (
     PulseShape,
     SystemParams,
@@ -38,6 +44,7 @@ from .su2 import (
     IDENTITY,
     X_AXIS,
     Z_AXIS,
+    NonUnitaryError,
     max_abs_diff,
     pauli_exponential,
     probabilities,
@@ -76,6 +83,18 @@ def _keep_worst(worst: float, x: float) -> float:
 def _by_angle(z: np.ndarray) -> np.ndarray:
     """Each row of z sorted by the angle of its entries."""
     return np.take_along_axis(z, np.argsort(np.angle(z), axis=1, kind="stable"), axis=1)
+
+
+def _p2(u):
+    """P2 from (1, 0) under u, a matrix or a stack; all NaN if one matrix is not unitary.
+
+    The NaN fails the check that reads it, where `probabilities` alone
+    would raise and end the whole `validate` run.
+    """
+    try:
+        return probabilities(u, (1.0, 0.0))[1]
+    except NonUnitaryError:
+        return np.full(np.shape(u)[:-2], math.nan)[()]
 
 
 def _rotating(kicks, gamma: float, t: float):
@@ -188,7 +207,7 @@ def check_interaction_kick_identity(rng: np.random.Generator) -> CheckResult:
 
 def check_schrodinger_double_zero(rng: np.random.Generator) -> CheckResult:
     """Bare-frame average evolution of a kick-antikick pair never transfers."""
-    u0 = []
+    zs, cs = [], []
     for _ in range(500):
         alpha = rng.uniform(0.1, 3.0)
         gamma = rng.uniform(0.01, 2.0)
@@ -196,8 +215,9 @@ def check_schrodinger_double_zero(rng: np.random.Generator) -> CheckResult:
         t2 = t1 + rng.uniform(0.01, 8.0)
         t = t2 + rng.uniform(0.1, 5.0)
         kicks = [ideal_kick(alpha, t1), ideal_kick(-alpha, t2)]
-        u0.append(no_ordering_numeric(kicks, SystemParams(gamma), t, 0.0))
-    worst = float(np.max(probabilities(np.stack(u0), (1.0, 0.0))[1]))
+        zs.append(evolve.interaction_integral(kicks, SystemParams(gamma), t, 0.0))
+        cs.append(gamma * t)  # (1 - lam) gamma t at lam = 0
+    worst = float(np.max(_p2(evolve.spectral_exponential(zs, cs))))
     return _result("schrodinger-double-zero", worst <= 1e-12, f"worst P2 {worst:.1e}")
 
 
@@ -225,36 +245,44 @@ def check_closed_form_consistency(rng: np.random.Generator) -> CheckResult:
             (_rotating(pair_eff, gammas, ts), double.no_ordering_interaction),
         )
         for u, p2 in cases:
-            _, p2_matrix = probabilities(u, (1.0, 0.0))
-            worst = _keep_worst(worst, float(np.max(np.abs(p2_matrix - p2))))
+            worst = _keep_worst(worst, float(np.max(np.abs(_p2(u) - p2))))
     return _result("closed-form-consistency", worst <= 1e-12, f"worst {worst:.1e}")
 
 
 def check_numeric_no_ordering(rng: np.random.Generator) -> CheckResult:
-    """Closed no-ordering forms against the quadrature + eigh route, narrow pulses."""
+    """Closed no-ordering forms against the quadrature + eigh route, narrow pulses.
+
+    Each sample is a gaussian, in the rotating and the bare frame, and a
+    gaussian pair in the rotating frame: three quadratures of z_lam.
+    """
     params = hydrogen_2s2p()
     g = params.gamma
-    worst = 0.0
+    draws, zs = [], []
     for _ in range(25):
         alpha = rng.uniform(0.3, 2.5)
         beta = rng.uniform(0.005, 0.05)
         tau = beta / g
         tk = rng.uniform(6.0 * tau, 6.0 * tau + 300.0)
         t = tk + 6.0 * tau + rng.uniform(1.0, 300.0)
-        a_eff = alpha * math.exp(-beta * beta)
         pulse = [gaussian(alpha, tau, tk)]
-        u_num = no_ordering_numeric(pulse, params, t, 1.0)
-        u_closed = _rotating(((a_eff, tk),), g, t)
-        worst = _keep_worst(worst, max_abs_diff(u_num, u_closed))
-        u0_num = no_ordering_numeric(pulse, params, t, 0.0)
-        a_run = alpha  # pulse complete, so the running integral is the full strength
-        worst = _keep_worst(worst, max_abs_diff(u0_num, prop.no_ordering(a_run, 0.0, g, t)))
+        z1 = evolve.interaction_integral(pulse, params, t, 1.0)
+        z0 = evolve.interaction_integral(pulse, params, t, 0.0)
         t2 = tk + rng.uniform(12.0 * tau, 400.0)
         pair = [gaussian(alpha, tau, tk), gaussian(-alpha, tau, t2)]
-        t = t2 + 6.0 * tau + 1.0
-        u_num = no_ordering_numeric(pair, params, t, 1.0)
-        u_closed = _rotating(((a_eff, tk), (-a_eff, t2)), g, t)
-        worst = _keep_worst(worst, max_abs_diff(u_num, u_closed))
+        t_pair = t2 + 6.0 * tau + 1.0
+        draws.append((alpha, alpha * math.exp(-beta * beta), tk, t, t2, t_pair))
+        zs.append((z1, z0, evolve.interaction_integral(pair, params, t_pair, 1.0)))
+    alpha, a_eff, tk, t, t2, t_pair = np.array(draws).T
+    z1, z0, z_pair = np.array(zs).T
+    # the bare frame's running integral is the full strength alpha: the pulse is complete
+    frames = (
+        (z1, 0.0, _rotating(((a_eff, tk),), g, t)),
+        (z0, g * t, prop.no_ordering(alpha, 0.0, g, t)),
+        (z_pair, 0.0, _rotating(((a_eff, tk), (-a_eff, t2)), g, t_pair)),
+    )
+    worst = 0.0
+    for z, c, u_closed in frames:
+        worst = _keep_worst(worst, max_abs_diff(evolve.spectral_exponential(z, c), u_closed))
     return _result("numeric-no-ordering", worst <= 1e-8, f"worst {worst:.1e}")
 
 
@@ -444,12 +472,11 @@ def check_consistency_triangle() -> CheckResult:
         # closed form vs propagator route: must match to rounding
         single = p2_closed_forms_single(alpha, beta, g * tf)
         a_eff = alpha * math.exp(-beta * beta)
-        _, p2_mat = probabilities(_rotating(((a_eff, tk),), g, tf), (1.0, 0.0))
+        p2_mat = _p2(_rotating(((a_eff, tk),), g, tf))
         worst_exact = _keep_worst(worst_exact, abs(p2_mat - single.no_ordering_interaction))
         # RK4 vs kicked limit: bounded by the fitted quadratic error law
         u = rk4_propagator([gaussian(alpha, tau, tk)], params, 0.0, tf)
-        _, p2 = probabilities(u, (1.0, 0.0))
-        err = abs(p2 - single.exact_kick)
+        err = abs(_p2(u) - single.exact_kick)
         bound = 16.0 * beta * beta  # generous prefactor over the observed law
         worst_rk4_ratio = _keep_worst(worst_rk4_ratio, err / bound)
     ok = worst_exact <= 1e-12 and worst_rk4_ratio <= 1.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kickedqubit import evolve, validation
+from kickedqubit import cli, evolve, validation
 from kickedqubit import propagators as prop
 from kickedqubit.pulses import PulseShape
 from kickedqubit.su2 import X_AXIS, pauli_exponential
@@ -98,17 +98,24 @@ def _nan_field(field):
     return lambda forms: forms._replace(**{field: math.nan})
 
 
-# (check, the validation attribute it calls, the call to poison, and what
-# that call returns in place of the real value)
+def _nan_z(z):
+    return complex(math.nan, math.nan)
+
+
+# (check, the module and name of the per-sample API it calls, the call to
+# poison, and what that call returns in place of the real value);
+# numeric-no-ordering makes three quadratures of z a sample, so its 4th call
+# is the second sample's first
 PER_SAMPLE = {
-    "numeric-no-ordering": (validation.check_numeric_no_ordering, "no_ordering_numeric", 4, _nan_matrix),
-    "rectangular-vs-rk4": (validation.check_rectangular_vs_rk4, "rk4_propagator", 2, _nan_matrix),
+    "numeric-no-ordering": (validation.check_numeric_no_ordering, evolve, "interaction_integral", 4, _nan_z),
+    "rectangular-vs-rk4": (validation.check_rectangular_vs_rk4, validation, "rk4_propagator", 2, _nan_matrix),
     "consistency-triangle-closed-vs-matrix": (
-        validation.check_consistency_triangle, "p2_closed_forms_single", 2,
+        validation.check_consistency_triangle, validation, "p2_closed_forms_single", 2,
         _nan_field("no_ordering_interaction"),
     ),
     "consistency-triangle-rk4-ratio": (
-        validation.check_consistency_triangle, "p2_closed_forms_single", 2, _nan_field("exact_kick"),
+        validation.check_consistency_triangle, validation, "p2_closed_forms_single", 2,
+        _nan_field("exact_kick"),
     ),
 }
 
@@ -118,8 +125,8 @@ PER_SAMPLE = {
 def test_per_sample_check_fails_on_a_nan(monkeypatch, case):
     # one NaN sample, after a sample with a finite worst and before another,
     # must fail the check rather than be dropped by a max
-    check, attr, poisoned, poison = PER_SAMPLE[case]
-    real = getattr(validation, attr)
+    check, module, attr, poisoned, poison = PER_SAMPLE[case]
+    real = getattr(module, attr)
     calls = []
 
     def nan_once(*args):
@@ -127,12 +134,74 @@ def test_per_sample_check_fails_on_a_nan(monkeypatch, case):
         out = real(*args)
         return poison(out) if len(calls) == poisoned else out
 
-    monkeypatch.setattr(validation, attr, nan_once)
+    monkeypatch.setattr(module, attr, nan_once)
     res = _run(check)
     assert len(calls) > poisoned  # a later sample ran after the poisoned one
     assert case.startswith(res.name)
     assert not res.passed
     assert "nan" in res.detail
+
+
+def _doubled(stack):
+    """The stack with its first matrix doubled: finite, but not unitary."""
+    stack = stack.copy()
+    stack[0] *= 2.0
+    return stack
+
+
+# the checks that read P2 from a matrix: (check, the module and name of the API
+# the matrix comes from, the call of it, counted from the check's start, to
+# poison, and what that call returns in place of the real value)
+P2_FROM_A_MATRIX = {
+    "schrodinger-double-zero": (
+        validation.check_schrodinger_double_zero, evolve, "interaction_integral", 3, _nan_z,
+    ),
+    "closed-form-consistency": (
+        validation.check_closed_form_consistency, prop, "kick_sequence_propagator", 3, _nan_matrix,
+    ),
+    "closed-form-consistency-not-unitary": (
+        validation.check_closed_form_consistency, prop, "kick_sequence_propagator", 3, _doubled,
+    ),
+    "consistency-triangle": (validation.check_consistency_triangle, prop, "no_ordering", 2, _nan_matrix),
+    "consistency-triangle-not-unitary": (
+        validation.check_consistency_triangle, prop, "no_ordering", 2, _doubled,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(P2_FROM_A_MATRIX))
+def test_matrix_that_is_not_unitary_fails_its_check_not_the_run(monkeypatch, capsys, case):
+    # probabilities refuses the matrix; validate must still print all 15
+    # lines, with this check failed on a NaN worst, and exit 2
+    check, module, attr, poisoned, poison = P2_FROM_A_MATRIX[case]
+    real = getattr(module, attr)
+    calls = None  # a list once the check starts: earlier checks call the API too
+
+    def poison_once(*args):
+        out = real(*args)
+        if calls is None:
+            return out
+        calls.append(args)
+        return poison(out) if len(calls) == poisoned else out
+
+    def counted_from_here(*args):
+        nonlocal calls
+        calls = []
+        return check(*args)
+
+    monkeypatch.setattr(module, attr, poison_once)
+    monkeypatch.setattr(validation, check.__name__, counted_from_here)
+    code = cli.main(["validate", "--seed", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) >= poisoned
+    assert code == 2
+    assert lines[-1] == "14/15 checks passed"
+    verdicts = {line.split()[0]: line.split(maxsplit=2)[1:] for line in lines[:-1]}
+    assert list(verdicts) == [_label(name) for name in CHECKS]
+    verdict, detail = verdicts[_label(check.__name__)]
+    assert verdict == "FAIL"
+    assert "nan" in detail
 
 
 def test_validate_exposes_exactly_the_checks_it_runs(monkeypatch):
