@@ -45,7 +45,7 @@ rotation, and takes a whole stack of exponents in one `eigh` call, so
 numpy only.  `interaction_integral_series`, behind the rotating-frame
 no-ordering CSV column, takes kicks and rectangles exactly and gaussians by
 a trapezoid at half the RK4 step that `check_step_budget` resolved for the
-trajectory; without a gaussian it builds no grid.
+trajectory.
 """
 from __future__ import annotations
 
@@ -438,15 +438,14 @@ def interaction_integral_series(
     """
     times = np.asarray(times, dtype=float)
     g = params.gamma
+    t_max = float(times.max(initial=t0))  # times in any order
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
-    out = np.zeros(times.shape, complex)  # with no gaussian no grid is built
-    if smooth:
-        t_max = float(times.max(initial=t0))  # times in any order
-        grid = _stops(np.arange(t0, t_max, dt / 2.0), times, [t0])
-        vals = envelope_array(smooth, grid) * np.exp(2j * g * grid)
-        increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-        cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
-        out = cumulative[np.searchsorted(grid, times)]
+    grid = _stops(np.arange(t0, t_max, dt / 2.0), times, [t0])
+    vals = envelope_array(smooth, grid) * np.exp(2j * g * grid)
+    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
+    cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
+    idx = np.searchsorted(grid, times)
+    out = cumulative[idx]
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK and p.center >= t0:
             out = out + np.where(times >= p.center, p.alpha * np.exp(2j * g * p.center), 0.0)

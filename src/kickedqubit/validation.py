@@ -12,9 +12,12 @@ which returns a stack of matrices, and one numpy reduction per quantity.
 RK4 and the quadrature stay per sample: the two no-ordering checks draw
 and integrate z_lam sample by sample, then exponentiate each frame's stack
 with one `evolve.spectral_exponential` call and compare it with one call
-of the closed form.  A check that reads P2 from a matrix that is not
-unitary (a NaN one included) reports FAIL with a NaN worst; it does not
-raise out of `validate`.
+of the closed form.  schrodinger-double-zero, closed-form-consistency and
+the closed-form side of consistency-triangle read P2 through `_p2`: a
+matrix there that is not unitary (a NaN one included) fails that check
+with a NaN worst instead of raising out of `validate`.  The RK4 reads keep
+`probabilities`: `rk4_propagator` raises when the RK4 norm drifts, a NaN
+included, before any P2 is read.
 """
 from __future__ import annotations
 
@@ -476,7 +479,8 @@ def check_consistency_triangle() -> CheckResult:
         worst_exact = _keep_worst(worst_exact, abs(p2_mat - single.no_ordering_interaction))
         # RK4 vs kicked limit: bounded by the fitted quadratic error law
         u = rk4_propagator([gaussian(alpha, tau, tk)], params, 0.0, tf)
-        err = abs(_p2(u) - single.exact_kick)
+        _, p2 = probabilities(u, (1.0, 0.0))
+        err = abs(p2 - single.exact_kick)
         bound = 16.0 * beta * beta  # generous prefactor over the observed law
         worst_rk4_ratio = _keep_worst(worst_rk4_ratio, err / bound)
     ok = worst_exact <= 1e-12 and worst_rk4_ratio <= 1.0

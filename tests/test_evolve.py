@@ -297,24 +297,16 @@ def test_array_and_pointwise_couplings_agree(smooth, k, rows, gamma):
     ),
     st.floats(-2.0, 2.0),
 )
-# an unstable step, h sqrt(gamma^2 + c^2) > 2.8, overflows to NaN over m steps
-@example(m=4087, rows=[(0.0, 1.0, 0.0), (0.0, 0.9375, 2.9375)], gamma=1.375)
 def test_constant_coupling_block_is_the_pairwise_tree(m, rows, gamma):
     # with no coupling function a row's m steps are one repeated map, composed
     # in log2 m passes; a zero coupling runs the general pairwise product on the
-    # same couplings (0.0 + c == c), so the two give the same bits.  A NaN's
-    # sign, which IEEE 754 leaves unspecified, is the one exception: each
-    # negation in a route flips it.  With no coupling function nothing reads a
-    # time, so no end time is returned
+    # same couplings (0.0 + c == c), so the two give the same bits.  With no
+    # coupling function nothing reads a time, so no end time is returned
     t, h, c = (np.array(x) for x in zip(*rows))
     fast = evolve._block_map(None, c, gamma, t, h, m)
     tree = evolve._block_map(lambda grid: np.zeros(grid.shape), c, gamma, t, h, m)
     assert fast[2] is None
-    for x, y in zip(fast[:2], tree[:2]):
-        x, y = x.view(float), y.view(float)
-        nan = np.isnan(x)
-        assert np.array_equal(nan, np.isnan(y))
-        assert x[~nan].tobytes() == y[~nan].tobytes()
+    assert [x.tobytes() for x in fast[:2]] == [x.tobytes() for x in tree[:2]]
 
 
 def _stagewise_step(g, h, vt, vm, ve):
@@ -831,16 +823,6 @@ class TestNoOrderingNumeric:
             for t, val in zip(times, series_vals):
                 assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < tol
 
-    def test_integral_series_without_a_gaussian_builds_no_grid(self):
-        # kicks and rectangles are exact, so no envelope is read on a trapezoid grid
-        params = HYDROGEN
-        pulses = [ideal_kick(0.8, 60.0), rectangular(1.0, 20.0, 5.0), rectangular(-1.0, 40.0, 140.0)]
-        times = np.linspace(0.0, 500.0, 19951)
-        with mock.patch.object(evolve, "envelope_array", side_effect=AssertionError("grid built")):
-            series_vals = interaction_integral_series(pulses, params, 0.0, times, 0.01)
-        for t, val in zip(times[::1000], series_vals[::1000]):
-            assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < 1e-12
-
 
 _SAMPLE = st.tuples(
     st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),  # Re z, Im z
@@ -854,8 +836,7 @@ _SAMPLE = st.tuples(
 @example(samples=[(0.0, 0.0, 1.0, 2.0, 0.0), (1.2, -0.4, 0.0, 7.0, 0.0), (0.5, 0.5, 0.3, 9.0, 1.0)])
 def test_stacked_exponential_is_the_one_sample_route_bit_for_bit(samples):
     # each matrix of the stack against the loop reference, one eigh of one 2x2
-    # Omega per sample, and against no_ordering_numeric with its quadrature
-    # returning the sample's z; gamma = 0 and lam = 1 both give c = 0
+    # Omega per sample; gamma = 0 and lam = 1 both give c = 0
     zr, zi, gamma, t, lam = (np.array(x) for x in zip(*samples))
     z = zr + 1j * zi
     stack = spectral_exponential(z, (1.0 - lam) * gamma * t)
@@ -864,9 +845,6 @@ def test_stacked_exponential_is_the_one_sample_route_bit_for_bit(samples):
         zk, c = complex(z[k]), (1.0 - float(lam[k])) * float(gamma[k]) * float(t[k])
         w, v = np.linalg.eigh(zk.real * SIGMA_X + zk.imag * SIGMA_Y - c * SIGMA_Z)
         assert ((v * np.exp(-1j * w)) @ v.conj().T).tobytes() == u.tobytes()
-        with mock.patch.object(evolve, "interaction_integral", return_value=zk):
-            one = no_ordering_numeric([], SystemParams(float(gamma[k])), float(t[k]), float(lam[k]))
-        assert one.tobytes() == u.tobytes()
 
 
 @pytest.mark.filterwarnings("error")  # a NaN entry warns nothing
