@@ -202,6 +202,7 @@ def _column_labels(key: str, values: tuple, label) -> list[str]:
     return labels
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow goes NaN, which the guard below rejects
 def no_ordering_p2_columns(
     pulses: PulseSequence, params: SystemParams, t0: float, times: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -215,13 +216,11 @@ def no_ordering_p2_columns(
     """
     times = np.asarray(times, dtype=float)
     zs = integrated_strength(pulses, t0, times), interaction_integral_series(pulses, params, t0, times, dt)
-    with np.errstate(invalid="ignore"):  # the guard below rejects a NaN
-        p = np.array([
-            [np.abs(u) ** 2 for u in propagators.no_ordering_column(z, lam, params.gamma, times - t0)]
-            for lam, z in zip((0.0, 1.0), zs)
-        ])  # (frame, entry, time)
-    # one guard over both frames: for the SU(2) form this column check is the full
-    # unitarity defect, and a NaN fails it
+    p = np.array([
+        [np.abs(u) ** 2 for u in propagators.no_ordering_column(z, lam, params.gamma, times - t0)]
+        for lam, z in zip((0.0, 1.0), zs)
+    ])  # (frame, entry, time)
+    # one guard over both frames, for the SU(2) form the full unitarity defect
     defect = np.max(np.abs(p[:, 0] + p[:, 1] - 1.0), initial=0.0)
     if not defect <= UNITARITY_TOLERANCE:
         raise NonUnitaryError(f"no-ordering propagator is not unitary (defect {defect:.3e})")

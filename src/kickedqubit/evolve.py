@@ -27,25 +27,24 @@ takes log2 m passes.  A segment of SMALL or more steps runs through
 `_rk4_span` block by block, and reads the scalar closure `pulses.envelope`
 point by point (kept only for the benchmark's count of its calls; see
 `_rk4_span`); shorter ones are grouped by step count as rows and read
-`envelope_array`, one call a group.  Prefix
-products: a Hillis-Steele scan over a chunk's maps (`_prefix_maps`) gives
-the state at every segment end, with no Python loop per segment or row.
+`envelope_array`, one call a group.  Prefix products: a Hillis-Steele scan
+over a chunk's maps (`_prefix_maps`) gives the state at every segment end,
+with no Python loop per segment or row.  The kernel is plain arithmetic:
+an overflow goes NaN, and the guard that rejects a NaN owns `np.errstate`,
+`rk4_evolve` for its norm guard, `analysis.no_ordering_p2_columns` for its
+unitarity guard, so a diverging run ends with the guard's error alone.
 
 This module also provides the numeric "no time ordering" evolution,
 `no_ordering_numeric`, an independent cross-check of the closed form in
 `propagators` for either frame: lam = 0 (bare) or lam = 1 (rotating).
-It is two parts.  The exponent comes from `interaction_integral`, one
-sample at a time, which integrates each pulse window by
-`pulses.gauss_legendre`, one composite Gauss-Legendre rule with two panels
-for each pi of phase at frequency 2 lam gamma, which returns its value
-alone.  `spectral_exponential` exponentiates the Hermitian exponent through
-its spectral decomposition (numpy's `eigh`), not through the closed
-rotation, and takes a whole stack of exponents in one `eigh` call, so
-`validate` exponentiates each pass of samples at once.  The module needs
-numpy only.  `interaction_integral_series`, behind the rotating-frame
+Its exponent comes from `interaction_integral`, one sample at a time, each
+pulse window by `pulses.gauss_legendre` (two panels for each pi of phase
+at frequency 2 lam gamma).  `spectral_exponential` exponentiates it through
+numpy's `eigh`, not the closed rotation, a whole stack of exponents in one
+call, so `validate` exponentiates each pass of samples at once.  The module
+needs numpy only.  `interaction_integral_series`, behind the rotating-frame
 no-ordering CSV column, takes kicks and rectangles exactly and gaussians by
-a trapezoid at half the RK4 step that `check_step_budget` resolved for the
-trajectory.
+a trapezoid at half the RK4 step that `check_step_budget` resolved.
 """
 from __future__ import annotations
 
@@ -62,6 +61,7 @@ from .pulses import (
     envelope_array,
     gauss_legendre,
 )
+from .propagators import _sinc, kick_integral
 from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, UNITARITY_TOLERANCE, NonUnitaryError, norm_defect, su2
 
 #: Ceiling on the RK4 steps of one rk4_evolve call, checked before stepping
@@ -182,33 +182,32 @@ def _block_map(v, v_const, gamma: float, t, h, m: int):
     every step would repeat the same error over a stretch of equal steps.
     Returns the arrays (d, q, the time after each row's last step); with v
     None no time is read, so none is built and the third entry is None.
+    Plain arithmetic: an unstable step goes NaN, for rk4_evolve's norm guard.
     """
     rows, h = h.size, h[:, None]
     if v is None:  # a zero closure's bits: 0.0 + c == c, and v_const holds no -0.0
         # width w: an odd one pads b with the identity, an even one pairs b with a
         one, w = np.zeros(rows, dtype=complex), m
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = b = _step_map(gamma, h[:, 0], v_const, v_const, v_const)
-            while w > 1:
-                b = _compose(one, one, *b) if w % 2 else _compose(*b, *a)
-                a, w = _compose(*a, *a), (w + 1) // 2
+        a = b = _step_map(gamma, h[:, 0], v_const, v_const, v_const)
+        while w > 1:
+            b = _compose(one, one, *b) if w % 2 else _compose(*b, *a)
+            a, w = _compose(*a, *a), (w + 1) // 2
         return (*b, None)
     times = np.add.accumulate(np.hstack([t[:, None], h.repeat(m, axis=1)]), axis=1)  # t += h, in order
     tk = times[:, :m]  # each step's end, times[:, 1:], is tk + h bit for bit
     grid = np.stack([tk, tk + 0.5 * h, times[:, 1:]], axis=2)
     vs = v(grid)
     vs += v_const[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # the norm guard rejects a NaN
-        d, q = _step_map(gamma, h, vs[..., 0], vs[..., 1], vs[..., 2])
-        # pairwise product, later steps on the left, over the flat rows; an odd
-        # width w gets an identity column, whose products are exact
-        d, q, w = d.ravel(), q.ravel(), m
-        while w > 1:
-            if w % 2:
-                one, w = np.zeros((rows, 1), dtype=complex), w + 1
-                d, q = (np.hstack([x.reshape(rows, -1), one]).ravel() for x in (d, q))
-            d, q = _compose(d[1::2], q[1::2], d[0::2], q[0::2])
-            w //= 2
+    d, q = _step_map(gamma, h, vs[..., 0], vs[..., 1], vs[..., 2])
+    # pairwise product, later steps on the left, over the flat rows; an odd
+    # width w gets an identity column, whose products are exact
+    d, q, w = d.ravel(), q.ravel(), m
+    while w > 1:
+        if w % 2:
+            one, w = np.zeros((rows, 1), dtype=complex), w + 1
+            d, q = (np.hstack([x.reshape(rows, -1), one]).ravel() for x in (d, q))
+        d, q = _compose(d[1::2], q[1::2], d[0::2], q[0::2])
+        w //= 2
     return d, q, times[:, m]
 
 
@@ -258,6 +257,7 @@ def check_step_budget(
     return dt
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow goes NaN, which the norm guard rejects
 def rk4_evolve(
     pulses: PulseSequence,
     params: SystemParams,
@@ -448,10 +448,10 @@ def interaction_integral_series(
     out = cumulative[idx]
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK and p.center >= t0:
-            out = out + np.where(times >= p.center, p.alpha * np.exp(2j * g * p.center), 0.0)
-        elif p.shape is PulseShape.RECTANGULAR:  # peak int_a^b e^{2 i g t} dt; np.sinc(0) = 1
+            out = out + kick_integral([(np.where(times >= p.center, p.alpha, 0.0), p.center)], 1.0, g)
+        elif p.shape is PulseShape.RECTANGULAR:  # peak int_a^b e^{2 i g t} dt
             a, b = max(p.window()[0], t0), np.minimum(p.window()[1], times)
             w = np.maximum(b - a, 0.0)
-            out = out + p.peak * w * np.exp(1j * g * (a + b)) * np.sinc(g * w / math.pi)
+            out = out + p.peak * w * np.exp(1j * g * (a + b)) * _sinc(g * w)
     return out
 

@@ -87,7 +87,8 @@ def kick_integral(kicks: Sequence[tuple], lam, gamma):
     The no-ordering exponent of ideal kicks in the frame lam (see
     `no_ordering_column`).  A completed gaussian of strength alpha and
     width beta = gamma tau enters the rotating frame (lam = 1) as
-    a_k = alpha e^{-beta^2}, an ideal kick as a_k = alpha.
+    a_k = alpha e^{-beta^2}, an ideal kick as a_k = alpha.  It also feeds the
+    CSV series (`evolve.interaction_integral_series`), a_k 0 before T_k.
     """
     w = 2.0 * lam * gamma
     zr = zi = 0.0 * w

@@ -17,7 +17,7 @@ from kickedqubit.analysis import (
     scenario,
 )
 from kickedqubit.evolve import IntegratorConfig
-from kickedqubit.pulses import gaussian, hydrogen_2s2p, unit_system
+from kickedqubit.pulses import gaussian, hydrogen_2s2p, ideal_kick, unit_system
 from kickedqubit.su2 import NonUnitaryError, Z_AXIS, max_abs_diff, pauli_exponential, probabilities
 
 
@@ -282,6 +282,14 @@ def test_no_ordering_columns_reject_a_nan_row(monkeypatch, frame):
         analysis.no_ordering_p2_columns(
             [], unit_system(), 0.0, np.array([1.0, 2.0, 3.0]), 0.01
         )
+
+
+def test_no_ordering_columns_reject_an_overflowing_strength():
+    # under pytest's error::RuntimeWarning filter: the running strength of two
+    # 1e308 kicks used to raise numpy's overflow warning before the guard ran
+    pulses = [ideal_kick(1e308, 1.0), ideal_kick(1e308, 2.0)]
+    with pytest.raises(NonUnitaryError, match="nan"):
+        analysis.no_ordering_p2_columns(pulses, unit_system(), 0.0, np.linspace(0.0, 3.0, 3), 0.01)
 
 
 @pytest.mark.parametrize("times", [[1.0, math.nan], [math.nan, 1.0], [math.nan]],
