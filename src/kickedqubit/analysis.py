@@ -4,8 +4,9 @@ The bundled scenarios (fig1 .. fig5_right) are the reference experiments
 for a hydrogen 2s-2p system driven by gaussian pulses: single-pulse and
 double-pulse population transfer versus time, pulse width, observation
 time, and pulse separation.  Each returns a SweepSeries ready for CSV
-emission.  `SCENARIOS` is their data: for each name, the overrides it
-accepts and their defaults, read and checked in one place.
+emission; fig4_left and fig4_right are slices of one builder's (tau, T_f)
+grid.  `SCENARIOS` is their data: for each name, the overrides it accepts
+and their defaults, read and checked in one place.
 """
 from __future__ import annotations
 
@@ -227,8 +228,6 @@ def no_ordering_p2_columns(
     return p[0, 1], p[1, 1]
 
 
-
-
 def scenario(
     name: str, overrides: dict | None = None, cfg: IntegratorConfig | None = None
 ) -> SweepSeries:
@@ -274,6 +273,17 @@ def _time_scan(name: str, p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     return SweepSeries("t_ps", times, columns, meta)
 
 
+def _single_pulse(p: dict, tau: float, tfs: np.ndarray, cfg: IntegratorConfig | None) -> dict[str, np.ndarray]:
+    """One gaussian of width tau at t_k seen at the sorted times tfs: one tau of fig4's (tau, T_f) grid."""
+    params, alpha = p["params"], p["alpha"]
+    pulses = [gaussian(alpha, tau, p["t_k"])]
+    series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, float(tfs[-1]), cfg, record_times=tfs)
+    noto_s_run, noto_i_num = no_ordering_p2_columns(pulses, params, 0.0, tfs, series.dt)
+    closed = p2_closed_forms_single(alpha, params.gamma * tau, params.gamma * tfs)
+    return {"P2": series.p2, "P2_noTO_S": closed.no_ordering_schrodinger, "P2_noTO_S_running": noto_s_run,
+            "P2_noTO_I": closed.no_ordering_interaction, "P2_noTO_I_numeric": noto_i_num}
+
+
 def _width_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     """Single-pulse P2 against pulse width, at several observation times."""
     params, alpha, t_k, n = p["params"], p["alpha"], p["t_k"], p["n_points"]
@@ -282,25 +292,16 @@ def _width_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     if len(set(obs)) != len(obs):
         raise ValueError(f"observation_times must not repeat, got {obs}")
     taus = np.geomspace(p["tau_min"], p["tau_max"], n)
-    g = params.gamma
     marks = np.array(sorted(obs))
+    rows = [_single_pulse(p, tau, marks, cfg) for tau in taus]
     # one row per tau, one column per sorted observation time
-    exact, noto_s_run, noto_i_num = (np.empty((n, marks.size)) for _ in range(3))
-    for i, tau in enumerate(taus):
-        pulses = [gaussian(alpha, tau, t_k)]
-        series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, float(marks[-1]), cfg, record_times=marks)
-        exact[i] = series.p2
-        noto_s_run[i], noto_i_num[i] = no_ordering_p2_columns(pulses, params, 0.0, marks, series.dt)
-    beta = g * taus
+    grid = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     cols: dict[str, np.ndarray] = {}
     for tf in obs:
         j = int(np.searchsorted(marks, tf))
-        cols[f"P2_Tf{tf:g}"] = exact[:, j]
-        single = p2_closed_forms_single(alpha, beta, g * tf)
-        cols[f"P2_noTO_S_Tf{tf:g}"] = single.no_ordering_schrodinger
-        cols[f"P2_noTO_S_running_Tf{tf:g}"] = noto_s_run[:, j]
-        cols[f"P2_noTO_I_numeric_Tf{tf:g}"] = noto_i_num[:, j]
-    cols["P2_noTO_I"] = p2_closed_forms_single(alpha, beta, 0.0).no_ordering_interaction
+        for key in ("P2", "P2_noTO_S", "P2_noTO_S_running", "P2_noTO_I_numeric"):
+            cols[f"{key}_Tf{tf:g}"] = grid[key][:, j]
+    cols["P2_noTO_I"] = grid["P2_noTO_I"][:, 0]
     return SweepSeries(
         "tau_ps",
         taus,
@@ -318,32 +319,19 @@ def _width_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
 
 def _observation_scan(p: dict, cfg: IntegratorConfig | None) -> SweepSeries:
     """Single-pulse P2 against the observation time, from the pulse midpoint on."""
-    params, alpha, tau, t_k = p["params"], p["alpha"], p["tau"], p["t_k"]
+    t_k = p["t_k"]
     t_f = t_k + 2000.0 if p["t_f"] is None else p["t_f"]
     t_max = _bounded("t_f", t_f, t_k, low_label=f"t_k = {t_k:g}")
-    g = params.gamma
-    beta = g * tau
     tfs = np.linspace(t_k, t_max, p["n_points"])
-    pulses = [gaussian(alpha, tau, t_k)]
-    series = rk4_evolve(pulses, params, (1.0, 0.0), 0.0, t_max, cfg, record_times=tfs)
-    noto_s_run, noto_i_num = no_ordering_p2_columns(pulses, params, 0.0, tfs, series.dt)
-    closed = p2_closed_forms_single(alpha, beta, g * tfs)
-    cols = {
-        "P2": series.p2,
-        "P2_noTO_S": closed.no_ordering_schrodinger,
-        "P2_noTO_S_running": noto_s_run,
-        "P2_noTO_I": closed.no_ordering_interaction,
-        "P2_noTO_I_numeric": noto_i_num,
-    }
     return SweepSeries(
         "Tf_ps",
         tfs,
-        cols,
+        _single_pulse(p, p["tau"], tfs, cfg),
         {
-            "alpha_rad": alpha,
-            "tau_ps": tau,
+            "alpha_rad": p["alpha"],
+            "tau_ps": p["tau"],
             "t_k_ps": t_k,
-            "rabi_time_ps": params.rabi_time,
+            "rabi_time_ps": p["params"].rabi_time,
             "max_time_ps": t_max,
         },
     )

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__, propagators
 from .analysis import (
+    _RABI_TIME,
     SCENARIO_NAMES,
     SCENARIOS,
     _parameters,
@@ -144,17 +145,17 @@ def _write_csv(path: str | None, meta: list[str], header: list[str], columns) ->
             out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _warn_lifetime(total_time: float) -> None:
-    if total_time > LIFETIME_WARNING_PS:
+def _warn_lifetime(rabi_time: float, total_time: float) -> None:
+    """Warn when a hydrogen 2s-2p run (Rabi time 972 ps, however it is given) outlasts the 2p lifetime."""
+    if rabi_time == _RABI_TIME and total_time > LIFETIME_WARNING_PS:
         sys.stderr.write(
             f"warning: simulated span {total_time:g} ps exceeds the 2p lifetime "
             f"scale {LIFETIME_WARNING_PS:g} ps; dissipation is not modeled\n"
         )
 
 
-def _warn_scales(pulses, total_time: float, preset_label: str) -> None:
-    if "hydrogen" in preset_label:
-        _warn_lifetime(total_time)
+def _warn_scales(pulses, total_time: float, rabi_time: float) -> None:
+    _warn_lifetime(rabi_time, total_time)
     for p in pulses:
         if p.shape is not PulseShape.IDEAL_KICK and p.tau < MIN_TAU_WARNING_PS:
             sys.stderr.write(
@@ -172,7 +173,7 @@ def _cmd_propagate(args) -> int:
         raise ValueError("--t0 and --t1 must be finite")  # check_step_budget refuses a bad --dt
     if args.t0 < 0.0 or args.t1 < args.t0 or any(p.center < 0.0 for p in pulses):
         raise ValueError("times must be non-negative with t1 >= t0")
-    _warn_scales(pulses, args.t1 - args.t0, preset_label)
+    _warn_scales(pulses, args.t1 - args.t0, params.rabi_time)
     cfg = IntegratorConfig(dt=args.dt)
     # rk4_evolve's own bound, applied before the sample grid exists
     check_step_budget(pulses, params, args.t0, args.t1, cfg, args.samples, "lower --samples")
@@ -231,7 +232,7 @@ def _cmd_figure(args) -> int:
         _parameters(name, overrides)
     panels = [(name, scenario(name, overrides, IntegratorConfig(dt=args.dt))) for name in args.name]
     for name, series in panels:
-        _warn_lifetime(float(series.metadata.get("max_time_ps", 0.0)))
+        _warn_lifetime(series.metadata["rabi_time_ps"], float(series.metadata["max_time_ps"]))
         out = args.out
         if out is None:
             out = str(Path(args.outdir) / f"{name}.csv")

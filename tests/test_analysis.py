@@ -216,6 +216,21 @@ class TestScenarios:
         late_exact = p2[series.values > 400.0]
         assert np.max(late_exact) - np.min(late_exact) < 1e-6
 
+    def test_fig4_slices_agree_where_their_grids_meet(self):
+        # fig4_left at tau = 10 and fig4_right from t_k = 150 to 500 share the
+        # (tau, T_f) points (10, 150) and (10, 500); the observation times are
+        # given unsorted, so fig4_left's columns must follow the given order
+        left = scenario("fig4_left", {"tau_min": 10, "tau_max": 10, "n_points": 2,
+                                      "observation_times": (500.0, 150.0)})
+        right = scenario("fig4_right", {"tau": 10, "t_f": 500, "n_points": 2})
+        assert right.values.tolist() == [150.0, 500.0]
+        for j, tf in enumerate((150, 500)):
+            for key in ("P2", "P2_noTO_S", "P2_noTO_S_running", "P2_noTO_I_numeric"):
+                assert left.columns[f"{key}_Tf{tf}"].tolist() == [right.columns[key][j]] * 2, (key, tf)
+            assert left.columns["P2_noTO_I"].tolist() == [right.columns["P2_noTO_I"][j]] * 2
+        assert list(left.columns)[:4] == [f"{key}_Tf500" for key in (
+            "P2", "P2_noTO_S", "P2_noTO_S_running", "P2_noTO_I_numeric")]
+
     def test_fig5_zeros_and_coincidence(self):
         params = hydrogen_2s2p()
         half = params.rabi_time / 2.0

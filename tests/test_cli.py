@@ -447,6 +447,15 @@ class TestPropagate:
         assert code == 0
         assert "lifetime" in err
 
+    def test_lifetime_warning_follows_the_rabi_time_not_the_preset(self, capsys):
+        # --rabi-time 972 is the hydrogen 2s-2p system spelled without its preset
+        code, _, err = run_cli(
+            capsys, "propagate", "--rabi-time", "972",
+            "--pulse", "kick:alpha=pi/2,center=100", "--t1", "1700", "--samples", "3",
+        )
+        assert code == 0
+        assert "lifetime" in err
+
     def test_narrow_tau_warning(self, capsys):
         code, _, err = run_cli(
             capsys, "propagate", "--preset", "unit",
@@ -526,6 +535,15 @@ class TestFigure:
         )
         assert code == 0
         assert "lifetime" in err
+
+    def test_long_span_of_another_system_does_not_warn(self, capsys):
+        # fig4_right runs to 2150 ps, but a degenerate pair has no 2p lifetime
+        code, _, err = run_cli(
+            capsys, "figure", "fig4_right", "--set", "n_points=2",
+            "--set", "rabi_time=inf", "--out", "-",
+        )
+        assert code == 0
+        assert err == ""
 
     def test_repeated_observation_time_is_clean(self, capsys):
         code, out, err = run_cli(
