@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 numerical or validation failure.
 All output is deterministic CSV (17 significant digits, '\\n' endings,
 metadata lines prefixed '#'); nothing is read from the environment.
+Each value is the text "%.17g" % x gives; `_csv_text` computes the digits
+of zeros and of 1e-10 <= |x| < 1e15 in numpy integer arithmetic, a chunk
+of rows at a time, and passes every other value to "%.17g".
 The CLI only lexes: a `--set` value becomes floats and a `--pulse` spec a
 `Pulse`; `analysis._parameters` and `Pulse` decide what they accept.
 """
@@ -39,7 +42,7 @@ from .validation import run_validation
 
 LIFETIME_WARNING_PS = 1600.0  # 2p lifetime scale; dissipation matters beyond this
 MIN_TAU_WARNING_PS = 1e-3  # narrower pulses couple to levels outside the pair
-CSV_CHUNK = 2048  # CSV rows formatted and written at a time
+CSV_CHUNK = 512  # CSV rows formatted and written at a time
 
 _PRESETS = {"hydrogen-2s2p": hydrogen_2s2p, "unit": unit_system}
 
@@ -133,16 +136,145 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# CSV text.  Each value is written as "%.17g" % x writes it: 17 significant
+# digits rounded half-even, fixed notation for decimal exponents -4 <= k < 17
+# and d.ddde-XX otherwise, trailing zeros and a bare point dropped, and "-" on
+# every negative, -0.0 included.  Zeros and _RANGE take their digits from
+# integer arithmetic in numpy; every other value (NaN, +-inf, subnormals and
+# all other magnitudes) goes through "%.17g" on its own.
+_RANGE = (1e-10, 1e15)  # |x| of the integer route
+_KMIN, _KMAX = -10, 14  # its decimal exponents k: float(1e-10) is above 10**-10
+_FIELD = 32  # bytes laid out per value: at most 24 of text, a separator at column 27
+_SEP = 27
+_U64 = np.uint64
+_LOW32, _32 = _U64(0xFFFFFFFF), _U64(32)
+_POW5_LOW = np.array([5**p & 0xFFFFFFFF for p in range(17 - _KMIN)], _U64)
+_POW5_HIGH = np.array([5**p >> 32 for p in range(17 - _KMIN)], _U64)
+# the text "0000" .. "9999" as four bytes each, and the trailing zeros of each
+_DIGITS4 = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view(np.uint32).ravel()
+_ZEROS4 = sum(np.arange(10_000) % 10**j == 0 for j in (1, 2, 3, 4))
+
+
+def _layouts():
+    """Byte tables of _csv_text, by layout class 2 (k - _KMIN) + negative.
+
+    A value's digit row is seven "0"s and then its 17 digits at columns 7-23.
+    _LEFT masks that row moved two columns left, for the digits before the
+    point, and _RIGHT the row moved one column left, for those after it:
+    -123.45 (k = 2) is "-123." at columns 4-8 and then its fraction.
+    _CHARS, by class and last column or
+    not, adds the point, the sign, an exponent e-XX at columns 23-26 and the
+    separator at column 27; _KEEP, by class and count of trailing zero
+    digits, marks the bytes written out.
+    """
+    col = np.arange(_FIELD)
+    k = np.repeat(np.arange(_KMIN, _KMAX + 1), 2)[:, None]
+    neg = np.tile([False, True], _KMAX - _KMIN + 1)[:, None]
+    exponent = k < -4
+    kk = np.where(exponent, 0, k)  # the exponent form's d.ddd lies as at k = 0
+    point, sign = 6 + kk, 4 + np.minimum(kk, 0)
+    suffix = exponent & (col >= 23) & (col < _SEP)
+    chars = np.select(
+        [col == point, (col == sign) & neg, *(suffix & (col == c) for c in range(23, _SEP))],
+        [ord("."), ord("-"), ord("e"), ord("-"), ord("0") + -k // 10, ord("0") + -k % 10],
+    ).astype(np.uint8)[:, None].repeat(2, axis=1)
+    chars[:, :, _SEP] = [ord(","), ord("\n")]
+    zeros = np.arange(17)[:, None, None]
+    frac = 16 - kk  # digits after the point, trailing zeros included
+    end = 23 - np.minimum(zeros, frac) - (zeros >= frac)
+    keep = ((col > sign - neg) & (col < end) | suffix | (col == _SEP)).transpose(1, 0, 2)
+    masks = [m.astype(np.uint8) * 0xFF for m in ((col > sign) & (col < point), (col > point) & (col < 23))]
+    return [t.view(_U64).reshape(-1, _FIELD // 8) for t in (*masks, chars, keep.astype(np.uint8, order="C"))]
+
+
+_LEFT, _RIGHT, _CHARS, _KEEP = _layouts()
+_KEEP_TEXT = (np.arange(_FIELD) < np.arange(25)[:, None]) | (np.arange(_FIELD) == _SEP)
+
+
+def _scaled(m, e, k):
+    """floor(m 2**(e - 53) 10**(16 - k)) and whether rounding it half-even adds one.
+
+    With p = 16 - k the quotient is m 5**p / 2**s, s = 53 - e - p: one
+    64 x 64 -> 128-bit product of 32-bit limbs (m < 2**53, 5**p < 2**61) shifted
+    right by s, which is 1 .. 61 for every value the kernel takes.
+    """
+    p = 16 - k
+    b0, b1 = np.take(_POW5_LOW, p), np.take(_POW5_HIGH, p)
+    s = (53 - e - p).astype(_U64)
+    a0, a1 = m & _LOW32, m >> _32
+    low, cross = a0 * b0, a0 * b1 + a1 * b0  # cross < 2**61 + 2**53
+    mid = (low >> _32) + (cross & _LOW32)
+    low = (low & _LOW32) | (mid << _32)
+    high = a1 * b1 + (cross >> _32) + (mid >> _32)
+    t = _U64(64) - s
+    d = (high << t) | (low >> s)
+    # the s remainder bits at the top of a word, against the half 2**63; a tie rounds an odd d up
+    return d, (low << t) + (d & _U64(1)) > _U64(2**63)
+
+
+def _digits17(a):
+    """The 17 significant digits of each a in _RANGE as an integer, rounded half-even, and its exponent k."""
+    m, e = np.frexp(a)
+    m = (m * 2.0**53).astype(_U64)
+    k = np.clip(np.floor(np.log10(a)).astype(np.intp), _KMIN, _KMAX)  # off by one near 10**k
+    d, up = _scaled(m, e, k)
+    off = np.flatnonzero((d < _U64(10**16)) | (d >= _U64(10**17)))
+    if off.size:
+        k[off] += np.where(d[off] < _U64(10**16), -1, 1)
+        d[off], up[off] = _scaled(m[off], e[off], k[off])
+    d += up
+    carry = d == _U64(10**17)  # 9.999...95 rounds to the next power of ten
+    d[carry] = 10**16
+    k += carry
+    return d, k
+
+
+def _csv_text(block: np.ndarray) -> str:
+    """The CSV lines of a (rows, columns) float block, each value as "%.17g" % x."""
+    v = block.ravel()
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= _RANGE[0]) & (a < _RANGE[1])
+    text = np.flatnonzero(~fast & (v != 0.0))
+    a[~fast] = 1.0
+    d, k = _digits17(a)
+    d[~fast], k[~fast] = 0, 0  # a zero is the digits of 0 at k = 0: "0" or "-0"
+    lead, rest = np.divmod(d, _U64(10**16))
+    quads = np.divmod(np.stack(np.divmod(rest, _U64(10**8)), axis=1).astype(np.intp), 10_000)
+    quads = np.stack(quads, axis=-1).reshape(n, 4)  # rest's four groups of four digits
+    digits = np.full((n + 1) * _FIELD, ord("0"), np.uint8)
+    rows = digits[:n * _FIELD].reshape(n, _FIELD)
+    rows[:, 7] += lead.astype(np.uint8)
+    rows[:, 8:24].view(np.uint32)[:] = np.take(_DIGITS4, quads)
+    zeros = np.take(_ZEROS4, quads[:, 3])
+    more = np.flatnonzero(quads[:, 3] == 0)
+    for j in (2, 1, 0):
+        zeros[more] += np.take(_ZEROS4, quads[more, j])
+        more = more[quads[more, j] == 0]
+    cls = 2 * (k - _KMIN) + np.signbit(v)
+    line = 2 * cls
+    line.reshape(block.shape)[:, -1] += 1
+    left, right = (digits[s:s + n * _FIELD].view(_U64).reshape(n, -1) for s in (2, 1))
+    out, part = np.take(_LEFT, cls, axis=0), np.take(_RIGHT, cls, axis=0)
+    out &= left
+    part &= right
+    out |= part
+    out |= np.take(_CHARS, line, axis=0, out=part)
+    keep = np.take(_KEEP, 17 * cls + zeros, axis=0, out=part).view(bool).reshape(n, _FIELD)
+    out = out.view(np.uint8).reshape(n, _FIELD)
+    if text.size:  # over the digits of 0, whose layout has no exponent
+        strings = [b"%.17g" % x for x in v[text].tolist()]
+        out[text, :24] = np.array(strings, "S24").view(np.uint8).reshape(-1, 24)
+        keep[text] = _KEEP_TEXT[[len(s) for s in strings]]
+    return str(out[keep], "ascii")
+
+
 def _write_csv(path: str | None, meta: list[str], header: list[str], columns) -> None:
     """Write the '#' lines, the header and the rows of the 1-D float columns, to stdout or path."""
     with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as out:
         out.write("".join(f"# {m}\n" for m in [*meta, f"kickedqubit {__version__}"]) + ",".join(header) + "\n")
-        # CSV_CHUNK rows a write, formatted by one %-template over one flat list of
-        # floats, so no tuple or string is made per row; "%.17g" % x is the text of _fmt(x)
-        row = "%.17g," * (len(columns) - 1) + "%.17g\n"
         for start in range(0, len(columns[0]), CSV_CHUNK):
-            block = np.column_stack([c[start:start + CSV_CHUNK] for c in columns])
-            out.write(row * len(block) % tuple(block.ravel().tolist()))
+            out.write(_csv_text(np.stack([c[start:start + CSV_CHUNK] for c in columns], axis=1, dtype=float)))
 
 
 def _warn_lifetime(rabi_time: float, total_time: float) -> None:

@@ -434,18 +434,20 @@ def interaction_integral_series(
     Kicks at or after t0 enter as exact steps, rectangles as the exact integral
     of each window clipped to [t0, t]; gaussians by trapezoid at half the RK4
     step dt (a trajectory's resolved `TimeSeries.dt`) on a grid that includes
-    the requested times, which makes whole no-ordering columns cheap.
+    the requested times, which makes whole no-ordering columns cheap.  With
+    no gaussian there is no grid.
     """
     times = np.asarray(times, dtype=float)
     g = params.gamma
-    t_max = float(times.max(initial=t0))  # times in any order
     smooth = [p for p in pulses if p.shape is PulseShape.GAUSSIAN]
-    grid = _stops(np.arange(t0, t_max, dt / 2.0), times, [t0])
-    vals = envelope_array(smooth, grid) * np.exp(2j * g * grid)
-    increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-    cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
-    idx = np.searchsorted(grid, times)
-    out = cumulative[idx]
+    out = np.zeros(times.shape, complex)
+    if smooth:
+        t_max = float(times.max(initial=t0))  # times in any order
+        grid = _stops(np.arange(t0, t_max, dt / 2.0), times, [t0])
+        vals = envelope_array(smooth, grid) * np.exp(2j * g * grid)
+        increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
+        cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
+        out = cumulative[np.searchsorted(grid, times)]
     for p in pulses:
         if p.shape is PulseShape.IDEAL_KICK and p.center >= t0:
             out = out + kick_integral([(np.where(times >= p.center, p.alpha, 0.0), p.center)], 1.0, g)

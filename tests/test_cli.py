@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import math
 import sys
 import time
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kickedqubit import __version__, cli, evolve
 from kickedqubit.pulses import PulseShape, SystemParams
@@ -43,6 +47,69 @@ def test_csv_writer_matches_per_value_format(capsys):
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
+def percent_rows(rows) -> str:
+    """The rows as the whole-block "%.17g" template writes them."""
+    row = "%.17g," * (len(rows[0]) - 1) + "%.17g\n"
+    return row * len(rows) % tuple(x for r in rows for x in r)
+
+
+def csv_body(columns) -> str:
+    """What _write_csv writes under its '#' lines and header."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._write_csv(None, [], ["h"] * len(columns), columns)
+    return out.getvalue().split("\n", 2)[2]
+
+
+def _neighbours(xs):
+    xs = np.array(xs)
+    return [*xs, *np.nextafter(xs, 0.0), *np.nextafter(xs, np.inf)]
+
+
+# any 64-bit pattern (every NaN sign and payload, +-inf, subnormals, +-0);
+# floats of both signs from 1e-9 to 1e17, evenly in the exponent and as drawn;
+# and exact 17th-digit ties c / 2**n = c 5**n / 10**n, c odd, 18 digits
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.array(b, np.uint64).view(np.float64).item())
+_SPREAD = st.one_of(
+    st.floats(1e-9, 1e17),
+    st.floats(-9.0, 17.0).map(lambda e: 10.0**e),
+    st.integers(3, 25).flatmap(lambda n: st.integers(-(-10**17 // 5**n), min(10**18 // 5**n, 2**53) - 1).map(
+        lambda c: (c | 1) / 2**n)),
+)
+_VALUE = st.one_of(_BITS, _SPREAD, _SPREAD.map(lambda x: -x))
+_POWERS = _neighbours([float(f"1e{k}") for k in range(-9, 18)])
+_EDGES = _neighbours([1e-10, 1e15])  # the range whose digits come from integer arithmetic
+_TIES = [26215 / 2**18, 26217 / 2**18, 1000000000000000.25, 1000000000000000.75]  # 18 digits, last a 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_VALUE, _VALUE, _VALUE), min_size=1, max_size=40))
+@example(rows=[(x, -x, 0.0) for x in _POWERS])
+@example(rows=[(x, -x, -0.0) for x in _EDGES])
+@example(rows=[(x, -x, 0.0) for x in _TIES])
+def test_csv_text_is_the_percent_template(rows):
+    assert csv_body([np.array(c) for c in zip(*rows)]) == percent_rows(rows)
+
+
+def test_ties_round_half_even():
+    # exact 17th-digit ties go to the even digit, as "%.17g" rounds them
+    assert csv_body([np.array(_TIES)]).split() == [
+        "0.10000228881835938", "0.10000991821289062", "1000000000000000.2", "1000000000000000.8",
+    ]
+
+
+def test_propagate_rows_are_the_percent_template(capsys):
+    # the fig2 pair at tau = 1: zeros before the first pulse and values down to 4e-37
+    code, out, _ = run_cli(
+        capsys, "propagate", "--pulse", "gaussian:alpha=pi/2,tau=1,center=100",
+        "--pulse", "gaussian:alpha=-pi/2,tau=1,center=586", "--t1", "700", "--samples", "19951",
+    )
+    assert code == 0
+    rows = [tuple(map(float, r)) for r in data_rows(out)]
+    values = np.abs(rows)
+    assert len(rows) == 19951 and (values == 0).any() and values[values > 0].min() < 1e-36
+    assert out.split("ImU12\n", 1)[1] == percent_rows(rows)
+
+
 def test_csv_writer_memory_is_one_chunk(monkeypatch):
     """Writing 9 columns of 20000 rows holds about one chunk of text, not the file."""
 
@@ -62,7 +129,7 @@ def test_csv_writer_memory_is_one_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sink.chars > 9 * 20_000 * 10
-    # one 2048-row chunk peaks at about 1.3 MB; the whole text is 3.55 M characters
+    # one 512-row chunk peaks at about 1.1 MB; the whole text is 3.55 M characters
     assert peak < 3e6, f"writer peak {peak / 1e6:.1f} MB"
 
 

@@ -839,6 +839,23 @@ class TestNoOrderingNumeric:
             for t, val in zip(times, series_vals):
                 assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < tol
 
+    def test_integral_series_without_a_gaussian_builds_no_grid(self, monkeypatch):
+        # the rectangle pair on the benchmark's 19951-sample grid, and a kick:
+        # the series is exact, so no envelope is sampled
+        def no_grid(*args):
+            raise AssertionError("envelope_array called")
+
+        monkeypatch.setattr(evolve, "envelope_array", no_grid)
+        params = HYDROGEN
+        times = np.linspace(0.0, 700.0, 19951)
+        for pulses in (
+            [rectangular(1.0, 1.0, 100.0), rectangular(-1.0, 1.0, 586.0)],
+            [rectangular(0.7, 20.0, 300.0), ideal_kick(0.8, 150.0)],
+        ):
+            series_vals = interaction_integral_series(pulses, params, 0.0, times, 0.02)
+            for t, val in zip(times, series_vals):
+                assert abs(interaction_integral(pulses, params, float(t), 1.0) - val) < 1e-12
+
     @pytest.mark.parametrize("t0, kicks", [
         (0.0, [ideal_kick(0.8, 150.0)]),  # on a record time: counted there
         (0.0, [ideal_kick(0.8, 200.0)]),  # between record times
