@@ -34,14 +34,13 @@ an overflow goes NaN, and the guard that rejects a NaN owns `np.errstate`,
 `rk4_evolve` for its norm guard, `analysis.no_ordering_p2_columns` for its
 unitarity guard, so a diverging run ends with the guard's error alone.
 
-This module also provides the numeric "no time ordering" evolution,
-`no_ordering_numeric`, an independent cross-check of the closed form in
-`propagators` for either frame: lam = 0 (bare) or lam = 1 (rotating).
-Its exponent comes from `interaction_integral`, one sample at a time, each
-pulse window by `pulses.gauss_legendre` (two panels for each pi of phase
-at frequency 2 lam gamma).  `spectral_exponential` exponentiates it through
-numpy's `eigh`, not the closed rotation, a whole stack of exponents in one
-call, so `validate` exponentiates each pass of samples at once.  The module
+The numeric "no time ordering" evolution of frame lam (0 bare, 1 rotating),
+an independent cross-check of the closed forms in `propagators`, is two
+calls: `interaction_integral` integrates the exponent z_lam one sample at a
+time, each pulse window by `pulses.gauss_legendre` (two panels for each pi
+of phase at frequency 2 lam gamma), and `spectral_exponential(z_lam,
+(1 - lam) gamma t)` exponentiates it through numpy's `eigh`, not the closed
+rotation, a stack at once, as `validate` does a pass of samples.  The module
 needs numpy only.  `interaction_integral_series`, behind the rotating-frame
 no-ordering CSV column, takes kicks and rectangles exactly and gaussians by
 a trapezoid at half the RK4 step that `check_step_budget` resolved.
@@ -227,11 +226,13 @@ def check_step_budget(
 ) -> float:
     """The RK4 step of cfg, once [t0, t1] with this many record times fits MAX_RK4_STEPS.
 
-    A given cfg.dt must be positive and finite.  None resolves to the
-    smallest of tau / 50 over the finite pulses and the Rabi time / 2000,
-    else to a thousandth of the span.  Each stop after t0 can round one
-    segment up by a step: t1, each record time, and at most two a pulse (a
-    kick, a rectangle's edges).
+    None resolves to the smallest of tau / 50 over the finite pulses and the
+    Rabi time / 2000, else to a thousandth of the span.  The step, given or
+    resolved, must be finite with dt / 2 > 0, the step of the trapezoid in
+    `interaction_integral_series`: a subnormal dt (a tau / 50 that underflows
+    to 0, a given 5e-324) would divide by zero there or here.  Each stop
+    after t0 can round one segment up by a step: t1, each record time, and
+    at most two a pulse (a kick, a rectangle's edges).
     """
     dt = cfg.dt
     if dt is None:
@@ -239,8 +240,11 @@ def check_step_budget(
         if math.isfinite(params.rabi_time):
             candidates.append(params.rabi_time / 2000.0)
         dt = min(candidates or [max(t1 - t0, 1e-12) / 1000.0])
-    elif not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError("dt must be positive and finite")
+    if not (dt / 2.0 > 0.0 and math.isfinite(dt)):
+        if cfg.dt is not None and not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        origin = "given" if cfg.dt is not None else "resolved"
+        raise ValueError(f"{origin} dt={dt:g} cannot be used for RK4 steps: it must be finite with dt / 2 > 0")
     span_steps = (t1 - t0) / dt
     if not span_steps <= MAX_RK4_STEPS:
         raise ValueError(
@@ -412,18 +416,6 @@ def spectral_exponential(z, c) -> np.ndarray:
     z, c = np.asarray(z, dtype=complex)[..., None, None], np.asarray(c, dtype=float)[..., None, None]
     w, v = np.linalg.eigh(z.real * SIGMA_X + z.imag * SIGMA_Y - c * SIGMA_Z)
     return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
-def no_ordering_numeric(
-    pulses: PulseSequence, params: SystemParams, t: float, lam: float
-) -> np.ndarray:
-    """exp(-i Omega_lam), Omega_lam = Re z sigma_x + Im z sigma_y - (1 - lam) gamma t sigma_z.
-
-    z is interaction_integral's quadrature of frame lam: lam = 0 is the bare
-    frame, lam = 1 the rotating frame; `spectral_exponential` exponentiates.
-    """
-    z = interaction_integral(pulses, params, t, lam)
-    return spectral_exponential(z, (1.0 - lam) * params.gamma * t)
 
 
 def interaction_integral_series(

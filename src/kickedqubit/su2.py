@@ -13,9 +13,9 @@ build it with `su2`; `pauli_exponential` writes its four entries directly
 (see its docstring).  The largest-absolute-entry norm is
 used for all matrix defect measurements, and a NaN entry gives a NaN
 defect, which fails every `not defect <= tol` guard.  The one numeric
-no-ordering route, `evolve.no_ordering_numeric`, serves the bare
-(lam = 0) and rotating (lam = 1) frames alike; its
-`evolve.spectral_exponential` exponentiates through numpy's `eigh` (a
+no-ordering route serves the bare (lam = 0) and rotating (lam = 1)
+frames alike: `evolve.interaction_integral` gives the exponent and
+`evolve.spectral_exponential` exponentiates it through numpy's `eigh` (a
 spectral decomposition), not with `pauli_exponential`, so it shares no
 code with the closed form `propagators.no_ordering` it checks.
 """

@@ -176,6 +176,18 @@ class TestParsing:
         p = cli.parse_pulse(f"{spelling}:alpha=1,tau={tau},center=3")
         assert (p.shape, p.alpha, p.tau, p.center) == (shape, 1.0, float(tau), 3.0)
 
+    @pytest.mark.parametrize("argv, code", [
+        (("propagate", "--pulse", "kick:alpha=1,center=0", "--t1", "1", "--t0=-1e-3"), 1),
+        (("floquet", "--gamma", "1", "--period", "1", "--alpha=-pi/2"), 0),
+    ])
+    def test_negative_exponent_and_pi_values_parse_joined_to_their_flag(self, capsys, argv, code):
+        # "--t0 -1e-3" and "--alpha -pi/2" read the value as an option: "expected one argument"
+        flag, _, value = argv[-1].partition("=")
+        assert run_cli(capsys, *argv[:-1], flag, value)[2].endswith(f"argument {flag}: expected one argument\n")
+        status, _, err = run_cli(capsys, *argv)
+        # --t0 parses, and propagate's own check refuses a negative time
+        assert (status, err) == (code, "error: times must be non-negative with t1 >= t0\n" if code else "")
+
     def test_kick_takes_no_width(self):
         # '# pulses' writes tau=0 for a kick, so that spelling reads back
         assert cli.parse_pulse("kick:alpha=1,center=2,tau=0") == cli.parse_pulse("kick:alpha=1,center=2")
@@ -284,6 +296,22 @@ class TestPropagate:
         # propagate checks --t0 and --t1 itself; check_step_budget owns the --dt check
         code, out, err = run_cli(capsys, *self.ARGS, flag, value)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        # the default dt, tau / 50, underflows to 0
+        ("--preset", "unit", "--pulse", "rect:alpha=1e-300,center=352614.7,tau=5e-324",
+         "--t1", "1.72", "--samples", "1"),
+        # a given dt whose half is 0
+        ("--preset", "hydrogen-2s2p", "--pulse", "gaussian:alpha=0.001,center=309.7,tau=9.8e-05",
+         "--t1", "0", "--samples", "2", "--dt", "5e-324"),
+    ], ids=["resolved-0", "given-5e-324"])
+    def test_step_whose_half_is_zero_is_clean_exit_1(self, capsys, argv):
+        # both raised ZeroDivisionError through main, a traceback
+        code, out, err = run_cli(capsys, "propagate", *argv)
+        assert (code, out) == (1, "")
+        lines = [ln for ln in err.splitlines() if not ln.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "dt / 2 > 0" in lines[0]
+        assert "Traceback" not in err
 
     def test_t0_after_pulse_all_columns_agree(self, capsys):
         # a pulse that is over before t0 must leave every P2 column at zero
@@ -866,3 +894,88 @@ def test_bad_output_path_or_seed_is_clean_exit_1(tmp_path, capsys, argv, message
     assert (code, out) == (1, "")
     assert err.splitlines()[-1].startswith("error: ") and message in err
     assert (tmp_path / "file").read_text() == ""
+
+
+# The exit contract on random input: values from +-1e-6 to 1e6 and the floats
+# at which arithmetic stops behaving, in one field of six; the others take a
+# value from a small working run.  A negative value is joined to its flag with
+# "=" (README, CLI), except in --sweep, whose three values cannot be
+_EDGE = [0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e300, 1e308, -1e308, math.nan, math.inf]
+_NUMBER = st.one_of(st.sampled_from(_EDGE), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+def _mostly(working):
+    return st.integers(0, 5).flatmap(lambda i: _NUMBER if i == 0 else working)
+
+
+_TIME = _mostly(st.floats(0.0, 20.0))
+_WIDTH = _mostly(st.floats(0.01, 5.0))
+_ANGLE = st.one_of(_mostly(st.floats(-4.0, 4.0)).map(repr), st.sampled_from(["pi/2", "-3pi/8"]))
+_SYSTEM = st.one_of(
+    st.sampled_from([[], ["--preset", "unit"], ["--preset", "hydrogen-2s2p"]]),
+    st.tuples(st.sampled_from(["--gamma", "--rabi-time", "--delta-e-ev"]), _mostly(st.floats(0.01, 10.0))).map(
+        lambda fv: [f"{fv[0]}={fv[1]!r}"]),
+)
+_PULSE = st.one_of(
+    st.builds("kick:alpha={},center={!r}".format, _ANGLE, _TIME),
+    st.builds("{}:alpha={},tau={!r},center={!r}".format, st.sampled_from(["rect", "gaussian"]),
+              _ANGLE, _WIDTH, _TIME),
+    st.builds("kick:alpha={},tau={!r},center={!r}".format, _ANGLE, _mostly(st.just(0.0)), _TIME),
+)
+
+
+@st.composite
+def _propagate(draw):
+    t0, t1 = draw(_mostly(st.just(0.0))), draw(_mostly(st.floats(0.5, 20.0)))
+    # at most 2000 steps over the span; the default step is left to the @examples
+    dt = draw(_mostly(st.integers(1, 2000).map(lambda k: (t1 - t0) / k)))
+    pulses = [f"--pulse={p}" for p in draw(st.lists(_PULSE, min_size=1, max_size=3))]
+    samples = draw(st.sampled_from(["1", "2", "3", "0", "-1"]))
+    return ["propagate", *draw(_SYSTEM), *pulses, f"--t0={t0!r}", f"--t1={t1!r}", f"--dt={dt!r}",
+            "--samples", samples]
+
+
+@st.composite
+def _floquet(draw):
+    argv = ["floquet", *draw(_SYSTEM), f"--alpha={draw(_ANGLE)}"]
+    if draw(st.booleans()):
+        return [*argv, f"--period={draw(_mostly(st.floats(0.01, 10.0)))!r}"]
+    count = draw(st.sampled_from(["1", "2", "3", "0", "2.5", "nan", "inf", "1e300", "5e-324", "10000001"]))
+    start, stop = (repr(draw(_mostly(st.floats(0.0, 10.0)))) for _ in range(2))
+    return [*argv, "--sweep", start, stop, count]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_propagate(), _floquet()))
+@example(["propagate", "--preset", "unit", "--pulse", "rect:alpha=1e-300,center=352614.7,tau=5e-324",
+          "--t1", "1.72", "--samples", "1"])
+@example(["propagate", "--preset", "hydrogen-2s2p", "--pulse", "gaussian:alpha=0.001,center=309.7,tau=9.8e-05",
+          "--t1", "0", "--samples", "2", "--dt", "5e-324"])
+@example(["propagate", "--pulse", "gaussian:alpha=pi/2,tau=10,center=100",
+          "--pulse", "gaussian:alpha=-pi/2,tau=10,center=586", "--t1", "700", "--samples", "3"])
+@example(["propagate", "--preset", "unit", "--pulse", "kick:alpha=1,center=1",
+          "--pulse", "rect:alpha=0.5,tau=0.4,center=2", "--t1", "3", "--samples", "2"])
+@example(["propagate", "--gamma", "0", "--pulse", "gaussian:alpha=1e-170,tau=1e-160,center=5",
+          "--t1", "10", "--samples", "2"])
+def test_exit_contract_on_random_input(argv):
+    # exit 0 with "%.17g" rows, 1 with one "error:" line, 2 with one "numerical
+    # failure:" line; stderr may add warning lines and, before "error:",
+    # argparse's usage text, and no exception escapes main
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error")  # a numpy warning is an exception, which escapes
+        code = cli.main(argv)
+    out, lines = out.getvalue(), err.getvalue().splitlines()
+    if lines and lines[0].startswith("usage: "):
+        lines = lines[next(i for i, ln in enumerate(lines) if not ln.startswith(("usage: ", " "))):]
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert lines and lines[-1].startswith({1: "error: ", 2: "numerical failure: "}[code])
+        lines = lines[:-1]
+    assert all(ln.startswith("warning: ") for ln in lines), lines
+    if code == 0:
+        rows = data_rows(out)
+        assert rows and all("%.17g" % float(f) == f for row in rows for f in row)
+        if argv[0] == "propagate":
+            assert all(abs(float(r[1]) + float(r[2]) - 1.0) <= 1e-8 for r in rows)

@@ -100,7 +100,7 @@ def first_calls() -> dict:
     return run_fresh(
         f"""
         import json, math
-        from kickedqubit.evolve import interaction_integral, no_ordering_numeric
+        from kickedqubit.evolve import interaction_integral, spectral_exponential
         from kickedqubit.propagators import adiabatic_phase, kick_correction_shape_factor
         from kickedqubit.pulses import PulseShape, SystemParams, gaussian
 
@@ -114,7 +114,7 @@ def first_calls() -> dict:
         out["shape"] = [
             kick_correction_shape_factor(a, PulseShape.GAUSSIAN) for a in {list(SHAPE_FACTORS)!r}
         ]
-        out["expm"] = entries(no_ordering_numeric([gaussian(0.7, 0.1, 1.0)], params, 2.0, 0.0))
+        out["expm"] = entries(spectral_exponential(interaction_integral([gaussian(0.7, 0.1, 1.0)], params, 2.0, 0.0), 2.0))
         print(json.dumps(out))
         """
     )
@@ -135,5 +135,5 @@ def test_gaussian_shape_factor(first_calls):
     assert first_calls["shape"] == pytest.approx(list(SHAPE_FACTORS.values()), rel=4e-16, abs=0.0)
 
 
-def test_no_ordering_numeric_bare_frame(first_calls):
+def test_numeric_no_ordering_bare_frame(first_calls):
     assert first_calls["expm"] == [pytest.approx(e, rel=1e-15, abs=1e-15) for e in NO_ORDERING_EXPM]

@@ -17,7 +17,6 @@ from kickedqubit.evolve import (
     check_step_budget,
     interaction_integral,
     interaction_integral_series,
-    no_ordering_numeric,
     rk4_evolve,
     rk4_propagator,
     spectral_exponential,
@@ -757,7 +756,7 @@ class TestRk4Propagator:
 class TestNoOrderingNumeric:
     def test_schrodinger_matches_closed_form(self):
         t = 300.0
-        u_num = no_ordering_numeric(FIG1_PULSE, HYDROGEN, t, 0.0)
+        u_num = spectral_exponential(interaction_integral(FIG1_PULSE, HYDROGEN, t, 0.0), HYDROGEN.gamma * t)
         alpha_running = math.pi / 2  # pulse complete well before t
         u_closed = prop.no_ordering(alpha_running, 0.0, HYDROGEN.gamma, t)
         assert max_abs_diff(u_num, u_closed) < 1e-12
@@ -765,14 +764,14 @@ class TestNoOrderingNumeric:
     def test_schrodinger_kick_antikick_never_transfers(self):
         params = unit_system()
         kicks = [ideal_kick(1.1, 1.0), ideal_kick(-1.1, 2.5)]
-        u0 = no_ordering_numeric(kicks, params, 4.0, 0.0)
+        u0 = spectral_exponential(interaction_integral(kicks, params, 4.0, 0.0), params.gamma * 4.0)
         assert abs(u0[1, 0]) == 0.0
 
     def test_schrodinger_transfer_dies_at_large_times(self):
         pulse = [gaussian(math.pi / 2, 5.0, 100.0)]
         p2s = []
         for tf in (300.0, 1000.0, 3000.0):
-            u0 = no_ordering_numeric(pulse, HYDROGEN, tf, 0.0)
+            u0 = spectral_exponential(interaction_integral(pulse, HYDROGEN, tf, 0.0), HYDROGEN.gamma * tf)
             p2s.append(abs(u0[1, 0]) ** 2)
         assert p2s[0] > p2s[1] > p2s[2]
         assert p2s[2] < 0.03
@@ -782,7 +781,7 @@ class TestNoOrderingNumeric:
         tau = 10.0
         beta = params.gamma * tau
         pulse = [gaussian(1.2, tau, 150.0)]
-        u_num = no_ordering_numeric(pulse, params, 400.0, 1.0)
+        u_num = spectral_exponential(interaction_integral(pulse, params, 400.0, 1.0), 0.0)
         z = prop.kick_integral(((1.2 * math.exp(-beta * beta), 150.0),), 1.0, params.gamma)
         u_closed = prop.no_ordering(z, 1.0, params.gamma, 400.0)
         assert max_abs_diff(u_num, u_closed) < 1e-8
@@ -790,15 +789,15 @@ class TestNoOrderingNumeric:
     def test_interaction_degenerate_equals_schrodinger(self):
         params = SystemParams(0.0)
         pulse = [gaussian(0.9, 2.0, 20.0)]
-        u_i = no_ordering_numeric(pulse, params, 50.0, 1.0)
-        u_s = no_ordering_numeric(pulse, params, 50.0, 0.0)
+        u_i = spectral_exponential(interaction_integral(pulse, params, 50.0, 1.0), 0.0)
+        u_s = spectral_exponential(interaction_integral(pulse, params, 50.0, 0.0), params.gamma * 50.0)
         assert max_abs_diff(u_i, u_s) < 1e-10
 
     def test_interaction_double_matches_closed_form(self):
         params = HYDROGEN
         tau = 0.03 / params.gamma  # beta = 0.03
         pair = [gaussian(0.9, tau, 120.0), gaussian(-0.9, tau, 420.0)]
-        u_num = no_ordering_numeric(pair, params, 600.0, 1.0)
+        u_num = spectral_exponential(interaction_integral(pair, params, 600.0, 1.0), 0.0)
         a = 0.9 * math.exp(-0.03**2)
         z = prop.kick_integral(((a, 120.0), (-a, 420.0)), 1.0, params.gamma)
         u_closed = prop.no_ordering(z, 1.0, params.gamma, 600.0)
@@ -927,3 +926,20 @@ def test_default_dt_rule():
     assert resolved(FIG1_PULSE, HYDROGEN) == pytest.approx(10.0 / 50.0)
     assert resolved([gaussian(1.0, 1000.0, 0.0)], HYDROGEN) == pytest.approx(972.0 / 2000.0)
     assert resolved([], SystemParams(0.0)) == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("pulse, dt, message", [
+    # tau / 50 of a 5e-324 width underflows to 0: (t1 - t0) / dt raised ZeroDivisionError
+    (rectangular(1e-300, 5e-324, 352614.7), None, "resolved dt=0"),
+    # positive, but its half is 0: interaction_integral_series's np.arange raised ZeroDivisionError
+    (gaussian(0.001, 9.8e-05, 309.7), 5e-324, "given dt=4.94066e-324"),
+], ids=["resolved-0", "given-5e-324"])
+def test_step_whose_half_is_zero_is_refused(pulse, dt, message):
+    rule = "cannot be used for RK4 steps: it must be finite with dt / 2 > 0"
+    with pytest.raises(ValueError, match=f"^{message} {rule}$"):
+        check_step_budget([pulse], unit_system(), 0.0, 1.72, IntegratorConfig(dt=dt), 1)
+
+
+def test_smallest_step_with_a_positive_half_is_taken():
+    # 1e-320 halves to a subnormal > 0, and a zero span needs no step
+    assert check_step_budget([], unit_system(), 2.0, 2.0, IntegratorConfig(dt=1e-320), 1) == 1e-320
